@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """varcap benchmark: one workload per run, one JSON result as the last line.
 
-    python3 perfbench/run.py --workload planar-ladder --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload sheet-families --seed 1 --seconds 35 --trace 0
 
 ``--trace 0`` prints the end-to-end metrics; ``--trace 1`` makes a separate
 traced run and prints per-layer self times, work counts, import times and
@@ -41,7 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 IMPORT_REPEATS = 3
 SUBPROCESS_TIMEOUT = 170
 
@@ -200,7 +200,8 @@ def _subprocess_env() -> dict:
 
 
 def time_setup(args, workdir: Path, repeats: int) -> list[float]:
-    """Wall time of fresh interpreters that import varcap.cli and generate the inputs."""
+    """Wall time of fresh interpreters that import varcap.cli and write the
+    input documents.  Reference values are computed later, untimed."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--setup-only", "--workload", args.workload,
            "--seed", str(args.seed), "--scale", args.scale, "--workdir", str(workdir)]
     times = []
@@ -227,18 +228,18 @@ def cold_call(call: dict) -> tuple[float, str | None]:
     return elapsed, problem and f"cold {call['name']}: {problem}"
 
 
-def run_passes(run_pass, manifest, rec, seconds: float, after_pass=None) -> list:
+def run_passes(run_pass, manifest, rec, seconds: float, after_pass) -> list:
     """Passes until about ``seconds`` of them have run (at least one).
 
-    ``after_pass`` runs between passes and its time is not counted.
+    ``after_pass`` runs between passes, with the share of ``seconds`` used so
+    far; its time is not counted.
     """
     passes, elapsed = [], 0.0
     while True:
         t0 = perf_counter()
         passes.append(run_pass(manifest, rec))
         elapsed += perf_counter() - t0
-        if after_pass is not None:
-            after_pass(rec)
+        after_pass(min(1.0, elapsed / seconds))
         if elapsed + 0.5 * elapsed / len(passes) >= seconds:
             return passes
 
@@ -249,35 +250,54 @@ def _percentile(values, q):
     return float(np.percentile(values, q))
 
 
-def _untraced_recorder(workload: str) -> spans.Recorder:
-    rec = spans.Recorder(spans=False)
-    if workload != "cli-batch":  # the lattice gates check each potential
+def _wrap_gates(rec: spans.Recorder, workload: str) -> list[str]:
+    """Wrap only what the correctness checks need: the lattice gates check each potential."""
+    if workload != "cli-batch":
         rec.wrap("varcap.mms", "graph_capacity", "mms.graph_capacity", workloads.graph_solve_hook)
-    return rec
+    return []
+
+
+def _wrap_layers(rec: spans.Recorder, workload: str) -> list[str]:
+    """Wrap every layer target; return the ones the program does not have."""
+    return [f"{module}.{path}" for module, path, layer in LAYER_TARGETS
+            if not rec.wrap(module, path, layer, HOOKS.get(layer))]
+
+
+def _wrapped_pass(run_pass, manifest, rec, wrap, workload):
+    """One pass with ``rec``'s wrappers in place, removed again afterwards."""
+    missing = wrap(rec, workload)
+    try:
+        return run_pass(manifest, rec), missing
+    finally:
+        rec.close()
 
 
 def untraced(args, manifest, workdir, setup_times):
     run_pass = workloads.RUNNERS[args.workload]
-    cold_queue = workloads.cold_calls(manifest, workdir)
-    cold = []  # fresh-process calls run between passes, so they sample the whole run
+    cold_queue = workloads.cold_calls(manifest)
+    cold, setups = [], list(setup_times)
 
-    def next_cold_call(_):
-        if len(cold) < len(cold_queue):
+    def fresh_processes(share: float):
+        """Cold calls and set-ups in step with the passes: the machine's speed
+        drifts over seconds, so each metric samples the whole run."""
+        while len(cold) < round(share * len(cold_queue)):
             cold.append(cold_call(cold_queue[len(cold)]))
+        while len(setups) < round(share * SETUP_REPEATS):
+            setups.extend(time_setup(args, workdir, 1))
 
-    rec = _untraced_recorder(args.workload)
+    rec = spans.Recorder(spans=False)
+    _wrap_gates(rec, args.workload)
     try:
         warm = run_pass(workloads.warm_up_manifest(manifest), rec)
-        passes = run_passes(run_pass, manifest, rec, args.seconds, after_pass=next_cold_call)
+        passes = run_passes(run_pass, manifest, rec, args.seconds, after_pass=fresh_processes)
     finally:
         rec.close()
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    while len(cold) < len(cold_queue):
-        next_cold_call(None)
+    fresh_processes(1.0)
     latencies = [lat for p in passes for lat in p.latencies]
     metrics = {
         "wall_s": statistics.median(p.wall for p in passes),
-        "setup_s": statistics.median(setup_times),
+        "setup_s": statistics.median(setups),
         "peak_rss_mb": rss_mb,
         "call_p50_ms": 1e3 * _percentile(latencies, 50),
         "call_p90_ms": 1e3 * _percentile(latencies, 90),
@@ -288,39 +308,40 @@ def untraced(args, manifest, workdir, setup_times):
         "passes": len(passes),
         "operations": len(latencies),
         "above_p90": sum(lat > metrics["call_p90_ms"] / 1e3 for lat in latencies),
-        "setup_runs_s": setup_times,
+        "setup_runs_s": setups,
         "cold_runs_s": [t for t, _ in cold],
         "pass_walls_s": [p.wall for p in passes],
+        "pass_latencies_s": [p.latencies for p in passes],
     }
     return metrics, len(warm.latencies) + len(latencies) + len(cold), failures, detail, rec.solves
 
 
 def traced(args, manifest):
+    """Untraced and traced passes in turn until ``--seconds`` is used up.
+
+    Layer numbers are medians over the traced passes.  The tracing overhead
+    compares the median traced pass with the median untraced pass of the same
+    run, so a drift in machine speed during the run falls on both sides.
+    """
     run_pass = workloads.RUNNERS[args.workload]
-    base = _untraced_recorder(args.workload)
-    try:
-        warm = run_pass(workloads.warm_up_manifest(manifest), base)
-        baseline = run_pass(manifest, base)
-    finally:
-        base.close()
-
-    rec = spans.Recorder(spans=True)
-    per_pass, kept_spans = [], []
-
-    def collect(r):
-        totals = r.layer_totals()
-        totals.update(r.counts)
-        totals["trace.spans"] = len(r.spans)
+    base, rec = spans.Recorder(spans=False), spans.Recorder(spans=True)
+    warm, _ = _wrapped_pass(run_pass, workloads.warm_up_manifest(manifest), base, _wrap_gates, args.workload)
+    plain, passes, per_pass, kept_spans = [], [], [], []
+    elapsed = 0.0
+    while True:
+        t0 = perf_counter()
+        plain.append(_wrapped_pass(run_pass, manifest, base, _wrap_gates, args.workload)[0])
+        done, missing = _wrapped_pass(run_pass, manifest, rec, _wrap_layers, args.workload)
+        passes.append(done)
+        elapsed += perf_counter() - t0
+        totals = rec.layer_totals()
+        totals.update(rec.counts)
+        totals["trace.spans"] = len(rec.spans)
         per_pass.append(totals)
-        kept_spans.append(list(r.spans))
-        r.reset()
-
-    try:
-        missing = [f"{module}.{path}" for module, path, layer in LAYER_TARGETS
-                   if not rec.wrap(module, path, layer, HOOKS.get(layer))]
-        passes = run_passes(run_pass, manifest, rec, args.seconds, after_pass=collect)
-    finally:
-        rec.close()
+        kept_spans.append(list(rec.spans))
+        rec.reset()
+        if elapsed + 0.5 * elapsed / len(passes) >= args.seconds:
+            break
     imports = spans.measure_imports(sys.executable, _subprocess_env(), str(ROOT), IMPORT_REPEATS)
 
     metrics = {}
@@ -328,16 +349,19 @@ def traced(args, manifest):
         if not name.startswith(("import.", "trace.")):
             metrics[name] = statistics.median(p.get(name, 0) for p in per_pass)
     metrics.update({f"import.{g}.s": imports[g] for g in IMPORTS})
+    untraced_wall = statistics.median(p.wall for p in plain)
     traced_wall = statistics.median(p.wall for p in passes)
     metrics.update({
-        "trace.untraced_wall_s": baseline.wall,
+        "trace.untraced_wall_s": untraced_wall,
         "trace.traced_wall_s": traced_wall,
-        "trace.overhead_frac": traced_wall / baseline.wall - 1.0,
+        "trace.overhead_frac": traced_wall / untraced_wall - 1.0,
         "trace.spans": statistics.median(p["trace.spans"] for p in per_pass),
     })
-    failures = [f for p in [warm, baseline, *passes] for f in p.failures]
-    attempted = sum(len(p.latencies) for p in [warm, baseline, *passes])
-    detail = {"passes": len(passes), "missing_layers": missing, "spans": kept_spans}
+    everything = [warm, *plain, *passes]
+    failures = [f for p in everything for f in p.failures]
+    attempted = sum(len(p.latencies) for p in everything)
+    detail = {"passes": len(passes), "untraced_passes": len(plain), "missing_layers": missing,
+              "spans": kept_spans}
     return metrics, attempted, failures, detail, base.solves
 
 
@@ -345,7 +369,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seconds", type=float, default=35.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--scale", choices=sorted(workloads.SCALES), default="full",
                         help="problem sizes; 'tiny' is for the smoke test")
@@ -366,9 +390,11 @@ def main(argv=None) -> int:
 
     workdir = OUT / f"inputs-{args.workload}-{args.seed}-{os.getpid()}"
     try:
-        setup_times = time_setup(args, workdir, SETUP_REPEATS if args.trace == 0 else 1)
+        setup_times = time_setup(args, workdir, 1)
         manifest = json.loads((workdir / "manifest.json").read_text())
         import varcap.cli  # noqa: F401
+
+        workloads.add_references(manifest)
 
         if args.trace:
             metrics, attempted, failures, detail, solves = traced(args, manifest)

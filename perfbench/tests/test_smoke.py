@@ -10,6 +10,7 @@ import json
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ sys.path.insert(0, str(BENCH))
 sys.path.insert(0, str(ROOT / "src"))
 
 import spans  # noqa: E402
+import workloads  # noqa: E402
 
 
 def _run(cwd: Path, workload: str, trace: int) -> subprocess.CompletedProcess:
@@ -30,7 +32,7 @@ def _run(cwd: Path, workload: str, trace: int) -> subprocess.CompletedProcess:
 
 
 @pytest.mark.parametrize("trace", [0, 1])
-@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
 def test_tiny_run_checks_outputs_and_names_every_metric(workload, trace):
     proc = _run(ROOT, workload, trace)
     assert proc.returncode == 0, proc.stderr
@@ -43,6 +45,10 @@ def test_tiny_run_checks_outputs_and_names_every_metric(workload, trace):
         assert all(v["value"] > 0 for v in result["metrics"].values())
         for name, unit in ((m["name"], m["unit"]) for m in listed):
             assert f" {name} " in proc.stdout and unit in proc.stdout
+
+
+def test_benchmark_json_names_only_known_workloads():
+    assert {w["name"] for w in SPEC["workloads"]} <= set(workloads.WORKLOADS)
 
 
 def test_refuses_to_run_without_the_program(tmp_path):
@@ -89,3 +95,15 @@ def test_import_split_charges_each_module_to_its_nearest_named_group():
     assert got["varcap"] == pytest.approx(10e-6)
     assert got["other"] == pytest.approx(4e-6)
     assert got["total"] == pytest.approx(149e-6)
+
+
+def test_cli_mix_has_equal_calls_per_command_and_the_cold_sample_ignores_the_seed(tmp_path):
+    one = workloads.generate("cli-batch", 1, "tiny", tmp_path / "one")
+    two = workloads.generate("cli-batch", 2, "tiny", tmp_path / "two")
+    per_command = Counter(" ".join(c["command"]) for c in one["calls"])
+    assert set(per_command) == set(workloads.CLI_COMMANDS)
+    assert set(per_command.values()) == {workloads.SCALES["tiny"]["calls_per_command"]}
+    graphs = [c["free"] for c in one["calls"] + two["calls"] if c["kind"] == "capacity-graph"]
+    assert all(0 < f < workloads.DENSE_LIMIT for f in graphs)
+    assert [Path(c["input"]).read_text() for c in one["cold"]] == [Path(c["input"]).read_text() for c in two["cold"]]
+    assert {" ".join(c["command"]) for c in one["cold"]} == set(per_command)

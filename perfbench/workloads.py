@@ -2,10 +2,12 @@
 
 planar-ladder   ``sequences.planar_condenser_study`` at h = 0.1 -> 0.0125,
                 rim 4: dominated by the large Jacobi-CG solve in
-                ``mms.graph_capacity``; never touches ``radial_fem``.
+                ``mms.graph_capacity``; never touches ``radial_fem``.  Not
+                in BENCHMARK.json: its long passes leave too few samples in
+                a run (perfbench/README.md says more).
 sheet-families  ``run_example3`` (alpha_rule_c = 0.5) and ``run_example4`` at
                 h = 0.025: lattice builds, unions, label filtering and
-                KD-tree region extraction, with few solves.
+                KD-tree region extraction, plus four large solves a pass.
 cli-batch       in-process ``varcap.cli.main`` calls on a seeded document
                 mix: argparse, validation, profiles, quadrature, the radial
                 FEM, mass curves, small dense graph solves and reports; it
@@ -13,7 +15,8 @@ cli-batch       in-process ``varcap.cli.main`` calls on a seeded document
 
 Every workload is a closed loop with one client.  Inputs come from the seed
 alone; the program only sees the generated documents.  Reference values are
-computed here, outside the timed sections.
+computed by ``add_references`` after the timed set-up, outside every timed
+section.
 """
 
 from __future__ import annotations
@@ -49,17 +52,27 @@ SCALES = {
         "ladder_h": (0.1, 0.05, 0.025, 0.0125),
         "family_h": 0.025,
         "family_i": (2, 4, 8),
-        "cli_mix": {"radial": 15, "mass": 22, "ex1": 9, "ex2": 9, "graph": 20},
+        "calls_per_command": 24,
     },
     "tiny": {
         "ladder_h": (0.1, 0.05),
         "family_h": 0.1,
         "family_i": (2, 4, 8),
-        "cli_mix": {"radial": 1, "mass": 2, "ex1": 1, "ex2": 1, "graph": 2},
+        "calls_per_command": 4,
     },
 }
 COLD_FAMILY_DOC = {"h": 0.1, "i_list": [2, 4, 8], "alpha_rule_c": 0.5}
-COLD_CLI_CALLS = 8
+COLD_CLI_CALLS = 15  # on cli-batch, three of each command
+
+# cli-batch: each of these commands gets the same number of calls per pass, and
+# capacity-radial splits its calls evenly over the profile kinds.
+CLI_COMMANDS = ("capacity-radial", "mass", "experiment ex1", "experiment ex2", "capacity-graph")
+RADIAL_KINDS = ("power", "schwarzschild", "sqrt_quadratic", "cylinder")
+RATIO = (1.005, 1.05)  # drawn log-uniformly
+LEVELS = (2, 3)
+MASS_RADII = (12, 48)
+GRAPH_FREE = (500, 1900)  # free nodes, below the dense cutoff
+EXPERIMENT_POOL = {"ex1": (2, 3, 4, 5, 6, 8), "ex2": (1, 2, 3, 4, 6, 8)}
 
 
 @dataclass
@@ -70,6 +83,17 @@ class Pass:
 
 
 # -- input generation ---------------------------------------------------------
+#
+# Each document builder takes ``draw(lo, hi, size=None)``, a uniform draw
+# from [lo, hi).  The seeded mix passes ``rng.uniform``; the fixed cold-call
+# sample passes ``middle``, so its documents sit in the middle of every
+# range and are the same for every seed.  Sizes that set a call's cost are
+# explicit arguments.
+
+
+def middle(lo, hi, size=None):
+    mid = 0.5 * (lo + hi)
+    return mid if size is None else np.full(size, mid)
 
 
 def _strata(rng, count: int, lo: float, hi: float) -> np.ndarray:
@@ -81,84 +105,64 @@ def _strata(rng, count: int, lo: float, hi: float) -> np.ndarray:
     return rng.permutation(lo + (np.arange(count) + rng.uniform(size=count)) * (hi - lo) / count)
 
 
+def _pick(draw, options):
+    return options[min(int(draw(0, len(options))), len(options) - 1)]
+
+
 def _write(path: Path, doc) -> str:
     path.write_text(json.dumps(doc))
     return str(path)
 
 
-def _radial_docs(rng, count: int, workdir: Path) -> list[dict]:
-    """capacity-radial on power, schwarzschild, two-ended sqrt_quadratic and
-    cylinder-transition spline profiles, with their closed-form capacities."""
-    from varcap.profiles import WarpProfile, cylinder_transition_profile, hyperboloid_profile, schwarzschild_profile
-    from varcap.warped import RadialCondenser, radial_capacity
-
-    calls = []
-    kinds = ("power", "schwarzschild", "sqrt_quadratic", "cylinder")
-    log_ratios = {kind: _strata(rng, count, np.log(1.005), np.log(1.05)) for kind in kinds}
-    levels = {kind: rng.permutation(np.arange(count) % 2 + 2) for kind in kinds}
-    for k in range(count):
-        for kind in kinds:
-            ends = "one"
-            if kind == "power":
-                m = int(rng.choice([3, 4]))
-                profile = {
-                    "dimension": m,
-                    "pole_at_origin": True,
-                    "pieces": [{"kind": "power", "range": [0.0, None],
-                                "params": {"a": float(rng.uniform(0.5, 2.0)), "p": float(rng.uniform(1.0, 1.3))}}],
-                }
-                s0 = float(rng.uniform(0.5, 2.0))
-            elif kind == "schwarzschild":
-                mass = float(rng.uniform(0.5, 2.0))
-                profile = schwarzschild_profile(mass).to_doc()
-                s0 = float(rng.uniform(2.2, 6.0)) * mass
-            elif kind == "sqrt_quadratic":
-                profile = hyperboloid_profile(3, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0))).to_doc()
-                s0 = float(rng.uniform(0.0, 1.5))
-                ends = "two_symmetric"
-            else:
-                i = float(rng.uniform(2.0, 5.0))
-                profile = cylinder_transition_profile(i).to_doc()
-                s0 = float(rng.uniform(0.5, i - 0.5))
-            doc = {
-                "profile": profile,
-                "s0": s0,
-                "ends": ends,
-                "levels": int(levels[kind][k]),
-                "ratio": float(np.exp(log_ratios[kind][k])),
-            }
-            closed = radial_capacity(RadialCondenser(WarpProfile.from_doc(profile), s0, ends))
-            name = f"radial-{kind}-{k}"
-            calls.append({"kind": "capacity-radial", "name": name, "command": ["capacity-radial"],
-                          "input": _write(workdir / f"{name}.json", doc), "closed_form": closed})
-    return calls
+def _call(name: str, kind: str, command: list, doc, workdir: Path, fmt: str, **extra) -> dict:
+    return {"kind": kind, "name": name, "command": command, "input": _write(workdir / f"{name}.json", doc),
+            "format": fmt, "out": str(workdir / f"{name}.out"), **extra}
 
 
-def _mass_docs(rng, count: int, workdir: Path) -> list[dict]:
+def radial_call(name, kind, draw, ratio, levels, workdir, fmt) -> dict:
+    """capacity-radial on a power, schwarzschild, two-ended sqrt_quadratic or
+    cylinder-transition spline profile."""
+    from varcap.profiles import cylinder_transition_profile, hyperboloid_profile, schwarzschild_profile
+
+    ends = "one"
+    if kind == "power":
+        profile = {
+            "dimension": _pick(draw, (3, 4)),
+            "pole_at_origin": True,
+            "pieces": [{"kind": "power", "range": [0.0, None],
+                        "params": {"a": float(draw(0.5, 2.0)), "p": float(draw(1.0, 1.3))}}],
+        }
+        s0 = float(draw(0.5, 2.0))
+    elif kind == "schwarzschild":
+        mass = float(draw(0.5, 2.0))
+        profile = schwarzschild_profile(mass).to_doc()
+        s0 = float(draw(2.2, 6.0)) * mass
+    elif kind == "sqrt_quadratic":
+        profile = hyperboloid_profile(3, float(draw(0.5, 2.0)), float(draw(0.5, 2.0))).to_doc()
+        s0 = float(draw(0.0, 1.5))
+        ends = "two_symmetric"
+    else:
+        i = float(draw(2.0, 5.0))
+        profile = cylinder_transition_profile(i).to_doc()
+        s0 = float(draw(0.5, i - 0.5))
+    doc = {"profile": profile, "s0": s0, "ends": ends, "levels": int(levels), "ratio": float(ratio)}
+    return _call(name, "capacity-radial", ["capacity-radial"], doc, workdir, fmt)
+
+
+def mass_call(name, draw, n_radii, workdir, fmt) -> dict:
     from varcap.profiles import schwarzschild_profile
 
-    calls = []
-    n_radii = _strata(rng, count, 12, 49).astype(int)
-    for k in range(count):
-        mass = float(rng.uniform(0.5, 3.0))
-        radii = np.geomspace(10.0 * mass, 500.0 * mass, n_radii[k])
-        doc = {"profile": schwarzschild_profile(mass).to_doc(), "radii": radii.tolist()}
-        name = f"mass-{k}"
-        calls.append({"kind": "mass", "name": name, "command": ["mass"],
-                      "input": _write(workdir / f"{name}.json", doc), "mass": mass})
-    return calls
+    mass = float(draw(0.5, 3.0))
+    radii = np.geomspace(10.0 * mass, 500.0 * mass, int(n_radii))
+    doc = {"profile": schwarzschild_profile(mass).to_doc(), "radii": radii.tolist()}
+    return _call(name, "mass", ["mass"], doc, workdir, fmt, mass=mass)
 
 
-def _experiment_docs(rng, example: str, count: int, workdir: Path) -> list[dict]:
-    pool = (2, 3, 4, 5, 6, 8) if example == "ex1" else (1, 2, 3, 4, 6, 8)
-    calls = []
-    for k in range(count):
-        i_list = sorted(int(i) for i in rng.choice(pool, size=3, replace=False))
-        name = f"{example}-{k}"
-        calls.append({"kind": "experiment", "name": name, "command": ["experiment", example],
-                      "input": _write(workdir / f"{name}.json", {"i_list": i_list}),
-                      "verdict": "consistent-strict-jump"})
-    return calls
+def experiment_call(name, example, draw, workdir, fmt) -> dict:
+    pool = list(EXPERIMENT_POOL[example])
+    i_list = sorted(pool.pop(_pick(draw, range(len(pool)))) for _ in range(3))
+    return _call(name, "experiment", ["experiment", example], {"i_list": i_list}, workdir, fmt,
+                 verdict="consistent-strict-jump")
 
 
 def disk_lattice(h: float, radius: float):
@@ -176,10 +180,122 @@ def disk_lattice(h: float, radius: float):
     return np.column_stack([x, y]), np.asarray(edges, dtype=int)
 
 
-def dense_condenser_energy(n: int, edges, cond, inner, outer) -> float:
-    """Dirichlet energy of the harmonic condenser potential by a dense numpy solve."""
+def graph_call(name, draw, free_target, workdir, fmt) -> dict:
+    """capacity-graph on a disk-lattice condenser below the dense cutoff.
+
+    K is the disk of a quarter of the radius, B the outer 1.5h rim, so every
+    free node keeps all four neighbours and the free block is connected.
+    """
+    h = float(draw(0.08, 0.12))
+    # In units of h, the disk inside the rim holds about pi (rho - 1.5)^2 nodes
+    # and K about pi rho^2 / 16: choose rho so that the difference is the target.
+    c = 2.25 - free_target / math.pi
+    radius = h * (3.0 + math.sqrt(9.0 - 3.75 * c)) / 1.875
+    xy, edges = disk_lattice(h, radius)
+    r = np.hypot(xy[:, 0], xy[:, 1])
+    inner = np.flatnonzero(r <= 0.25 * radius)
+    outer = np.flatnonzero(r >= radius - 1.5 * h)
+    free = xy.shape[0] - inner.size - outer.size
+    if not free < DENSE_LIMIT:
+        raise ValueError(f"{name}: {free} free nodes, not below the dense cutoff {DENSE_LIMIT}")
+    cond = draw(0.5, 2.0, size=edges.shape[0])
+    labels = [f"g{a}" for a in range(xy.shape[0])]
+    doc = {
+        "space": {
+            "points": [{"label": lab, "xyz": [float(px), float(py), 0.0], "weight": h * h}
+                       for lab, (px, py) in zip(labels, xy)],
+            "edges": [[labels[a], labels[b], float(c)] for (a, b), c in zip(edges.tolist(), cond)],
+        },
+        "inner": [labels[a] for a in inner],
+        "outer": [labels[a] for a in outer],
+        "m": 2,
+        "rim_radius": radius,
+    }
+    return _call(name, "capacity-graph", ["capacity-graph"], doc, workdir, fmt,
+                 nodes=int(xy.shape[0]), free=int(free))
+
+
+def _seeded_mix(rng, per_command: int, workdir: Path) -> list[dict]:
+    """``per_command`` calls of each command in ``CLI_COMMANDS``, in a seeded order."""
+    draw = rng.uniform
+    calls = []
+    per_kind = per_command // len(RADIAL_KINDS)
+    for kind in RADIAL_KINDS:
+        ratios = np.exp(_strata(rng, per_kind, *np.log(RATIO)))
+        levels = rng.permutation(np.arange(per_kind) % 2 + LEVELS[0])
+        calls += [radial_call(f"radial-{kind}-{k}", kind, draw, ratios[k], levels[k], workdir, "csv")
+                  for k in range(per_kind)]
+    n_radii = _strata(rng, per_command, MASS_RADII[0], MASS_RADII[1] + 1).astype(int)
+    calls += [mass_call(f"mass-{k}", draw, n_radii[k], workdir, "csv") for k in range(per_command)]
+    for example in ("ex1", "ex2"):
+        calls += [experiment_call(f"{example}-{k}", example, draw, workdir, "csv") for k in range(per_command)]
+    free = _strata(rng, per_command, *GRAPH_FREE)
+    calls += [graph_call(f"graph-{k}", draw, free[k], workdir, "csv") for k in range(per_command)]
+    calls = [calls[p] for p in rng.permutation(len(calls))]
+    for call in calls:
+        call["format"] = str(rng.choice(["csv", "json"]))
+    return calls
+
+
+def cold_sample(workdir: Path) -> list[dict]:
+    """One document per command from the middle of every range, the same for every seed."""
+    ratio = math.sqrt(RATIO[0] * RATIO[1])
+    return [
+        radial_call("cold-radial", "power", middle, ratio, LEVELS[0], workdir, "json"),
+        mass_call("cold-mass", middle, sum(MASS_RADII) // 2, workdir, "csv"),
+        experiment_call("cold-ex1", "ex1", middle, workdir, "json"),
+        experiment_call("cold-ex2", "ex2", middle, workdir, "csv"),
+        graph_call("cold-graph", middle, sum(GRAPH_FREE) / 2, workdir, "json"),
+    ]
+
+
+def generate(workload: str, seed: int, scale: str, workdir: Path) -> dict:
+    """Write the workload's input documents into ``workdir``; return the manifest.
+
+    This is the timed part of set-up.  The reference values the checks need
+    are added afterwards, untimed, by ``add_references``.
+    """
+    from varcap.sequences import limit_plane_condenser
+
+    cfg = SCALES[scale]
+    workdir.mkdir(parents=True, exist_ok=True)
+    manifest = {"workload": workload, "seed": seed, "scale": scale}
+    if workload == "planar-ladder":
+        # the cold call runs the ladder's coarse rung as a CLI user would
+        cond = limit_plane_condenser(0.1, RIM)
+        doc = {"space": cond.space.to_doc(), "inner": list(cond.inner), "outer": list(cond.outer),
+               "m": 2, "rim_radius": RIM}
+        manifest.update(h=list(cfg["ladder_h"]), rim=RIM, warmup={"h": [0.1, 0.05]},
+                        cold=[_call("cold-rung", "capacity-graph", ["capacity-graph"], doc, workdir, "json",
+                                    capacity=LADDER_CAPS[0.1])])
+    elif workload == "sheet-families":
+        manifest.update(h=cfg["family_h"], i_list=list(cfg["family_i"]), rim=RIM,
+                        warmup={"h": 0.1, "i_list": [2, 4, 8]},
+                        cold=[_call("cold-ex3", "experiment", ["experiment", "ex3"], COLD_FAMILY_DOC, workdir,
+                                    "json", verdict="consistent-strict-jump")])
+    elif workload == "cli-batch":
+        manifest["calls"] = _seeded_mix(np.random.default_rng(seed), cfg["calls_per_command"], workdir)
+        manifest["cold"] = cold_sample(workdir)
+    else:
+        raise ValueError(f"unknown workload {workload!r}")
+    (workdir / "manifest.json").write_text(json.dumps(manifest))
+    return manifest
+
+
+# -- reference values, computed after the timed set-up --------------------------
+
+
+def dense_condenser_energy(doc: dict) -> float:
+    """Dirichlet energy of the harmonic condenser potential of a capacity-graph
+    document, by a dense numpy solve that shares no code with varcap."""
+    index = {p["label"]: k for k, p in enumerate(doc["space"]["points"])}
+    n = len(index)
+    i = np.array([index[a] for a, _, _ in doc["space"]["edges"]])
+    j = np.array([index[b] for _, b, _ in doc["space"]["edges"]])
+    cond = np.array([c for _, _, c in doc["space"]["edges"]], dtype=float)
+    inner = np.array([index[a] for a in doc["inner"]])
+    outer = np.array([index[a] for a in doc["outer"]])
     L = np.zeros((n, n))
-    i, j = edges[:, 0], edges[:, 1]
     np.add.at(L, (i, j), -cond)
     np.add.at(L, (j, i), -cond)
     np.add.at(L, (i, i), cond)
@@ -192,83 +308,21 @@ def dense_condenser_energy(n: int, edges, cond, inner, outer) -> float:
     return float(np.sum(cond * du * du))
 
 
-def _graph_docs(rng, count: int, workdir: Path, free_range=(500, 1900)) -> list[dict]:
-    """capacity-graph on disk-lattice condensers below the dense cutoff.
+def add_references(manifest: dict) -> None:
+    """Add to every cli-batch call the values its check compares against: the
+    closed-form capacity of a radial document and the dense-solve energy of a
+    graph document."""
+    from varcap.profiles import WarpProfile
+    from varcap.warped import RadialCondenser, radial_capacity
 
-    K is the disk of a quarter of the radius, B the outer 1.5h rim, so every
-    free node keeps all four neighbours and the free block is connected.
-    """
-    calls = []
-    targets = _strata(rng, count, *free_range)
-    for k in range(count):
-        h = float(rng.uniform(0.08, 0.12))
-        target = float(targets[k])
-        radius = h * math.sqrt(target / math.pi) + 1.5 * h
-        xy, edges = disk_lattice(h, radius)
-        r = np.hypot(xy[:, 0], xy[:, 1])
-        inner = np.flatnonzero(r <= 0.25 * radius)
-        outer = np.flatnonzero(r >= radius - 1.5 * h)
-        free = xy.shape[0] - inner.size - outer.size
-        cond = rng.uniform(0.5, 2.0, size=edges.shape[0])
-        labels = [f"g{a}" for a in range(xy.shape[0])]
-        energy = dense_condenser_energy(xy.shape[0], edges, cond, inner, outer)
-        doc = {
-            "space": {
-                "points": [{"label": lab, "xyz": [float(px), float(py), 0.0], "weight": h * h}
-                           for lab, (px, py) in zip(labels, xy)],
-                "edges": [[labels[a], labels[b], float(c)] for (a, b), c in zip(edges.tolist(), cond)],
-            },
-            "inner": [labels[a] for a in inner],
-            "outer": [labels[a] for a in outer],
-            "m": 2,
-            "rim_radius": radius,
-        }
-        name = f"graph-{k}"
-        calls.append({"kind": "capacity-graph", "name": name, "command": ["capacity-graph"],
-                      "input": _write(workdir / f"{name}.json", doc),
-                      "raw_energy": energy, "capacity": energy / (2.0 * math.pi),
-                      "nodes": int(xy.shape[0]), "free": int(free)})
-    return calls
-
-
-def generate(workload: str, seed: int, scale: str, workdir: Path) -> dict:
-    """Write the workload's input documents into ``workdir``; return the manifest."""
-    from varcap.sequences import limit_plane_condenser
-
-    cfg = SCALES[scale]
-    workdir.mkdir(parents=True, exist_ok=True)
-    manifest = {"workload": workload, "seed": seed, "scale": scale}
-    if workload == "planar-ladder":
-        # the cold call runs the ladder's coarse rung as a CLI user would
-        cond = limit_plane_condenser(0.1, RIM)
-        doc = {"space": cond.space.to_doc(), "inner": list(cond.inner), "outer": list(cond.outer),
-               "m": 2, "rim_radius": RIM}
-        manifest.update(h=list(cfg["ladder_h"]), rim=RIM, warmup={"h": [0.1, 0.05]},
-                        cold={"kind": "capacity-graph", "name": "cold-rung", "command": ["capacity-graph"],
-                              "input": _write(workdir / "cold-rung.json", doc), "capacity": LADDER_CAPS[0.1]})
-    elif workload == "sheet-families":
-        manifest.update(h=cfg["family_h"], i_list=list(cfg["family_i"]), rim=RIM,
-                        warmup={"h": 0.1, "i_list": [2, 4, 8]},
-                        cold={"kind": "experiment", "name": "cold-ex3", "command": ["experiment", "ex3"],
-                              "input": _write(workdir / "cold-ex3.json", COLD_FAMILY_DOC),
-                              "verdict": "consistent-strict-jump"})
-    elif workload == "cli-batch":
-        rng = np.random.default_rng(seed)
-        mix = cfg["cli_mix"]
-        calls = (_radial_docs(rng, mix["radial"], workdir) + _mass_docs(rng, mix["mass"], workdir)
-                 + _experiment_docs(rng, "ex1", mix["ex1"], workdir)
-                 + _experiment_docs(rng, "ex2", mix["ex2"], workdir)
-                 + _graph_docs(rng, mix["graph"], workdir))
-        calls = [calls[p] for p in rng.permutation(len(calls))]
-        for call in calls:
-            call["format"] = str(rng.choice(["csv", "json"]))
-            call["out"] = str(workdir / f"{call['name']}.out")
-        manifest["calls"] = calls
-        manifest["warmup"] = {"calls": first_of_each_command(calls)}
-    else:
-        raise ValueError(f"unknown workload {workload!r}")
-    (workdir / "manifest.json").write_text(json.dumps(manifest))
-    return manifest
+    for call in manifest.get("calls", []) + manifest["cold"]:
+        if call["kind"] == "capacity-radial" and "closed_form" not in call:
+            doc = json.loads(Path(call["input"]).read_text())
+            call["closed_form"] = radial_capacity(
+                RadialCondenser(WarpProfile.from_doc(doc["profile"]), doc["s0"], doc["ends"]))
+        elif call["kind"] == "capacity-graph" and "capacity" not in call:
+            energy = dense_condenser_energy(json.loads(Path(call["input"]).read_text()))
+            call.update(raw_energy=energy, capacity=energy / (2.0 * math.pi))
 
 
 # -- hooks: work counts and solve records from public data ---------------------
@@ -354,26 +408,19 @@ def cli_argv(call: dict) -> list[str]:
     return argv + ["--format", call["format"]]
 
 
-def first_of_each_command(calls: list[dict]) -> list[dict]:
-    sample, seen = [], set()
-    for call in calls:
-        if tuple(call["command"]) not in seen:
-            seen.add(tuple(call["command"]))
-            sample.append(call)
-    return sample
-
-
 def warm_up_manifest(manifest: dict) -> dict:
     """The workload at its coarse sizes, run untimed before the passes:
-    first solves and first calls of a kind are several times slower."""
+    first solves and first calls of a kind are several times slower.  On
+    cli-batch that is one call of each command, from the cold sample."""
+    if manifest["workload"] == "cli-batch":
+        return {**manifest, "calls": manifest["cold"]}
     return {**manifest, **manifest["warmup"]}
 
 
-def cold_calls(manifest: dict, workdir: Path) -> list[dict]:
-    """The fresh-process CLI calls whose median wall time is ``cold_call_s``."""
-    if "cold" in manifest:
-        return [dict(manifest["cold"], format="json", out=str(workdir / "cold.out"))] * COLD_CLI_CALLS
-    sample = first_of_each_command(manifest["calls"])
+def cold_calls(manifest: dict) -> list[dict]:
+    """The fresh-process CLI calls that ``cold_call_s`` is taken from: the
+    workload's fixed cold documents, taken in turn."""
+    sample = manifest["cold"]
     return [sample[k % len(sample)] for k in range(COLD_CLI_CALLS)]
 
 
