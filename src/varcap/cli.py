@@ -165,6 +165,12 @@ def parse_config(document: dict | str, example_override: str | None = None) -> R
                     "strip_conductance", "alpha_rule_c"):
             if key in input_doc:
                 _number(input_doc, key, problems, f"{command} input")
+        if "i_list" in input_doc:
+            i_list = input_doc["i_list"]
+            if not isinstance(i_list, list) or not all(
+                isinstance(i, int) and not isinstance(i, bool) and i >= 1 for i in i_list
+            ):
+                problems.append(f"{command} input.i_list must be a list of integers >= 1, got {i_list!r}")
 
     output = document.get("output")
     if output is not None and not isinstance(output, str):

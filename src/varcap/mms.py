@@ -9,6 +9,10 @@ Capacity of a condenser (K grounded against B) is the minimum of
 
 divided by gamma_m, so planar-lattice results compare directly against
 continuum condenser values.
+
+Node sets (K, B, regions) are integer index arrays internally.  Labels exist
+at the JSON boundary: lattice sheets keep theirs as integer cells and format
+the strings only when a caller asks for `labels`, `to_doc` or label tuples.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -24,18 +29,28 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .errors import (
-    DomainError,
-    EmptyRegionWarning,
-    MetricError,
-    SolverError,
-)
+from .errors import DomainError, EmptyRegionWarning, MetricError, SolverError
 from .geometry import Dimension
 
 _TRIANGLE_TOL = 1e-9
 _METRIC_CHECK_LIMIT = 1500  # full O(n^3) metric validation cap
 _DENSE_SOLVE_LIMIT = 2000  # free-node count below which Cholesky is used
 _CG_RTOL = 1e-12
+
+
+class _LatticeLabels(NamedTuple):
+    """Labels "prefix:kx_ky" of lattice nodes, formatted only when asked for.
+
+    Labels with distinct prefixes never collide: the prefix is everything
+    before the last colon.
+    """
+
+    prefix: np.ndarray  # object array, one prefix per node
+    kx: np.ndarray
+    ky: np.ndarray
+
+    def format(self, idx=slice(None)) -> list[str]:
+        return [f"{p}:{a}_{b}" for p, a, b in zip(*(part[idx].tolist() for part in self))]
 
 
 class FiniteMetricMeasureSpace:
@@ -46,25 +61,21 @@ class FiniteMetricMeasureSpace:
     restriction, a metric by construction).
     """
 
-    def __init__(
-        self,
-        labels,
-        weight,
-        coords=None,
-        edges=(),
-        conductance=(),
-        dist_matrix=None,
-    ):
-        self.labels = [str(x) for x in labels]
-        n = len(self.labels)
-        if len(set(self.labels)) != n:
-            raise DomainError("point labels must be unique")
+    def __init__(self, labels, weight, coords=None, edges=(), conductance=(), dist_matrix=None):
+        if isinstance(labels, _LatticeLabels):
+            self._lattice, self._labels = labels, None  # unique by construction
+        else:
+            self._lattice, self._labels = None, [str(x) for x in labels]
+            if len(set(self._labels)) != len(self._labels):
+                raise DomainError("point labels must be unique")
+        self._index = None
+        n = len(labels.kx if self._labels is None else self._labels)
         self.weight = np.asarray(weight, dtype=float)
         if self.weight.shape != (n,) or np.any(self.weight < 0) or not np.all(np.isfinite(self.weight)):
             raise DomainError("need one finite nonnegative weight per point")
         self.coords = None if coords is None else np.asarray(coords, dtype=float)
-        if self.coords is not None and self.coords.shape != (n, 3):
-            raise DomainError("coordinates must be an (n, 3) array")
+        if self.coords is not None and (self.coords.shape != (n, 3) or not np.all(np.isfinite(self.coords))):
+            raise DomainError("coordinates must be a finite (n, 3) array")
         self.dist_matrix = None if dist_matrix is None else np.asarray(dist_matrix, dtype=float)
         if self.coords is None and self.dist_matrix is None and n > 0:
             raise DomainError("need coordinates or an explicit distance matrix")
@@ -83,12 +94,13 @@ class FiniteMetricMeasureSpace:
             raise DomainError("conductances must be finite and positive")
         self.edges = edges
         self.conductance = conductance
-        self._index = {lab: k for k, lab in enumerate(self.labels)}
 
     def _check_metric(self, d):
-        n = len(self.labels)
+        n = self.n
         if d.shape != (n, n):
             raise MetricError(f"distance matrix must be {n}x{n}")
+        if not np.all(np.isfinite(d)):
+            raise MetricError("distances must be finite")
         if np.any(d < -_TRIANGLE_TOL):
             raise MetricError("distances must be nonnegative")
         if np.max(np.abs(np.diag(d))) > _TRIANGLE_TOL:
@@ -114,13 +126,34 @@ class FiniteMetricMeasureSpace:
 
     @property
     def n(self) -> int:
-        return len(self.labels)
+        return self.weight.size
+
+    @property
+    def labels(self) -> list[str]:
+        if self._labels is None:
+            self._labels = self._lattice.format()
+        return self._labels
+
+    def labels_at(self, idx: np.ndarray) -> list[str]:
+        """Labels of the points at an index array or boolean mask."""
+        if self._labels is None:
+            return self._lattice.format(idx)
+        return np.asarray(self._labels, dtype=object)[idx].tolist()
 
     def index(self, label: str) -> int:
+        if self._index is None:
+            self._index = {lab: k for k, lab in enumerate(self.labels)}
         return self._index[label]
 
-    def indices(self, labels) -> np.ndarray:
-        return np.array([self._index[str(x)] for x in labels], dtype=int)
+    def indices(self, nodes) -> np.ndarray:
+        """Index array of the given points: labels, or a numpy integer index
+        array or boolean mask, which is range-checked and passed through."""
+        if isinstance(nodes, np.ndarray) and nodes.dtype.kind in "biu":
+            idx = np.arange(self.n)[nodes] if nodes.dtype == bool else nodes.astype(int, copy=False)
+            if idx.size and (idx.min() < 0 or idx.max() >= self.n):
+                raise DomainError("point index out of range")
+            return idx
+        return np.array([self.index(str(x)) for x in nodes], dtype=int)
 
     def total_measure(self) -> float:
         return float(np.sum(self.weight))
@@ -142,34 +175,28 @@ class FiniteMetricMeasureSpace:
 
     def laplacian(self) -> sparse.csr_matrix:
         i, j, c = self.edges[:, 0], self.edges[:, 1], self.conductance
-        rows = np.concatenate([i, j, i, j])
-        cols = np.concatenate([j, i, i, j])
+        rows, cols = np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j])
         vals = np.concatenate([-c, -c, c, c])
         return sparse.coo_matrix((vals, (rows, cols)), shape=(self.n, self.n)).tocsr()
 
     def adjacency(self) -> sparse.csr_matrix:
         i, j, c = self.edges[:, 0], self.edges[:, 1], self.conductance
-        rows = np.concatenate([i, j])
-        cols = np.concatenate([j, i])
-        vals = np.concatenate([c, c])
+        rows, cols, vals = np.concatenate([i, j]), np.concatenate([j, i]), np.concatenate([c, c])
         return sparse.coo_matrix((vals, (rows, cols)), shape=(self.n, self.n)).tocsr()
 
     # -- serialization ------------------------------------------------------------
 
     def to_doc(self) -> dict:
-        points = []
-        for k, lab in enumerate(self.labels):
-            xyz = None if self.coords is None else [float(v) for v in self.coords[k]]
-            points.append({"label": lab, "xyz": xyz, "weight": float(self.weight[k])})
+        labels = self.labels
+        xyz = [None] * self.n if self.coords is None else self.coords.tolist()
+        points = zip(labels, xyz, self.weight.tolist())
+        edges = zip(self.edges.tolist(), self.conductance.tolist())
         doc = {
-            "points": points,
-            "edges": [
-                [self.labels[int(i)], self.labels[int(j)], float(c)]
-                for (i, j), c in zip(self.edges, self.conductance)
-            ],
+            "points": [{"label": lab, "xyz": p, "weight": w} for lab, p, w in points],
+            "edges": [[labels[i], labels[j], c] for (i, j), c in edges],
         }
         if self.dist_matrix is not None:
-            doc["dist"] = [[float(v) for v in row] for row in self.dist_matrix]
+            doc["dist"] = self.dist_matrix.tolist()
         return doc
 
     def to_json(self) -> str:
@@ -199,11 +226,8 @@ class FiniteMetricMeasureSpace:
             cond.append(float(c))
         dist = doc.get("dist")
         return FiniteMetricMeasureSpace(
-            labels,
-            weights,
-            coords=np.asarray(coords) if has_coords and labels else None,
-            edges=np.asarray(edges, dtype=int).reshape(-1, 2),
-            conductance=cond,
+            labels, weights, coords=np.asarray(coords) if has_coords and labels else None,
+            edges=np.asarray(edges, dtype=int).reshape(-1, 2), conductance=cond,
             dist_matrix=None if dist is None else np.asarray(dist, dtype=float),
         )
 
@@ -212,27 +236,32 @@ class FiniteMetricMeasureSpace:
         return FiniteMetricMeasureSpace.from_doc(json.loads(text))
 
 
-@dataclass(frozen=True)
 class GraphCondenser:
-    """Inner set K held at 1, grounded boundary B held at 0."""
+    """Inner set K held at 1, grounded boundary B held at 0.
 
-    space: FiniteMetricMeasureSpace
-    inner: tuple
-    outer: tuple
-    dim: Dimension = field(default_factory=lambda: Dimension(2))
+    K and B are given as anything `space.indices` takes (labels, index arrays
+    or masks) and kept as index arrays `k_idx` and `b_idx`; `inner` and
+    `outer` return them as label tuples.
+    """
 
-    def __post_init__(self):
-        inner = tuple(str(x) for x in self.inner)
-        outer = tuple(str(x) for x in self.outer)
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "outer", outer)
-        if not inner:
+    def __init__(self, space: FiniteMetricMeasureSpace, inner, outer, dim: Dimension = Dimension(2)):
+        try:
+            k_idx, b_idx = space.indices(inner), space.indices(outer)
+        except KeyError as exc:
+            raise DomainError(f"condenser references unknown point {exc.args[0]!r}") from None
+        if not k_idx.size:
             raise DomainError("condenser needs a nonempty inner set K")
-        if set(inner) & set(outer):
+        if np.intersect1d(k_idx, b_idx).size:
             raise DomainError("inner and outer sets must be disjoint")
-        for lab in inner + outer:
-            if lab not in self.space._index:
-                raise DomainError(f"condenser references unknown point {lab!r}")
+        self.space, self.k_idx, self.b_idx, self.dim = space, k_idx, b_idx, dim
+
+    @property
+    def inner(self) -> tuple:
+        return tuple(self.space.labels_at(self.k_idx))
+
+    @property
+    def outer(self) -> tuple:
+        return tuple(self.space.labels_at(self.b_idx))
 
 
 @dataclass(frozen=True)
@@ -268,8 +297,7 @@ def graph_capacity(condenser: GraphCondenser, rtol: float = _CG_RTOL) -> GraphPo
     """
     space = condenser.space
     n = space.n
-    k_idx = space.indices(condenser.inner)
-    b_idx = space.indices(condenser.outer)
+    k_idx, b_idx = condenser.k_idx, condenser.b_idx
 
     n_comp, comp = connected_components(space.adjacency(), directed=False)
     k_comps = set(comp[k_idx].tolist())
@@ -301,8 +329,8 @@ def harmonicity_residual(space: FiniteMetricMeasureSpace, condenser: GraphConden
     """Max |(L u)_i| over free nodes; zero for an exactly harmonic potential."""
     r = space.laplacian() @ u
     fixed = np.zeros(space.n, dtype=bool)
-    fixed[space.indices(condenser.inner)] = True
-    fixed[space.indices(condenser.outer)] = True
+    fixed[condenser.k_idx] = True
+    fixed[condenser.b_idx] = True
     free = ~fixed
     return float(np.max(np.abs(r[free]))) if np.any(free) else 0.0
 
@@ -317,13 +345,8 @@ class Disk:
 
 
 def build_planar_sheet(
-    bounds: tuple[float, float, float, float],
-    h: float,
-    hole: Disk | None = None,
-    z_offset: float = 0.0,
-    clip: Disk | None = None,
-    label_prefix: str = "p",
-    offset: float = 0.0,
+    bounds: tuple[float, float, float, float], h: float, hole: Disk | None = None, z_offset: float = 0.0,
+    clip: Disk | None = None, label_prefix: str = "p", offset: float = 0.0,
 ) -> FiniteMetricMeasureSpace:
     """Square lattice sheet embedded at height z_offset.
 
@@ -347,11 +370,10 @@ def build_planar_sheet(
         math.ceil(ymin / h - offset - 1e-9), math.floor(ymax / h - offset + 1e-9) + 1, dtype=int
     )
     ix, iy = np.meshgrid(kx, ky, indexing="ij")
-    ix, iy = ix.ravel(), iy.ravel()
     x = (ix + offset) * h
     y = (iy + offset) * h
 
-    keep = np.ones(x.size, dtype=bool)
+    keep = np.ones(x.shape, dtype=bool)
     pad = 1e-9 * h
     if hole is not None:
         r2 = (x - hole.cx) ** 2 + (y - hole.cy) ** 2
@@ -360,35 +382,25 @@ def build_planar_sheet(
         r2 = (x - clip.cx) ** 2 + (y - clip.cy) ** 2
         keep &= r2 <= clip.radius**2 + pad
 
-    if not np.any(keep):
+    n = int(np.count_nonzero(keep))
+    if n == 0:
         warnings.warn("lattice region came out empty", EmptyRegionWarning, stacklevel=2)
-    ix, iy, x, y = ix[keep], iy[keep], x[keep], y[keep]
-    order = np.lexsort((iy, ix))
-    ix, iy, x, y = ix[order], iy[order], x[order], y[order]
+    # Nodes are numbered in (kx, ky) order on a grid padded with -1 past the
+    # top and right; each node's right edge, then its up edge, where one exists.
+    node = np.full((kx.size + 1, ky.size + 1), -1)
+    node[:-1, :-1][keep] = np.arange(n)
+    ends = np.column_stack([node[1:, :-1][keep], node[:-1, 1:][keep]]).ravel()
+    edges = np.column_stack([np.repeat(np.arange(n), 2), ends])[ends >= 0]
 
-    labels = [f"{label_prefix}:{a}_{b}" for a, b in zip(ix, iy)]
-    coords = np.column_stack([x, y, np.full(x.size, float(z_offset))])
-    weight = np.full(x.size, h * h)
-
-    cell = {(a, b): k for k, (a, b) in enumerate(zip(ix.tolist(), iy.tolist()))}
-    edges = []
-    for k, (a, b) in enumerate(zip(ix.tolist(), iy.tolist())):
-        right = cell.get((a + 1, b))
-        if right is not None:
-            edges.append((k, right))
-        up = cell.get((a, b + 1))
-        if up is not None:
-            edges.append((k, up))
-    edges = np.asarray(edges, dtype=int).reshape(-1, 2)
+    labels = _LatticeLabels(np.full(n, label_prefix, dtype=object), ix[keep], iy[keep])
+    coords = np.column_stack([x[keep], y[keep], np.full(n, float(z_offset))])
     return FiniteMetricMeasureSpace(
-        labels, weight, coords=coords, edges=edges, conductance=np.ones(edges.shape[0])
+        labels, np.full(n, h * h), coords=coords, edges=edges, conductance=np.ones(edges.shape[0])
     )
 
 
 def union_spaces(
-    a: FiniteMetricMeasureSpace,
-    b: FiniteMetricMeasureSpace,
-    inter_sheet_edges=None,
+    a: FiniteMetricMeasureSpace, b: FiniteMetricMeasureSpace, inter_sheet_edges=None
 ) -> FiniteMetricMeasureSpace:
     """Disjoint union; ambient R^3 supplies the metric, sheets keep their edges.
 
@@ -400,12 +412,16 @@ def union_spaces(
         return b
     if b.n == 0:
         return a
-    overlap = set(a.labels) & set(b.labels)
-    if overlap:
-        raise DomainError(f"overlapping labels in union: {sorted(overlap)[:5]}")
+    cells_a, cells_b = a._lattice, b._lattice
+    if cells_a is not None and cells_b is not None and not set(cells_a.prefix) & set(cells_b.prefix):
+        labels = _LatticeLabels(*map(np.concatenate, zip(cells_a, cells_b)))
+    else:
+        overlap = set(a.labels) & set(b.labels)
+        if overlap:
+            raise DomainError(f"overlapping labels in union: {sorted(overlap)[:5]}")
+        labels = a.labels + b.labels
     if a.coords is None or b.coords is None:
         raise DomainError("union requires ambient coordinates on both spaces")
-    labels = a.labels + b.labels
     coords = np.vstack([a.coords, b.coords])
     weight = np.concatenate([a.weight, b.weight])
     off = a.n

@@ -59,7 +59,7 @@ def mcshane_extend(
     if values.shape != (a_idx.size,):
         raise DomainError("need one value per anchor")
     d_rows = space.distances_from(a_idx)  # (n_anchor, n)
-    _check_lipschitz(values, d_rows[:, a_idx], lip, [space.labels[k] for k in a_idx])
+    _check_lipschitz(values, d_rows[:, a_idx], lip, space.labels_at(a_idx))
     return np.min(values[:, None] + lip * d_rows, axis=0)
 
 
@@ -83,9 +83,9 @@ def extend_from_coords(
     return out
 
 
-def distance_to_set(space: FiniteMetricMeasureSpace, subset_labels: Sequence[str]) -> np.ndarray:
-    """d(., subset) for every point of the space."""
-    idx = space.indices(subset_labels)
+def distance_to_set(space: FiniteMetricMeasureSpace, subset) -> np.ndarray:
+    """d(., subset) for every point of the space; `subset` as `space.indices` takes it."""
+    idx = space.indices(subset)
     if idx.size == 0:
         raise DomainError("distance to an empty set is undefined")
     if space.dist_matrix is not None:
@@ -97,26 +97,34 @@ def distance_to_set(space: FiniteMetricMeasureSpace, subset_labels: Sequence[str
 
 @dataclass(frozen=True)
 class DefiningFunction:
-    """1-Lipschitz u on a space with {u <= 0} = K and u = d(., K) off K."""
+    """1-Lipschitz u on a space with {u <= 0} = K and u = d(., K) off K.
+
+    K is given as `space.indices` takes it and kept as the index array
+    `region_idx`; `region_labels` returns it as a label tuple.
+    """
 
     space: FiniteMetricMeasureSpace
     values: np.ndarray
-    region_labels: tuple
+    region_idx: np.ndarray
     canonical: bool = False
 
+    @property
+    def region_labels(self) -> tuple:
+        return tuple(self.space.labels_at(self.region_idx))
+
     @staticmethod
-    def canonical_for(space: FiniteMetricMeasureSpace, region_labels: Sequence[str]) -> "DefiningFunction":
+    def canonical_for(space: FiniteMetricMeasureSpace, region) -> "DefiningFunction":
         """The nonnegative defining function u = d(., K)."""
-        labels = tuple(str(x) for x in region_labels)
-        values = distance_to_set(space, labels)
-        values[space.indices(labels)] = 0.0
-        return DefiningFunction(space, values, labels, canonical=True)
+        k_idx = space.indices(region)
+        values = distance_to_set(space, k_idx)
+        values[k_idx] = 0.0
+        return DefiningFunction(space, values, k_idx, canonical=True)
 
     @staticmethod
     def from_values(
         space: FiniteMetricMeasureSpace,
         values: Sequence[float],
-        region_labels: Sequence[str],
+        region,
         check_lipschitz: bool = True,
     ) -> "DefiningFunction":
         """User-supplied defining function (e.g. a signed distance), validated.
@@ -124,23 +132,22 @@ class DefiningFunction:
         Checks {values <= 0} = K, u = d(., K) off K, and (exhaustively, when
         requested) the 1-Lipschitz bound.
         """
-        labels = tuple(str(x) for x in region_labels)
         values = np.asarray(values, dtype=float)
         if values.shape != (space.n,):
             raise DomainError("need one value per point of the space")
-        k_idx = space.indices(labels)
+        k_idx = space.indices(region)
         mask = np.zeros(space.n, dtype=bool)
         mask[k_idx] = True
         if not np.array_equal(values <= 0.0, mask):
             raise PreconditionError("the region {u <= 0} does not match the given K")
         outside = ~mask
         if np.any(outside):
-            d_k = distance_to_set(space, labels)
+            d_k = distance_to_set(space, k_idx)
             if np.max(np.abs(values[outside] - d_k[outside])) > _LIP_TOL:
                 raise PreconditionError("defining function must equal d(., K) outside K")
         if check_lipschitz:
             _check_lipschitz(values, space.distance_matrix(), 1.0, space.labels)
-        return DefiningFunction(space, values, labels, canonical=False)
+        return DefiningFunction(space, values, k_idx, canonical=False)
 
 
 @dataclass(frozen=True)
@@ -180,40 +187,40 @@ class CorrespondingRegionSpec:
             return self.alphas[pos - 1]
         return self.alpha_rule_c / i
 
-    def extension_on(self, target: FiniteMetricMeasureSpace) -> np.ndarray:
+    def extension_on(self, target: FiniteMetricMeasureSpace, upto: float = np.inf) -> np.ndarray:
         """Values of the 1-Lipschitz extension U at the target's points.
 
         Both spaces must carry ambient R^3 coordinates.  For the canonical
         defining function the extension is exactly d(K, .), evaluated with a
         KD-tree; otherwise the finite McShane minimum runs over every anchor.
+        Values above `upto` may come back as inf: the KD-tree search stops
+        a little past it, and the values at or below it are exact.
         """
         src = self.defining.space
         if src.coords is None or target.coords is None:
             raise DomainError("ambient extension needs coordinates on both spaces")
         if self.defining.canonical:
-            k_idx = src.indices(self.defining.region_labels)
-            tree = cKDTree(src.coords[k_idx])
-            d, _ = tree.query(target.coords, k=1)
+            tree = cKDTree(src.coords[self.defining.region_idx])
+            d, _ = tree.query(target.coords, k=1, distance_upper_bound=upto * (1.0 + 1e-9) + 1e-9)
             return np.asarray(d, dtype=float)
         return extend_from_coords(src.coords, self.defining.values, target.coords, lip=1.0)
 
 
+def region_mask(
+    spec: CorrespondingRegionSpec, space_i: FiniteMetricMeasureSpace, i: int, position: int | None = None
+) -> np.ndarray:
+    """Boolean mask of {x in S_i : U(x) <= alpha_i} over the points of S_i."""
+    alpha = spec.alpha(i, position)
+    return spec.extension_on(space_i, upto=alpha) <= alpha
+
+
 def corresponding_region(
-    spec: CorrespondingRegionSpec,
-    space_i: FiniteMetricMeasureSpace,
-    i: int,
-    position: int | None = None,
+    spec: CorrespondingRegionSpec, space_i: FiniteMetricMeasureSpace, i: int, position: int | None = None
 ) -> tuple:
     """Labels of {x in S_i : U(x) <= alpha_i}; empty regions are legal."""
-    U = spec.extension_on(space_i)
-    alpha = spec.alpha(i, position)
-    mask = U <= alpha
-    return tuple(lab for lab, keep in zip(space_i.labels, mask) if keep)
+    return tuple(space_i.labels_at(region_mask(spec, space_i, i, position)))
 
 
-def region_measure(space: FiniteMetricMeasureSpace, region_labels: Sequence[str]) -> float:
-    """Total measure of the given points."""
-    labels = tuple(str(x) for x in region_labels)
-    if not labels:
-        return 0.0
-    return float(np.sum(space.weight[space.indices(labels)]))
+def region_measure(space: FiniteMetricMeasureSpace, region) -> float:
+    """Total measure of the given points (labels, an index array or a mask)."""
+    return float(np.sum(space.weight[space.indices(region)]))

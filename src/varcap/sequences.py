@@ -37,7 +37,7 @@ from .geometry import Dimension
 from .mms import Disk, FiniteMetricMeasureSpace, GraphCondenser, build_planar_sheet, graph_capacity, union_spaces
 from .profiles import capped_even_profile, cylinder_transition_profile, euclidean_profile, hyperboloid_profile
 from .radial_fem import RadialGrid, capacity_estimate, default_schedule, plateau_energy
-from .regions import CorrespondingRegionSpec, DefiningFunction, corresponding_region, region_measure
+from .regions import CorrespondingRegionSpec, DefiningFunction, region_mask, region_measure
 from .warped import RadialCondenser, end_resistance, radial_capacity, truncated_ramp_energy
 
 DEFAULT_VERDICT_TOL = 1e-6
@@ -252,27 +252,37 @@ def run_example2(
 
 
 LATTICE_OFFSET = 0.5  # planar experiments use the half-offset lattice (k + 1/2) * h
+_PAD = 1e-9  # radial selections include nodes this close to their circle
 
 
 def _plane_bounds(rim_radius: float, h: float) -> tuple[float, float, float, float]:
-    pad = 2.0 * h
-    half = rim_radius + pad
+    half = rim_radius + 2.0 * h
     return (-half, half, -half, half)
 
 
-def _radial_labels(space: FiniteMetricMeasureSpace, rmin: float, rmax: float) -> list[str]:
-    r = np.sqrt(space.coords[:, 0] ** 2 + space.coords[:, 1] ** 2)
-    mask = (r >= rmin) & (r <= rmax)
-    return [lab for lab, keep in zip(space.labels, mask) if keep]
+def _unit_disk(h: float) -> FiniteMetricMeasureSpace:
+    return build_planar_sheet(
+        (-1.0, 1.0, -1.0, 1.0), h, clip=Disk(0.0, 0.0, 1.0), label_prefix="K", offset=LATTICE_OFFSET
+    )
+
+
+def _radius(space: FiniteMetricMeasureSpace) -> np.ndarray:
+    return np.sqrt(space.coords[:, 0] ** 2 + space.coords[:, 1] ** 2)
+
+
+def _check_family(i_list: Sequence[int], alphas: Sequence[float] | None = None) -> None:
+    """Reject family indices below 1 and a short threshold list before any work."""
+    if any(i < 1 for i in i_list):
+        raise DomainError(f"family indices must be >= 1, got {list(i_list)}")
+    if alphas is not None and len(alphas) < len(i_list):
+        raise DomainError(f"need one threshold per family index, got {len(alphas)} for {len(i_list)}")
 
 
 def limit_plane_condenser(h: float, rim_radius: float, disk_radius: float = 1.0) -> GraphCondenser:
     """Disk of radius `disk_radius` grounded at the rim circle of a full plane sheet."""
     plane = build_planar_sheet(_plane_bounds(rim_radius, h), h, label_prefix="L", offset=LATTICE_OFFSET)
-    pad = 1e-9
-    inner = _radial_labels(plane, 0.0, disk_radius + pad)
-    outer = _radial_labels(plane, rim_radius - pad, math.inf)
-    return GraphCondenser(plane, tuple(inner), tuple(outer), Dimension(2))
+    r = _radius(plane)
+    return GraphCondenser(plane, r <= disk_radius + _PAD, r >= rim_radius - _PAD, Dimension(2))
 
 
 def observed_order(h_list: Sequence[float], errors: Sequence[float]) -> float:
@@ -300,46 +310,32 @@ def planar_condenser_study(
 
 def two_sheet_space(
     h: float, i: int, rim_radius: float, strip_conductance: float | None = None
-) -> tuple[FiniteMetricMeasureSpace, tuple, tuple]:
+) -> tuple[FiniteMetricMeasureSpace, np.ndarray, np.ndarray]:
     """Disk sheet at z=0 plus plane-with-hole sheet at z=1/i.
 
-    Returns (space, inner labels, outer labels).  With `strip_conductance`
+    Returns (space, inner indices, outer indices).  With `strip_conductance`
     a single inter-sheet edge of that total conductance ties the disk rim to
     the hole rim, standing in for a thin connecting strip.
     """
-    disk = build_planar_sheet(
-        (-1.0, 1.0, -1.0, 1.0), h, clip=Disk(0.0, 0.0, 1.0), label_prefix="K", offset=LATTICE_OFFSET
-    )
+    _check_family((i,))
+    disk = _unit_disk(h)
     sheet = build_planar_sheet(
-        _plane_bounds(rim_radius, h),
-        h,
-        hole=Disk(0.0, 0.0, 1.0),
-        z_offset=1.0 / i,
-        label_prefix="S",
+        _plane_bounds(rim_radius, h), h, hole=Disk(0.0, 0.0, 1.0), z_offset=1.0 / i, label_prefix="S",
         offset=LATTICE_OFFSET,
     )
+    r_sheet = _radius(sheet)
     inter = None
     if strip_conductance is not None:
-        r_disk = np.sqrt(disk.coords[:, 0] ** 2 + disk.coords[:, 1] ** 2)
-        r_sheet = np.sqrt(sheet.coords[:, 0] ** 2 + sheet.coords[:, 1] ** 2)
-        la = disk.labels[int(np.argmax(r_disk))]
-        lb = sheet.labels[int(np.argmin(r_sheet))]
-        inter = [(la, lb, strip_conductance)]
+        rims = disk.labels_at([np.argmax(_radius(disk))]) + sheet.labels_at([np.argmin(r_sheet)])
+        inter = [(*rims, strip_conductance)]
     space = union_spaces(disk, sheet, inter)
-    pad = 1e-9
-    inner = tuple(disk.labels)
-    outer = tuple(lab for lab in _radial_labels(space, rim_radius - pad, math.inf) if lab.startswith("S:"))
-    return space, inner, outer
+    return space, np.arange(disk.n), disk.n + np.flatnonzero(r_sheet >= rim_radius - _PAD)
 
 
 def run_example3(
-    h: float = 0.1,
-    i_list: Sequence[int] = (2, 4, 8),
-    rim_radius: float = 4.0,
-    strip_conductance: float | None = None,
-    alphas: Sequence[float] | None = None,
-    alpha_rule_c: float | None = None,
-    tol: float = DEFAULT_VERDICT_TOL,
+    h: float = 0.1, i_list: Sequence[int] = (2, 4, 8), rim_radius: float = 4.0,
+    strip_conductance: float | None = None, alphas: Sequence[float] | None = None,
+    alpha_rule_c: float | None = None, tol: float = DEFAULT_VERDICT_TOL,
 ) -> SequenceExperiment:
     """Two-sheet planar family against the flat-plane condenser limit.
 
@@ -354,23 +350,24 @@ def run_example3(
     i_list = tuple(i_list)
     if rim_radius <= 1.0 + 4.0 * h:
         raise DomainError("rim radius sits too close to the disk; condenser would be distorted")
+    _check_family(i_list, alphas)
 
     limit_cond = limit_plane_condenser(h, rim_radius)
     limit_cap = graph_capacity(limit_cond).capacity
 
-    defining = DefiningFunction.canonical_for(limit_cond.space, limit_cond.inner)
+    defining = DefiningFunction.canonical_for(limit_cond.space, limit_cond.k_idx)
     if alphas is None and alpha_rule_c is None:
         alphas = tuple(0.0 for _ in i_list)
     spec = CorrespondingRegionSpec(defining, alphas=alphas, alpha_rule_c=alpha_rule_c)
-    limit_measure = region_measure(limit_cond.space, limit_cond.inner)
+    limit_measure = region_measure(limit_cond.space, limit_cond.k_idx)
 
     caps, measures, regions = [], [], []
     for pos, i in enumerate(i_list, start=1):
         strip = None if strip_conductance is None else strip_conductance / i
         space, inner, outer = two_sheet_space(h, i, rim_radius, strip)
         caps.append(graph_capacity(GraphCondenser(space, inner, outer, Dimension(2))).capacity)
-        region = corresponding_region(spec, space, i, position=pos)
-        regions.append(region)
+        region = region_mask(spec, space, i, position=pos)
+        regions.append(tuple(space.labels_at(region)))
         measures.append(region_measure(space, region))
 
     verdict = check_semicontinuity(caps, limit_cap, tol)
@@ -385,22 +382,13 @@ def run_example3(
         "limit_provenance": "graph",
     }
     return SequenceExperiment(
-        "ex3",
-        i_list,
-        tuple(caps),
-        limit_cap,
-        verdict,
-        measures=tuple(measures),
-        limit_measure=limit_measure,
-        regions=tuple(regions),
-        metadata=meta,
+        "ex3", i_list, tuple(caps), limit_cap, verdict, measures=tuple(measures), limit_measure=limit_measure,
+        regions=tuple(regions), metadata=meta,
     )
 
 
 def run_example4(
-    h: float = 0.1,
-    i_list: Sequence[int] = (2, 4, 8),
-    rim_radius: float = 4.0,
+    h: float = 0.1, i_list: Sequence[int] = (2, 4, 8), rim_radius: float = 4.0,
     tol: float = DEFAULT_VERDICT_TOL,
 ) -> SequenceExperiment:
     """Plane plus counter-oriented annulus: the semicontinuity failure case.
@@ -415,33 +403,26 @@ def run_example4(
     if h > 0.1 + 1e-12:
         raise PreconditionError(f"lattice spacing h={h} too coarse to resolve the unit disk")
     i_list = tuple(i_list)
+    _check_family(i_list)
     bounds = _plane_bounds(rim_radius, h)
-    pad = 1e-9
+    plane = build_planar_sheet(bounds, h, label_prefix="P", offset=LATTICE_OFFSET)
+    r = _radius(plane)
+    inner, outer = np.flatnonzero(r <= 1.0 + _PAD), np.flatnonzero(r >= rim_radius - _PAD)
 
     caps = []
     for i in i_list:
-        plane = build_planar_sheet(bounds, h, label_prefix="P", offset=LATTICE_OFFSET)
         annulus = build_planar_sheet(
-            (-2.0, 2.0, -2.0, 2.0),
-            h,
-            clip=Disk(0.0, 0.0, 2.0),
-            hole=Disk(0.0, 0.0, 1.0),
-            z_offset=1.0 / i,
-            label_prefix="A",
-            offset=LATTICE_OFFSET,
+            (-2.0, 2.0, -2.0, 2.0), h, clip=Disk(0.0, 0.0, 2.0), hole=Disk(0.0, 0.0, 1.0), z_offset=1.0 / i,
+            label_prefix="A", offset=LATTICE_OFFSET,
         )
         space = union_spaces(plane, annulus)
-        inner = tuple(lab for lab in _radial_labels(space, 0.0, 1.0 + pad) if lab.startswith("P:"))
-        outer = tuple(lab for lab in _radial_labels(space, rim_radius - pad, math.inf) if lab.startswith("P:"))
         caps.append(graph_capacity(GraphCondenser(space, inner, outer, Dimension(2))).capacity)
 
-    limit_disk = build_planar_sheet(
-        (-1.0, 1.0, -1.0, 1.0), h, clip=Disk(0.0, 0.0, 1.0), label_prefix="K", offset=LATTICE_OFFSET
-    )
+    limit_disk = _unit_disk(h)
     limit_far = build_planar_sheet(bounds, h, hole=Disk(0.0, 0.0, 2.0), label_prefix="F", offset=LATTICE_OFFSET)
     limit_space = union_spaces(limit_disk, limit_far)
-    inner = tuple(limit_disk.labels)
-    outer = tuple(lab for lab in _radial_labels(limit_space, rim_radius - pad, math.inf) if lab.startswith("F:"))
+    inner = np.arange(limit_disk.n)
+    outer = limit_disk.n + np.flatnonzero(_radius(limit_far) >= rim_radius - _PAD)
     limit_cap = graph_capacity(GraphCondenser(limit_space, inner, outer, Dimension(2))).capacity
 
     verdict = check_semicontinuity(caps, limit_cap, tol)

@@ -6,6 +6,8 @@ solve, value-grid feasibility scans instead of the McShane formula, and
 random feasible extensions built greedily from interval bounds.
 """
 
+import math
+
 import numpy as np
 from scipy.sparse.csgraph import shortest_path
 
@@ -134,3 +136,51 @@ def random_graph_condenser(n, rng, edge_prob=0.7):
     inner = tuple(labels[:k_size])
     outer = tuple(labels[k_size : k_size + b_size])
     return GraphCondenser(space, inner, outer, Dimension(int(rng.choice([2, 3]))))
+
+
+def loop_planar_sheet(bounds, h, hole=None, z_offset=0.0, clip=None, label_prefix="p", offset=0.0):
+    """Reference lattice sheet: nodes sorted by cell, edges from a cell dict.
+
+    Returns (labels, coords, weight, edges): every kept node in (kx, ky)
+    order, and a per-node loop that emits each node's right edge, then its
+    up edge, by dict lookup instead of index arithmetic.
+    """
+    xmin, xmax, ymin, ymax = bounds
+    kx = np.arange(math.ceil(xmin / h - offset - 1e-9), math.floor(xmax / h - offset + 1e-9) + 1, dtype=int)
+    ky = np.arange(math.ceil(ymin / h - offset - 1e-9), math.floor(ymax / h - offset + 1e-9) + 1, dtype=int)
+    ix, iy = np.meshgrid(kx, ky, indexing="ij")
+    ix, iy = ix.ravel(), iy.ravel()
+    x = (ix + offset) * h
+    y = (iy + offset) * h
+    keep = np.ones(x.size, dtype=bool)
+    pad = 1e-9 * h
+    if hole is not None:
+        keep &= (x - hole.cx) ** 2 + (y - hole.cy) ** 2 >= hole.radius**2 - pad
+    if clip is not None:
+        keep &= (x - clip.cx) ** 2 + (y - clip.cy) ** 2 <= clip.radius**2 + pad
+    ix, iy, x, y = ix[keep], iy[keep], x[keep], y[keep]
+    order = np.lexsort((iy, ix))
+    ix, iy, x, y = ix[order], iy[order], x[order], y[order]
+
+    labels = [f"{label_prefix}:{a}_{b}" for a, b in zip(ix, iy)]
+    coords = np.column_stack([x, y, np.full(x.size, float(z_offset))])
+    cell = {(a, b): k for k, (a, b) in enumerate(zip(ix.tolist(), iy.tolist()))}
+    edges = []
+    for k, (a, b) in enumerate(zip(ix.tolist(), iy.tolist())):
+        right = cell.get((a + 1, b))
+        if right is not None:
+            edges.append((k, right))
+        up = cell.get((a, b + 1))
+        if up is not None:
+            edges.append((k, up))
+    return labels, coords, np.full(x.size, h * h), np.asarray(edges, dtype=int).reshape(-1, 2)
+
+
+def radial_label_filter(space, rmin, rmax, prefix=None):
+    """Labels with rmin <= r <= rmax in the plane, optionally only those
+    starting with ``prefix + ":"``: the label filter the planar experiment
+    runners used to pick K and B."""
+    r = np.sqrt(space.coords[:, 0] ** 2 + space.coords[:, 1] ** 2)
+    mask = (r >= rmin) & (r <= rmax)
+    picked = [lab for lab, keep in zip(space.labels, mask) if keep]
+    return tuple(lab for lab in picked if prefix is None or lab.startswith(prefix + ":"))

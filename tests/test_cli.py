@@ -53,6 +53,34 @@ def test_experiment_keys_validated_per_family():
     assert cfg.input_doc["h"] == 0.1
 
 
+@pytest.mark.parametrize("i_list", [[0, 2, 4], [2, -3], [2, 2.5], ["4"], [True], 4])
+@pytest.mark.parametrize("example", ["ex1", "ex3", "ex4"])
+def test_i_list_entries_must_be_integers_at_least_one(example, i_list):
+    with pytest.raises(ConfigError, match="i_list"):
+        parse_config({"command": "experiment", "input_doc": {"example": example, "i_list": i_list}})
+
+
+def test_ex4_with_zero_index_exits_two(tmp_path, capsys):
+    inp = tmp_path / "ex4.json"
+    inp.write_text(json.dumps({"i_list": [0, 2, 4]}))
+    out = tmp_path / "ex4.csv"
+    assert main(["experiment", "ex4", "--input", str(inp), "--out", str(out)]) == 2
+    assert "i_list" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nan_coordinate_graph_document_gives_no_capacity(tmp_path, capsys):
+    sheet = build_planar_sheet((-1, 1, -1, 1), 0.5, label_prefix="p")
+    doc = {"space": sheet.to_doc(), "inner": ["p:0_0"], "outer": ["p:2_2"], "m": 2}
+    doc["space"]["points"][3]["xyz"][1] = float("nan")
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))  # NaN is written as the JSON extension literal
+    out = tmp_path / "graph.csv"
+    assert main(["capacity-graph", "--input", str(path), "--out", str(out)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_all_problems_reported_together():
     with pytest.raises(ConfigError) as err:
         parse_config(

@@ -2,8 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracles import dense_graph_energy, random_graph_condenser, random_matrix_space
+from _oracles import dense_graph_energy, loop_planar_sheet, random_graph_condenser, random_matrix_space
 from varcap.errors import DomainError, EmptyRegionWarning, MetricError
 from varcap.geometry import Dimension
 from varcap.mms import (
@@ -63,6 +65,22 @@ def test_conductance_must_be_positive():
 def test_duplicate_labels_rejected():
     with pytest.raises(DomainError):
         FiniteMetricMeasureSpace(["a", "a"], [1, 1], coords=np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_distances_rejected(bad):
+    d = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    d[0, 2] = d[2, 0] = bad
+    with pytest.raises(MetricError, match="finite"):
+        FiniteMetricMeasureSpace(["a", "b", "c"], [1, 1, 1], dist_matrix=d)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_coordinates_rejected(bad):
+    coords = np.zeros((2, 3))
+    coords[1, 0] = bad
+    with pytest.raises(DomainError, match="finite"):
+        FiniteMetricMeasureSpace(["a", "b"], [1, 1], coords=coords)
 
 
 # -- graph capacity ------------------------------------------------------------
@@ -151,6 +169,27 @@ def test_empty_inner_set_rejected():
         GraphCondenser(path_space(), ("v0",), ("v0",), Dimension(2))
 
 
+def test_condenser_unknown_label_rejected():
+    with pytest.raises(DomainError, match="unknown point 'v9'"):
+        GraphCondenser(path_space(), ("v0",), ("v9",), Dimension(2))
+
+
+def test_condenser_accepts_index_arrays_and_masks():
+    space = path_space()
+    by_label = GraphCondenser(space, ("v0",), ("v2",), Dimension(3))
+    by_index = GraphCondenser(space, np.array([0]), np.array([2]), Dimension(3))
+    first, last = np.array([True, False, False]), np.array([False, False, True])
+    by_mask = GraphCondenser(space, first, last, Dimension(3))
+    for cond in (by_index, by_mask):
+        assert cond.inner == ("v0",) and cond.outer == ("v2",)
+        assert np.array_equal(cond.k_idx, by_label.k_idx) and np.array_equal(cond.b_idx, by_label.b_idx)
+        assert graph_capacity(cond).raw_energy == graph_capacity(by_label).raw_energy
+    with pytest.raises(DomainError, match="out of range"):
+        GraphCondenser(space, np.array([3]), np.array([0]), Dimension(2))
+    with pytest.raises(DomainError, match="disjoint"):
+        GraphCondenser(space, np.array([0, 1]), np.array([1]), Dimension(2))
+
+
 # -- planar sheets -----------------------------------------------------------------
 
 
@@ -160,6 +199,39 @@ def test_small_lattice_counts():
     assert sheet.edges.shape[0] == 12
     assert np.all(sheet.weight == 0.25)
     assert np.all(sheet.conductance == 1.0)
+
+
+def _disks():
+    return st.none() | st.builds(
+        Disk, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), st.floats(0.0, 2.5)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lo=st.tuples(st.floats(-2.0, 0.5), st.floats(-2.0, 0.5)),
+    size=st.tuples(st.floats(0.0, 2.5), st.floats(0.0, 2.5)),
+    h=st.floats(0.08, 0.6),
+    offset=st.sampled_from([0.0, 0.5, 0.25]),
+    z=st.floats(-1.0, 1.0),
+    hole=_disks(),
+    clip=_disks(),
+    prefix=st.sampled_from(["p", "K", "S:1"]),
+)
+def test_lattice_builder_matches_loop_oracle(lo, size, h, offset, z, hole, clip, prefix):
+    bounds = (lo[0], lo[0] + size[0], lo[1], lo[1] + size[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptyRegionWarning)
+        sheet = build_planar_sheet(
+            bounds, h, hole=hole, z_offset=z, clip=clip, label_prefix=prefix, offset=offset
+        )
+    labels, coords, weight, edges = loop_planar_sheet(bounds, h, hole, z, clip, prefix, offset)
+    assert sheet.labels == labels
+    assert np.array_equal(sheet.coords, coords)
+    assert np.array_equal(sheet.weight, weight)
+    assert np.array_equal(sheet.edges, edges)  # same edges in the same order
+    assert np.array_equal(sheet.conductance, np.ones(len(edges)))
+    assert sheet.labels_at(np.arange(sheet.n)[::2]) == labels[::2]
 
 
 def test_hole_keeps_boundary_nodes():
@@ -202,6 +274,21 @@ def test_union_rejects_overlapping_labels():
     a = build_planar_sheet((0, 1, 0, 1), 0.5, label_prefix="x")
     with pytest.raises(DomainError, match="overlapping"):
         union_spaces(a, a)
+    # same prefix on disjoint cells is a legal union; a labeled space joins too
+    b = build_planar_sheet((2, 3, 0, 1), 0.5, label_prefix="x")
+    assert union_spaces(a, b).labels == a.labels + b.labels
+    assert union_spaces(a, path_space()).labels == a.labels + ["v0", "v1", "v2"]
+    with pytest.raises(DomainError, match="overlapping"):
+        union_spaces(a, FiniteMetricMeasureSpace(["x:0_0"], [1.0], coords=np.zeros((1, 3))))
+
+
+def test_union_of_sheets_keeps_labels_and_indices():
+    disk = build_planar_sheet((-1, 1, -1, 1), 0.5, clip=Disk(0, 0, 1), label_prefix="K")
+    plane = build_planar_sheet((-2, 2, -2, 2), 0.5, hole=Disk(0, 0, 1), z_offset=0.25, label_prefix="S")
+    space = union_spaces(disk, plane)
+    assert space.labels == disk.labels + plane.labels
+    assert space.index(plane.labels[3]) == disk.n + 3
+    assert np.array_equal(space.indices(disk.labels), np.arange(disk.n))
 
 
 def test_union_with_empty_space_is_identity():

@@ -16,6 +16,7 @@ from varcap.regions import (
     distance_to_set,
     extend_from_coords,
     mcshane_extend,
+    region_mask,
     region_measure,
 )
 
@@ -198,6 +199,34 @@ def test_tubular_containment_and_equality_for_canonical():
     inside_tube = {lab for lab, d in zip(space_i.labels, d_to_K) if d <= alpha}
     assert inside_tube <= region
     assert inside_tube == region  # exact for the canonical defining function
+
+
+def test_bounded_region_search_matches_full_distances():
+    limit, K, space_i = _two_sheet_fixture(height=0.2)
+    defining = DefiningFunction.canonical_for(limit, K)
+    full = CorrespondingRegionSpec(defining, alphas=(0.0,)).extension_on(space_i)
+    # thresholds that sit exactly on node distances, between them, and at 0
+    levels = [0.0, 0.2, 0.3, 1.0, 100.0] + list(np.quantile(full, [0.1, 0.5, 0.9], method="nearest"))
+    for alpha in levels:
+        spec = CorrespondingRegionSpec(defining, alphas=(float(alpha),))
+        mask = region_mask(spec, space_i, 1)
+        assert np.array_equal(mask, full <= alpha), alpha
+        region = corresponding_region(spec, space_i, 1)
+        assert region == tuple(space_i.labels_at(mask))
+        assert region_measure(space_i, mask) == region_measure(space_i, region)
+
+
+def test_region_inputs_as_labels_indices_or_mask():
+    limit, K, _ = _two_sheet_fixture()
+    idx = limit.indices(K)
+    mask = np.zeros(limit.n, dtype=bool)
+    mask[idx] = True
+    by_label = DefiningFunction.canonical_for(limit, K)
+    for region in (idx, mask):
+        other = DefiningFunction.canonical_for(limit, region)
+        assert np.array_equal(other.values, by_label.values)
+        assert other.region_labels == tuple(K)
+        assert region_measure(limit, region) == region_measure(limit, K)
 
 
 def test_alpha_rule():

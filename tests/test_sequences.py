@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import radial_label_filter
+from varcap import sequences
 from varcap.errors import DomainError, PreconditionError
 from varcap.profiles import cylinder_transition_profile
 from varcap.radial_fem import RadialGrid, solve_radial
@@ -147,6 +149,74 @@ def test_ex3_rejects_coarse_lattice():
 def test_ex3_rejects_rim_too_close():
     with pytest.raises(DomainError):
         run_example3(h=0.1, i_list=(2, 3, 4), rim_radius=1.2)
+
+
+def _no_lattice(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a lattice was built before the inputs were validated")
+
+    monkeypatch.setattr(sequences, "build_planar_sheet", refuse)
+
+
+@pytest.mark.parametrize("runner", [run_example3, run_example4])
+@pytest.mark.parametrize("i_list", [(0, 2, 4), (2, -1, 4)])
+def test_planar_runners_reject_index_below_one_before_building(monkeypatch, runner, i_list):
+    _no_lattice(monkeypatch)
+    with pytest.raises(DomainError, match=">= 1"):
+        runner(h=0.1, i_list=i_list)
+
+
+def test_ex3_rejects_short_alpha_list_before_building(monkeypatch):
+    _no_lattice(monkeypatch)
+    with pytest.raises(DomainError, match="threshold"):
+        run_example3(h=0.1, i_list=(2, 4, 8), alphas=(0.0, 0.0))
+
+
+def _runner_condensers(monkeypatch, runner):
+    seen, solve = [], sequences.graph_capacity
+
+    def record(cond, *args, **kwargs):
+        seen.append(cond)
+        return solve(cond, *args, **kwargs)
+
+    monkeypatch.setattr(sequences, "graph_capacity", record)
+    runner(h=0.1, i_list=(2, 4, 8))
+    return seen
+
+
+def test_ex3_index_sets_equal_label_filters(monkeypatch):
+    limit, *family = _runner_condensers(monkeypatch, run_example3)
+    pad, rim = 1e-9, 4.0
+    assert limit.inner == radial_label_filter(limit.space, 0.0, 1.0 + pad)
+    assert limit.outer == radial_label_filter(limit.space, rim - pad, math.inf)
+    assert len(family) == 3
+    for cond in family:
+        assert cond.inner == tuple(lab for lab in cond.space.labels if lab.startswith("K:"))
+        assert cond.outer == radial_label_filter(cond.space, rim - pad, math.inf, prefix="S")
+
+
+def test_ex4_index_sets_equal_label_filters(monkeypatch):
+    *family, limit = _runner_condensers(monkeypatch, run_example4)
+    pad, rim = 1e-9, 4.0
+    assert len(family) == 3
+    for cond in family:
+        assert cond.inner == radial_label_filter(cond.space, 0.0, 1.0 + pad, prefix="P")
+        assert cond.outer == radial_label_filter(cond.space, rim - pad, math.inf, prefix="P")
+    assert limit.inner == tuple(lab for lab in limit.space.labels if lab.startswith("K:"))
+    assert limit.outer == radial_label_filter(limit.space, rim - pad, math.inf, prefix="F")
+
+
+def test_ex4_builds_its_plane_once(monkeypatch):
+    calls = []
+    build = sequences.build_planar_sheet
+
+    def count(*args, **kwargs):
+        calls.append(kwargs["label_prefix"])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(sequences, "build_planar_sheet", count)
+    run_example4(h=0.1, i_list=(2, 4, 8))
+    assert sorted(calls) == ["A", "A", "A", "F", "K", "P"]
 
 
 # -- ex4 ------------------------------------------------------------------------
