@@ -12,37 +12,24 @@ from __future__ import annotations
 import argparse
 import difflib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
-from . import __version__, reports
+from . import __version__, reports, sequences
 from .errors import ConfigError, VarcapError
 from .geometry import Dimension
-from .mass import AFProfile, evaluate_mass_curve, extrapolate_mass, mass_csv
+from .mass import MASS_COLUMNS, AFProfile, evaluate_mass_curve, extrapolate_mass
 from .mms import FiniteMetricMeasureSpace, GraphCondenser, capacity_csv, graph_capacity
 from .profiles import WarpProfile
 from .radial_fem import capacity_estimate, default_schedule, fem_csv
-from .sequences import RUNNERS, experiment_csv
 from .warped import RadialCondenser, radial_capacity
 
-COMMANDS = ("capacity-radial", "capacity-graph", "experiment", "mass")
-EXPERIMENTS = ("ex1", "ex2", "ex3", "ex4")
-
 _TOP_KEYS = {"command", "input", "input_doc", "output", "format", "tolerances", "seed"}
-_TOL_KEYS = {"quadrature", "solver", "verdict"}
-_EXPERIMENT_KEYS = {
-    "ex1": {"example", "i_list", "r", "L_values", "m"},
-    "ex2": {"example", "i_list", "a", "b", "m", "L"},
-    "ex3": {"example", "i_list", "h", "rim_radius", "strip_conductance", "alphas", "alpha_rule_c"},
-    "ex4": {"example", "i_list", "h", "rim_radius"},
-}
-_INPUT_KEYS = {
-    "capacity-radial": {"profile", "s0", "ends", "L_values", "levels", "h0", "ratio"},
-    "capacity-graph": {"space", "inner", "outer", "m", "rim_radius"},
-    "experiment": set().union(*_EXPERIMENT_KEYS.values()),
-    "mass": {"profile", "radii", "tail_points"},
-}
+# every entry is hashed into config_sha256, whichever of them a command reads
+_TOLERANCES = {"quadrature": 1e-10, "solver": 1e-12, "verdict": 1e-6}
 
 
 def _closest(key: str, valid) -> str:
@@ -50,7 +37,7 @@ def _closest(key: str, valid) -> str:
     return match[0] if match else "none"
 
 
-def _check_keys(doc: dict, valid: set, where: str, problems: list):
+def _check_keys(doc: dict, valid, where: str, problems: list):
     for key in doc:
         if key not in valid:
             problems.append(
@@ -58,27 +45,233 @@ def _check_keys(doc: dict, valid: set, where: str, problems: list):
             )
 
 
-def _number(doc: dict, key: str, problems: list, where: str, positive: bool = False):
-    if key not in doc:
+def _read_json(path: str, what: str):
+    """The JSON document at `path`, or a ConfigError saying why it cannot be read."""
+    try:
+        return json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise ConfigError([f"{what} path does not exist: {path}"]) from None
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError([f"cannot read {what} {path}: {exc}"]) from None
+
+
+class _Invalid(Exception):
+    """A value fails its converter; `path` extends the key path it sits at."""
+
+    def __init__(self, message: str, path: str = ""):
+        super().__init__(message)
+        self.message, self.path = message, path
+
+
+def _finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _rule(test, expected: str):
+    """Converter passing a value on unchanged when `test(value)` holds."""
+
+    def convert(value):
+        if not test(value):
+            raise _Invalid(f"must be {expected}, got {value!r}")
+        return value
+
+    return convert
+
+
+def _integer(least: int):
+    return _rule(lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= least, f"an integer >= {least}")
+
+
+def _one_of(*choices: str):
+    return _rule(lambda v: isinstance(v, str) and v in choices, f"one of {list(choices)}")
+
+
+_real = _rule(_finite, "a number (finite)")
+_positive = _rule(lambda v: _finite(v) and v > 0, "a number (finite, > 0)")
+_label = _rule(lambda v: isinstance(v, str), "a point label string")
+
+
+def _list_of(convert):
+    def convert_list(value):
+        if not isinstance(value, list):
+            raise _Invalid(f"must be a list, got {value!r}")
+        items = []
+        for k, item in enumerate(value):
+            try:
+                items.append(convert(item))
+            except _Invalid as exc:
+                raise _Invalid(exc.message, f"[{k}]{exc.path}") from None
+        return items
+
+    return convert_list
+
+
+def _document(cls):
+    """A nested profile or space document, converted whole by `cls.from_doc`."""
+
+    def convert(value):
+        try:
+            return cls.from_doc(value)
+        except (VarcapError, ValueError, TypeError, KeyError) as exc:
+            raise _Invalid(f"is not a valid document: {exc}") from None
+
+    return convert
+
+
+def _convert(convert, value, path: str, problems: list):
+    """`convert(value)`, or None with the problem recorded under `path`."""
+    try:
+        return convert(value)
+    except _Invalid as exc:
+        problems.append(f"{path}{exc.path} {exc.message}")
         return None
-    val = doc[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        problems.append(f"{where}.{key} must be a number, got {val!r}")
-        return None
-    if positive and val <= 0:
-        problems.append(f"{where}.{key} must be positive, got {val!r}")
-        return None
-    return float(val)
+
+
+# ---------------------------------------------------------------------------
+# implementations (converted keys -> payload) and CSV renderers (payload -> CSV)
+# ---------------------------------------------------------------------------
+
+
+def _capacity_radial(profile, s0, **options) -> dict:
+    condenser = {"ends": options.pop("ends")} if "ends" in options else {}
+    cond = RadialCondenser(profile, s0, **condenser)
+    est = capacity_estimate(cond, default_schedule(cond, **options))
+    return {
+        "cap": est.cap,
+        "error_estimate": est.error_estimate,
+        "rows": [list(row) for row in est.rows],
+        "provenance": "fem",
+    }
+
+
+def _capacity_graph(space, inner, outer, tol, m=None, rim_radius=None) -> dict:
+    dim = () if m is None else (Dimension(m),)
+    pot = graph_capacity(GraphCondenser(space, inner, outer, *dim), rtol=tol)
+    return {
+        "rows": [["condenser", pot.raw_energy, pot.capacity]],
+        "rim_radius": rim_radius,
+        "provenance": "graph",
+    }
+
+
+def _mass(profile, radii, tol, **extrapolation) -> dict:
+    af = AFProfile.check(profile)
+
+    def capacity_fn(R):
+        return radial_capacity(RadialCondenser(profile, R), rel_tol=tol)
+
+    curve = evaluate_mass_curve(af, radii, capacity_fn=capacity_fn)
+    extrap = extrapolate_mass(curve, **extrapolation)
+    return {
+        "rows": [list(row) for row in curve.rows()],
+        "m_iso": extrap.m_iso,
+        "m_cv": extrap.m_cv,
+        "error_estimate": extrap.error_estimate,
+        "af_witness": {"s_af": af.s_af, "ratio_eps": af.ratio_eps, "deriv_eps": af.deriv_eps},
+        "provenance": "closed-form",
+    }
+
+
+def _table(render, *fields):
+    """CSV renderer: a header of tool, hash and the payload's `fields`, then `render(payload)`."""
+
+    def csv(payload: dict, header: dict) -> str:
+        header = {**header, **{key: payload[key] for key in fields}}
+        return "\n".join(reports.comment_header(header)) + "\n" + render(payload)
+
+    return csv
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand, declared once."""
+
+    keys: dict  # input key -> converter
+    tolerance: str | None  # the `tolerances` entry that `--tol` sets and `run` receives as `tol`
+    run: Callable[..., dict]  # converted keys -> payload
+    csv: Callable[[dict, dict], str]  # (payload, header) -> CSV report
+    required: tuple = ()  # keys the input document must give
+
+
+def _experiment(runner: str, **keys) -> Command:
+    """An experiment entry; its runner in `sequences` is looked up at call
+    time, so a wrapper put around it (a profiler, a test double) sees the call."""
+    return Command(
+        keys={"i_list": _list_of(_integer(1)), **keys},
+        tolerance="verdict",
+        run=lambda **args: getattr(sequences, runner)(**args).to_payload(),
+        csv=sequences.experiment_csv_from_payload,
+    )
+
+
+_PROFILE = _document(WarpProfile)
+
+# Converters check one key each; rules that tie keys to each other or to the
+# library's numerical limits (r < min i, h <= 0.1, increasing radii) stay in
+# the library and surface as computation errors.
+COMMANDS = {
+    "capacity-radial": Command(
+        keys={
+            "profile": _PROFILE,
+            "s0": _real,
+            "ends": _one_of("one", "two_symmetric"),
+            "L_values": _list_of(_real),
+            "levels": _integer(1),
+            "h0": _positive,
+            "ratio": _positive,
+        },
+        required=("profile", "s0"),
+        tolerance=None,
+        run=_capacity_radial,
+        csv=_table(lambda p: fem_csv(p["rows"]), "provenance", "cap", "error_estimate"),
+    ),
+    "capacity-graph": Command(
+        keys={
+            "space": _document(FiniteMetricMeasureSpace),
+            "inner": _list_of(_label),
+            "outer": _list_of(_label),
+            "m": _integer(2),
+            "rim_radius": _positive,
+        },
+        required=("space", "inner", "outer"),
+        tolerance="solver",
+        run=_capacity_graph,
+        csv=_table(lambda p: capacity_csv(p["rows"], p["rim_radius"]), "provenance"),
+    ),
+    "experiment ex1": _experiment("run_example1", r=_positive, L_values=_list_of(_real), m=_integer(2)),
+    "experiment ex2": _experiment("run_example2", a=_real, b=_real, m=_integer(2), L=_real),
+    "experiment ex3": _experiment(
+        "run_example3", h=_positive, rim_radius=_positive, strip_conductance=_positive, alphas=_list_of(_real),
+        alpha_rule_c=_real,
+    ),
+    "experiment ex4": _experiment("run_example4", h=_positive, rim_radius=_positive),
+    "mass": Command(
+        keys={"profile": _PROFILE, "radii": _list_of(_real), "tail_points": _integer(1)},
+        required=("profile", "radii"),
+        tolerance="quadrature",
+        run=_mass,
+        csv=_table(
+            lambda p: reports.csv_table(MASS_COLUMNS, p["rows"]), "provenance", "m_iso", "m_cv", "error_estimate"
+        ),
+    ),
+}
+SUBCOMMANDS = tuple(dict.fromkeys(name.split()[0] for name in COMMANDS))
+EXPERIMENTS = tuple(name.split()[1] for name in COMMANDS if name.startswith("experiment "))
 
 
 @dataclass
 class RunConfig:
-    command: str
-    input_doc: dict
+    name: str  # key of COMMANDS
+    input_doc: dict  # as given; hashed into config_sha256
+    args: dict  # the converted input keys
     output: str | None = None
     format: str = "csv"
     tolerances: dict = field(default_factory=dict)
     seed: int = 0
+
+    @property
+    def command(self) -> str:
+        return self.name.split()[0]
 
     def effective_doc(self) -> dict:
         # identifies the computation; the output format is deliberately excluded
@@ -91,8 +284,11 @@ class RunConfig:
         }
 
 
-def parse_config(document: dict | str, example_override: str | None = None) -> RunConfig:
-    """Validate a configuration document; every offending key is reported."""
+def parse_config(
+    document: dict | str, example_override: str | None = None, tol_override: float | None = None
+) -> RunConfig:
+    """Validate a configuration document and convert its input before any
+    computation; every problem is reported together."""
     if isinstance(document, str):
         try:
             document = json.loads(document)
@@ -105,25 +301,23 @@ def parse_config(document: dict | str, example_override: str | None = None) -> R
     _check_keys(document, _TOP_KEYS, "config", problems)
 
     command = document.get("command")
-    if command not in COMMANDS:
+    if command not in SUBCOMMANDS:
         problems.append(
-            f"unknown command {command!r} (closest valid: {_closest(str(command), COMMANDS)!r})"
+            f"unknown command {command!r} (closest valid: {_closest(str(command), SUBCOMMANDS)!r})"
         )
 
-    fmt = document.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        problems.append(f"format must be 'csv' or 'json', got {fmt!r}")
+    fmt = _convert(_one_of("csv", "json"), document.get("format", "csv"), "format", problems)
 
-    tolerances = {"quadrature": 1e-10, "solver": 1e-12, "verdict": 1e-6}
+    tolerances = dict(_TOLERANCES)
     tol_doc = document.get("tolerances", {})
     if not isinstance(tol_doc, dict):
         problems.append("tolerances must be an object")
     else:
-        _check_keys(tol_doc, _TOL_KEYS, "tolerances", problems)
-        for key in _TOL_KEYS & set(tol_doc):
-            val = _number(tol_doc, key, problems, "tolerances", positive=True)
+        _check_keys(tol_doc, _TOLERANCES, "tolerances", problems)
+        for key in _TOLERANCES.keys() & tol_doc.keys():
+            val = _convert(_positive, tol_doc[key], f"tolerances.{key}", problems)
             if val is not None:
-                tolerances[key] = val
+                tolerances[key] = float(val)
 
     seed = document.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
@@ -134,14 +328,10 @@ def parse_config(document: dict | str, example_override: str | None = None) -> R
     if "input" in document and input_doc is not None:
         problems.append("give either 'input' (a path) or 'input_doc' (inline), not both")
     if "input" in document:
-        path = Path(str(document["input"]))
-        if not path.exists():
-            problems.append(f"input path does not exist: {path}")
-        else:
-            try:
-                input_doc = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                problems.append(f"cannot read input document {path}: {exc}")
+        try:
+            input_doc = _read_json(str(document["input"]), "input document")
+        except ConfigError as exc:
+            problems += exc.problems
     if input_doc is None:
         input_doc = {}
     if not isinstance(input_doc, dict):
@@ -150,27 +340,25 @@ def parse_config(document: dict | str, example_override: str | None = None) -> R
     if example_override is not None:
         input_doc = {**input_doc, "example": example_override}
 
-    if command in _INPUT_KEYS:
-        valid = _INPUT_KEYS[command]
-        if command == "experiment":
-            example = input_doc.get("example")
-            if example is not None and example not in EXPERIMENTS:
-                problems.append(
-                    f"unknown experiment {example!r} (closest valid: {_closest(str(example), EXPERIMENTS)!r})"
-                )
-            elif example is not None:
-                valid = _EXPERIMENT_KEYS[example]
-        _check_keys(input_doc, valid, f"{command} input", problems)
-        for key in ("s0", "h0", "ratio", "h", "rim_radius", "r", "L", "a", "b",
-                    "strip_conductance", "alpha_rule_c"):
-            if key in input_doc:
-                _number(input_doc, key, problems, f"{command} input")
-        if "i_list" in input_doc:
-            i_list = input_doc["i_list"]
-            if not isinstance(i_list, list) or not all(
-                isinstance(i, int) and not isinstance(i, bool) and i >= 1 for i in i_list
-            ):
-                problems.append(f"{command} input.i_list must be a list of integers >= 1, got {i_list!r}")
+    name, keys = command, input_doc
+    if command == "experiment":
+        example = _convert(_one_of(*EXPERIMENTS), input_doc.get("example"), "experiment input.example", problems)
+        name = f"experiment {example}"
+        keys = {key: val for key, val in input_doc.items() if key != "example"}
+    spec, args = COMMANDS.get(name), {}
+    if spec is not None:
+        where = f"{name} input"
+        _check_keys(keys, spec.keys, where, problems)
+        problems += [f"{where} needs {key!r}" for key in spec.required if key not in keys]
+        for key, convert in spec.keys.items():
+            if key in keys:
+                args[key] = _convert(convert, keys[key], f"{where}.{key}", problems)
+        if tol_override is not None and spec.tolerance is None:
+            problems.append(f"--tol: {name} has no tolerance to set")
+        elif tol_override is not None:
+            val = _convert(_positive, tol_override, f"--tol (tolerances.{spec.tolerance})", problems)
+            if val is not None:
+                tolerances[spec.tolerance] = float(val)
 
     output = document.get("output")
     if output is not None and not isinstance(output, str):
@@ -178,167 +366,26 @@ def parse_config(document: dict | str, example_override: str | None = None) -> R
 
     if problems:
         raise ConfigError(problems)
-    return RunConfig(command, input_doc, output, fmt, tolerances, seed)
-
-
-# ---------------------------------------------------------------------------
-# command implementations
-# ---------------------------------------------------------------------------
-
-
-def _run_capacity_radial(cfg: RunConfig) -> tuple[dict, str]:
-    doc = cfg.input_doc
-    if "profile" not in doc or "s0" not in doc:
-        raise ConfigError(["capacity-radial input needs 'profile' and 's0'"])
-    profile = WarpProfile.from_doc(doc["profile"])
-    cond = RadialCondenser(profile, float(doc["s0"]), doc.get("ends", "one"))
-    schedule = default_schedule(
-        cond,
-        L_values=doc.get("L_values"),
-        levels=int(doc.get("levels", 2)),
-        h0=doc.get("h0"),
-        ratio=float(doc.get("ratio", 1.05)),
-    )
-    est = capacity_estimate(cond, schedule)
-    payload = {
-        "command": "capacity-radial",
-        "cap": est.cap,
-        "error_estimate": est.error_estimate,
-        "rows": [list(row) for row in est.rows],
-        "provenance": "fem",
-    }
-    meta = _meta(cfg, provenance="fem", cap=est.cap, error_estimate=est.error_estimate)
-    return payload, _csv_with_meta(fem_csv(est.rows), meta)
-
-
-def _csv_with_meta(table: str, meta: dict) -> str:
-    return "\n".join(reports.comment_header(meta)) + "\n" + table
-
-
-def _meta(cfg: RunConfig, **extra) -> dict:
-    meta = {"tool": f"varcap {__version__}", "config_sha256": reports.config_hash(cfg.effective_doc())}
-    meta.update(extra)
-    return meta
-
-
-def _run_capacity_graph(cfg: RunConfig) -> tuple[dict, str]:
-    doc = cfg.input_doc
-    if "space" not in doc or "inner" not in doc or "outer" not in doc:
-        raise ConfigError(["capacity-graph input needs 'space', 'inner', and 'outer'"])
-    space = FiniteMetricMeasureSpace.from_doc(doc["space"])
-    cond = GraphCondenser(
-        space, tuple(doc["inner"]), tuple(doc["outer"]), Dimension(int(doc.get("m", 2)))
-    )
-    pot = graph_capacity(cond, rtol=cfg.tolerances["solver"])
-    rim = doc.get("rim_radius")
-    payload = {
-        "command": "capacity-graph",
-        "rows": [["condenser", pot.raw_energy, pot.capacity]],
-        "rim_radius": rim,
-        "provenance": "graph",
-    }
-    meta = _meta(cfg, provenance="graph")
-    return payload, _csv_with_meta(capacity_csv([("condenser", pot.raw_energy, pot.capacity)], rim), meta)
-
-
-def _run_experiment(cfg: RunConfig) -> tuple[dict, str]:
-    doc = dict(cfg.input_doc)
-    example = doc.pop("example", None)
-    if example not in EXPERIMENTS:
-        raise ConfigError([f"experiment input needs 'example' in {EXPERIMENTS}"])
-    kwargs = dict(doc)
-    kwargs.setdefault("tol", cfg.tolerances["verdict"])
-    if "i_list" in kwargs:
-        kwargs["i_list"] = tuple(int(i) for i in kwargs["i_list"])
-    runner = RUNNERS[example]
-    exp = runner(**kwargs)
-    payload = exp.to_payload()
-    meta = _meta(cfg)
-    return payload, experiment_csv(exp, meta)
-
-
-def _run_mass(cfg: RunConfig) -> tuple[dict, str]:
-    doc = cfg.input_doc
-    if "profile" not in doc or "radii" not in doc:
-        raise ConfigError(["mass input needs 'profile' and 'radii'"])
-    profile = WarpProfile.from_doc(doc["profile"])
-    af = AFProfile.check(profile)
-    radii = [float(R) for R in doc["radii"]]
-    quad_tol = cfg.tolerances["quadrature"]
-
-    def capacity_fn(R):
-        return radial_capacity(RadialCondenser(profile, R), rel_tol=quad_tol)
-
-    curve = evaluate_mass_curve(af, radii, capacity_fn=capacity_fn)
-    extrap = extrapolate_mass(curve, tail_points=doc.get("tail_points"))
-    payload = {
-        "command": "mass",
-        "rows": [list(row) for row in curve.rows()],
-        "m_iso": extrap.m_iso,
-        "m_cv": extrap.m_cv,
-        "error_estimate": extrap.error_estimate,
-        "af_witness": {"s_af": af.s_af, "ratio_eps": af.ratio_eps, "deriv_eps": af.deriv_eps},
-        "provenance": "closed-form",
-    }
-    meta = _meta(
-        cfg,
-        provenance="closed-form",
-        m_iso=extrap.m_iso,
-        m_cv=extrap.m_cv,
-        error_estimate=extrap.error_estimate,
-    )
-    return payload, mass_csv(curve, meta)
-
-
-_IMPL = {
-    "capacity-radial": _run_capacity_radial,
-    "capacity-graph": _run_capacity_graph,
-    "experiment": _run_experiment,
-    "mass": _run_mass,
-}
+    return RunConfig(name, input_doc, args, output, fmt, tolerances, seed)
 
 
 def csv_from_payload(payload: dict) -> str:
-    """Regenerate the CSV report from a parsed JSON report (round-trip support)."""
-    from .sequences import experiment_csv_from_payload
-
-    meta = {"tool": payload["tool"], "config_sha256": payload["config_sha256"]}
-    command = payload["command"]
-    if command == "capacity-radial":
-        meta.update(
-            provenance=payload["provenance"],
-            cap=payload["cap"],
-            error_estimate=payload["error_estimate"],
-        )
-        return _csv_with_meta(fem_csv([tuple(r) for r in payload["rows"]]), meta)
-    if command == "capacity-graph":
-        meta.update(provenance=payload["provenance"])
-        rows = [tuple(r) for r in payload["rows"]]
-        return _csv_with_meta(capacity_csv(rows, payload.get("rim_radius")), meta)
-    if command == "experiment":
-        return experiment_csv_from_payload(payload, meta)
-    if command == "mass":
-        meta.update(
-            provenance=payload["provenance"],
-            m_iso=payload["m_iso"],
-            m_cv=payload["m_cv"],
-            error_estimate=payload["error_estimate"],
-        )
-        return reports.csv_table(
-            ["R", "A", "V", "cap", "m_iso", "m_cv", "m_cv_alt"],
-            [tuple(r) for r in payload["rows"]],
-            meta,
-        )
-    raise ConfigError([f"unknown command in payload: {command!r}"])
+    """The CSV report of a payload built by `run` or parsed back from a JSON report."""
+    name = payload["command"]
+    if name == "experiment":
+        name += " " + payload["experiment"]
+    header = {"tool": payload["tool"], "config_sha256": payload["config_sha256"]}
+    return COMMANDS[name].csv(payload, header)
 
 
 def run(config: RunConfig) -> int:
     """Execute a validated configuration; returns the process exit code."""
+    spec = COMMANDS[config.name]
+    args = dict(config.args)
+    if spec.tolerance is not None:
+        args["tol"] = config.tolerances[spec.tolerance]
     try:
-        payload, csv_text = _IMPL[config.command](config)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+        payload = spec.run(**args)
     except (VarcapError, ValueError, KeyError, TypeError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 1
@@ -348,9 +395,9 @@ def run(config: RunConfig) -> int:
         "config_sha256": reports.config_hash(config.effective_doc()),
         "seed": config.seed,
         "command": config.command,
-        **{k: v for k, v in payload.items() if k != "command"},
+        **payload,
     }
-    text = reports.json_report(payload) if config.format == "json" else csv_text
+    text = reports.json_report(payload) if config.format == "json" else csv_from_payload(payload)
     try:
         if config.output:
             Path(config.output).write_text(text)
@@ -374,58 +421,34 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="seed recorded in the report")
 
     sub = parser.add_subparsers(dest="command")
-    sub.add_parser("capacity-radial", parents=[common])
-    sub.add_parser("capacity-graph", parents=[common])
-    exp = sub.add_parser("experiment", parents=[common])
-    exp.add_argument("example", nargs="?", choices=list(EXPERIMENTS))
-    sub.add_parser("mass", parents=[common])
+    for command in SUBCOMMANDS:
+        cmd = sub.add_parser(command, parents=[common])
+        if command == "experiment":
+            cmd.add_argument("example", nargs="?", choices=list(EXPERIMENTS))
     return parser
-
-
-_TOL_TARGET = {
-    "capacity-radial": "quadrature",
-    "capacity-graph": "solver",
-    "experiment": "verdict",
-    "mass": "quadrature",
-}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command is None:
-        print("a subcommand is required (capacity-radial, capacity-graph, experiment, mass)", file=sys.stderr)
+        print(f"a subcommand is required ({', '.join(SUBCOMMANDS)})", file=sys.stderr)
         return 2
 
-    doc: dict = {}
-    if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            print(f"configuration error: config path does not exist: {path}", file=sys.stderr)
-            return 2
-        try:
-            doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"configuration error: cannot read config: {exc}", file=sys.stderr)
-            return 2
-        if not isinstance(doc, dict):
-            print("configuration error: config must be a JSON object", file=sys.stderr)
-            return 2
-
-    doc["command"] = args.command
-    if args.input is not None:
-        doc["input"] = args.input
-        doc.pop("input_doc", None)
-    if args.out is not None:
-        doc["output"] = args.out
-    if args.format is not None:
-        doc["format"] = args.format
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.tol is not None:
-        doc.setdefault("tolerances", {})[_TOL_TARGET[args.command]] = args.tol
-
     try:
-        config = parse_config(doc, example_override=getattr(args, "example", None))
+        doc = _read_json(args.config, "config") if args.config else {}
+        if not isinstance(doc, dict):
+            raise ConfigError(["config must be a JSON object"])
+        doc["command"] = args.command
+        if args.input is not None:
+            doc["input"] = args.input
+            doc.pop("input_doc", None)
+        if args.out is not None:
+            doc["output"] = args.out
+        if args.format is not None:
+            doc["format"] = args.format
+        if args.seed is not None:
+            doc["seed"] = args.seed
+        config = parse_config(doc, example_override=getattr(args, "example", None), tol_override=args.tol)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"configuration error: {problem}", file=sys.stderr)

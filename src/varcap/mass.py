@@ -28,6 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import reports
 from .errors import DegenerateProblemError, DomainError, NoLimitError, PreconditionError, UnsupportedDimensionError
 from .profiles import WarpProfile
 from .warped import RadialCondenser, radial_capacity, volume_and_boundary
@@ -80,10 +81,31 @@ def _geometry_at(af: AFProfile, radii: Sequence[float]) -> tuple[np.ndarray, np.
     return np.asarray(V), np.asarray(A)
 
 
+def _iso_mass(V: np.ndarray, A: np.ndarray) -> np.ndarray:
+    return (2.0 / A) * (V - A**1.5 / (6.0 * _SQRT_PI))
+
+
+def _cv_mass(V: np.ndarray, cap: np.ndarray) -> np.ndarray:
+    return (V - (4.0 * math.pi / 3.0) * cap**3) / (4.0 * math.pi * cap**2)
+
+
+def _cv_mass_alt(V: np.ndarray, cap: np.ndarray) -> np.ndarray:
+    return (V / (4.0 * math.pi)) ** (1.0 / 3.0) - cap
+
+
+def _capacities_at(af: AFProfile, radii: Sequence[float], capacity_fn) -> np.ndarray:
+    """Capacity of each {s <= R}, by default on the closed-form/quadrature route."""
+    if capacity_fn is None:
+        capacity_fn = lambda R: radial_capacity(RadialCondenser(af.profile, R))
+    cap = np.array([capacity_fn(R) for R in radii], dtype=float)
+    if np.any(cap <= 0.0):
+        raise DegenerateProblemError("capacity vanished along the exhaustion (non-flat end?)")
+    return cap
+
+
 def iso_mass_curve(af: AFProfile, radii: Sequence[float]) -> np.ndarray:
     """Quasi-local isoperimetric mass at each radius."""
-    V, A = _geometry_at(af, radii)
-    return (2.0 / A) * (V - A**1.5 / (6.0 * _SQRT_PI))
+    return _iso_mass(*_geometry_at(af, radii))
 
 
 def cv_mass_curve(
@@ -99,15 +121,9 @@ def cv_mass_curve(
     volume-radius display (V/4pi)^(1/3) - cap is returned instead (see the
     module docstring; the two disagree even on flat space).
     """
-    if capacity_fn is None:
-        capacity_fn = lambda R: radial_capacity(RadialCondenser(af.profile, R))
     V, _ = _geometry_at(af, radii)
-    cap = np.array([capacity_fn(R) for R in radii], dtype=float)
-    if np.any(cap <= 0.0):
-        raise DegenerateProblemError("capacity vanished along the exhaustion (non-flat end?)")
-    if alternative:
-        return (V / (4.0 * math.pi)) ** (1.0 / 3.0) - cap
-    return (V - (4.0 * math.pi / 3.0) * cap**3) / (4.0 * math.pi * cap**2)
+    cap = _capacities_at(af, radii, capacity_fn)
+    return (_cv_mass_alt if alternative else _cv_mass)(V, cap)
 
 
 @dataclass(frozen=True)
@@ -132,24 +148,10 @@ def evaluate_mass_curve(
     radii = tuple(float(R) for R in radii)
     if sorted(radii) != list(radii):
         raise DomainError("radii must be increasing")
-    if capacity_fn is None:
-        capacity_fn = lambda R: radial_capacity(RadialCondenser(af.profile, R))
     V, A = _geometry_at(af, radii)
-    cap = np.array([capacity_fn(R) for R in radii], dtype=float)
-    if np.any(cap <= 0.0):
-        raise DegenerateProblemError("capacity vanished along the exhaustion (non-flat end?)")
-    m_iso = (2.0 / A) * (V - A**1.5 / (6.0 * _SQRT_PI))
-    m_cv = (V - (4.0 * math.pi / 3.0) * cap**3) / (4.0 * math.pi * cap**2)
-    m_alt = (V / (4.0 * math.pi)) ** (1.0 / 3.0) - cap
-    return MassCurve(
-        radii,
-        tuple(A.tolist()),
-        tuple(V.tolist()),
-        tuple(cap.tolist()),
-        tuple(m_iso.tolist()),
-        tuple(m_cv.tolist()),
-        tuple(m_alt.tolist()),
-    )
+    cap = _capacities_at(af, radii, capacity_fn)
+    columns = (A, V, cap, _iso_mass(V, A), _cv_mass(V, cap), _cv_mass_alt(V, cap))
+    return MassCurve(radii, *(tuple(c.tolist()) for c in columns))
 
 
 @dataclass(frozen=True)
@@ -205,9 +207,8 @@ def extrapolate_mass(curve: MassCurve, tail_points: int | None = None) -> MassEx
     return MassExtrapolation(results[0], results[1], err, tuple(resids))
 
 
-def mass_csv(curve: MassCurve, meta: dict | None = None) -> str:
-    from . import reports
+MASS_COLUMNS = ["R", "A", "V", "cap", "m_iso", "m_cv", "m_cv_alt"]
 
-    return reports.csv_table(
-        ["R", "A", "V", "cap", "m_iso", "m_cv", "m_cv_alt"], curve.rows(), meta
-    )
+
+def mass_csv(curve: MassCurve, meta: dict | None = None) -> str:
+    return reports.csv_table(MASS_COLUMNS, curve.rows(), meta)

@@ -29,6 +29,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import LinearOperator, cg
 
+from . import reports
 from .errors import DomainError, EmptyRegionWarning, MetricError, SolverError
 from .geometry import Dimension
 
@@ -204,12 +205,16 @@ class FiniteMetricMeasureSpace:
 
     @staticmethod
     def from_doc(doc: dict) -> "FiniteMetricMeasureSpace":
+        if not isinstance(doc, dict):
+            raise DomainError(f"space document must be an object, got {doc!r}")
         unknown = set(doc) - {"points", "edges", "dist"}
         if unknown:
             raise DomainError(f"unknown space keys: {sorted(unknown)}")
         labels, weights, coords = [], [], []
         has_coords = True
-        for p in doc.get("points", []):
+        for k, p in enumerate(doc.get("points", [])):
+            if not isinstance(p, dict) or "label" not in p:
+                raise DomainError(f"point {k} must be an object with a 'label', got {p!r}")
             extra = set(p) - {"label", "xyz", "weight"}
             if extra:
                 raise DomainError(f"unknown point keys: {sorted(extra)}")
@@ -219,10 +224,16 @@ class FiniteMetricMeasureSpace:
                 has_coords = False
             else:
                 coords.append([float(v) for v in p["xyz"]])
-        index = {lab: k for k, lab in enumerate(labels)}
+        index = {str(lab): k for k, lab in enumerate(labels)}  # labels are strings, as in __init__
         edges, cond = [], []
-        for a, b, c in doc.get("edges", []):
-            edges.append((index[a], index[b]))
+        for k, edge in enumerate(doc.get("edges", [])):
+            if not isinstance(edge, list) or len(edge) != 3:
+                raise DomainError(f"edge {k} must be [label, label, conductance], got {edge!r}")
+            a, b, c = edge
+            for end in (a, b):
+                if str(end) not in index:
+                    raise DomainError(f"edge {k} names unknown point {end!r}")
+            edges.append((index[str(a)], index[str(b)]))
             cond.append(float(c))
         dist = doc.get("dist")
         return FiniteMetricMeasureSpace(
@@ -404,9 +415,9 @@ def union_spaces(
 ) -> FiniteMetricMeasureSpace:
     """Disjoint union; ambient R^3 supplies the metric, sheets keep their edges.
 
-    Optional inter-sheet edges are (label_in_a, label_in_b, conductance)
-    triples; without them the Dirichlet form stays blockwise even though the
-    sheets may be arbitrarily close in R^3.
+    Optional inter-sheet edges are (point_in_a, point_in_b, conductance)
+    triples of labels or integer indices; without them the Dirichlet form
+    stays blockwise even though the sheets may be arbitrarily close in R^3.
     """
     if a.n == 0:
         return b
@@ -428,19 +439,14 @@ def union_spaces(
     edges = np.vstack([a.edges.reshape(-1, 2), b.edges.reshape(-1, 2) + off])
     cond = np.concatenate([a.conductance, b.conductance])
     if inter_sheet_edges:
-        extra, extra_c = [], []
-        for la, lb, c in inter_sheet_edges:
-            extra.append((a.index(str(la)), off + b.index(str(lb))))
-            extra_c.append(float(c))
-        edges = np.vstack([edges, np.asarray(extra, dtype=int)])
+        ends_a, ends_b, extra_c = zip(*inter_sheet_edges)
+        extra = np.column_stack([a.indices(np.asarray(ends_a)), off + b.indices(np.asarray(ends_b))])
+        edges = np.vstack([edges, extra])
         cond = np.concatenate([cond, np.asarray(extra_c, dtype=float)])
     return FiniteMetricMeasureSpace(labels, weight, coords=coords, edges=edges, conductance=cond)
 
 
 def capacity_csv(rows, rim_radius: float | None) -> str:
     """Capacity report rows as CSV with columns label,raw_energy,capacity,rim_radius."""
-    rim = "" if rim_radius is None else repr(float(rim_radius))
-    lines = ["label,raw_energy,capacity,rim_radius"]
-    for label, raw, cap in rows:
-        lines.append(f"{label},{raw!r},{cap!r},{rim}")
-    return "\n".join(lines) + "\n"
+    rim = None if rim_radius is None else float(rim_radius)
+    return reports.csv_table(["label", "raw_energy", "capacity", "rim_radius"], [(*row, rim) for row in rows])

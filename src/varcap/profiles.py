@@ -466,13 +466,15 @@ class WarpProfile:
 
     @staticmethod
     def from_doc(doc: dict) -> "WarpProfile":
+        if not isinstance(doc, dict):
+            raise ProfileError(f"profile document must be an object, got {doc!r}")
         allowed = {"dimension", "pole_at_origin", "pieces"}
         unknown = set(doc) - allowed
         if unknown:
             raise ProfileError(f"unknown profile keys: {sorted(unknown)}")
         if "dimension" not in doc or "pieces" not in doc:
             raise ProfileError("profile document needs 'dimension' and 'pieces'")
-        dim = Dimension(int(doc["dimension"]))
+        dim = Dimension(doc["dimension"])
         segments = []
         for k, piece in enumerate(doc["pieces"]):
             extra = set(piece) - {"kind", "range", "params"}
@@ -481,6 +483,8 @@ class WarpProfile:
             kind = piece.get("kind")
             if kind not in _SEGMENT_KINDS:
                 raise ProfileError(f"piece {k}: unknown kind {kind!r} (valid: {sorted(_SEGMENT_KINDS)})")
+            if not isinstance(piece.get("range"), list) or len(piece["range"]) != 2:
+                raise ProfileError(f"piece {k}: range must be [lo, hi], got {piece.get('range')!r}")
             lo, hi = piece["range"]
             hi = INF if hi is None else float(hi)
             params = dict(piece.get("params", {}))

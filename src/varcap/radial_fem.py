@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import solveh_banded
 
+from . import reports
 from .errors import DomainError, InconsistencyError, PreconditionError, SingularWeightError
 from .warped import RadialCondenser
 
@@ -51,12 +52,13 @@ class RadialGrid:
         if h0 <= 0 or L <= s0:
             raise DomainError("need h0 > 0 and L > s0")
         span = L - s0
-        sizes = [h0]
-        while sum(sizes) < span:
+        sizes, total = [h0], h0  # total adds left to right, as sum(sizes) does
+        while total < span:
             sizes.append(sizes[-1] * ratio)
+            total += sizes[-1]
         if len(sizes) < 2:
-            sizes = [span / 2.0, span / 2.0]
-        h = np.array(sizes) * (span / sum(sizes))
+            sizes, total = [span / 2.0, span / 2.0], span
+        h = np.array(sizes) * (span / total)
         nodes = s0 + np.concatenate(([0.0], np.cumsum(h)))
         nodes[-1] = L
         return RadialGrid(nodes, f"geometric({ratio})")
@@ -114,38 +116,31 @@ def _element_conductances(condenser: RadialCondenser, grid: RadialGrid) -> np.nd
     return w / np.diff(nodes)
 
 
-def _minimize_chain(cond: np.ndarray, fixed: dict[int, float]) -> np.ndarray:
-    """Minimize sum_k cond_k (u_{k+1}-u_k)^2 subject to fixed node values.
+def _minimize_chain(cond: np.ndarray, k: int) -> np.ndarray:
+    """Minimize sum_j cond_j (u_{j+1}-u_j)^2 with u_k = 1 and u_N = 0 (k < N).
 
-    Unconstrained nodes satisfy the three-point harmonic equation; the
-    resulting SPD tridiagonal system is solved with a banded Cholesky.
+    The free nodes left of k and those between k and N satisfy the
+    three-point harmonic equation; the two blocks form one SPD tridiagonal
+    system (its super-diagonal is zero where they meet), solved with a
+    banded Cholesky.
     """
-    n = cond.size + 1
-    u = np.zeros(n)
-    free = np.array([k for k in range(n) if k not in fixed], dtype=int)
-    for k, v in fixed.items():
-        u[k] = v
-    if free.size == 0:
-        return u
-    diag = np.zeros(n)
+    n = cond.size
+    if not 0 <= k < n:
+        raise DomainError(f"clamped node {k} must lie left of the grounded end {n}")
+    diag = np.zeros(n + 1)
     diag[:-1] += cond
     diag[1:] += cond
-    pos = -np.ones(n, dtype=int)
-    pos[free] = np.arange(free.size)
-    ab = np.zeros((2, free.size))
-    ab[1] = diag[free]
-    rhs = np.zeros(free.size)
-    for k in range(n - 1):
-        i, j, c = k, k + 1, cond[k]
-        pi, pj = pos[i], pos[j]
-        if pi >= 0 and pj >= 0:
-            ab[0, pj] = -c  # super-diagonal entry (free nodes are consecutive per element)
-        elif pi >= 0:
-            rhs[pi] += c * u[j]
-        elif pj >= 0:
-            rhs[pj] += c * u[i]
-    u[free] = solveh_banded(ab, rhs)
-    return u
+    ab = np.zeros((2, n - 1))
+    ab[0, 1:k] = -cond[: max(k - 1, 0)]
+    ab[0, k + 1 :] = -cond[k + 1 : n - 1]
+    ab[1] = np.concatenate([diag[:k], diag[k + 1 : n]])
+    # free slots are node j at j (j < k) and at j - 1 (k < j < N), so the
+    # clamped node's free neighbours k - 1 and k + 1 sit at slots k - 1 and k
+    lo, hi = max(k - 1, 0), min(k + 1, n - 1)
+    rhs = np.zeros(n - 1)
+    rhs[lo:hi] = cond[lo:hi]
+    x = solveh_banded(ab, rhs)
+    return np.concatenate([x[:k], [1.0], x[k:], [0.0]])
 
 
 def solve_radial(condenser: RadialCondenser, grid: RadialGrid) -> FemSolution:
@@ -157,7 +152,7 @@ def solve_radial(condenser: RadialCondenser, grid: RadialGrid) -> FemSolution:
     if abs(grid.s0 - condenser.s0) > 1e-12 * max(1.0, abs(condenser.s0)):
         raise DomainError(f"grid must start at s0={condenser.s0}, starts at {grid.s0}")
     cond = _element_conductances(condenser, grid)
-    u = _minimize_chain(cond, {0: 1.0, grid.n_elements: 0.0})
+    u = _minimize_chain(cond, 0)
     omega = condenser.profile.dim.omega
     energy = omega * float(np.sum(cond * np.diff(u) ** 2))
     if condenser.ends == "two_symmetric":
@@ -175,7 +170,7 @@ def plateau_energy(condenser: RadialCondenser, grid: RadialGrid, anchor: float) 
     """
     cond = _element_conductances(condenser, grid)
     k = int(np.argmin(np.abs(grid.nodes - anchor)))
-    u = _minimize_chain(cond, {k: 1.0, grid.n_elements: 0.0})
+    u = _minimize_chain(cond, k)
     omega = condenser.profile.dim.omega
     left = omega * float(np.sum(cond[:k] * np.diff(u[: k + 1]) ** 2))
     return left, u
@@ -279,7 +274,4 @@ def capacity_estimate(
 
 def fem_csv(rows: Sequence[tuple[float, float, float, float]]) -> str:
     """Convergence table as CSV with columns L,h,cap,energy."""
-    lines = ["L,h,cap,energy"]
-    for L, h, cap, energy in rows:
-        lines.append(f"{L!r},{h!r},{cap!r},{energy!r}")
-    return "\n".join(lines) + "\n"
+    return reports.csv_table(["L", "h", "cap", "energy"], rows)

@@ -110,41 +110,21 @@ class SequenceExperiment:
 
 def experiment_csv(exp: SequenceExperiment, meta: dict | None = None) -> str:
     """Per-index rows plus the limit/limsup/verdict footer block."""
-    header = dict(meta or {})
-    header.setdefault("experiment", exp.name)
-    for key, val in sorted(exp.metadata.items()):
-        header.setdefault(key, val)
-    lines = reports.comment_header(header)
-    lines.append("i,capacity,region_measure")
-    measures = exp.measures if exp.measures is not None else [None] * len(exp.i_list)
-    for i, cap, mu in zip(exp.i_list, exp.capacities, measures):
-        lines.append(f"{i},{reports.fmt(cap)},{reports.fmt(mu)}")
-    lines.append("limit_capacity,limsup_estimate,verdict")
-    lines.append(
-        f"{reports.fmt(exp.limit_capacity)},{reports.fmt(exp.verdict.limsup_estimate)},"
-        f"{exp.verdict.classification}"
-    )
-    return "\n".join(lines) + "\n"
+    return experiment_csv_from_payload(exp.to_payload(), meta)
 
 
 def experiment_csv_from_payload(payload: dict, meta: dict | None = None) -> str:
-    """Regenerate the CSV from a parsed JSON report (round-trip support)."""
-    verdict = Verdict(
-        payload["limsup_estimate"], payload["limit_capacity"], payload["tolerance"], payload["verdict"]
-    )
-    regions = payload.get("regions")
-    exp = SequenceExperiment(
-        name=payload["experiment"],
-        i_list=tuple(payload["i"]),
-        capacities=tuple(payload["capacity"]),
-        limit_capacity=payload["limit_capacity"],
-        verdict=verdict,
-        measures=None if payload.get("region_measure") is None else tuple(payload["region_measure"]),
-        limit_measure=payload.get("limit_measure"),
-        regions=None if regions is None else tuple(tuple(r) for r in regions),
-        metadata=dict(payload.get("metadata", {})),
-    )
-    return experiment_csv(exp, meta)
+    """The CSV of an experiment payload, as built by `to_payload` or parsed
+    back from a JSON report."""
+    header = dict(meta or {})
+    header.setdefault("experiment", payload["experiment"])
+    for key, val in sorted(payload["metadata"].items()):
+        header.setdefault(key, val)
+    measures = payload["region_measure"] or [None] * len(payload["i"])
+    rows = list(zip(payload["i"], payload["capacity"], measures))
+    footer = [(payload["limit_capacity"], payload["limsup_estimate"], payload["verdict"])]
+    table = reports.csv_table(["i", "capacity", "region_measure"], rows, header)
+    return table + reports.csv_table(["limit_capacity", "limsup_estimate", "verdict"], footer)
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +306,7 @@ def two_sheet_space(
     r_sheet = _radius(sheet)
     inter = None
     if strip_conductance is not None:
-        rims = disk.labels_at([np.argmax(_radius(disk))]) + sheet.labels_at([np.argmin(r_sheet)])
-        inter = [(*rims, strip_conductance)]
+        inter = [(np.argmax(_radius(disk)), np.argmin(r_sheet), strip_conductance)]
     space = union_spaces(disk, sheet, inter)
     return space, np.arange(disk.n), disk.n + np.flatnonzero(r_sheet >= rim_radius - _PAD)
 
@@ -448,11 +427,3 @@ def fit_power_law(i_list: Sequence[float], values: Sequence[float]) -> float:
         raise DomainError("power-law fit needs positive indices and values")
     slope = np.polyfit(np.log(i_arr), np.log(v), 1)[0]
     return float(-slope)
-
-
-RUNNERS = {
-    "ex1": run_example1,
-    "ex2": run_example2,
-    "ex3": run_example3,
-    "ex4": run_example4,
-}

@@ -9,9 +9,12 @@ random feasible extensions built greedily from interval bounds.
 import math
 
 import numpy as np
+from scipy.linalg import solveh_banded
 from scipy.sparse.csgraph import shortest_path
 
+from varcap.mass import MassCurve, _geometry_at
 from varcap.mms import FiniteMetricMeasureSpace
+from varcap.warped import RadialCondenser, radial_capacity
 
 
 def dense_graph_energy(space, inner_labels, outer_labels):
@@ -184,3 +187,84 @@ def radial_label_filter(space, rmin, rmax, prefix=None):
     mask = (r >= rmin) & (r <= rmax)
     picked = [lab for lab, keep in zip(space.labels, mask) if keep]
     return tuple(lab for lab in picked if prefix is None or lab.startswith(prefix + ":"))
+
+
+def dict_minimize_chain(cond, fixed):
+    """Reference chain minimizer: fixed node values from a dict, banded system
+    and right-hand side assembled by a loop over elements."""
+    n = cond.size + 1
+    u = np.zeros(n)
+    free = np.array([k for k in range(n) if k not in fixed], dtype=int)
+    for k, v in fixed.items():
+        u[k] = v
+    if free.size == 0:
+        return u
+    diag = np.zeros(n)
+    diag[:-1] += cond
+    diag[1:] += cond
+    pos = -np.ones(n, dtype=int)
+    pos[free] = np.arange(free.size)
+    ab = np.zeros((2, free.size))
+    ab[1] = diag[free]
+    rhs = np.zeros(free.size)
+    for k in range(n - 1):
+        i, j, c = k, k + 1, cond[k]
+        pi, pj = pos[i], pos[j]
+        if pi >= 0 and pj >= 0:
+            ab[0, pj] = -c
+        elif pi >= 0:
+            rhs[pi] += c * u[j]
+        elif pj >= 0:
+            rhs[pj] += c * u[i]
+    u[free] = solveh_banded(ab, rhs)
+    return u
+
+
+def resumming_geometric_nodes(s0, L, h0, ratio):
+    """Reference geometric grid nodes: the element sizes are re-summed on
+    every step."""
+    span = L - s0
+    sizes = [h0]
+    while sum(sizes) < span:
+        sizes.append(sizes[-1] * ratio)
+    if len(sizes) < 2:
+        sizes = [span / 2.0, span / 2.0]
+    h = np.array(sizes) * (span / sum(sizes))
+    nodes = s0 + np.concatenate(([0.0], np.cumsum(h)))
+    nodes[-1] = L
+    return nodes
+
+
+def _default_capacity_fn(af):
+    return lambda R: radial_capacity(RadialCondenser(af.profile, R))
+
+
+def separate_iso_mass_curve(af, radii):
+    """Reference m_iso: its own statement of the formula."""
+    V, A = _geometry_at(af, radii)
+    return (2.0 / A) * (V - A**1.5 / (6.0 * math.sqrt(math.pi)))
+
+
+def separate_cv_mass_curve(af, radii, capacity_fn=None, alternative=False):
+    """Reference m_cv and m_cv_alt: their own statement of the formulas."""
+    capacity_fn = capacity_fn or _default_capacity_fn(af)
+    V, _ = _geometry_at(af, radii)
+    cap = np.array([capacity_fn(R) for R in radii], dtype=float)
+    assert np.all(cap > 0.0)
+    if alternative:
+        return (V / (4.0 * math.pi)) ** (1.0 / 3.0) - cap
+    return (V - (4.0 * math.pi / 3.0) * cap**3) / (4.0 * math.pi * cap**2)
+
+
+def separate_mass_curve(af, radii, capacity_fn=None):
+    """Reference mass curve with every formula stated inline."""
+    radii = tuple(float(R) for R in radii)
+    capacity_fn = capacity_fn or _default_capacity_fn(af)
+    V, A = _geometry_at(af, radii)
+    cap = np.array([capacity_fn(R) for R in radii], dtype=float)
+    assert np.all(cap > 0.0)
+    m_iso = (2.0 / A) * (V - A**1.5 / (6.0 * math.sqrt(math.pi)))
+    m_cv = (V - (4.0 * math.pi / 3.0) * cap**3) / (4.0 * math.pi * cap**2)
+    m_alt = (V / (4.0 * math.pi)) ** (1.0 / 3.0) - cap
+    columns = (A, V, cap, m_iso, m_cv, m_alt)
+    return MassCurve(radii, *(tuple(c.tolist()) for c in columns))

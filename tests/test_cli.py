@@ -1,8 +1,12 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varcap.cli import main, parse_config
 from varcap.errors import ConfigError
@@ -76,9 +80,124 @@ def test_nan_coordinate_graph_document_gives_no_capacity(tmp_path, capsys):
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(doc))  # NaN is written as the JSON extension literal
     out = tmp_path / "graph.csv"
-    assert main(["capacity-graph", "--input", str(path), "--out", str(out)]) == 1
+    assert main(["capacity-graph", "--input", str(path), "--out", str(out)]) == 2
     assert "finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _radial_doc(**changes):
+    return {"profile": euclidean_profile(3).to_doc(), "s0": 1.0, **changes}
+
+
+def _graph_doc(**changes):
+    sheet = build_planar_sheet((-1, 1, -1, 1), 0.5, label_prefix="p")
+    return {"space": sheet.to_doc(), "inner": ["p:0_0"], "outer": ["p:2_2"], "m": 2, **changes}
+
+
+def _graph_doc_with_edge(edge):
+    doc = _graph_doc()
+    doc["space"]["edges"][3] = edge
+    return doc
+
+
+def _mass_doc(**changes):
+    return {"profile": schwarzschild_profile(1.0).to_doc(), "radii": [10.0, 20.0, 40.0, 80.0], **changes}
+
+
+_UNKNOWN_PIECE = {"dimension": 3, "pieces": [{"kind": "cubic", "range": [0.0, None], "params": {}}]}
+
+MALFORMED = [
+    (["capacity-radial"], _radial_doc(levels=2.5), "input.levels"),
+    (["capacity-radial"], _radial_doc(levels="2"), "input.levels"),
+    (["capacity-radial"], _radial_doc(L_values="abc"), "input.L_values"),
+    (["capacity-radial"], _radial_doc(ends="three"), "input.ends"),
+    (["capacity-radial"], _radial_doc(s0=math.nan), "input.s0"),
+    (["capacity-radial"], _radial_doc(profile=_UNKNOWN_PIECE), "input.profile"),
+    (["capacity-graph"], _graph_doc(m=2.5), "input.m"),
+    (["capacity-graph"], _graph_doc(m="2"), "input.m"),
+    (["capacity-graph"], _graph_doc(inner="p:0_0"), "input.inner"),
+    (["capacity-graph"], _graph_doc_with_edge(["p:0_0", "p:1_0"]), "input.space is not a valid document: edge 3"),
+    (["capacity-graph"], _graph_doc_with_edge(["p:0_0", "zz", 1.0]), "input.space is not a valid document: edge 3"),
+    (["mass"], _mass_doc(radii="abc"), "input.radii"),
+    (["mass"], _mass_doc(tail_points=2.5), "input.tail_points"),
+    (["experiment", "ex1"], {"m": 3.5}, "input.m"),
+    (["experiment", "ex1"], {"L_values": [100.0, "1000", 10000.0]}, "input.L_values[1]"),
+    (["experiment", "ex3"], {"alphas": "abc"}, "input.alphas"),
+    (["experiment", "ex3"], {"h": 0}, "input.h"),
+    (["experiment", "ex2"], {"L": math.nan}, "input.L"),
+]
+
+
+@pytest.mark.parametrize("command, doc, path", MALFORMED, ids=[case[2] for case in MALFORMED])
+def test_malformed_document_exits_two_naming_its_key(tmp_path, capsys, command, doc, path):
+    inp, out = tmp_path / "input.json", tmp_path / "report.csv"
+    inp.write_text(json.dumps(doc))
+    assert main([*command, "--input", str(inp), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert path in err and err.startswith("configuration error: ")
+    assert not out.exists()
+
+
+def test_every_input_problem_listed_at_once():
+    doc = _radial_doc(levels=2.5, ends="three", s0=math.nan, capcity=1)
+    with pytest.raises(ConfigError) as err:
+        parse_config({"command": "capacity-radial", "input_doc": doc})
+    assert len(err.value.problems) == 4
+
+
+# one valid document per command entry, holding every key the entry declares
+VALID = [
+    (["capacity-radial"], _radial_doc(ends="one", L_values=[100.0, 1000.0, 1e4], levels=2, h0=0.02, ratio=1.05)),
+    (["capacity-graph"], _graph_doc(rim_radius=1.0)),
+    (["mass"], _mass_doc(tail_points=4)),
+    (["experiment", "ex1"], {"i_list": [2, 4, 8], "r": 1.0, "L_values": [100.0, 1000.0, 1e4], "m": 3}),
+    (["experiment", "ex2"], {"i_list": [1, 2, 4], "a": 1.0, "b": 1.0, "m": 3, "L": 1000.0}),
+    (["experiment", "ex3"], {"i_list": [2, 4, 8], "h": 0.1, "rim_radius": 4.0, "strip_conductance": 0.2,
+                             "alphas": [0.0, 0.0, 0.0]}),
+    (["experiment", "ex3"], {"i_list": [2, 4, 8], "alpha_rule_c": 0.5}),
+    (["experiment", "ex4"], {"i_list": [2, 4, 8], "h": 0.1, "rim_radius": 4.0}),
+]
+
+WRONG_TYPED = st.one_of(
+    st.text(max_size=8).filter(lambda t: t not in ("one", "two_symmetric")),
+    st.booleans(),
+    st.just(math.nan),
+    st.lists(st.one_of(st.booleans(), st.dictionaries(st.text(max_size=4), st.integers(), max_size=2)),
+             min_size=1, max_size=3),
+    st.dictionaries(st.text(max_size=10), st.integers(), min_size=1, max_size=3),
+)
+
+
+@pytest.mark.parametrize("command, doc", VALID)
+def test_valid_documents_pass_the_boundary(command, doc):
+    cfg = parse_config({"command": command[0], "input_doc": doc}, *command[1:])
+    assert set(cfg.args) == set(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_wrong_typed_value_under_any_key_exits_two(data):
+    command, doc = data.draw(st.sampled_from(VALID))
+    key = data.draw(st.sampled_from(sorted(doc)))
+    bad = {**doc, key: data.draw(WRONG_TYPED)}
+    with tempfile.TemporaryDirectory() as tmp:
+        inp, out = Path(tmp) / "input.json", Path(tmp) / "report.csv"
+        inp.write_text(json.dumps(bad))
+        assert main([*command, "--input", str(inp), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+def test_tol_on_a_command_without_tolerance_exits_two(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert main(["capacity-radial", "--input", str(radial_input(tmp_path)), "--tol", "1e-8", "--out", str(out)]) == 2
+    assert "--tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tol_sets_each_commands_declared_tolerance():
+    mass = parse_config({"command": "mass", "input_doc": _mass_doc()}, tol_override=1e-8)
+    graph = parse_config({"command": "capacity-graph", "input_doc": _graph_doc()}, tol_override=1e-9)
+    assert (mass.tolerances["quadrature"], graph.tolerances["solver"]) == (1e-8, 1e-9)
 
 
 def test_all_problems_reported_together():

@@ -1,4 +1,4 @@
-"""Smoke runs of the demos that use the public label API."""
+"""Smoke runs of the demos: the public label API and the CSV renderers."""
 
 import os
 import subprocess
@@ -10,7 +10,16 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["02_graph_condensers.py", "03_lipschitz_regions.py"])
+@pytest.mark.parametrize(
+    "demo",
+    [
+        "01_radial_capacity.py",
+        "02_graph_condensers.py",
+        "03_lipschitz_regions.py",
+        "04_semicontinuity_experiments.py",
+        "05_mass_curves.py",
+    ],
+)
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

@@ -1,24 +1,42 @@
 """Byte-level goldens: reports and a serialized lattice pinned by sha256.
 
-The hashes were recorded from the loop-built lattice code, before lattice
-edges were built by index arithmetic and node sets became index arrays.  A
-refactor of the sheet core must keep every byte of these outputs; the
-determinism tests elsewhere only compare a run with itself.
+The experiment hashes for ex3/ex4 and the lattice document were recorded
+from the loop-built lattice code, before lattice edges were built by index
+arithmetic and node sets became index arrays.  The ex1/ex2 hashes and those
+of the small capacity-radial, capacity-graph and mass documents were
+recorded before each command's input conversion and report rendering were
+declared in one table.  A refactor must keep every byte of these outputs;
+the determinism tests elsewhere only compare a run with itself.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from varcap.cli import main
+from varcap.mms import build_planar_sheet
+from varcap.profiles import euclidean_profile, schwarzschild_profile
 from varcap.sequences import limit_plane_condenser
 
 REPORT_SHA256 = {
+    ("ex1", "json"): "05e5adc94492e413a89b1a3df551fca1c39e260afc7ceb7da0a50b4e8bf291de",
+    ("ex1", "csv"): "8fb8b8b0f84caea902f764146067870a5fe4b13f1de8e706e2f2066f94cd2514",
+    ("ex2", "json"): "d09f6c326d0fe891ad1758cb280ab6ddf0be32a9c33ac68e9014e77cec3df04b",
+    ("ex2", "csv"): "4b982f98b811d44e1d496afff54021969c5bbdf6cce39959980e7ae108cdbda1",
     ("ex3", "json"): "766ef258c50fcf2d375b31eb8d76d38f59b1817538279c7e1bd830827d1e7eb1",
     ("ex3", "csv"): "108951d519d95a75a7087df136e929d539f0fb5b887f189cb618e18bc47e4e03",
     ("ex4", "json"): "ecd1f6350c4678b4056cb73bd9a1beef0e68419fef1a7eb8e85e519b6505cefd",
     ("ex4", "csv"): "07f36b913a25bb26f14ddbb131bbbf5b66bc6150ee5cc032e14d8b9f2fe1fcd0",
+}
+COMMAND_SHA256 = {
+    ("capacity-radial", "json"): "90052c34837e74ae1c2b3419f812d8b5a3d095550750c1e574e552cdb81395ec",
+    ("capacity-radial", "csv"): "f15992274a9334bd7a7d252f6f5beec816e41aaac9d00fac812e4edcfb7773de",
+    ("capacity-graph", "json"): "1905bebc3a4d8dcc4a03642c6bde9358a408e4abaa0d8c12d4b9484e1ec40b19",
+    ("capacity-graph", "csv"): "51b783ba6c19ade8115172372b3c34034f23f0585d2009fb923e0636dff7210d",
+    ("mass", "json"): "3ee78cdc778027ce300721ebbab6ff6440af045542756d9c025d8251ae354049",
+    ("mass", "csv"): "678142603ee5f4060172a07256369f77f58cd72411c97927bde5e346bc133881",
 }
 LIMIT_PLANE_DOC_SHA256 = "dcc100e8070e933c3f806a5b89165ca7206fc32a799e33906f38921ede257327"
 
@@ -27,11 +45,37 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _command_doc(command: str) -> dict:
+    """The small input documents of the CLI round-trip test."""
+    if command == "capacity-radial":
+        return {"profile": euclidean_profile(3).to_doc(), "s0": 1.0}
+    if command == "mass":
+        return {"profile": schwarzschild_profile(1.0).to_doc(), "radii": list(np.geomspace(10.0, 200.0, 6))}
+    sheet = build_planar_sheet((-2, 2, -2, 2), 0.5, label_prefix="p")  # 81 nodes
+    r = np.sqrt(sheet.coords[:, 0] ** 2 + sheet.coords[:, 1] ** 2)
+    return {
+        "space": sheet.to_doc(),
+        "inner": [lab for lab, ri in zip(sheet.labels, r) if ri <= 0.5 + 1e-9],
+        "outer": [lab for lab, ri in zip(sheet.labels, r) if ri >= 2.0 - 1e-9],
+        "m": 2,
+        "rim_radius": 2.0,
+    }
+
+
 @pytest.mark.parametrize("example, fmt", sorted(REPORT_SHA256))
 def test_default_experiment_report_bytes(tmp_path, example, fmt):
     out = tmp_path / f"{example}.{fmt}"
     assert main(["experiment", example, "--format", fmt, "--out", str(out)]) == 0
     assert _sha256(out.read_bytes()) == REPORT_SHA256[(example, fmt)]
+
+
+@pytest.mark.parametrize("command, fmt", sorted(COMMAND_SHA256))
+def test_small_command_report_bytes(tmp_path, command, fmt):
+    inp = tmp_path / "input.json"
+    inp.write_text(json.dumps(_command_doc(command)))
+    out = tmp_path / f"report.{fmt}"
+    assert main([command, "--input", str(inp), "--format", fmt, "--out", str(out)]) == 0
+    assert _sha256(out.read_bytes()) == COMMAND_SHA256[(command, fmt)]
 
 
 def test_limit_plane_document_bytes():

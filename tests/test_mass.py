@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import separate_cv_mass_curve, separate_iso_mass_curve, separate_mass_curve
 from varcap.errors import DomainError, NoLimitError, PreconditionError
 from varcap.mass import AFProfile, cv_mass_curve, evaluate_mass_curve, extrapolate_mass, iso_mass_curve, mass_csv
 from varcap.profiles import (
@@ -174,3 +177,23 @@ def test_non_convergent_tail_rejected(flat_af):
 def test_radii_must_increase(flat_af):
     with pytest.raises(DomainError):
         evaluate_mass_curve(flat_af, (2.0, 1.0, 3.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    mass=st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
+    start=st.floats(7.0, 50.0),
+    growth=st.lists(st.floats(1.01, 3.0), min_size=1, max_size=5),
+    scale_cap=st.booleans(),
+)
+def test_mass_formulas_match_separate_oracles(mass, start, growth, scale_cap):
+    profile = euclidean_profile(3) if mass == 0.0 else schwarzschild_profile(mass)
+    af = AFProfile.check(profile)
+    radii = list(start * max(mass, 1.0) * np.cumprod([1.0] + growth))
+    # an injected capacity route must be used as given; None takes the default
+    fn = (lambda R: 0.5 * R) if scale_cap else None
+    assert iso_mass_curve(af, radii).tobytes() == separate_iso_mass_curve(af, radii).tobytes()
+    for alternative in (False, True):
+        got = cv_mass_curve(af, radii, capacity_fn=fn, alternative=alternative)
+        assert got.tobytes() == separate_cv_mass_curve(af, radii, fn, alternative).tobytes()
+    assert evaluate_mass_curve(af, radii, capacity_fn=fn) == separate_mass_curve(af, radii, fn)

@@ -319,6 +319,17 @@ def test_strip_edges_connect_sheets():
     assert cap0 == 0.0
 
 
+def test_inter_sheet_edges_by_index_equal_label_form():
+    disk = build_planar_sheet((-1, 1, -1, 1), 0.5, clip=Disk(0, 0, 1), label_prefix="K")
+    plane = build_planar_sheet((-3, 3, -3, 3), 0.5, hole=Disk(0, 0, 1), z_offset=0.25, label_prefix="S")
+    ties = [(2, 5, 0.125), (np.int64(0), np.int64(7), 0.5)]
+    by_index = union_spaces(disk, plane, ties)
+    assert disk._labels is None and plane._labels is None  # no label was formatted or looked up
+    by_label = union_spaces(disk, plane, [(disk.labels[a], plane.labels[b], c) for a, b, c in ties])
+    assert np.array_equal(by_index.edges, by_label.edges)
+    assert by_index.conductance.tobytes() == by_label.conductance.tobytes()
+
+
 # -- serialization --------------------------------------------------------------------
 
 
@@ -337,3 +348,14 @@ def test_capacity_csv_shape():
     lines = text.strip().split("\n")
     assert lines[0] == "label,raw_energy,capacity,rim_radius"
     assert lines[1].startswith("condenser,1.5,0.25,4.0")
+
+
+@pytest.mark.parametrize(
+    "edge, message",
+    [(["v0", "v1"], "edge 1 must be"), (["v0", "zz", 1.0], "edge 1 names unknown point 'zz'"), ("v0", "edge 1 must be")],
+)
+def test_space_document_edges_rejected_by_name(edge, message):
+    doc = path_space().to_doc()
+    doc["edges"][1] = edge
+    with pytest.raises(DomainError, match=message):
+        FiniteMetricMeasureSpace.from_doc(doc)

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import dict_minimize_chain, resumming_geometric_nodes
 from varcap.errors import DomainError, InconsistencyError, PreconditionError, SingularWeightError
 from varcap.geometry import Dimension
 from varcap.profiles import INF, ConstantSegment, PowerSegment, WarpProfile, euclidean_profile, hyperboloid_profile
 from varcap.radial_fem import (
     RadialGrid,
+    _minimize_chain,
     capacity_estimate,
     default_schedule,
     fem_csv,
@@ -55,6 +59,36 @@ def test_geometric_grid_hits_endpoints():
     assert np.all(np.diff(h) > 0)  # grading grows toward large s
     ratios = h[1:] / h[:-1]
     assert np.allclose(ratios, 1.05, rtol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    s0=st.floats(-5.0, 5.0),
+    span=st.floats(1e-3, 1e4),
+    h0=st.floats(1e-3, 10.0),
+    ratio=st.floats(1.001, 1.5),
+)
+def test_geometric_grid_matches_resumming_oracle(s0, span, h0, ratio):
+    nodes = RadialGrid.geometric(s0, s0 + span, h0, ratio).nodes
+    expected = resumming_geometric_nodes(s0, s0 + span, h0, ratio)
+    assert nodes.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    cond=st.lists(st.floats(1e-6, 1e6), min_size=3, max_size=40).map(np.array),
+    data=st.data(),
+)
+def test_chain_minimizer_matches_dict_oracle(cond, data):
+    k = data.draw(st.integers(0, cond.size - 1))
+    u = _minimize_chain(cond, k)
+    expected = dict_minimize_chain(cond, {k: 1.0, cond.size: 0.0})
+    assert u.tobytes() == expected.tobytes()
+
+
+def test_chain_minimizer_rejects_clamp_at_grounded_end():
+    with pytest.raises(DomainError, match="grounded end"):
+        _minimize_chain(np.ones(4), 4)
 
 
 def test_refined_grid_is_nested():

@@ -7,6 +7,7 @@ import pytest
 from _oracles import radial_label_filter
 from varcap import sequences
 from varcap.errors import DomainError, PreconditionError
+from varcap.mms import Disk, build_planar_sheet, union_spaces
 from varcap.profiles import cylinder_transition_profile
 from varcap.radial_fem import RadialGrid, solve_radial
 from varcap.sequences import (
@@ -139,6 +140,29 @@ def test_ex3_strip_capacities_decay_like_one_over_i():
     expo = fit_power_law(exp.i_list, exp.capacities)
     assert abs(expo - 1.0) <= 0.15
     assert exp.verdict.classification == CONSISTENT_STRICT_JUMP
+
+
+# run_example3(h=0.1, strip_conductance=0.2), recorded when two_sheet_space
+# joined its strip edge by label
+STRIP_EX3_CAPACITIES = (0.013831585764887718, 0.007400273370695394, 0.0038344462596531194)
+
+
+def test_ex3_strip_capacities_unchanged_by_index_join():
+    assert run_example3(h=0.1, strip_conductance=0.2).capacities == STRIP_EX3_CAPACITIES
+
+
+def test_two_sheet_strip_edge_equals_label_form():
+    h, i, rim, c = 0.1, 4, 4.0, 0.05
+    space, _, _ = sequences.two_sheet_space(h, i, rim, strip_conductance=c)
+    disk = sequences._unit_disk(h)
+    sheet = build_planar_sheet(
+        sequences._plane_bounds(rim, h), h, hole=Disk(0.0, 0.0, 1.0), z_offset=1.0 / i, label_prefix="S",
+        offset=sequences.LATTICE_OFFSET,
+    )
+    rims = disk.labels_at([np.argmax(sequences._radius(disk))]) + sheet.labels_at([np.argmin(sequences._radius(sheet))])
+    by_label = union_spaces(disk, sheet, [(*rims, c)])
+    assert np.array_equal(space.edges, by_label.edges)
+    assert space.conductance.tobytes() == by_label.conductance.tobytes()
 
 
 def test_ex3_rejects_coarse_lattice():
