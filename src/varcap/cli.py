@@ -12,14 +12,13 @@ from __future__ import annotations
 import argparse
 import difflib
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 from . import __version__, reports, sequences
-from .errors import ConfigError, VarcapError
+from .errors import ConfigError, VarcapError, is_real
 from .geometry import Dimension
 from .mass import MASS_COLUMNS, AFProfile, evaluate_mass_curve, extrapolate_mass
 from .mms import FiniteMetricMeasureSpace, GraphCondenser, capacity_csv, graph_capacity
@@ -63,10 +62,6 @@ class _Invalid(Exception):
         self.message, self.path = message, path
 
 
-def _finite(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
 def _rule(test, expected: str):
     """Converter passing a value on unchanged when `test(value)` holds."""
 
@@ -86,8 +81,8 @@ def _one_of(*choices: str):
     return _rule(lambda v: isinstance(v, str) and v in choices, f"one of {list(choices)}")
 
 
-_real = _rule(_finite, "a number (finite)")
-_positive = _rule(lambda v: _finite(v) and v > 0, "a number (finite, > 0)")
+_real = _rule(is_real, "a number (finite)")
+_positive = _rule(lambda v: is_real(v) and v > 0, "a number (finite, > 0)")
 _label = _rule(lambda v: isinstance(v, str), "a point label string")
 
 

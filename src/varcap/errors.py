@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the library."""
+"""Exception and warning types shared across the library, and the number
+check the JSON document readers share."""
+
+import math
 
 
 class VarcapError(Exception):
@@ -59,3 +62,15 @@ class ConfigError(VarcapError, ValueError):
 
 class EmptyRegionWarning(UserWarning):
     """A constructed point set came out empty (e.g. a hole swallowed the region)."""
+
+
+def is_real(value) -> bool:
+    """A finite int or float that is not a bool: a number as JSON gives it."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def real(value, where: str, error: type[VarcapError]) -> float:
+    """`value` as a float; raises `error` naming `where` unless it is a finite number."""
+    if not is_real(value):
+        raise error(f"{where} must be a finite number, got {value!r}")
+    return float(value)

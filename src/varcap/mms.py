@@ -25,17 +25,15 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import LinearOperator, cg
 
 from . import reports
-from .errors import DomainError, EmptyRegionWarning, MetricError, SolverError
+from .errors import DomainError, EmptyRegionWarning, MetricError, SolverError, real
 from .geometry import Dimension
 
 _TRIANGLE_TOL = 1e-9
 _METRIC_CHECK_LIMIT = 1500  # full O(n^3) metric validation cap
-_DENSE_SOLVE_LIMIT = 2000  # free-node count below which Cholesky is used
 _CG_RTOL = 1e-12
 
 
@@ -219,11 +217,14 @@ class FiniteMetricMeasureSpace:
             if extra:
                 raise DomainError(f"unknown point keys: {sorted(extra)}")
             labels.append(p["label"])
-            weights.append(float(p.get("weight", 0.0)))
-            if p.get("xyz") is None:
+            weights.append(real(p.get("weight", 0.0), f"point {k} weight", DomainError))
+            xyz = p.get("xyz")
+            if xyz is None:
                 has_coords = False
+            elif not isinstance(xyz, list) or len(xyz) != 3:
+                raise DomainError(f"point {k} xyz must be [x, y, z], got {xyz!r}")
             else:
-                coords.append([float(v) for v in p["xyz"]])
+                coords.append([real(v, f"point {k} xyz", DomainError) for v in xyz])
         index = {str(lab): k for k, lab in enumerate(labels)}  # labels are strings, as in __init__
         edges, cond = [], []
         for k, edge in enumerate(doc.get("edges", [])):
@@ -234,7 +235,7 @@ class FiniteMetricMeasureSpace:
                 if str(end) not in index:
                     raise DomainError(f"edge {k} names unknown point {end!r}")
             edges.append((index[str(a)], index[str(b)]))
-            cond.append(float(c))
+            cond.append(real(c, f"edge {k} conductance", DomainError))
         dist = doc.get("dist")
         return FiniteMetricMeasureSpace(
             labels, weights, coords=np.asarray(coords) if has_coords and labels else None,
@@ -284,52 +285,42 @@ class GraphPotential:
     capacity: float
 
 
-def _solve_spd(A: sparse.csr_matrix, b: np.ndarray, rtol: float) -> np.ndarray:
-    n = A.shape[0]
-    if n == 0:
-        return np.zeros(0)
-    if n < _DENSE_SOLVE_LIMIT:
-        return cho_solve(cho_factor(A.toarray()), b)
-    diag = A.diagonal()
-    M = LinearOperator(A.shape, matvec=lambda x: x / diag)
-    x, info = cg(A, b, rtol=rtol, atol=0.0, maxiter=40 * n, M=M)
-    if info != 0:
-        raise SolverError(f"conjugate gradient failed to converge (info={info})")
-    return x
+def _free_mask(condenser: GraphCondenser) -> np.ndarray:
+    """Mask of the nodes a condenser leaves free: every node outside K and B."""
+    free = np.ones(condenser.space.n, dtype=bool)
+    free[condenser.k_idx] = False
+    free[condenser.b_idx] = False
+    return free
 
 
 def graph_capacity(condenser: GraphCondenser, rtol: float = _CG_RTOL) -> GraphPotential:
     """Harmonic condenser potential and capacity on the edge graph.
 
-    Components meeting both K and B get the unique harmonic minimizer
-    (Jacobi-preconditioned CG at the given relative residual above the dense
-    cutoff, Cholesky below it); components meeting only K sit at 1, all
-    others at 0.  With no K-B path the capacity is exactly zero.
+    Components meeting both K and B get the unique harmonic minimizer, solved
+    by Jacobi-preconditioned CG to relative residual `rtol` whatever the
+    system size; components meeting only K sit at 1, all others at 0.  With
+    no K-B path the capacity is exactly zero.
     """
     space = condenser.space
-    n = space.n
     k_idx, b_idx = condenser.k_idx, condenser.b_idx
+    L = space.laplacian()  # off-diagonal pattern = edge graph; self-loops do not join components
+    _, comp = connected_components(L, directed=False)
+    k_comps, b_comps = np.unique(comp[k_idx]), np.unique(comp[b_idx])
 
-    n_comp, comp = connected_components(space.adjacency(), directed=False)
-    k_comps = set(comp[k_idx].tolist())
-    b_comps = set(comp[b_idx].tolist())
-
-    u = np.zeros(n)
-    u[np.isin(comp, list(k_comps - b_comps))] = 1.0
+    u = np.zeros(space.n)
+    u[np.isin(comp, np.setdiff1d(k_comps, b_comps))] = 1.0
     u[k_idx] = 1.0
-    u[b_idx] = 0.0
 
-    live = k_comps & b_comps
-    if live:
-        fixed = np.zeros(n, dtype=bool)
-        fixed[k_idx] = True
-        fixed[b_idx] = True
-        free = np.where(~fixed & np.isin(comp, list(live)))[0]
-        if free.size:
-            L = space.laplacian()
-            A = L[free][:, free].tocsr()
-            b_vec = -(L[free] @ u - A @ u[free])
-            u[free] = _solve_spd(A, b_vec, rtol)
+    free = np.flatnonzero(_free_mask(condenser) & np.isin(comp, np.intersect1d(k_comps, b_comps)))
+    if free.size:
+        L_free = L[free]
+        A = L_free[:, free]
+        b_vec = -(L_free @ u - A @ u[free])
+        diag = A.diagonal()
+        M = LinearOperator(A.shape, matvec=lambda x: x / diag)
+        u[free], info = cg(A, b_vec, rtol=rtol, atol=0.0, maxiter=40 * free.size, M=M)
+        if info != 0:
+            raise SolverError(f"conjugate gradient failed to converge (info={info})")
 
     du = u[space.edges[:, 0]] - u[space.edges[:, 1]]
     raw_energy = float(np.sum(space.conductance * du * du))
@@ -339,10 +330,7 @@ def graph_capacity(condenser: GraphCondenser, rtol: float = _CG_RTOL) -> GraphPo
 def harmonicity_residual(space: FiniteMetricMeasureSpace, condenser: GraphCondenser, u: np.ndarray) -> float:
     """Max |(L u)_i| over free nodes; zero for an exactly harmonic potential."""
     r = space.laplacian() @ u
-    fixed = np.zeros(space.n, dtype=bool)
-    fixed[condenser.k_idx] = True
-    fixed[condenser.b_idx] = True
-    free = ~fixed
+    free = _free_mask(condenser)
     return float(np.max(np.abs(r[free]))) if np.any(free) else 0.0
 
 

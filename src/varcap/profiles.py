@@ -28,7 +28,7 @@ import numpy as np
 from scipy import integrate
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
-from .errors import DomainError, ProfileError
+from .errors import DomainError, ProfileError, real
 from .geometry import Dimension
 
 INF = math.inf
@@ -50,6 +50,8 @@ class Segment:
     """One piece of a profile on [lo, hi); hi may be inf."""
 
     kind = "abstract"
+    param_names: tuple[str, ...] = ()  # the attributes `params()` writes and `WarpProfile.from_doc` reads
+    optional_params: tuple[str, ...] = ()
 
     def __init__(self, lo: float, hi: float):
         if not (hi > lo):
@@ -93,7 +95,7 @@ class Segment:
     # -- serialization -------------------------------------------------------
 
     def params(self) -> dict:
-        raise NotImplementedError
+        return {name: getattr(self, name) for name in self.param_names}
 
     def to_doc(self) -> dict:
         hi = None if self.hi == INF else self.hi
@@ -104,6 +106,7 @@ class PowerSegment(Segment):
     """f(s) = a * s**p (arclength parametrization)."""
 
     kind = "power"
+    param_names = ("a", "p")
 
     def __init__(self, lo, hi, a: float, p: float):
         super().__init__(lo, hi)
@@ -143,14 +146,12 @@ class PowerSegment(Segment):
         coef = self.a ** (m - 1)
         return self._monomial_integral(a, b, coef, self.p * (m - 1)), 0.0
 
-    def params(self):
-        return {"a": self.a, "p": self.p}
-
 
 class ConstantSegment(Segment):
     """f(s) = c."""
 
     kind = "constant"
+    param_names = ("c",)
 
     def __init__(self, lo, hi, c: float):
         super().__init__(lo, hi)
@@ -170,9 +171,6 @@ class ConstantSegment(Segment):
     def volume_integral(self, a, b, m):
         return self.c ** (m - 1) * (b - a), 0.0
 
-    def params(self):
-        return {"c": self.c}
-
 
 class SplineSegment(Segment):
     """Cubic interpolant through tabulated samples.
@@ -182,6 +180,8 @@ class SplineSegment(Segment):
     """
 
     kind = "spline"
+    param_names = ("x", "y", "dydx")
+    optional_params = ("dydx",)
 
     def __init__(self, x: Sequence[float], y: Sequence[float], dydx: Sequence[float] | None = None):
         x = np.asarray(x, dtype=float)
@@ -221,6 +221,7 @@ class SqrtQuadraticSegment(Segment):
     """f(s) = sqrt(a + b*s^2); hyperboloid-style neck for even profiles."""
 
     kind = "sqrt_quadratic"
+    param_names = ("a", "b")
 
     def __init__(self, lo, hi, a: float, b: float):
         super().__init__(lo, hi)
@@ -250,9 +251,6 @@ class SqrtQuadraticSegment(Segment):
             return self.a * (b - a) + self.b * (b**3 - a**3) / 3.0, 0.0
         return super().volume_integral(a, b, m)
 
-    def params(self):
-        return {"a": self.a, "b": self.b}
-
 
 class SchwarzschildSegment(Segment):
     """Schwarzschild exterior in areal radius: f(R) = R, q(R) = (1-2M/R)^(-1/2).
@@ -263,6 +261,7 @@ class SchwarzschildSegment(Segment):
     """
 
     kind = "schwarzschild"
+    param_names = ("mass",)
 
     def __init__(self, lo, hi, mass: float):
         if mass <= 0:
@@ -314,9 +313,6 @@ class SchwarzschildSegment(Segment):
             return INF, 0.0
         return self._subst_quad(a, b, m - 1.0)
 
-    def params(self):
-        return {"mass": self.mass}
-
 
 _SEGMENT_KINDS = {
     "power": PowerSegment,
@@ -325,6 +321,41 @@ _SEGMENT_KINDS = {
     "sqrt_quadratic": SqrtQuadraticSegment,
     "schwarzschild": SchwarzschildSegment,
 }
+
+
+def _reals(value, where: str) -> list[float]:
+    if not isinstance(value, list):
+        raise ProfileError(f"{where} must be a list of numbers, got {value!r}")
+    return [real(v, f"{where}[{j}]", ProfileError) for j, v in enumerate(value)]
+
+
+def _segment_from_doc(piece, where: str) -> Segment:
+    """One `pieces` entry as a segment; a ProfileError names the offending key under `where`."""
+    if not isinstance(piece, dict):
+        raise ProfileError(f"{where} must be an object, got {piece!r}")
+    extra = set(piece) - {"kind", "range", "params"}
+    if extra:
+        raise ProfileError(f"{where} has unknown keys: {sorted(extra)}")
+    kind = piece.get("kind")
+    if not isinstance(kind, str) or kind not in _SEGMENT_KINDS:
+        raise ProfileError(f"{where}: unknown kind {kind!r} (valid: {sorted(_SEGMENT_KINDS)})")
+    bounds = piece.get("range")
+    if not isinstance(bounds, list) or len(bounds) != 2:
+        raise ProfileError(f"{where}.range must be [lo, hi], got {bounds!r}")
+    lo = real(bounds[0], f"{where}.range[0]", ProfileError)
+    hi = INF if bounds[1] is None else real(bounds[1], f"{where}.range[1]", ProfileError)
+    params = piece.get("params", {})
+    if not isinstance(params, dict):
+        raise ProfileError(f"{where}.params must be an object, got {params!r}")
+    cls = _SEGMENT_KINDS[kind]
+    unknown = sorted(set(params) - set(cls.param_names))
+    missing = [key for key in cls.param_names if key not in params and key not in cls.optional_params]
+    if unknown or missing:
+        raise ProfileError(f"{where}.params of a {kind} piece are {list(cls.param_names)}: "
+                           f"unknown {unknown}, missing {missing}")
+    if cls is SplineSegment:  # its range comes from its sample table
+        return cls(**{key: _reals(val, f"{where}.params.{key}") for key, val in params.items()})
+    return cls(lo, hi, **{key: real(val, f"{where}.params.{key}", ProfileError) for key, val in params.items()})
 
 
 class WarpProfile:
@@ -475,25 +506,13 @@ class WarpProfile:
         if "dimension" not in doc or "pieces" not in doc:
             raise ProfileError("profile document needs 'dimension' and 'pieces'")
         dim = Dimension(doc["dimension"])
-        segments = []
-        for k, piece in enumerate(doc["pieces"]):
-            extra = set(piece) - {"kind", "range", "params"}
-            if extra:
-                raise ProfileError(f"piece {k} has unknown keys: {sorted(extra)}")
-            kind = piece.get("kind")
-            if kind not in _SEGMENT_KINDS:
-                raise ProfileError(f"piece {k}: unknown kind {kind!r} (valid: {sorted(_SEGMENT_KINDS)})")
-            if not isinstance(piece.get("range"), list) or len(piece["range"]) != 2:
-                raise ProfileError(f"piece {k}: range must be [lo, hi], got {piece.get('range')!r}")
-            lo, hi = piece["range"]
-            hi = INF if hi is None else float(hi)
-            params = dict(piece.get("params", {}))
-            cls = _SEGMENT_KINDS[kind]
-            if kind == "spline":
-                segments.append(cls(**params))
-            else:
-                segments.append(cls(float(lo), hi, **params))
-        return WarpProfile(dim, segments, pole_at_origin=bool(doc.get("pole_at_origin", False)))
+        pole = doc.get("pole_at_origin", False)
+        if not isinstance(pole, bool):
+            raise ProfileError(f"pole_at_origin must be true or false, got {pole!r}")
+        if not isinstance(doc["pieces"], list):
+            raise ProfileError(f"pieces must be a list, got {doc['pieces']!r}")
+        segments = [_segment_from_doc(piece, f"pieces[{k}]") for k, piece in enumerate(doc["pieces"])]
+        return WarpProfile(dim, segments, pole_at_origin=pole)
 
     @staticmethod
     def from_json(text: str) -> "WarpProfile":

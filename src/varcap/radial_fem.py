@@ -139,7 +139,9 @@ def _minimize_chain(cond: np.ndarray, k: int) -> np.ndarray:
     lo, hi = max(k - 1, 0), min(k + 1, n - 1)
     rhs = np.zeros(n - 1)
     rhs[lo:hi] = cond[lo:hi]
-    x = solveh_banded(ab, rhs)
+    # a single free node has no super-diagonal: solveh_banded takes its
+    # diagonal alone (a band row wider than the system is rejected)
+    x = solveh_banded(ab if n > 2 else ab[1:], rhs)
     return np.concatenate([x[:k], [1.0], x[k:], [0.0]])
 
 

@@ -9,7 +9,7 @@ random feasible extensions built greedily from interval bounds.
 import math
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg import lstsq, solveh_banded
 from scipy.sparse.csgraph import shortest_path
 
 from varcap.mass import MassCurve, _geometry_at
@@ -45,7 +45,7 @@ def dense_graph_energy(space, inner_labels, outer_labels):
     if np.any(free):
         A = L[np.ix_(free, free)]
         rhs = -L[np.ix_(free, fixed)] @ u[fixed]
-        sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+        sol, *_ = lstsq(A, rhs, lapack_driver="gelsy")  # min-norm, by complete orthogonal factorization
         u[free] = sol
     du = u[space.edges[:, 0]] - u[space.edges[:, 1]]
     return float(np.sum(space.conductance * du * du)), u
@@ -141,6 +141,28 @@ def random_graph_condenser(n, rng, edge_prob=0.7):
     return GraphCondenser(space, inner, outer, Dimension(int(rng.choice([2, 3]))))
 
 
+def random_sparse_condenser(n, rng, decades):
+    """Random sparse conductance graph on n nodes with a few K and B nodes.
+
+    A random tree (node i joins an earlier node) plus n random extra edges,
+    with about 2% of all edges cut so that some components meet only K, only
+    B or neither; conductances are log-uniform over `decades` decades.
+    """
+    from varcap.geometry import Dimension
+    from varcap.mms import GraphCondenser
+
+    tree = np.column_stack([np.arange(1, n), rng.integers(0, np.arange(1, n))])
+    extra = rng.integers(0, n, size=(n, 2))
+    edges = np.vstack([tree, extra[extra[:, 0] != extra[:, 1]]])
+    edges = edges[rng.uniform(size=edges.shape[0]) >= 0.02]
+    space = FiniteMetricMeasureSpace(
+        [f"v{k}" for k in range(n)], np.ones(n), coords=rng.uniform(-1.0, 1.0, size=(n, 3)), edges=edges,
+        conductance=10.0 ** rng.uniform(-decades / 2, decades / 2, size=edges.shape[0]),
+    )
+    held = rng.permutation(n)[: max(2, n // 40)]
+    return GraphCondenser(space, held[: held.size // 2], held[held.size // 2 :], Dimension(2))
+
+
 def loop_planar_sheet(bounds, h, hole=None, z_offset=0.0, clip=None, label_prefix="p", offset=0.0):
     """Reference lattice sheet: nodes sorted by cell, edges from a cell dict.
 
@@ -217,6 +239,22 @@ def dict_minimize_chain(cond, fixed):
         elif pj >= 0:
             rhs[pj] += c * u[i]
     u[free] = solveh_banded(ab, rhs)
+    return u
+
+
+def dense_minimize_chain(cond, k):
+    """Reference chain minimizer: u_k = 1, u_N = 0, and a dense numpy solve of
+    the free nodes' harmonic equations."""
+    n = cond.size + 1
+    j = np.arange(cond.size)
+    L = np.zeros((n, n))
+    np.add.at(L, (j, j), cond)
+    np.add.at(L, (j + 1, j + 1), cond)
+    L[j, j + 1] = L[j + 1, j] = -cond
+    u = np.zeros(n)
+    u[k] = 1.0
+    free = np.setdiff1d(np.arange(n), [k, n - 1])
+    u[free] = np.linalg.solve(L[np.ix_(free, free)], -L[free, k])
     return u
 
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import varcap
+from test_golden import _command_doc
 from varcap.cli import main, parse_config
 from varcap.errors import ConfigError
 from varcap.mms import build_planar_sheet
@@ -100,6 +105,22 @@ def _graph_doc_with_edge(edge):
     return doc
 
 
+def _graph_doc_with_point(**changes):
+    doc = _graph_doc()
+    doc["space"]["points"][2].update(changes)
+    return doc
+
+
+def _profile_doc(**changes):
+    return {**euclidean_profile(3).to_doc(), **changes}
+
+
+def _power_piece(**changes):
+    """The Euclidean profile document with its one power piece changed."""
+    piece = {"kind": "power", "range": [0.0, None], "params": {"a": 1.0, "p": 1.0}, **changes}
+    return _profile_doc(pieces=[piece])
+
+
 def _mass_doc(**changes):
     return {"profile": schwarzschild_profile(1.0).to_doc(), "radii": [10.0, 20.0, 40.0, 80.0], **changes}
 
@@ -118,6 +139,18 @@ MALFORMED = [
     (["capacity-graph"], _graph_doc(inner="p:0_0"), "input.inner"),
     (["capacity-graph"], _graph_doc_with_edge(["p:0_0", "p:1_0"]), "input.space is not a valid document: edge 3"),
     (["capacity-graph"], _graph_doc_with_edge(["p:0_0", "zz", 1.0]), "input.space is not a valid document: edge 3"),
+    (["capacity-graph"], _graph_doc_with_edge(["p:0_0", "p:1_0", "2"]), "document: edge 3 conductance"),
+    (["capacity-graph"], _graph_doc_with_edge(["p:0_0", "p:1_0", True]), "document: edge 3 conductance"),
+    (["capacity-graph"], _graph_doc_with_point(weight=True), "document: point 2 weight"),
+    (["capacity-graph"], _graph_doc_with_point(weight="2"), "document: point 2 weight"),
+    (["capacity-graph"], _graph_doc_with_point(xyz=["0", "0", "0"]), "document: point 2 xyz"),
+    (["capacity-graph"], _graph_doc_with_point(xyz=[0.0, 0.0]), "document: point 2 xyz must be [x, y, z]"),
+    (["capacity-radial"], _radial_doc(profile=_power_piece(params={"a": True, "p": 1.0})), "pieces[0].params.a"),
+    (["capacity-radial"], _radial_doc(profile=_power_piece(params={"a": "1", "p": 1.0})), "pieces[0].params.a"),
+    (["capacity-radial"], _radial_doc(profile=_power_piece(params={"a": 1.0})), "pieces[0].params"),
+    (["capacity-radial"], _radial_doc(profile=_power_piece(range=["0", None])), "pieces[0].range[0]"),
+    (["capacity-radial"], _radial_doc(profile=_profile_doc(pole_at_origin="no")), "document: pole_at_origin"),
+    (["capacity-radial"], _radial_doc(profile=_profile_doc(pieces=["power"])), "pieces[0] must be an object"),
     (["mass"], _mass_doc(radii="abc"), "input.radii"),
     (["mass"], _mass_doc(tail_points=2.5), "input.tail_points"),
     (["experiment", "ex1"], {"m": 3.5}, "input.m"),
@@ -136,6 +169,14 @@ def test_malformed_document_exits_two_naming_its_key(tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert path in err and err.startswith("configuration error: ")
     assert not out.exists()
+
+
+def test_two_element_grid_document_exits_zero(tmp_path):
+    # h0 = 60 makes the first grid (L = 100) two elements long: one free node
+    inp, out = tmp_path / "input.json", tmp_path / "report.csv"
+    inp.write_text(json.dumps(_radial_doc(s0=1, h0=60)))
+    assert main(["capacity-radial", "--input", str(inp), "--out", str(out)]) == 0
+    assert "# cap=" in out.read_text()
 
 
 def test_every_input_problem_listed_at_once():
@@ -198,6 +239,17 @@ def test_tol_sets_each_commands_declared_tolerance():
     mass = parse_config({"command": "mass", "input_doc": _mass_doc()}, tol_override=1e-8)
     graph = parse_config({"command": "capacity-graph", "input_doc": _graph_doc()}, tol_override=1e-9)
     assert (mass.tolerances["quadrature"], graph.tolerances["solver"]) == (1e-8, 1e-9)
+
+
+def test_tol_governs_small_graph_solves(tmp_path):
+    inp, out = tmp_path / "input.json", tmp_path / "report.json"
+    inp.write_text(json.dumps(_command_doc("capacity-graph")))  # 81 nodes
+    energies = []
+    for tol in ([], ["--tol", "1e-3"]):
+        assert main(["capacity-graph", "--input", str(inp), "--format", "json", "--out", str(out), *tol]) == 0
+        energies.append(json.loads(out.read_text())["rows"][0][1])
+    assert energies[1] != energies[0]
+    assert energies[1] == pytest.approx(energies[0], rel=1e-3)
 
 
 def test_all_problems_reported_together():
@@ -359,6 +411,22 @@ def test_deterministic_reports(tmp_path):
     assert main(["experiment", "ex2", "--out", str(a)]) == 0
     assert main(["experiment", "ex2", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_module_runs_as_a_process(tmp_path):
+    src = str(Path(varcap.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_radial_doc(levels=2.5)))
+    runs = [
+        subprocess.run([sys.executable, "-m", "varcap.cli", "capacity-radial", "--input", str(path)],
+                       capture_output=True, text=True, env=env, timeout=120)
+        for path in (radial_input(tmp_path), bad)
+    ]
+    ok, refused = runs
+    assert ok.returncode == 0 and "# provenance=fem" in ok.stdout
+    assert refused.returncode == 2 and refused.stdout == ""
+    assert refused.stderr.startswith("configuration error: ")
 
 
 def test_console_entry_point(tmp_path):

@@ -2,10 +2,16 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import dense_graph_energy, loop_planar_sheet, random_graph_condenser, random_matrix_space
+from _oracles import (
+    dense_graph_energy,
+    loop_planar_sheet,
+    random_graph_condenser,
+    random_matrix_space,
+    random_sparse_condenser,
+)
 from varcap.errors import DomainError, EmptyRegionWarning, MetricError
 from varcap.geometry import Dimension
 from varcap.mms import (
@@ -118,6 +124,19 @@ def test_brute_force_equivalence_small_graphs():
         assert pot.capacity == pytest.approx(oracle_energy / cond.dim.gamma, rel=1e-12, abs=1e-14)
         dim_gamma_checked = True
     assert dim_gamma_checked
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n=st.floats(np.log(4), np.log(800)).map(lambda x: int(np.exp(x))),
+    decades=st.floats(0.0, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=2050, decades=6.0, seed=1)  # 1,996 free nodes: the top of the size range covered here
+def test_sparse_solve_matches_dense_oracle(n, decades, seed):
+    cond = random_sparse_condenser(n, np.random.default_rng(seed), decades)
+    oracle, _ = dense_graph_energy(cond.space, cond.inner, cond.outer)
+    assert graph_capacity(cond).raw_energy == pytest.approx(oracle, rel=1e-10, abs=1e-10)
 
 
 def test_monotone_in_inner_set():
@@ -252,6 +271,17 @@ def test_annulus_capacity_converges(planar_study):
     errors = planar_study["errors"]
     assert all(b < a for a, b in zip(errors, errors[1:]))
     assert planar_study["order"] >= 0.9
+
+
+# capacities of the h = 0.1, 0.05, 0.025, 0.0125 rungs at the seed commit,
+# the values the benchmark's planar-ladder gate holds
+LADDER_CAPS = (0.6993664837923906, 0.7109868114124256, 0.715148787026472, 0.7184070064845837)
+
+
+def test_planar_ladder_rungs_pinned(planar_study):
+    assert planar_study["h"] == (0.1, 0.05, 0.025, 0.0125)
+    for cap, want in zip(planar_study["caps"], LADDER_CAPS):
+        assert cap == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 def test_union_disjoint_sheets():

@@ -287,8 +287,9 @@ def test_reports_are_deterministic():
 
 
 def test_reports_deterministic_through_iterative_solver():
-    # ex4 exercises the conjugate-gradient path; identical configs must still
-    # produce bit-identical reports
+    # ex4 solves lattices of thousands of unknowns by conjugate gradients, as
+    # every graph solve now is; identical configs must still produce
+    # bit-identical reports
     a = experiment_csv(run_example4(h=0.1, i_list=(2, 4, 8)))
     b = experiment_csv(run_example4(h=0.1, i_list=(2, 4, 8)))
     assert a == b
