@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import inspect
 import json
 import sys
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__, reports, sequences
-from .errors import ConfigError, VarcapError, is_real
+from .errors import ConfigError, DomainError, VarcapError, is_real
 from .geometry import Dimension
 from .mass import MASS_COLUMNS, AFProfile, evaluate_mass_curve, extrapolate_mass
 from .mms import FiniteMetricMeasureSpace, GraphCondenser, capacity_csv, graph_capacity
@@ -186,24 +187,31 @@ class Command:
     run: Callable[..., dict]  # converted keys -> payload
     csv: Callable[[dict, dict], str]  # (payload, header) -> CSV report
     required: tuple = ()  # keys the input document must give
+    rule: Callable[..., None] | None = None  # the runner's own check of keys tied together; raises DomainError
+    tied: dict = field(default_factory=dict)  # the keys `rule` takes -> the runner's default for each
 
 
-def _experiment(runner: str, **keys) -> Command:
+def _experiment(runner: str, rule=None, **keys) -> Command:
     """An experiment entry; its runner in `sequences` is looked up at call
-    time, so a wrapper put around it (a profiler, a test double) sees the call."""
+    time, so a wrapper put around it (a profiler, a test double) sees the call.
+    `rule` is a check the runner itself makes, run here on the converted keys."""
+    defaults = inspect.signature(getattr(sequences, runner)).parameters
     return Command(
         keys={"i_list": _list_of(_integer(1)), **keys},
         tolerance="verdict",
         run=lambda **args: getattr(sequences, runner)(**args).to_payload(),
         csv=sequences.experiment_csv_from_payload,
+        rule=rule,
+        tied={} if rule is None else {key: defaults[key].default for key in inspect.signature(rule).parameters},
     )
 
 
 _PROFILE = _document(WarpProfile)
 
-# Converters check one key each; rules that tie keys to each other or to the
-# library's numerical limits (r < min i, h <= 0.1, increasing radii) stay in
-# the library and surface as computation errors.
+# Converters check one key each.  An experiment's rule ties keys together
+# (r < min i, one threshold per index) by calling the runner's own check.
+# Other rules, such as the library's numerical limits (h <= 0.1, increasing
+# radii), stay in the library and surface as computation errors.
 COMMANDS = {
     "capacity-radial": Command(
         keys={
@@ -233,11 +241,13 @@ COMMANDS = {
         run=_capacity_graph,
         csv=_table(lambda p: capacity_csv(p["rows"], p["rim_radius"]), "provenance"),
     ),
-    "experiment ex1": _experiment("run_example1", r=_positive, L_values=_list_of(_real), m=_integer(2)),
+    "experiment ex1": _experiment(
+        "run_example1", sequences._check_ball, r=_positive, L_values=_list_of(_real), m=_integer(2)
+    ),
     "experiment ex2": _experiment("run_example2", a=_real, b=_real, m=_integer(2), L=_real),
     "experiment ex3": _experiment(
-        "run_example3", h=_positive, rim_radius=_positive, strip_conductance=_positive, alphas=_list_of(_real),
-        alpha_rule_c=_real,
+        "run_example3", sequences._check_family, h=_positive, rim_radius=_positive, strip_conductance=_positive,
+        alphas=_list_of(_real), alpha_rule_c=_real,
     ),
     "experiment ex4": _experiment("run_example4", h=_positive, rim_radius=_positive),
     "mass": Command(
@@ -300,6 +310,7 @@ def parse_config(
         problems.append(
             f"unknown command {command!r} (closest valid: {_closest(str(command), SUBCOMMANDS)!r})"
         )
+        command = None
 
     fmt = _convert(_one_of("csv", "json"), document.get("format", "csv"), "format", problems)
 
@@ -348,6 +359,11 @@ def parse_config(
         for key, convert in spec.keys.items():
             if key in keys:
                 args[key] = _convert(convert, keys[key], f"{where}.{key}", problems)
+        if spec.rule is not None and None not in args.values():  # every given key converted
+            try:
+                spec.rule(**{key: args.get(key, default) for key, default in spec.tied.items()})
+            except DomainError as exc:
+                problems.append(f"{where} keys {' and '.join(map(repr, spec.tied))}: {exc}")
         if tol_override is not None and spec.tolerance is None:
             problems.append(f"--tol: {name} has no tolerance to set")
         elif tol_override is not None:

@@ -66,7 +66,10 @@ class EmptyRegionWarning(UserWarning):
 
 def is_real(value) -> bool:
     """A finite int or float that is not a bool: a number as JSON gives it."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an integer past the float range
+        return False
 
 
 def real(value, where: str, error: type[VarcapError]) -> float:

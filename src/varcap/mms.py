@@ -24,9 +24,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import LinearOperator, cg
 
 from . import reports
 from .errors import DomainError, EmptyRegionWarning, MetricError, SolverError, real
@@ -172,13 +169,19 @@ class FiniteMetricMeasureSpace:
         diff = self.coords[np.asarray(idx, dtype=int)][:, None, :] - self.coords[None, :, :]
         return np.sqrt(np.sum(diff * diff, axis=-1))
 
-    def laplacian(self) -> sparse.csr_matrix:
+    def laplacian(self):
+        """Graph Laplacian of the conductances, as a scipy CSR matrix."""
+        from scipy import sparse
+
         i, j, c = self.edges[:, 0], self.edges[:, 1], self.conductance
         rows, cols = np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j])
         vals = np.concatenate([-c, -c, c, c])
         return sparse.coo_matrix((vals, (rows, cols)), shape=(self.n, self.n)).tocsr()
 
-    def adjacency(self) -> sparse.csr_matrix:
+    def adjacency(self):
+        """Symmetric conductance matrix, as a scipy CSR matrix."""
+        from scipy import sparse
+
         i, j, c = self.edges[:, 0], self.edges[:, 1], self.conductance
         rows, cols, vals = np.concatenate([i, j]), np.concatenate([j, i]), np.concatenate([c, c])
         return sparse.coo_matrix((vals, (rows, cols)), shape=(self.n, self.n)).tocsr()
@@ -211,8 +214,8 @@ class FiniteMetricMeasureSpace:
         labels, weights, coords = [], [], []
         has_coords = True
         for k, p in enumerate(doc.get("points", [])):
-            if not isinstance(p, dict) or "label" not in p:
-                raise DomainError(f"point {k} must be an object with a 'label', got {p!r}")
+            if not isinstance(p, dict) or not isinstance(p.get("label"), str):
+                raise DomainError(f"point {k} must be an object with a string 'label', got {p!r}")
             extra = set(p) - {"label", "xyz", "weight"}
             if extra:
                 raise DomainError(f"unknown point keys: {sorted(extra)}")
@@ -225,18 +228,25 @@ class FiniteMetricMeasureSpace:
                 raise DomainError(f"point {k} xyz must be [x, y, z], got {xyz!r}")
             else:
                 coords.append([real(v, f"point {k} xyz", DomainError) for v in xyz])
-        index = {str(lab): k for k, lab in enumerate(labels)}  # labels are strings, as in __init__
+        index = {lab: k for k, lab in enumerate(labels)}
         edges, cond = [], []
         for k, edge in enumerate(doc.get("edges", [])):
             if not isinstance(edge, list) or len(edge) != 3:
                 raise DomainError(f"edge {k} must be [label, label, conductance], got {edge!r}")
             a, b, c = edge
             for end in (a, b):
-                if str(end) not in index:
+                if not isinstance(end, str) or end not in index:
                     raise DomainError(f"edge {k} names unknown point {end!r}")
-            edges.append((index[str(a)], index[str(b)]))
+            edges.append((index[a], index[b]))
             cond.append(real(c, f"edge {k} conductance", DomainError))
         dist = doc.get("dist")
+        if dist is not None:
+            if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
+                raise DomainError(f"dist must be a list of rows of distances, got {dist!r}")
+            dist = [[real(d, f"dist[{i}][{j}]", DomainError) for j, d in enumerate(row)]
+                    for i, row in enumerate(dist)]
+            if len({len(row) for row in dist}) > 1:
+                raise DomainError("dist rows must all have the same length")
         return FiniteMetricMeasureSpace(
             labels, weights, coords=np.asarray(coords) if has_coords and labels else None,
             edges=np.asarray(edges, dtype=int).reshape(-1, 2), conductance=cond,
@@ -301,6 +311,9 @@ def graph_capacity(condenser: GraphCondenser, rtol: float = _CG_RTOL) -> GraphPo
     system size; components meeting only K sit at 1, all others at 0.  With
     no K-B path the capacity is exactly zero.
     """
+    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import LinearOperator, cg
+
     space = condenser.space
     k_idx, b_idx = condenser.k_idx, condenser.b_idx
     L = space.laplacian()  # off-diagonal pattern = edge graph; self-loops do not join components

@@ -25,8 +25,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from .errors import DomainError, ProfileError, real
 from .geometry import Dimension
@@ -40,6 +38,8 @@ _POSITIVITY_SAMPLES = 129
 
 def _quad(fun: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
     """Adaptive quadrature on a finite interval; returns (value, abs error)."""
+    from scipy import integrate
+
     if b <= a:
         return 0.0, 0.0
     val, err = integrate.quad(fun, a, b, epsabs=0.0, epsrel=_QUAD_EPSREL, limit=200)
@@ -184,6 +184,8 @@ class SplineSegment(Segment):
     optional_params = ("dydx",)
 
     def __init__(self, x: Sequence[float], y: Sequence[float], dydx: Sequence[float] | None = None):
+        from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
+
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.ndim != 1 or x.size < 2 or np.any(np.diff(x) <= 0):

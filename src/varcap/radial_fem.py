@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from . import reports
 from .errors import DomainError, InconsistencyError, PreconditionError, SingularWeightError
@@ -124,6 +123,8 @@ def _minimize_chain(cond: np.ndarray, k: int) -> np.ndarray:
     system (its super-diagonal is zero where they meet), solved with a
     banded Cholesky.
     """
+    from scipy.linalg import solveh_banded
+
     n = cond.size
     if not 0 <= k < n:
         raise DomainError(f"clamped node {k} must lie left of the grounded end {n}")

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DomainError, PreconditionError
 from .mms import FiniteMetricMeasureSpace
@@ -90,6 +89,8 @@ def distance_to_set(space: FiniteMetricMeasureSpace, subset) -> np.ndarray:
         raise DomainError("distance to an empty set is undefined")
     if space.dist_matrix is not None:
         return np.min(space.dist_matrix[idx], axis=0)
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(space.coords[idx])
     d, _ = tree.query(space.coords, k=1)
     return np.asarray(d, dtype=float)
@@ -200,6 +201,8 @@ class CorrespondingRegionSpec:
         if src.coords is None or target.coords is None:
             raise DomainError("ambient extension needs coordinates on both spaces")
         if self.defining.canonical:
+            from scipy.spatial import cKDTree
+
             tree = cKDTree(src.coords[self.defining.region_idx])
             d, _ = tree.query(target.coords, k=1, distance_upper_bound=upto * (1.0 + 1e-9) + 1e-9)
             return np.asarray(d, dtype=float)

@@ -132,6 +132,12 @@ def experiment_csv_from_payload(payload: dict, meta: dict | None = None) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _check_ball(i_list: Sequence[int], r: float) -> None:
+    """Reject a ball radius outside the Euclidean region of some space (r < min i)."""
+    if r >= min(i_list, default=math.inf):  # no index, no region to leave
+        raise DomainError(f"ball radius r={r} must lie inside the Euclidean region (r < min i)")
+
+
 def run_example1(
     i_list: Sequence[int] = (2, 4, 8),
     r: float = 1.0,
@@ -141,8 +147,7 @@ def run_example1(
 ) -> SequenceExperiment:
     """Capacity of the ball {s <= r} along the cylinder-transition family."""
     i_list = tuple(i_list)
-    if r >= min(i_list):
-        raise DomainError(f"ball radius r={r} must lie inside the Euclidean region (r < min i)")
+    _check_ball(i_list, r)
     caps, estimates = [], []
     for i in i_list:
         profile = cylinder_transition_profile(i, m=m)

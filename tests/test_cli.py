@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import varcap
 from test_golden import _command_doc
-from varcap.cli import main, parse_config
+from varcap.cli import COMMANDS, RunConfig, main, parse_config
 from varcap.errors import ConfigError
 from varcap.mms import build_planar_sheet
 from varcap.profiles import euclidean_profile, schwarzschild_profile
@@ -111,6 +111,12 @@ def _graph_doc_with_point(**changes):
     return doc
 
 
+def _graph_doc_with_dist(dist):
+    doc = _graph_doc()
+    doc["space"]["dist"] = dist
+    return doc
+
+
 def _profile_doc(**changes):
     return {**euclidean_profile(3).to_doc(), **changes}
 
@@ -158,6 +164,12 @@ MALFORMED = [
     (["experiment", "ex3"], {"alphas": "abc"}, "input.alphas"),
     (["experiment", "ex3"], {"h": 0}, "input.h"),
     (["experiment", "ex2"], {"L": math.nan}, "input.L"),
+    (["capacity-graph"], _graph_doc_with_point(label=True), "document: point 2 must be an object with a string"),
+    (["capacity-graph"], _graph_doc_with_dist([[0.0, "1"], [1.0, 0.0]]), "document: dist[0][1]"),
+    (["capacity-graph"], _graph_doc_with_dist([[0.0, 1.0], [True, 0.0]]), "document: dist[1][0]"),
+    (["capacity-graph"], _graph_doc_with_dist([0.0, 1.0]), "document: dist must be a list of rows"),
+    (["experiment", "ex1"], {"r": 5.0}, "input keys 'i_list' and 'r': ball radius r=5.0"),
+    (["experiment", "ex3"], {"alphas": [0.0, 0.0]}, "input keys 'i_list' and 'alphas': need one threshold"),
 ]
 
 
@@ -226,6 +238,46 @@ def test_wrong_typed_value_under_any_key_exits_two(data):
         inp.write_text(json.dumps(bad))
         assert main([*command, "--input", str(inp), "--out", str(out)]) == 2
         assert not out.exists()
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=10**300, max_value=10**400)
+    | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=10,
+)
+
+
+# keys a document may hold ("input", a path, is left out: it would read files)
+KEY_NAMES = sorted({"command", "input_doc", "output", "format", "tolerances", "seed", "example", "dist",
+                    "quadrature", "solver", "verdict"} | {key for spec in COMMANDS.values() for key in spec.keys})
+
+
+def _replace_somewhere(data, value):
+    """`value` with one node, drawn at any depth, replaced or added as arbitrary JSON."""
+    if isinstance(value, (dict, list)) and value and data.draw(st.booleans()):
+        if isinstance(value, list):
+            key = data.draw(st.integers(0, len(value) - 1))
+        else:
+            key = data.draw(st.sampled_from(sorted(value)) | st.sampled_from(KEY_NAMES) | st.text(max_size=6))
+        copy = value.copy()
+        copy[key] = _replace_somewhere(data, value[key] if key in copy else None)
+        return copy
+    return data.draw(JSON)
+
+
+# The property stops at the boundary: a valid but tiny `h` or a huge `levels`
+# would make `main` build lattices and grids without bound.
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_arbitrary_json_is_converted_or_refused(data):
+    command, doc = data.draw(st.sampled_from(VALID))
+    document = {"command": command[0], "input_doc": {"example": command[1]} | doc if command[1:] else doc}
+    document = _replace_somewhere(data, document)
+    try:
+        assert isinstance(parse_config(document), RunConfig)
+    except ConfigError:
+        pass
 
 
 def test_tol_on_a_command_without_tolerance_exits_two(tmp_path, capsys):
