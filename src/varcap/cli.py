@@ -87,7 +87,7 @@ _positive = _rule(lambda v: is_real(v) and v > 0, "a number (finite, > 0)")
 _label = _rule(lambda v: isinstance(v, str), "a point label string")
 
 
-def _list_of(convert):
+def _list_of(convert, least: int = 0):
     def convert_list(value):
         if not isinstance(value, list):
             raise _Invalid(f"must be a list, got {value!r}")
@@ -97,6 +97,8 @@ def _list_of(convert):
                 items.append(convert(item))
             except _Invalid as exc:
                 raise _Invalid(exc.message, f"[{k}]{exc.path}") from None
+        if len(items) < least:
+            raise _Invalid(f"must list at least {least} entries, got {value!r}")
         return items
 
     return convert_list
@@ -197,7 +199,7 @@ def _experiment(runner: str, rule=None, **keys) -> Command:
     `rule` is a check the runner itself makes, run here on the converted keys."""
     defaults = inspect.signature(getattr(sequences, runner)).parameters
     return Command(
-        keys={"i_list": _list_of(_integer(1)), **keys},
+        keys={"i_list": _list_of(_integer(1), least=3), **keys},
         tolerance="verdict",
         run=lambda **args: getattr(sequences, runner)(**args).to_payload(),
         csv=sequences.experiment_csv_from_payload,

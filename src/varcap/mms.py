@@ -151,9 +151,6 @@ class FiniteMetricMeasureSpace:
             return idx
         return np.array([self.index(str(x)) for x in nodes], dtype=int)
 
-    def total_measure(self) -> float:
-        return float(np.sum(self.weight))
-
     def distance_matrix(self) -> np.ndarray:
         if self.dist_matrix is not None:
             return self.dist_matrix
@@ -288,11 +285,16 @@ class GraphCondenser:
 
 @dataclass(frozen=True)
 class GraphPotential:
-    """Minimizer of the graph Dirichlet energy; capacity = raw_energy / gamma_m."""
+    """Minimizer of the graph Dirichlet energy; capacity = raw_energy / gamma_m.
+
+    `iterations` counts the CG iterations of the solve (0 when no node is free
+    or the start point already met the tolerance).
+    """
 
     u: np.ndarray
     raw_energy: float
     capacity: float
+    iterations: int
 
 
 def _free_mask(condenser: GraphCondenser) -> np.ndarray:
@@ -303,18 +305,31 @@ def _free_mask(condenser: GraphCondenser) -> np.ndarray:
     return free
 
 
-def graph_capacity(condenser: GraphCondenser, rtol: float = _CG_RTOL) -> GraphPotential:
+def graph_capacity(condenser: GraphCondenser, rtol: float = _CG_RTOL, guess=None) -> GraphPotential:
     """Harmonic condenser potential and capacity on the edge graph.
 
     Components meeting both K and B get the unique harmonic minimizer, solved
     by Jacobi-preconditioned CG to relative residual `rtol` whatever the
     system size; components meeting only K sit at 1, all others at 0.  With
     no K-B path the capacity is exactly zero.
+
+    `guess` is a full-length potential, such as the `u` of an earlier solve
+    of the same or a nearby system.  Its free entries are CG's start point;
+    its entries on K and B are ignored.  A guess changes where CG starts,
+    never the tolerance it must meet: a guess that already meets `rtol` is
+    returned as is after 0 iterations.
     """
     from scipy.sparse.csgraph import connected_components
     from scipy.sparse.linalg import LinearOperator, cg
 
     space = condenser.space
+    if guess is not None:
+        try:
+            guess = np.asarray(guess, dtype=float)
+        except (TypeError, ValueError):
+            raise DomainError("guess must be an array of numbers") from None
+        if guess.shape != (space.n,) or not np.all(np.isfinite(guess)):
+            raise DomainError(f"guess must be a finite array of shape ({space.n},), got shape {guess.shape}")
     k_idx, b_idx = condenser.k_idx, condenser.b_idx
     L = space.laplacian()  # off-diagonal pattern = edge graph; self-loops do not join components
     _, comp = connected_components(L, directed=False)
@@ -325,19 +340,26 @@ def graph_capacity(condenser: GraphCondenser, rtol: float = _CG_RTOL) -> GraphPo
     u[k_idx] = 1.0
 
     free = np.flatnonzero(_free_mask(condenser) & np.isin(comp, np.intersect1d(k_comps, b_comps)))
+    iterations = 0
     if free.size:
         L_free = L[free]
         A = L_free[:, free]
         b_vec = -(L_free @ u - A @ u[free])
         diag = A.diagonal()
         M = LinearOperator(A.shape, matvec=lambda x: x / diag)
-        u[free], info = cg(A, b_vec, rtol=rtol, atol=0.0, maxiter=40 * free.size, M=M)
+
+        def count(_):
+            nonlocal iterations
+            iterations += 1
+
+        x0 = None if guess is None else guess[free]
+        u[free], info = cg(A, b_vec, x0=x0, rtol=rtol, atol=0.0, maxiter=40 * free.size, M=M, callback=count)
         if info != 0:
             raise SolverError(f"conjugate gradient failed to converge (info={info})")
 
     du = u[space.edges[:, 0]] - u[space.edges[:, 1]]
     raw_energy = float(np.sum(space.conductance * du * du))
-    return GraphPotential(u, raw_energy, raw_energy / condenser.dim.gamma)
+    return GraphPotential(u, raw_energy, raw_energy / condenser.dim.gamma, iterations)
 
 
 def harmonicity_residual(space: FiniteMetricMeasureSpace, condenser: GraphCondenser, u: np.ndarray) -> float:

@@ -170,6 +170,8 @@ MALFORMED = [
     (["capacity-graph"], _graph_doc_with_dist([0.0, 1.0]), "document: dist must be a list of rows"),
     (["experiment", "ex1"], {"r": 5.0}, "input keys 'i_list' and 'r': ball radius r=5.0"),
     (["experiment", "ex3"], {"alphas": [0.0, 0.0]}, "input keys 'i_list' and 'alphas': need one threshold"),
+    (["experiment", "ex4"], {"i_list": [2]}, "experiment ex4 input.i_list must list at least 3 entries"),
+    (["experiment", "ex1"], {"i_list": []}, "experiment ex1 input.i_list must list at least 3 entries"),
 ]
 
 

@@ -24,6 +24,7 @@ from varcap.mms import (
     harmonicity_residual,
     union_spaces,
 )
+from varcap.sequences import limit_plane_condenser
 
 
 def path_space():
@@ -110,6 +111,7 @@ def test_disconnected_inner_set_has_zero_capacity():
     pot = graph_capacity(GraphCondenser(space, ("a",), ("c", "d"), Dimension(2)))
     assert pot.raw_energy == 0.0
     assert pot.capacity == 0.0
+    assert pot.iterations == 0  # no node is free
     assert pot.u[space.index("a")] == 1.0 and pot.u[space.index("b")] == 1.0
 
 
@@ -137,6 +139,53 @@ def test_sparse_solve_matches_dense_oracle(n, decades, seed):
     cond = random_sparse_condenser(n, np.random.default_rng(seed), decades)
     oracle, _ = dense_graph_energy(cond.space, cond.inner, cond.outer)
     assert graph_capacity(cond).raw_energy == pytest.approx(oracle, rel=1e-10, abs=1e-10)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n=st.floats(np.log(4), np.log(800)).map(lambda x: int(np.exp(x))),
+    decades=st.floats(0.0, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.floats(0.0, 1e3),
+)
+@example(n=2050, decades=6.0, seed=1, spread=1e3)
+def test_solve_from_any_guess_matches_dense_oracle(n, decades, seed, spread):
+    rng = np.random.default_rng(seed)
+    cond = random_sparse_condenser(n, rng, decades)
+    oracle, _ = dense_graph_energy(cond.space, cond.inner, cond.outer)
+    guess = rng.uniform(-spread, spread, size=cond.space.n)
+    assert graph_capacity(cond, guess=guess).raw_energy == pytest.approx(oracle, rel=1e-10, abs=1e-10)
+
+
+def test_solve_from_its_own_potential_takes_no_iterations():
+    # the ladder's coarse rung and well-conditioned small graphs; on a badly
+    # conditioned system CG's updated residual can meet the tolerance while
+    # the true one does not, and a restart there takes another iteration
+    rng = np.random.default_rng(2024)
+    conds = [limit_plane_condenser(0.1, 4.0)]
+    conds += [random_graph_condenser(int(rng.integers(2, 9)), rng) for _ in range(50)]
+    cold_iterations = []
+    for cond in conds:
+        cold = graph_capacity(cond)
+        warm = graph_capacity(cond, guess=cold.u)
+        cold_iterations.append(cold.iterations)
+        assert warm.iterations == 0
+        assert warm.capacity == cold.capacity and np.array_equal(warm.u, cold.u)
+    assert cold_iterations[0] > 0
+
+
+@pytest.mark.parametrize("guess", [np.zeros(2), np.zeros(4), np.zeros((3, 1)), [0.5, np.nan, 0.0],
+                                   [0.5, np.inf, 0.0], ["a", "b", "c"]])
+def test_bad_guess_rejected(guess):
+    with pytest.raises(DomainError, match="guess"):
+        graph_capacity(GraphCondenser(path_space(), ("v0",), ("v2",), Dimension(2)), guess=guess)
+
+
+def test_guess_entries_on_k_and_b_are_ignored():
+    cond = GraphCondenser(path_space(), ("v0",), ("v2",), Dimension(3))
+    pot = graph_capacity(cond, guess=[-7.0, 0.5, 9.0])
+    assert pot.iterations == 0
+    assert np.array_equal(pot.u, [1.0, 0.5, 0.0])
 
 
 def test_monotone_in_inner_set():

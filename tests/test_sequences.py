@@ -230,6 +230,22 @@ def test_ex4_index_sets_equal_label_filters(monkeypatch):
     assert limit.outer == radial_label_filter(limit.space, rim - pad, math.inf, prefix="F")
 
 
+def test_ex4_family_solves_start_from_the_previous_potential(monkeypatch):
+    # the union numbers the plane's nodes first, so each later solve starts
+    # at a potential that already meets the tolerance
+    pots, solve = [], sequences.graph_capacity
+
+    def record(cond, *args, **kwargs):
+        pots.append(solve(cond, *args, **kwargs))
+        return pots[-1]
+
+    monkeypatch.setattr(sequences, "graph_capacity", record)
+    exp = run_example4(h=0.1, i_list=(2, 4, 8))
+    *family, _ = pots
+    assert [pot.iterations > 0 for pot in family] == [True, False, False]
+    assert exp.capacities == (family[0].capacity,) * 3
+
+
 def test_ex4_builds_its_plane_once(monkeypatch):
     calls = []
     build = sequences.build_planar_sheet
