@@ -61,7 +61,7 @@ from .sequences import (
     run_example3,
     run_example4,
 )
-from .mass import AFProfile, MassCurve, cv_mass_curve, evaluate_mass_curve, extrapolate_mass, iso_mass_curve
+from .mass import AFProfile, MassCurve, evaluate_mass_curve, extrapolate_mass
 
 __all__ = [
     "AFProfile",
@@ -85,7 +85,6 @@ __all__ = [
     "capped_even_profile",
     "check_semicontinuity",
     "corresponding_region",
-    "cv_mass_curve",
     "cylinder_transition_profile",
     "default_schedule",
     "distance_to_set",
@@ -96,7 +95,6 @@ __all__ = [
     "extrapolate_mass",
     "graph_capacity",
     "hyperboloid_profile",
-    "iso_mass_curve",
     "mcshane_extend",
     "parallel_capacity",
     "radial_capacity",

@@ -84,6 +84,7 @@ def _one_of(*choices: str):
 
 _real = _rule(is_real, "a number (finite)")
 _positive = _rule(lambda v: is_real(v) and v > 0, "a number (finite, > 0)")
+_nonnegative = _rule(lambda v: is_real(v) and v >= 0, "a number (finite, >= 0)")
 _label = _rule(lambda v: isinstance(v, str), "a point label string")
 
 
@@ -189,8 +190,8 @@ class Command:
     run: Callable[..., dict]  # converted keys -> payload
     csv: Callable[[dict, dict], str]  # (payload, header) -> CSV report
     required: tuple = ()  # keys the input document must give
-    rule: Callable[..., None] | None = None  # the runner's own check of keys tied together; raises DomainError
-    tied: dict = field(default_factory=dict)  # the keys `rule` takes -> the runner's default for each
+    rule: Callable | None = None  # the library's own check of keys tied together; raises DomainError
+    tied: dict = field(default_factory=dict)  # the keys `rule` takes -> the library's default for each
 
 
 def _experiment(runner: str, rule=None, **keys) -> Command:
@@ -210,8 +211,9 @@ def _experiment(runner: str, rule=None, **keys) -> Command:
 
 _PROFILE = _document(WarpProfile)
 
-# Converters check one key each.  An experiment's rule ties keys together
-# (r < min i, one threshold per index) by calling the runner's own check.
+# Converters check one key each.  A rule ties keys together by calling the
+# library's own check: the condenser's sets against its space, or an
+# experiment runner's (r < min i, one threshold per index).
 # Other rules, such as the library's numerical limits (h <= 0.1, increasing
 # radii), stay in the library and surface as computation errors.
 COMMANDS = {
@@ -241,6 +243,8 @@ COMMANDS = {
         required=("space", "inner", "outer"),
         tolerance="solver",
         run=_capacity_graph,
+        rule=GraphCondenser,
+        tied=dict.fromkeys(("space", "inner", "outer")),
         csv=_table(lambda p: capacity_csv(p["rows"], p["rim_radius"]), "provenance"),
     ),
     "experiment ex1": _experiment(
@@ -249,7 +253,7 @@ COMMANDS = {
     "experiment ex2": _experiment("run_example2", a=_real, b=_real, m=_integer(2), L=_real),
     "experiment ex3": _experiment(
         "run_example3", sequences._check_family, h=_positive, rim_radius=_positive, strip_conductance=_positive,
-        alphas=_list_of(_real), alpha_rule_c=_real,
+        alphas=_list_of(_nonnegative), alpha_rule_c=_nonnegative,
     ),
     "experiment ex4": _experiment("run_example4", h=_positive, rim_radius=_positive),
     "mass": Command(
@@ -361,7 +365,8 @@ def parse_config(
         for key, convert in spec.keys.items():
             if key in keys:
                 args[key] = _convert(convert, keys[key], f"{where}.{key}", problems)
-        if spec.rule is not None and None not in args.values():  # every given key converted
+        # the rule runs once every given key converted and every required key is given
+        if spec.rule is not None and None not in args.values() and set(spec.required) <= args.keys():
             try:
                 spec.rule(**{key: args.get(key, default) for key, default in spec.tied.items()})
             except DomainError as exc:

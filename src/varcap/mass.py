@@ -93,39 +93,6 @@ def _cv_mass_alt(V: np.ndarray, cap: np.ndarray) -> np.ndarray:
     return (V / (4.0 * math.pi)) ** (1.0 / 3.0) - cap
 
 
-def _capacities_at(af: AFProfile, radii: Sequence[float], capacity_fn) -> np.ndarray:
-    """Capacity of each {s <= R}, by default on the closed-form/quadrature route."""
-    if capacity_fn is None:
-        capacity_fn = lambda R: radial_capacity(RadialCondenser(af.profile, R))
-    cap = np.array([capacity_fn(R) for R in radii], dtype=float)
-    if np.any(cap <= 0.0):
-        raise DegenerateProblemError("capacity vanished along the exhaustion (non-flat end?)")
-    return cap
-
-
-def iso_mass_curve(af: AFProfile, radii: Sequence[float]) -> np.ndarray:
-    """Quasi-local isoperimetric mass at each radius."""
-    return _iso_mass(*_geometry_at(af, radii))
-
-
-def cv_mass_curve(
-    af: AFProfile,
-    radii: Sequence[float],
-    capacity_fn: Callable[[float], float] | None = None,
-    alternative: bool = False,
-) -> np.ndarray:
-    """Quasi-local capacity-volume mass at each radius.
-
-    `capacity_fn` maps a radius to the capacity of {s <= R}; the default is
-    the closed-form/quadrature route.  With `alternative=True` the literal
-    volume-radius display (V/4pi)^(1/3) - cap is returned instead (see the
-    module docstring; the two disagree even on flat space).
-    """
-    V, _ = _geometry_at(af, radii)
-    cap = _capacities_at(af, radii, capacity_fn)
-    return (_cv_mass_alt if alternative else _cv_mass)(V, cap)
-
-
 @dataclass(frozen=True)
 class MassCurve:
     """Geometry and mass values along a centered-ball exhaustion."""
@@ -145,11 +112,20 @@ class MassCurve:
 def evaluate_mass_curve(
     af: AFProfile, radii: Sequence[float], capacity_fn: Callable[[float], float] | None = None
 ) -> MassCurve:
+    """Geometry, capacity and every mass display at each of the increasing `radii`.
+
+    `capacity_fn` maps a radius to the capacity of {s <= R}; the default is
+    the closed-form/quadrature route.
+    """
     radii = tuple(float(R) for R in radii)
     if sorted(radii) != list(radii):
         raise DomainError("radii must be increasing")
     V, A = _geometry_at(af, radii)
-    cap = _capacities_at(af, radii, capacity_fn)
+    if capacity_fn is None:
+        capacity_fn = lambda R: radial_capacity(RadialCondenser(af.profile, R))
+    cap = np.array([capacity_fn(R) for R in radii], dtype=float)
+    if np.any(cap <= 0.0):
+        raise DegenerateProblemError("capacity vanished along the exhaustion (non-flat end?)")
     columns = (A, V, cap, _iso_mass(V, A), _cv_mass(V, cap), _cv_mass_alt(V, cap))
     return MassCurve(radii, *(tuple(c.tolist()) for c in columns))
 

@@ -17,7 +17,6 @@ the strings only when a caller asks for `labels`, `to_doc` or label tuples.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -198,9 +197,6 @@ class FiniteMetricMeasureSpace:
             doc["dist"] = self.dist_matrix.tolist()
         return doc
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc(), sort_keys=True)
-
     @staticmethod
     def from_doc(doc: dict) -> "FiniteMetricMeasureSpace":
         if not isinstance(doc, dict):
@@ -249,10 +245,6 @@ class FiniteMetricMeasureSpace:
             edges=np.asarray(edges, dtype=int).reshape(-1, 2), conductance=cond,
             dist_matrix=None if dist is None else np.asarray(dist, dtype=float),
         )
-
-    @staticmethod
-    def from_json(text: str) -> "FiniteMetricMeasureSpace":
-        return FiniteMetricMeasureSpace.from_doc(json.loads(text))
 
 
 class GraphCondenser:
@@ -309,9 +301,12 @@ def graph_capacity(condenser: GraphCondenser, rtol: float = _CG_RTOL, guess=None
     """Harmonic condenser potential and capacity on the edge graph.
 
     Components meeting both K and B get the unique harmonic minimizer, solved
-    by Jacobi-preconditioned CG to relative residual `rtol` whatever the
-    system size; components meeting only K sit at 1, all others at 0.  With
-    no K-B path the capacity is exactly zero.
+    by Jacobi-preconditioned CG whatever the system size; components meeting
+    only K sit at 1, all others at 0.  With no K-B path the capacity is
+    exactly zero.  CG stops once its recursively updated residual is below
+    `rtol` relative to the right-hand side, so the true residual of the
+    returned potential can slightly exceed `rtol` (1.65e-12 at 1e-12 on a
+    28-unknown random graph).
 
     `guess` is a full-length potential, such as the `u` of an earlier solve
     of the same or a nearby system.  Its free entries are CG's start point;

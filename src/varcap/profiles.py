@@ -20,7 +20,6 @@ analytic kinds fall back to adaptive quadrature.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Callable, Sequence
 
@@ -68,12 +67,8 @@ class Segment:
         return np.ones_like(np.asarray(s, dtype=float))
 
     def f_coordinate_derivative(self, s):
-        """d f / d(coordinate); default central finite difference."""
-        s = np.asarray(s, dtype=float)
-        step = 1e-6 * np.maximum(1.0, np.abs(s))
-        lo = np.maximum(s - step, self.lo)
-        hi = s + step if self.hi == INF else np.minimum(s + step, self.hi)
-        return (self.f(hi) - self.f(lo)) / (hi - lo)
+        """d f / d(coordinate)."""
+        raise NotImplementedError
 
     def resistance_density(self, s, m: int):
         return self.lapse(s) * self.f(s) ** (-(m - 1))
@@ -482,9 +477,6 @@ class WarpProfile:
         """Integral of q * f^(m-1) over [a, b] (per unit sphere area)."""
         return self._integrate(a, b, "volume")
 
-    def final_segment(self) -> Segment:
-        return self.segments[-1]
-
     # -- serialization -----------------------------------------------------------
 
     def to_doc(self) -> dict:
@@ -493,9 +485,6 @@ class WarpProfile:
             "pole_at_origin": self.pole_at_origin,
             "pieces": [seg.to_doc() for seg in self.segments],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc(), indent=2, sort_keys=True)
 
     @staticmethod
     def from_doc(doc: dict) -> "WarpProfile":
@@ -515,10 +504,6 @@ class WarpProfile:
             raise ProfileError(f"pieces must be a list, got {doc['pieces']!r}")
         segments = [_segment_from_doc(piece, f"pieces[{k}]") for k, piece in enumerate(doc["pieces"])]
         return WarpProfile(dim, segments, pole_at_origin=pole)
-
-    @staticmethod
-    def from_json(text: str) -> "WarpProfile":
-        return WarpProfile.from_doc(json.loads(text))
 
 
 # -- stock profiles ---------------------------------------------------------------

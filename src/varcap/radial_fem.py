@@ -27,7 +27,6 @@ class RadialGrid:
     """Strictly increasing nodes t_0 < ... < t_N; uniform or geometrically graded."""
 
     nodes: np.ndarray
-    grading: str = "uniform"
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -41,7 +40,7 @@ class RadialGrid:
     def uniform(s0: float, L: float, n_elements: int) -> "RadialGrid":
         if n_elements < 2:
             raise DomainError("need at least 2 elements")
-        return RadialGrid(np.linspace(s0, L, n_elements + 1), "uniform")
+        return RadialGrid(np.linspace(s0, L, n_elements + 1))
 
     @staticmethod
     def geometric(s0: float, L: float, h0: float, ratio: float = 1.05) -> "RadialGrid":
@@ -60,7 +59,7 @@ class RadialGrid:
         h = np.array(sizes) * (span / total)
         nodes = s0 + np.concatenate(([0.0], np.cumsum(h)))
         nodes[-1] = L
-        return RadialGrid(nodes, f"geometric({ratio})")
+        return RadialGrid(nodes)
 
     def refined(self) -> "RadialGrid":
         """Insert every element midpoint (nested refinement)."""
@@ -68,7 +67,7 @@ class RadialGrid:
         out = np.empty(self.nodes.size + mids.size)
         out[0::2] = self.nodes
         out[1::2] = mids
-        return RadialGrid(out, self.grading)
+        return RadialGrid(out)
 
     @property
     def s0(self) -> float:

@@ -23,6 +23,7 @@ from .errors import DomainError, PreconditionError
 from .mms import FiniteMetricMeasureSpace
 
 _LIP_TOL = 1e-9
+_CHUNK = 2048  # query points per block of the brute-force McShane minimum
 
 
 def _check_lipschitz(values: np.ndarray, dists: np.ndarray, lip: float, labels) -> None:
@@ -62,24 +63,30 @@ def mcshane_extend(
     return np.min(values[:, None] + lip * d_rows, axis=0)
 
 
-def extend_from_coords(
-    anchor_xyz: np.ndarray,
-    anchor_values: np.ndarray,
-    query_xyz: np.ndarray,
-    lip: float = 1.0,
-    chunk: int = 2048,
-) -> np.ndarray:
-    """McShane formula between raw R^3 point sets, chunked for large queries."""
+def extend_from_coords(anchor_xyz: np.ndarray, anchor_values: np.ndarray, query_xyz: np.ndarray) -> np.ndarray:
+    """1-Lipschitz McShane formula between raw R^3 point sets, in blocks of query points."""
     anchor_xyz = np.asarray(anchor_xyz, dtype=float)
     anchor_values = np.asarray(anchor_values, dtype=float)
     query_xyz = np.asarray(query_xyz, dtype=float)
     out = np.empty(query_xyz.shape[0])
-    for lo in range(0, query_xyz.shape[0], chunk):
-        q = query_xyz[lo : lo + chunk]
+    for lo in range(0, query_xyz.shape[0], _CHUNK):
+        q = query_xyz[lo : lo + _CHUNK]
         diff = anchor_xyz[:, None, :] - q[None, :, :]
         d = np.sqrt(np.sum(diff * diff, axis=-1))
-        out[lo : lo + chunk] = np.min(anchor_values[:, None] + lip * d, axis=0)
+        out[lo : lo + _CHUNK] = np.min(anchor_values[:, None] + d, axis=0)
     return out
+
+
+def _nearest_distance(points: np.ndarray, queries: np.ndarray, upto: float = np.inf) -> np.ndarray:
+    """Euclidean distance from each query to the nearest of `points`, by KD-tree.
+
+    Distances above `upto` may come back as inf: the search stops a little
+    past it, and the distances at or below it are exact.
+    """
+    from scipy.spatial import cKDTree
+
+    d, _ = cKDTree(points).query(queries, k=1, distance_upper_bound=upto * (1.0 + 1e-9) + 1e-9)
+    return np.asarray(d, dtype=float)
 
 
 def distance_to_set(space: FiniteMetricMeasureSpace, subset) -> np.ndarray:
@@ -89,11 +96,7 @@ def distance_to_set(space: FiniteMetricMeasureSpace, subset) -> np.ndarray:
         raise DomainError("distance to an empty set is undefined")
     if space.dist_matrix is not None:
         return np.min(space.dist_matrix[idx], axis=0)
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(space.coords[idx])
-    d, _ = tree.query(space.coords, k=1)
-    return np.asarray(d, dtype=float)
+    return _nearest_distance(space.coords[idx], space.coords)
 
 
 @dataclass(frozen=True)
@@ -101,17 +104,13 @@ class DefiningFunction:
     """1-Lipschitz u on a space with {u <= 0} = K and u = d(., K) off K.
 
     K is given as `space.indices` takes it and kept as the index array
-    `region_idx`; `region_labels` returns it as a label tuple.
+    `region_idx`.
     """
 
     space: FiniteMetricMeasureSpace
     values: np.ndarray
     region_idx: np.ndarray
     canonical: bool = False
-
-    @property
-    def region_labels(self) -> tuple:
-        return tuple(self.space.labels_at(self.region_idx))
 
     @staticmethod
     def canonical_for(space: FiniteMetricMeasureSpace, region) -> "DefiningFunction":
@@ -193,20 +192,15 @@ class CorrespondingRegionSpec:
 
         Both spaces must carry ambient R^3 coordinates.  For the canonical
         defining function the extension is exactly d(K, .), evaluated with a
-        KD-tree; otherwise the finite McShane minimum runs over every anchor.
-        Values above `upto` may come back as inf: the KD-tree search stops
-        a little past it, and the values at or below it are exact.
+        KD-tree whose values above `upto` may come back as inf; otherwise the
+        finite McShane minimum runs over every anchor.
         """
         src = self.defining.space
         if src.coords is None or target.coords is None:
             raise DomainError("ambient extension needs coordinates on both spaces")
         if self.defining.canonical:
-            from scipy.spatial import cKDTree
-
-            tree = cKDTree(src.coords[self.defining.region_idx])
-            d, _ = tree.query(target.coords, k=1, distance_upper_bound=upto * (1.0 + 1e-9) + 1e-9)
-            return np.asarray(d, dtype=float)
-        return extend_from_coords(src.coords, self.defining.values, target.coords, lip=1.0)
+            return _nearest_distance(src.coords[self.defining.region_idx], target.coords, upto)
+        return extend_from_coords(src.coords, self.defining.values, target.coords)
 
 
 def region_mask(

@@ -270,27 +270,19 @@ def limit_plane_condenser(h: float, rim_radius: float, disk_radius: float = 1.0)
     return GraphCondenser(plane, r <= disk_radius + _PAD, r >= rim_radius - _PAD, Dimension(2))
 
 
-def observed_order(h_list: Sequence[float], errors: Sequence[float]) -> float:
-    """Least-squares slope of log error against log h over a refinement ladder."""
-    h_arr = np.asarray(h_list, dtype=float)
-    e = np.asarray(errors, dtype=float)
-    if h_arr.size < 2 or np.any(e <= 0):
-        raise DomainError("order estimate needs >= 2 ladder points with positive errors")
-    return float(np.polyfit(np.log(h_arr), np.log(e), 1)[0])
-
-
 def planar_condenser_study(
     h_list: Sequence[float] = (0.1, 0.05, 0.025), rim_radius: float = 4.0
 ) -> tuple[list[float], list[float], float]:
     """Lattice condenser values against 1/log(rim) on a refinement ladder.
 
     Returns (capacities, errors, observed order); the target is the
-    continuum disk-in-plane condenser value at the stated rim.
+    continuum disk-in-plane condenser value at the stated rim, and the order
+    is the least-squares slope of log error against log h.
     """
     target = 1.0 / math.log(rim_radius)
     caps = [graph_capacity(limit_plane_condenser(h, rim_radius)).capacity for h in h_list]
     errors = [abs(c - target) for c in caps]
-    return caps, errors, observed_order(h_list, errors)
+    return caps, errors, -fit_power_law(h_list, errors)
 
 
 def two_sheet_space(
@@ -437,7 +429,7 @@ def fit_power_law(i_list: Sequence[float], values: Sequence[float]) -> float:
     """Exponent p of a least-squares fit values ~ c / i^p (positive for decay)."""
     i_arr = np.asarray(i_list, dtype=float)
     v = np.asarray(values, dtype=float)
-    if np.any(v <= 0) or np.any(i_arr <= 0):
-        raise DomainError("power-law fit needs positive indices and values")
+    if i_arr.size < 2 or np.any(v <= 0) or np.any(i_arr <= 0):
+        raise DomainError("power-law fit needs >= 2 points with positive indices and values")
     slope = np.polyfit(np.log(i_arr), np.log(v), 1)[0]
     return float(-slope)

@@ -70,7 +70,7 @@ def end_resistance_estimate(condenser: RadialCondenser, rel_tol: float = 1e-12) 
     profile = condenser.profile
     if not profile.is_unbounded:
         raise DomainError("end resistance needs a profile defined out to infinity")
-    tail_seg = profile.final_segment()
+    tail_seg = profile.segments[-1]
     t0 = max(condenser.s0, tail_seg.lo)
 
     head, head_err = profile.resistance_between(condenser.s0, t0)
@@ -163,7 +163,7 @@ def truncated_ramp_energy(profile: WarpProfile, L: float) -> RampEnergy:
         raise DomainError(f"ramp support [L, 2L]=[{L}, {2*L}] exceeds the profile domain")
     vol, _ = profile.volume_between(L, 2.0 * L)
     energy = profile.dim.omega * vol / (L * L)
-    seg = profile.final_segment()
+    seg = profile.segments[-1]
     on_cyl = isinstance(seg, ConstantSegment) and L >= seg.lo - 1e-12
     return RampEnergy(energy, on_cyl)
 

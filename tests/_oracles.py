@@ -277,23 +277,6 @@ def _default_capacity_fn(af):
     return lambda R: radial_capacity(RadialCondenser(af.profile, R))
 
 
-def separate_iso_mass_curve(af, radii):
-    """Reference m_iso: its own statement of the formula."""
-    V, A = _geometry_at(af, radii)
-    return (2.0 / A) * (V - A**1.5 / (6.0 * math.sqrt(math.pi)))
-
-
-def separate_cv_mass_curve(af, radii, capacity_fn=None, alternative=False):
-    """Reference m_cv and m_cv_alt: their own statement of the formulas."""
-    capacity_fn = capacity_fn or _default_capacity_fn(af)
-    V, _ = _geometry_at(af, radii)
-    cap = np.array([capacity_fn(R) for R in radii], dtype=float)
-    assert np.all(cap > 0.0)
-    if alternative:
-        return (V / (4.0 * math.pi)) ** (1.0 / 3.0) - cap
-    return (V - (4.0 * math.pi / 3.0) * cap**3) / (4.0 * math.pi * cap**2)
-
-
 def separate_mass_curve(af, radii, capacity_fn=None):
     """Reference mass curve with every formula stated inline."""
     radii = tuple(float(R) for R in radii)

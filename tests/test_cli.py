@@ -133,6 +133,8 @@ def _mass_doc(**changes):
 
 _UNKNOWN_PIECE = {"dimension": 3, "pieces": [{"kind": "cubic", "range": [0.0, None], "params": {}}]}
 
+_CONDENSER_KEYS = "capacity-graph input keys 'space' and 'inner' and 'outer': "
+
 MALFORMED = [
     (["capacity-radial"], _radial_doc(levels=2.5), "input.levels"),
     (["capacity-radial"], _radial_doc(levels="2"), "input.levels"),
@@ -172,6 +174,12 @@ MALFORMED = [
     (["experiment", "ex3"], {"alphas": [0.0, 0.0]}, "input keys 'i_list' and 'alphas': need one threshold"),
     (["experiment", "ex4"], {"i_list": [2]}, "experiment ex4 input.i_list must list at least 3 entries"),
     (["experiment", "ex1"], {"i_list": []}, "experiment ex1 input.i_list must list at least 3 entries"),
+    (["experiment", "ex3"], {"alphas": [0.0, -0.1, 0.0]}, "ex3 input.alphas[1] must be a number (finite, >= 0)"),
+    (["experiment", "ex3"], {"alpha_rule_c": -1.0}, "ex3 input.alpha_rule_c must be a number (finite, >= 0)"),
+    (["capacity-graph"], _graph_doc(inner=["zz"]), _CONDENSER_KEYS + "condenser references unknown point 'zz'"),
+    (["capacity-graph"], _graph_doc(outer=["qq"]), _CONDENSER_KEYS + "condenser references unknown point 'qq'"),
+    (["capacity-graph"], _graph_doc(inner=[]), _CONDENSER_KEYS + "condenser needs a nonempty inner set K"),
+    (["capacity-graph"], _graph_doc(outer=["p:0_0"]), _CONDENSER_KEYS + "inner and outer sets must be disjoint"),
 ]
 
 

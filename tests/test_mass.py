@@ -1,11 +1,13 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import separate_cv_mass_curve, separate_iso_mass_curve, separate_mass_curve
+from _oracles import separate_mass_curve
 from varcap.errors import DomainError, NoLimitError, PreconditionError
-from varcap.mass import AFProfile, cv_mass_curve, evaluate_mass_curve, extrapolate_mass, iso_mass_curve, mass_csv
+from varcap.mass import AFProfile, MassCurve, evaluate_mass_curve, extrapolate_mass, mass_csv
 from varcap.profiles import (
     cylinder_transition_profile,
     euclidean_profile,
@@ -56,16 +58,15 @@ def test_af_check_rejects_wrong_dimension():
 
 
 def test_flat_masses_vanish(flat_af):
-    iso = iso_mass_curve(flat_af, FLAT_RADII)
-    cv = cv_mass_curve(flat_af, FLAT_RADII)
-    assert np.max(np.abs(iso)) <= 1e-10
-    assert np.max(np.abs(cv)) <= 1e-10
+    curve = evaluate_mass_curve(flat_af, FLAT_RADII)
+    assert np.max(np.abs(curve.m_iso)) <= 1e-10
+    assert np.max(np.abs(curve.m_cv)) <= 1e-10
 
 
 def test_flat_alternative_display_does_not_vanish(flat_af):
     # the literal volume-radius display misses a factor 3^(1/3): on flat space
     # it equals (3^(-1/3) - 1) * R instead of zero; it is reported, never merged
-    alt = cv_mass_curve(flat_af, FLAT_RADII, alternative=True)
+    alt = evaluate_mass_curve(flat_af, FLAT_RADII).m_cv_alt
     expected = (3.0 ** (-1.0 / 3.0) - 1.0) * np.asarray(FLAT_RADII)
     assert np.allclose(alt, expected, rtol=1e-10)
     assert np.min(np.abs(alt)) > 0.1
@@ -90,7 +91,7 @@ def test_schwarzschild_masses_recover_total_mass(schw_af):
 
 
 def test_schwarzschild_error_shrinks_with_radius(schw_af):
-    iso = iso_mass_curve(schw_af, (50.0, 100.0, 200.0, 400.0))
+    iso = evaluate_mass_curve(schw_af, (50.0, 100.0, 200.0, 400.0)).m_iso
     errors = np.abs(np.asarray(iso) - 2.0)
     assert np.all(np.diff(errors) < 0)
 
@@ -102,8 +103,8 @@ def test_capacity_fn_injection(schw_af):
         return capacity_estimate(cond, default_schedule(cond)).cap
 
     radii = (50.0, 100.0)
-    closed = cv_mass_curve(schw_af, radii)
-    fem = cv_mass_curve(schw_af, radii, capacity_fn=fem_cap)
+    closed = evaluate_mass_curve(schw_af, radii).m_cv
+    fem = evaluate_mass_curve(schw_af, radii, capacity_fn=fem_cap).m_cv
     assert np.allclose(fem, closed, rtol=1e-3, atol=1e-3)
 
 
@@ -192,8 +193,6 @@ def test_mass_formulas_match_separate_oracles(mass, start, growth, scale_cap):
     radii = list(start * max(mass, 1.0) * np.cumprod([1.0] + growth))
     # an injected capacity route must be used as given; None takes the default
     fn = (lambda R: 0.5 * R) if scale_cap else None
-    assert iso_mass_curve(af, radii).tobytes() == separate_iso_mass_curve(af, radii).tobytes()
-    for alternative in (False, True):
-        got = cv_mass_curve(af, radii, capacity_fn=fn, alternative=alternative)
-        assert got.tobytes() == separate_cv_mass_curve(af, radii, fn, alternative).tobytes()
-    assert evaluate_mass_curve(af, radii, capacity_fn=fn) == separate_mass_curve(af, radii, fn)
+    got, want = evaluate_mass_curve(af, radii, capacity_fn=fn), separate_mass_curve(af, radii, fn)
+    for column in (f.name for f in fields(MassCurve)):
+        assert np.asarray(getattr(got, column)).tobytes() == np.asarray(getattr(want, column)).tobytes(), column

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -414,7 +415,7 @@ def test_inter_sheet_edges_by_index_equal_label_form():
 
 def test_space_serialization_round_trip():
     space = path_space()
-    clone = FiniteMetricMeasureSpace.from_json(space.to_json())
+    clone = FiniteMetricMeasureSpace.from_doc(json.loads(json.dumps(space.to_doc())))
     assert clone.labels == space.labels
     assert np.allclose(clone.weight, space.weight)
     assert np.allclose(clone.coords, space.coords)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -103,7 +104,7 @@ def test_serialization_round_trip():
         schwarzschild_profile(2.0),
         capped_even_profile(2),
     ):
-        clone = WarpProfile.from_json(prof.to_json())
+        clone = WarpProfile.from_doc(json.loads(json.dumps(prof.to_doc())))
         assert clone.m == prof.m
         assert clone.pole_at_origin == prof.pole_at_origin
         hi = 50.0 if prof.s_max == INF else prof.s_max

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from _oracles import (
     grid_search_extension_value,
@@ -225,7 +228,7 @@ def test_region_inputs_as_labels_indices_or_mask():
     for region in (idx, mask):
         other = DefiningFunction.canonical_for(limit, region)
         assert np.array_equal(other.values, by_label.values)
-        assert other.region_labels == tuple(K)
+        assert limit.labels_at(other.region_idx) == K
         assert region_measure(limit, region) == region_measure(limit, K)
 
 
@@ -244,18 +247,27 @@ def test_region_measure_trivia():
     assert region_measure(space, space.labels) == pytest.approx(21.0)
 
 
-def test_canonical_fast_path_matches_generic_mcshane():
-    rng = np.random.default_rng(12)
-    limit = random_point_space(12, rng)
-    K = [limit.labels[k] for k in (0, 5)]
+def _points(most):
+    return hnp.arrays(float, st.tuples(st.integers(1, most), st.just(3)), elements=st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(src=_points(24), target=_points(16), data=st.data())
+def test_canonical_fast_path_matches_generic_mcshane(src, target, data):
+    # the KD-tree path, the McShane minimum over every anchor and brute-force
+    # d(., K) agree on generated point sets, and a bounded search keeps the
+    # values at or below its bound
+    K = np.array(data.draw(st.lists(st.integers(0, len(src) - 1), min_size=1, unique=True)))
+    limit = FiniteMetricMeasureSpace([f"x{k}" for k in range(len(src))], np.ones(len(src)), coords=src)
+    target_space = FiniteMetricMeasureSpace([f"y{k}" for k in range(len(target))], np.ones(len(target)), coords=target)
     defining = DefiningFunction.canonical_for(limit, K)
-    target = random_point_space(7, np.random.default_rng(13))
     spec = CorrespondingRegionSpec(defining, alphas=(0.0,))
-    fast = spec.extension_on(target)
-    slow = extend_from_coords(limit.coords, defining.values, target.coords, lip=1.0)
-    assert np.allclose(fast, slow, atol=1e-12)
-    # both equal the plain ambient distance to K
-    k_coords = limit.coords[limit.indices(K)]
-    diffs = target.coords[:, None, :] - k_coords[None, :, :]
+    fast = spec.extension_on(target_space)
+    slow = extend_from_coords(limit.coords, defining.values, target_space.coords)
+    diffs = target[:, None, :] - src[K][None, :, :]
     d_K = np.min(np.sqrt(np.sum(diffs * diffs, axis=-1)), axis=1)
-    assert np.allclose(fast, d_K, atol=1e-12)
+    assert np.allclose(fast, slow, rtol=0.0, atol=1e-12)
+    assert np.allclose(fast, d_K, rtol=0.0, atol=1e-12)
+    alpha = data.draw(st.floats(0.0, 4.0))
+    bounded = spec.extension_on(target_space, upto=alpha)
+    assert np.array_equal(bounded[fast <= alpha], fast[fast <= alpha])

@@ -332,3 +332,8 @@ def test_power_law_fit_recovers_exponent():
     i = np.array([2, 4, 8, 16], dtype=float)
     vals = 3.0 / i**1.1
     assert fit_power_law(i, vals) == pytest.approx(1.1, abs=1e-12)
+
+
+def test_power_law_fit_rejects_a_single_point():
+    with pytest.raises(DomainError, match=">= 2 points"):
+        fit_power_law([2.0], [0.5])
