@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import functools
 import inspect
 import json
 import sys
@@ -367,10 +368,13 @@ def parse_config(
                 args[key] = _convert(convert, keys[key], f"{where}.{key}", problems)
         # the rule runs once every given key converted and every required key is given
         if spec.rule is not None and None not in args.values() and set(spec.required) <= args.keys():
+            tied = {key: args.get(key, default) for key, default in spec.tied.items()}
             try:
-                spec.rule(**{key: args.get(key, default) for key, default in spec.tied.items()})
+                spec.rule(**tied)
             except DomainError as exc:
-                problems.append(f"{where} keys {' and '.join(map(repr, spec.tied))}: {exc}")
+                # a key left unset (None) takes no part in the rule, so it is not named
+                named = [key for key, value in tied.items() if value is not None]
+                problems.append(f"{where} keys {' and '.join(map(repr, named))}: {exc}")
         if tol_override is not None and spec.tolerance is None:
             problems.append(f"--tol: {name} has no tolerance to set")
         elif tol_override is not None:
@@ -427,7 +431,9 @@ def run(config: RunConfig) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `main` call and shared by later ones."""
     parser = argparse.ArgumentParser(prog="varcap", description=__doc__)
     parser.add_argument("--version", action="version", version=f"varcap {__version__}")
     common = argparse.ArgumentParser(add_help=False)

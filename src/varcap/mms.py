@@ -20,12 +20,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
+from operator import iadd, is_not, itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from . import reports
-from .errors import DomainError, EmptyRegionWarning, MetricError, SolverError, real
+from .errors import DomainError, EmptyRegionWarning, MetricError, SolverError, is_real, real
 from .geometry import Dimension
 
 _TRIANGLE_TOL = 1e-9
@@ -60,7 +63,7 @@ class FiniteMetricMeasureSpace:
         if isinstance(labels, _LatticeLabels):
             self._lattice, self._labels = labels, None  # unique by construction
         else:
-            self._lattice, self._labels = None, [str(x) for x in labels]
+            self._lattice, self._labels = None, list(map(str, labels))
             if len(set(self._labels)) != len(self._labels):
                 raise DomainError("point labels must be unique")
         self._index = None
@@ -199,52 +202,146 @@ class FiniteMetricMeasureSpace:
 
     @staticmethod
     def from_doc(doc: dict) -> "FiniteMetricMeasureSpace":
+        """Read a space document one column at a time.
+
+        Each column (the point objects, their keys, weights and coordinates;
+        the edges, their ends and conductances; the distances) passes one
+        check on the whole column.  When a check fails, the error names the
+        column's first bad entry (`point 2 weight`, `edge 3 names unknown
+        point 'zz'`, `dist[1][0]`); with faults in several columns, the first
+        column checked is the one reported.
+        """
         if not isinstance(doc, dict):
             raise DomainError(f"space document must be an object, got {doc!r}")
         unknown = set(doc) - {"points", "edges", "dist"}
         if unknown:
             raise DomainError(f"unknown space keys: {sorted(unknown)}")
-        labels, weights, coords = [], [], []
-        has_coords = True
-        for k, p in enumerate(doc.get("points", [])):
-            if not isinstance(p, dict) or not isinstance(p.get("label"), str):
-                raise DomainError(f"point {k} must be an object with a string 'label', got {p!r}")
-            extra = set(p) - {"label", "xyz", "weight"}
-            if extra:
-                raise DomainError(f"unknown point keys: {sorted(extra)}")
-            labels.append(p["label"])
-            weights.append(real(p.get("weight", 0.0), f"point {k} weight", DomainError))
-            xyz = p.get("xyz")
-            if xyz is None:
-                has_coords = False
-            elif not isinstance(xyz, list) or len(xyz) != 3:
-                raise DomainError(f"point {k} xyz must be [x, y, z], got {xyz!r}")
-            else:
-                coords.append([real(v, f"point {k} xyz", DomainError) for v in xyz])
-        index = {lab: k for k, lab in enumerate(labels)}
-        edges, cond = [], []
-        for k, edge in enumerate(doc.get("edges", [])):
-            if not isinstance(edge, list) or len(edge) != 3:
-                raise DomainError(f"edge {k} must be [label, label, conductance], got {edge!r}")
-            a, b, c = edge
-            for end in (a, b):
-                if not isinstance(end, str) or end not in index:
-                    raise DomainError(f"edge {k} names unknown point {end!r}")
-            edges.append((index[a], index[b]))
-            cond.append(real(c, f"edge {k} conductance", DomainError))
+        points, edges = doc.get("points", []), doc.get("edges", [])
+        for name, column in (("points", points), ("edges", edges)):
+            if not isinstance(column, list):
+                raise DomainError(f"{name} must be a list, got {column!r}")
+
+        labels = _entries(points, "label") if _typed(points, {dict}) else None
+        if labels is None or not _typed(labels, {str}):
+            k = _first_bad(_is_point, points)
+            if k is not None:
+                raise DomainError(f"point {k} must be an object with a string 'label', got {points[k]!r}")
+            labels = _entries(points, "label")
+        if not set().union(*points) <= _POINT_KEYS:
+            k = _first_bad(_POINT_KEYS.issuperset, points)
+            raise DomainError(f"unknown point keys: {sorted(set(points[k]) - _POINT_KEYS)}")
+        weight = _reals(_entries(points, "weight", 0.0), lambda k: f"point {k} weight")
+        xyz = _entries(points, "xyz")
+        has_coords = all(map(is_not, xyz, repeat(None)))
+        rows = xyz if has_coords else [row for row in xyz if row is not None]
+
+        def point_of(r):  # the point holding the r-th given xyz
+            return r if has_coords else int(np.flatnonzero([row is not None for row in xyz])[r])
+
+        if not (_typed(rows, {list}) and set(map(len, rows)) <= {3}):
+            r = _first_bad(_is_triple, rows)
+            if r is not None:
+                raise DomainError(f"point {point_of(r)} xyz must be [x, y, z], got {rows[r]!r}")
+        coords = _reals(_flat(rows), lambda k: f"point {point_of(k // 3)} xyz")
+
+        if not (_typed(edges, {list}) and set(map(len, edges)) <= {3}):
+            k = _first_bad(_is_triple, edges)
+            if k is not None:
+                raise DomainError(f"edge {k} must be [label, label, conductance], got {edges[k]!r}")
+        ends = [list(map(itemgetter(j), edges)) for j in (0, 1)]
+        index = dict(zip(labels, range(len(labels))))
+        ends_idx = np.column_stack([_indices(index, column) for column in ends])
+        unknown_end = np.flatnonzero(ends_idx.ravel() < 0)  # the ends of edge 0, then of edge 1, ...
+        if unknown_end.size:
+            k, j = divmod(int(unknown_end[0]), 2)
+            raise DomainError(f"edge {k} names unknown point {ends[j][k]!r}")
+        conductance = _reals(list(map(itemgetter(2), edges)), lambda k: f"edge {k} conductance")
+
         dist = doc.get("dist")
         if dist is not None:
-            if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
+            if not isinstance(dist, list) or not all(map(isinstance, dist, repeat(list))):
                 raise DomainError(f"dist must be a list of rows of distances, got {dist!r}")
-            dist = [[real(d, f"dist[{i}][{j}]", DomainError) for j, d in enumerate(row)]
-                    for i, row in enumerate(dist)]
-            if len({len(row) for row in dist}) > 1:
+            lengths = np.fromiter(map(len, dist), int, len(dist))
+            row_ends = np.cumsum(lengths)
+
+            def entry(k):  # row and column of the k-th distance
+                i = int(np.searchsorted(row_ends, k, side="right"))
+                return f"dist[{i}][{k - int(row_ends[i] - lengths[i])}]"
+
+            values = _reals(_flat(dist), entry)
+            if np.any(lengths != lengths[:1]):
                 raise DomainError("dist rows must all have the same length")
-        return FiniteMetricMeasureSpace(
-            labels, weights, coords=np.asarray(coords) if has_coords and labels else None,
-            edges=np.asarray(edges, dtype=int).reshape(-1, 2), conductance=cond,
-            dist_matrix=None if dist is None else np.asarray(dist, dtype=float),
+            dist = values.reshape(len(dist), -1) if dist else values
+        space = FiniteMetricMeasureSpace(
+            labels, weight, coords=coords.reshape(-1, 3) if has_coords and labels else None,
+            edges=ends_idx, conductance=conductance, dist_matrix=dist,
         )
+        space._index = index  # unique labels, or the constructor refused them
+        return space
+
+
+_NUMBERS = {int, float}
+_POINT_KEYS = frozenset({"label", "xyz", "weight"})
+
+
+def _typed(column: list, kinds: set) -> bool:
+    """Whether every entry's type is one of `kinds`: a JSON column's fast check."""
+    return set(map(type, column)) <= kinds
+
+
+def _entries(points: list, key: str, default=None) -> list:
+    """The `key` value of every point object, `default` where it is absent."""
+    return list(map(dict.get, points, repeat(key), repeat(default)))
+
+
+def _flat(rows: list) -> list:
+    """The entries of a list of lists, row after row.  Extending one list
+    allocates nothing per row, unlike `itertools.chain`, so the reader does
+    not set off the garbage collector."""
+    return reduce(iadd, rows, [])
+
+
+def _indices(index: dict, ends: list) -> np.ndarray:
+    """The index of each label in `ends`; -1 for an end that is not a label."""
+    if not _typed(ends, {str}):
+        ends = [end if isinstance(end, str) else None for end in ends]
+    return np.fromiter(map(index.get, ends, repeat(-1)), int, len(ends))
+
+
+def _is_point(p) -> bool:
+    return isinstance(p, dict) and isinstance(p.get("label"), str)
+
+
+def _is_triple(v) -> bool:
+    return isinstance(v, list) and len(v) == 3
+
+
+def _first_bad(check, column: list) -> int | None:
+    """Index of the first entry failing `check`, or None when every entry
+    passes (a column of subclasses, such as numpy scalars, that its fast type
+    check refused)."""
+    bad = np.flatnonzero(~np.fromiter(map(check, column), bool, len(column)))
+    return int(bad[0]) if bad.size else None
+
+
+def _reals(column: list, where) -> np.ndarray:
+    """The entries of `column` as a float array.
+
+    JSON numbers pass on one type set, one conversion and one `np.isfinite`;
+    otherwise the first entry that `errors.is_real` refuses is named by
+    `where(k)`.
+    """
+    if _typed(column, _NUMBERS):
+        try:
+            values = np.array(column, dtype=float)
+        except OverflowError:  # an integer past the float range
+            values = None
+        if values is not None and np.isfinite(values).all():
+            return values
+    k = _first_bad(is_real, column)
+    if k is not None:
+        real(column[k], where(k), DomainError)  # raises, naming the entry
+    return np.array(column, dtype=float)
 
 
 class GraphCondenser:

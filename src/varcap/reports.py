@@ -30,8 +30,12 @@ def _jsonable(x):
 
 
 def config_hash(doc: dict) -> str:
-    """sha256 of the canonical JSON encoding of a configuration document."""
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str)
+    """sha256 of the canonical JSON encoding of a configuration document.
+
+    The document is built from parsed JSON, which cannot hold a cycle, so the
+    encoder's cycle check is skipped; it changes no byte of the encoding.
+    """
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str, check_circular=False)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

@@ -255,10 +255,15 @@ def _radius(space: FiniteMetricMeasureSpace) -> np.ndarray:
     return np.sqrt(space.coords[:, 0] ** 2 + space.coords[:, 1] ** 2)
 
 
-def _check_family(i_list: Sequence[int], alphas: Sequence[float] | None = None) -> None:
-    """Reject family indices below 1 and a short threshold list before any work."""
+def _check_family(
+    i_list: Sequence[int], alphas: Sequence[float] | None = None, alpha_rule_c: float | None = None
+) -> None:
+    """Reject family indices below 1, a threshold list given with a c/i rule,
+    and a short threshold list before any work."""
     if any(i < 1 for i in i_list):
         raise DomainError(f"family indices must be >= 1, got {list(i_list)}")
+    if alphas is not None and alpha_rule_c is not None:
+        raise DomainError("provide at most one of an alpha list or a c/i rule")
     if alphas is not None and len(alphas) < len(i_list):
         raise DomainError(f"need one threshold per family index, got {len(alphas)} for {len(i_list)}")
 
@@ -326,7 +331,7 @@ def run_example3(
     i_list = tuple(i_list)
     if rim_radius <= 1.0 + 4.0 * h:
         raise DomainError("rim radius sits too close to the disk; condenser would be distorted")
-    _check_family(i_list, alphas)
+    _check_family(i_list, alphas, alpha_rule_c)
 
     limit_cond = limit_plane_condenser(h, rim_radius)
     limit_cap = graph_capacity(limit_cond).capacity

@@ -12,6 +12,7 @@ import numpy as np
 from scipy.linalg import lstsq, solveh_banded
 from scipy.sparse.csgraph import shortest_path
 
+from varcap.errors import DomainError, real
 from varcap.mass import MassCurve, _geometry_at
 from varcap.mms import FiniteMetricMeasureSpace
 from varcap.warped import RadialCondenser, radial_capacity
@@ -49,6 +50,61 @@ def dense_graph_energy(space, inner_labels, outer_labels):
         u[free] = sol
     du = u[space.edges[:, 0]] - u[space.edges[:, 1]]
     return float(np.sum(space.conductance * du * du)), u
+
+
+def loop_space_from_doc(doc):
+    """A space document read entry by entry, each number through `errors.real`.
+
+    The library reader checks one column at a time; on a document with a
+    single fault both must raise the same error, and on a valid document
+    build the same arrays.
+    """
+    if not isinstance(doc, dict):
+        raise DomainError(f"space document must be an object, got {doc!r}")
+    unknown = set(doc) - {"points", "edges", "dist"}
+    if unknown:
+        raise DomainError(f"unknown space keys: {sorted(unknown)}")
+    labels, weights, coords = [], [], []
+    has_coords = True
+    for k, p in enumerate(doc.get("points", [])):
+        if not isinstance(p, dict) or not isinstance(p.get("label"), str):
+            raise DomainError(f"point {k} must be an object with a string 'label', got {p!r}")
+        extra = set(p) - {"label", "xyz", "weight"}
+        if extra:
+            raise DomainError(f"unknown point keys: {sorted(extra)}")
+        labels.append(p["label"])
+        weights.append(real(p.get("weight", 0.0), f"point {k} weight", DomainError))
+        xyz = p.get("xyz")
+        if xyz is None:
+            has_coords = False
+        elif not isinstance(xyz, list) or len(xyz) != 3:
+            raise DomainError(f"point {k} xyz must be [x, y, z], got {xyz!r}")
+        else:
+            coords.append([real(v, f"point {k} xyz", DomainError) for v in xyz])
+    index = {lab: k for k, lab in enumerate(labels)}
+    edges, cond = [], []
+    for k, edge in enumerate(doc.get("edges", [])):
+        if not isinstance(edge, list) or len(edge) != 3:
+            raise DomainError(f"edge {k} must be [label, label, conductance], got {edge!r}")
+        a, b, c = edge
+        for end in (a, b):
+            if not isinstance(end, str) or end not in index:
+                raise DomainError(f"edge {k} names unknown point {end!r}")
+        edges.append((index[a], index[b]))
+        cond.append(real(c, f"edge {k} conductance", DomainError))
+    dist = doc.get("dist")
+    if dist is not None:
+        if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
+            raise DomainError(f"dist must be a list of rows of distances, got {dist!r}")
+        dist = [[real(d, f"dist[{i}][{j}]", DomainError) for j, d in enumerate(row)]
+                for i, row in enumerate(dist)]
+        if len({len(row) for row in dist}) > 1:
+            raise DomainError("dist rows must all have the same length")
+    return FiniteMetricMeasureSpace(
+        labels, weights, coords=np.asarray(coords) if has_coords and labels else None,
+        edges=np.asarray(edges, dtype=int).reshape(-1, 2), conductance=cond,
+        dist_matrix=None if dist is None else np.asarray(dist, dtype=float),
+    )
 
 
 def grid_search_extension_value(anchor_values, anchor_dists, lip, resolution=1e-3):

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import varcap
+from _oracles import dense_graph_energy, loop_space_from_doc
 from test_golden import _command_doc
+from test_mms import UNKNOWN_LABEL, space_docs, with_one_fault
 from varcap.cli import COMMANDS, RunConfig, main, parse_config
 from varcap.errors import ConfigError
 from varcap.mms import build_planar_sheet
@@ -172,6 +174,8 @@ MALFORMED = [
     (["capacity-graph"], _graph_doc_with_dist([0.0, 1.0]), "document: dist must be a list of rows"),
     (["experiment", "ex1"], {"r": 5.0}, "input keys 'i_list' and 'r': ball radius r=5.0"),
     (["experiment", "ex3"], {"alphas": [0.0, 0.0]}, "input keys 'i_list' and 'alphas': need one threshold"),
+    (["experiment", "ex3"], {"alphas": [0, 0, 0], "alpha_rule_c": 1.0},
+     "input keys 'i_list' and 'alphas' and 'alpha_rule_c': provide at most one of an alpha list or a c/i rule"),
     (["experiment", "ex4"], {"i_list": [2]}, "experiment ex4 input.i_list must list at least 3 entries"),
     (["experiment", "ex1"], {"i_list": []}, "experiment ex1 input.i_list must list at least 3 entries"),
     (["experiment", "ex3"], {"alphas": [0.0, -0.1, 0.0]}, "ex3 input.alphas[1] must be a number (finite, >= 0)"),
@@ -288,6 +292,46 @@ def test_arbitrary_json_is_converted_or_refused(data):
         assert isinstance(parse_config(document), RunConfig)
     except ConfigError:
         pass
+
+
+@st.composite
+def graph_documents(draw):
+    """A small `capacity-graph` document and the fault put into it, if any:
+    one in its space (see `test_mms.with_one_fault`), its condenser or `m`."""
+    conductances = st.floats(0.1, 10.0) | st.integers(1, 10)
+    space = draw(space_docs(min_points=2, max_points=10, max_edges=20, conductances=conductances))
+    labels = [point["label"] for point in space["points"]]
+    inner = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=len(labels) - 1, unique=True))
+    outer = draw(st.lists(st.sampled_from([lab for lab in labels if lab not in inner]), unique=True))
+    doc = {"space": space, "inner": inner, "outer": outer, **draw(st.fixed_dictionaries({}, optional={
+        "m": st.integers(2, 4), "rim_radius": st.floats(0.5, 10.0)}))}
+    fault = draw(st.sampled_from([None, "space", "inner", "outer", "overlap", "m"]))
+    if fault == "space":
+        doc["space"] = draw(with_one_fault(space))
+    elif fault in ("inner", "outer"):
+        doc[fault] = draw(st.sampled_from([[UNKNOWN_LABEL], [5], labels[0], None] + ([[]] if fault == "inner" else [])))
+    elif fault == "overlap":
+        doc["outer"] = outer + inner[:1]
+    elif fault == "m":
+        doc["m"] = draw(st.sampled_from([1, 2.5, "2", True]))
+    return doc, fault
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=graph_documents())
+def test_capacity_graph_on_generated_documents(case):
+    doc, fault = case
+    with tempfile.TemporaryDirectory() as tmp:
+        inp, out = Path(tmp) / "input.json", Path(tmp) / "report.json"
+        inp.write_text(json.dumps(doc))
+        code = main(["capacity-graph", "--input", str(inp), "--format", "json", "--out", str(out)])
+        assert code == (0 if fault is None else 2)
+        if code == 0:
+            raw_energy = json.loads(out.read_text())["rows"][0][1]
+            dense, _ = dense_graph_energy(loop_space_from_doc(doc["space"]), doc["inner"], doc["outer"])
+            assert abs(raw_energy - dense) <= 1e-10 * max(1.0, dense)
+        else:
+            assert not out.exists()
 
 
 def test_tol_on_a_command_without_tolerance_exits_two(tmp_path, capsys):

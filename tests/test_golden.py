@@ -78,6 +78,31 @@ def test_small_command_report_bytes(tmp_path, command, fmt):
     assert _sha256(out.read_bytes()) == COMMAND_SHA256[(command, fmt)]
 
 
+def test_shared_parser_carries_no_state(tmp_path):
+    """One process runs the golden calls forward, then in reverse; before each,
+    a call sets every flag the golden call leaves at its default."""
+    inputs = {}
+    for command in {command for command, _ in COMMAND_SHA256}:
+        inputs[command] = tmp_path / f"{command}.json"
+        inputs[command].write_text(json.dumps(_command_doc(command)))
+    out, other = tmp_path / "report", tmp_path / "other"
+    order = sorted(COMMAND_SHA256)
+    for command, fmt in order + order[::-1]:
+        flags = ["--tol", "1e-3", "--seed", "7", "--format", "json" if fmt == "csv" else "csv"]
+        # capacity-radial has no tolerance to set, so that call exits 2
+        assert main([command, "--input", str(inputs[command]), "--out", str(other), *flags]) == (
+            2 if command == "capacity-radial" else 0)
+        fmt_flag = ["--format", fmt] if fmt == "json" else []  # csv is the default
+        assert main([command, "--input", str(inputs[command]), "--out", str(out), *fmt_flag]) == 0
+        assert _sha256(out.read_bytes()) == COMMAND_SHA256[(command, fmt)]
+    with pytest.raises(SystemExit) as version:
+        main(["--version"])
+    assert version.value.code == 0
+    assert main([]) == 2
+    assert main(["mass", "--input", str(inputs["mass"]), "--out", str(out)]) == 0
+    assert _sha256(out.read_bytes()) == COMMAND_SHA256[("mass", "csv")]
+
+
 def test_limit_plane_document_bytes():
     doc = json.dumps(limit_plane_condenser(0.1, 4.0).space.to_doc(), sort_keys=True)
     assert _sha256(doc.encode()) == LIMIT_PLANE_DOC_SHA256

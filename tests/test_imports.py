@@ -51,6 +51,11 @@ def test_import_loads_no_scipy(module):
     assert _scipy_loaded(f"import {module}") == set()
 
 
+def test_import_builds_no_parser():
+    # the argument parser is built by the first `main` call and kept for later ones
+    _scipy_loaded("import varcap.cli\nassert varcap.cli._build_parser.cache_info().currsize == 0")
+
+
 @pytest.mark.parametrize("command, absent", [
     ("capacity-radial", ("sparse", "integrate", "interpolate", "spatial")),
     ("capacity-graph", ("integrate", "interpolate", "spatial", "optimize", "special")),

@@ -1,18 +1,24 @@
+import copy
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from _oracles import (
     dense_graph_energy,
     loop_planar_sheet,
+    loop_space_from_doc,
     random_graph_condenser,
     random_matrix_space,
     random_sparse_condenser,
 )
+import varcap.errors
+import varcap.mms
 from varcap.errors import DomainError, EmptyRegionWarning, MetricError
 from varcap.geometry import Dimension
 from varcap.mms import (
@@ -439,3 +445,164 @@ def test_space_document_edges_rejected_by_name(edge, message):
     doc["edges"][1] = edge
     with pytest.raises(DomainError, match=message):
         FiniteMetricMeasureSpace.from_doc(doc)
+
+
+# -- the column-wise space reader against the entry-by-entry oracle ----------------------
+
+# JSON numbers of both kinds, with integers past int64 and near the float range
+WEIGHTS = st.floats(0.0, 1e6) | st.integers(0, 10**6) | st.sampled_from([2**64 + 1, 10**300])
+COORDS = st.floats(-1e6, 1e6) | st.integers(-(10**6), 10**6) | st.sampled_from([-(2**70), 10**300])
+CONDUCTANCES = st.floats(1e-3, 1e3) | st.integers(1, 1000) | st.just(2**64 + 1)
+NOT_REAL = st.sampled_from([True, False, "1", math.nan, math.inf, -math.inf, 10**400, None, [1.0]])
+UNKNOWN_LABEL = "?"  # no drawn label: each ends in "#" and its index
+
+
+@st.composite
+def space_docs(draw, min_points=0, max_points=60, max_edges=120, conductances=CONDUCTANCES):
+    """A valid space document: labelled points with or without `xyz` and
+    `weight`, edges between distinct points, and an exact integer metric in
+    `dist` wherever some point has no coordinates.  Each column is drawn as
+    one array."""
+    n = draw(st.integers(min_points, max_points))
+    names = draw(arrays(object, n, elements=st.text(st.characters(blacklist_characters="#"), max_size=3)))
+    labels = [f"{name}#{k}" for k, name in enumerate(names.tolist())]  # unique: each ends in its index
+    weights = draw(arrays(object, n, elements=WEIGHTS)).tolist()
+    xyz = draw(arrays(object, (n, 3), elements=COORDS)).tolist()
+    has_weight, has_xyz, null_xyz = draw(arrays(bool, (3, n))).tolist()
+    coords = draw(st.sampled_from(["all", "some", "none"])) if n else "all"
+    points = []
+    for k, label in enumerate(labels):
+        point = {"label": label, **({"weight": weights[k]} if has_weight[k] else {})}
+        if coords == "all" or coords == "some" and has_xyz[k]:
+            point["xyz"] = xyz[k]
+        elif null_xyz[k]:
+            point["xyz"] = None
+        points.append(point)
+    m = draw(st.integers(0, max_edges)) if n >= 2 else 0
+    a = draw(arrays(int, m, elements=st.integers(0, max(n - 1, 0))))
+    b = (a + draw(arrays(int, m, elements=st.integers(1, max(n - 1, 1))))) % max(n, 1)  # b != a
+    cond = draw(arrays(object, m, elements=conductances)).tolist()
+    doc = {"points": points, "edges": [[labels[i], labels[j], c] for i, j, c in zip(a.tolist(), b.tolist(), cond)]}
+    if n and (coords != "all" or draw(st.booleans())):
+        x = draw(arrays(int, n, elements=st.integers(-50, 50))).tolist()
+        as_float = draw(st.booleans())
+        doc["dist"] = [[float(abs(i - j)) if as_float else abs(i - j) for j in x] for i in x]
+    for key in ("points", "edges"):
+        if not doc[key] and draw(st.booleans()):
+            del doc[key]
+    return doc
+
+
+@st.composite
+def with_one_fault(draw, doc):
+    """`doc` with exactly one fault, drawn from those that apply to it."""
+    doc = copy.deepcopy(doc)
+    points, edges, dist = doc.get("points", []), doc.get("edges", []), doc.get("dist")
+    given_xyz = [p["xyz"] for p in points if p.get("xyz") is not None]
+    faults = ["weight", "xyz_shape", "not_object", "label", "point_key"] if points else []
+    faults += ["xyz_entry"] if given_xyz else []
+    faults += ["duplicate"] if len(points) >= 2 else []
+    faults += ["edge_shape", "edge_end", "conductance"] if edges else []
+    faults += ["dist_entry", "ragged"] if dist else []
+    faults += ["space_key"]
+    fault = draw(st.sampled_from(faults))
+    pick = lambda seq: draw(st.integers(0, len(seq) - 1))  # noqa: E731
+    if fault == "space_key":
+        doc["zz"] = 1
+    elif fault == "weight":
+        points[pick(points)]["weight"] = draw(NOT_REAL)
+    elif fault == "xyz_shape":
+        points[pick(points)]["xyz"] = draw(st.sampled_from([[0.0, 1.0], [0.0, 1.0, 2.0, 3.0], "0,1,2", 5, {"x": 0}]))
+    elif fault == "xyz_entry":
+        xyz = given_xyz[pick(given_xyz)]
+        xyz[pick(xyz)] = draw(NOT_REAL)
+    elif fault == "not_object":
+        points[pick(points)] = draw(st.sampled_from(["p", 3, None, [1, 2]]))
+    elif fault == "label":
+        point = points[pick(points)]
+        label = draw(st.sampled_from([5, None, True, ["a"], "missing"]))
+        if label == "missing":
+            del point["label"]
+        else:
+            point["label"] = label
+    elif fault == "point_key":
+        points[pick(points)]["zz"] = 1
+    elif fault == "duplicate":
+        k, j = draw(st.lists(st.integers(0, len(points) - 1), min_size=2, max_size=2, unique=True))
+        points[k]["label"] = points[j]["label"]
+    elif fault == "edge_shape":
+        k = pick(edges)
+        edges[k] = draw(st.sampled_from([edges[k][:2], edges[k] + [1.0], "edge", None]))
+    elif fault == "edge_end":
+        edges[pick(edges)][draw(st.integers(0, 1))] = draw(st.sampled_from([UNKNOWN_LABEL, 5, None, ["a"]]))
+    elif fault == "conductance":
+        edges[pick(edges)][2] = draw(NOT_REAL)
+    elif fault == "dist_entry":
+        row = dist[pick(dist)]
+        row[pick(row)] = draw(NOT_REAL)
+    else:
+        dist[pick(dist)].pop()
+    return doc
+
+
+def _outcome(read, doc):
+    try:
+        read(doc)
+    except Exception as exc:  # the outcomes compared: error type and message
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=space_docs())
+def test_column_reader_matches_loop_oracle_on_valid_documents(doc):
+    space, oracle = FiniteMetricMeasureSpace.from_doc(doc), loop_space_from_doc(doc)
+    assert space.labels == oracle.labels
+    for name in ("weight", "coords", "edges", "conductance", "dist_matrix"):
+        ours, theirs = getattr(space, name), getattr(oracle, name)
+        assert (ours is None) == (theirs is None), name
+        if ours is not None:
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape, name
+            assert np.array_equal(ours, theirs), name
+    assert [space.index(label) for label in space.labels] == list(range(space.n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=space_docs(min_points=2, max_points=12, max_edges=20).flatmap(with_one_fault))
+def test_column_reader_names_the_same_fault_as_the_loop_oracle(doc):
+    expected = _outcome(loop_space_from_doc, doc)
+    assert expected is not None
+    assert _outcome(FiniteMetricMeasureSpace.from_doc, doc) == expected
+
+
+def test_reader_makes_no_per_entry_number_check(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (varcap.errors, varcap.mms):
+        for name in ("real", "is_real"):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+
+    def count(doc):
+        calls.clear()
+        FiniteMetricMeasureSpace.from_doc(doc)
+        return len(calls)
+
+    small, large = (build_planar_sheet((0, side, 0, side), 1.0).to_doc() for side in (2, 44))
+    assert len(large["points"]) >= 2000
+    with_dist = {"points": [{"label": str(k)} for k in range(200)],
+                 "dist": [[abs(a - b) for b in range(200)] for a in range(200)]}
+    assert count(small) == count(large) == count(with_dist) == 0
+
+
+def test_space_document_lists_checked_whole():
+    with pytest.raises(DomainError, match="points must be a list"):
+        FiniteMetricMeasureSpace.from_doc({"points": {"label": "a"}})
+    with pytest.raises(DomainError, match="edges must be a list"):
+        FiniteMetricMeasureSpace.from_doc({"edges": None})

@@ -196,6 +196,12 @@ def test_ex3_rejects_short_alpha_list_before_building(monkeypatch):
         run_example3(h=0.1, i_list=(2, 4, 8), alphas=(0.0, 0.0))
 
 
+def test_ex3_rejects_alpha_list_with_rule_before_building(monkeypatch):
+    _no_lattice(monkeypatch)
+    with pytest.raises(DomainError, match="at most one of an alpha list or a c/i rule"):
+        run_example3(h=0.1, i_list=(2, 4, 8), alphas=(0.0, 0.0, 0.0), alpha_rule_c=1.0)
+
+
 def _runner_condensers(monkeypatch, runner):
     seen, solve = [], sequences.graph_capacity
 
