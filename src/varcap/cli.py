@@ -224,7 +224,7 @@ COMMANDS = {
             "s0": _real,
             "ends": _one_of("one", "two_symmetric"),
             "L_values": _list_of(_real),
-            "levels": _integer(1),
+            "levels": _integer(2),
             "h0": _positive,
             "ratio": _positive,
         },

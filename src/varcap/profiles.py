@@ -167,11 +167,57 @@ class ConstantSegment(Segment):
         return self.c ** (m - 1) * (b - a), 0.0
 
 
-class SplineSegment(Segment):
-    """Cubic interpolant through tabulated samples.
+def _pchip_slopes(h: np.ndarray, chord: np.ndarray) -> np.ndarray:
+    """Fritsch-Carlson PCHIP node slopes from the interval widths `h` and
+    chord slopes `chord`, with Moler's one-sided end rule.
 
-    Monotone (PCHIP) by default; passing endpoint derivatives switches to a
-    Hermite cubic through the same samples.
+    Interior slopes are the weighted harmonic mean of the neighbouring chord
+    slopes, or 0 where those change sign or vanish (Fritsch & Carlson, SIAM
+    J. Numer. Anal. 17, 1980); the ends take a shape-guarded three-point
+    estimate (Moler, *Numerical Computing with MATLAB*, 3.6).  The operations
+    and their order are those of scipy's `PchipInterpolator`, so the slopes
+    match scipy's bit for bit.
+    """
+    if chord.size == 1:
+        return np.array([chord[0], chord[0]])
+    sign = np.sign(chord)
+    flat = (sign[1:] != sign[:-1]) | (chord[1:] == 0) | (chord[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # 1/inf is the right limit
+        whmean = (w1 / chord[:-1] + w2 / chord[1:]) / (w1 + w2)
+        inner = np.where(flat, 0.0, 1.0 / whmean)
+    return np.concatenate(([_end_slope(h[0], h[1], chord[0], chord[1])], inner,
+                           [_end_slope(h[-1], h[-2], chord[-1], chord[-2])]))
+
+
+def _end_slope(h0, h1, m0, m1):
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _finite_table(values, x: np.ndarray, name: str) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if values.shape != x.shape:
+        raise ProfileError(f"spline {name} must hold one number per x: "
+                           f"x has shape {x.shape}, {name} {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ProfileError(f"spline {name} must hold finite numbers only")
+    return values
+
+
+class SplineSegment(Segment):
+    """Cubic Hermite interpolant through tabulated samples.
+
+    Monotone PCHIP by default (see `_pchip_slopes`); passing the derivative
+    table `dydx` switches to the Hermite cubic with those node slopes.  The
+    coefficients and their evaluation repeat scipy's `CubicHermiteSpline`
+    and `PPoly` arithmetic one operation at a time, so values and
+    derivatives match scipy's bit for bit.
     """
 
     kind = "spline"
@@ -179,33 +225,48 @@ class SplineSegment(Segment):
     optional_params = ("dydx",)
 
     def __init__(self, x: Sequence[float], y: Sequence[float], dydx: Sequence[float] | None = None):
-        from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
-
         x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.ndim != 1 or x.size < 2 or np.any(np.diff(x) <= 0):
-            raise ProfileError("spline samples need strictly increasing x with >= 2 points")
+        if x.ndim != 1 or x.size < 2 or not np.all(np.isfinite(x)) or np.any(np.diff(x) <= 0):
+            raise ProfileError("spline samples need strictly increasing finite x with >= 2 points")
         super().__init__(x[0], x[-1])
         self.x = x
-        self.y = y
-        if dydx is None:
-            self.dydx = None
-            self._spline = PchipInterpolator(x, y, extrapolate=False)
-        else:
-            dydx = np.asarray(dydx, dtype=float)
-            if dydx.shape != x.shape:
-                raise ProfileError("spline derivative table must match the sample table")
-            self.dydx = dydx
-            self._spline = CubicHermiteSpline(x, y, dydx, extrapolate=False)
-        self._deriv = self._spline.derivative()
+        self.y = _finite_table(y, x, "y")
+        self.dydx = None if dydx is None else _finite_table(dydx, x, "dydx")
+        dx = np.diff(x)
+        chord = np.diff(self.y) / dx
+        slopes = _pchip_slopes(dx, chord) if dydx is None else self.dydx
+        t = (slopes[:-1] + slopes[1:] - 2 * chord) / dx
+        # power-basis rows of s^3, s^2, s, 1 about each interval's left end
+        coef = np.stack((t / dx, (chord - slopes[:-1]) / dx - t, slopes[:-1], self.y[:-1]))
+        deriv = coef[:-1] * np.array([[3.0], [2.0], [1.0]])
+        # scipy's power sum starts from 0.0 + (constant row); adding it once here gives the same floats
+        coef[-1] += 0.0
+        deriv[-1] += 0.0
+        self._coef, self._deriv_coef = coef, deriv
+        self._inner = x[1:-1]  # searching these puts x[-1] in the last interval, which is closed
+
+    def _evaluate(self, coef: np.ndarray, s):
+        # the clip, interval search, shift and power sum of scipy's PPoly
+        # evaluation; the last interval is closed, and a NaN point stays NaN
+        s = np.asarray(s, dtype=float)
+        shape = s.shape
+        s = s.ravel().clip(self.lo, self.hi)
+        k = self._inner.searchsorted(s, "right")
+        c = coef.take(k, axis=1)
+        s = s - self.x[k]
+        res = c[-1]
+        z = s
+        for j in range(len(c) - 2, -1, -1):
+            res = res + c[j] * z
+            if j:
+                z = z * s
+        return res.reshape(shape)
 
     def f(self, s):
-        s = np.clip(np.asarray(s, dtype=float), self.lo, self.hi)
-        return self._spline(s)
+        return self._evaluate(self._coef, s)
 
     def f_coordinate_derivative(self, s):
-        s = np.clip(np.asarray(s, dtype=float), self.lo, self.hi)
-        return self._deriv(s)
+        return self._evaluate(self._deriv_coef, s)
 
     def params(self):
         doc = {"x": self.x.tolist(), "y": self.y.tolist()}
@@ -351,8 +412,17 @@ def _segment_from_doc(piece, where: str) -> Segment:
         raise ProfileError(f"{where}.params of a {kind} piece are {list(cls.param_names)}: "
                            f"unknown {unknown}, missing {missing}")
     if cls is SplineSegment:  # its range comes from its sample table
-        return cls(**{key: _reals(val, f"{where}.params.{key}") for key, val in params.items()})
-    return cls(lo, hi, **{key: real(val, f"{where}.params.{key}", ProfileError) for key, val in params.items()})
+        args, kwargs = (), {key: _reals(val, f"{where}.params.{key}") for key, val in params.items()}
+    else:
+        args, kwargs = (lo, hi), {key: real(val, f"{where}.params.{key}", ProfileError) for key, val in params.items()}
+    try:
+        segment = cls(*args, **kwargs)
+    except ProfileError as exc:
+        raise ProfileError(f"{where}: {exc}") from None
+    if cls is SplineSegment and (segment.lo, segment.hi) != (lo, hi):
+        raise ProfileError(f"{where}.range of a spline piece must be the ends of its x, "
+                           f"[{segment.lo}, {segment.hi}], got {bounds!r}")
+    return segment
 
 
 class WarpProfile:

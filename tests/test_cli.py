@@ -18,7 +18,7 @@ from test_mms import UNKNOWN_LABEL, space_docs, with_one_fault
 from varcap.cli import COMMANDS, RunConfig, main, parse_config
 from varcap.errors import ConfigError
 from varcap.mms import build_planar_sheet
-from varcap.profiles import euclidean_profile, schwarzschild_profile
+from varcap.profiles import cylinder_transition_profile, euclidean_profile, schwarzschild_profile
 from varcap.sequences import experiment_csv_from_payload
 
 
@@ -129,6 +129,13 @@ def _power_piece(**changes):
     return _profile_doc(pieces=[piece])
 
 
+def _spline_piece(**changes):
+    """The cylinder-transition profile document with its spline bridge on [3, 4] changed."""
+    doc = cylinder_transition_profile(3).to_doc()
+    doc["pieces"][1].update(changes)
+    return doc
+
+
 def _mass_doc(**changes):
     return {"profile": schwarzschild_profile(1.0).to_doc(), "radii": [10.0, 20.0, 40.0, 80.0], **changes}
 
@@ -140,6 +147,7 @@ _CONDENSER_KEYS = "capacity-graph input keys 'space' and 'inner' and 'outer': "
 MALFORMED = [
     (["capacity-radial"], _radial_doc(levels=2.5), "input.levels"),
     (["capacity-radial"], _radial_doc(levels="2"), "input.levels"),
+    (["capacity-radial"], _radial_doc(levels=1), "input.levels"),
     (["capacity-radial"], _radial_doc(L_values="abc"), "input.L_values"),
     (["capacity-radial"], _radial_doc(ends="three"), "input.ends"),
     (["capacity-radial"], _radial_doc(s0=math.nan), "input.s0"),
@@ -161,6 +169,10 @@ MALFORMED = [
     (["capacity-radial"], _radial_doc(profile=_power_piece(range=["0", None])), "pieces[0].range[0]"),
     (["capacity-radial"], _radial_doc(profile=_profile_doc(pole_at_origin="no")), "document: pole_at_origin"),
     (["capacity-radial"], _radial_doc(profile=_profile_doc(pieces=["power"])), "pieces[0] must be an object"),
+    (["capacity-radial"], _radial_doc(profile=_spline_piece(range=[7.0, 9.0])), "pieces[1].range of a spline"),
+    (["capacity-radial"], _radial_doc(profile=_spline_piece(range=[3.0, None])), "pieces[1].range of a spline"),
+    (["capacity-radial"], _radial_doc(profile=_spline_piece(params={"x": [3.0, 3.5, 4.0], "y": [3.0, 1.0]})),
+     "pieces[1]: spline y must hold one number per x"),
     (["mass"], _mass_doc(radii="abc"), "input.radii"),
     (["mass"], _mass_doc(tail_points=2.5), "input.tail_points"),
     (["experiment", "ex1"], {"m": 3.5}, "input.m"),
@@ -332,6 +344,56 @@ def test_capacity_graph_on_generated_documents(case):
             assert abs(raw_energy - dense) <= 1e-10 * max(1.0, dense)
         else:
             assert not out.exists()
+
+
+@st.composite
+def spline_radial_documents(draw):
+    """A small `capacity-radial` document on a power core, a spline bridge and
+    a constant end, and the fault put into it, if any."""
+    a, x0, width, c = (draw(st.floats(lo, hi)) for lo, hi in ((0.5, 2.0), (1.5, 4.0), (0.5, 2.0), (0.5, 2.0)))
+    n = draw(st.integers(2, 12))
+    x = list(np.linspace(x0, x0 + width, n))
+    # values in [0.5, 3] and slopes in [-0.5, 0.5] keep a Hermite bridge of width <= 2 positive
+    y = [a * x0, *draw(st.lists(st.floats(0.5, 3.0), min_size=n - 2, max_size=n - 2)), c]
+    params = {"x": x, "y": y}
+    if draw(st.booleans()):
+        params["dydx"] = [a, *draw(st.lists(st.floats(-0.5, 0.5), min_size=n - 2, max_size=n - 2)), 0.0]
+    bridge = {"kind": "spline", "range": [x[0], x[-1]], "params": params}
+    profile = {"dimension": 3, "pole_at_origin": True, "pieces": [
+        {"kind": "power", "range": [0.0, x[0]], "params": {"a": a, "p": 1.0}},
+        bridge,
+        {"kind": "constant", "range": [x[-1], None], "params": {"c": c}},
+    ]}
+    doc = {"profile": profile, "s0": draw(st.floats(0.25, 1.0)) * x0, "levels": 2}
+    fault = draw(st.sampled_from([None, "short", "order", "entry", "range", "key"]))
+    if fault == "short":
+        table = draw(st.sampled_from(sorted(params)))
+        params[table] = params[table][:-1]
+    elif fault == "order":
+        k = draw(st.integers(0, n - 2))
+        x[k + 1] = x[k] if draw(st.booleans()) else x[k] - 0.25
+    elif fault == "entry":
+        table = draw(st.sampled_from([*sorted(params), "range"]))
+        values = params[table] if table != "range" else bridge["range"]
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from([True, False, "1", None]))
+    elif fault == "range":
+        bridge["range"] = draw(st.sampled_from([[x[0], None], [x[0] + 0.5, x[-1] + 0.5], [x[0], x[-1] - 0.25]]))
+    elif fault == "key":
+        where = draw(st.sampled_from([bridge, params, profile, doc]))
+        where["spline_knots"] = 3
+    return doc, fault
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=spline_radial_documents())
+def test_capacity_radial_on_generated_spline_documents(case):
+    doc, fault = case
+    with tempfile.TemporaryDirectory() as tmp:
+        inp, out = Path(tmp) / "input.json", Path(tmp) / "report.csv"
+        inp.write_text(json.dumps(doc))
+        code = main(["capacity-radial", "--input", str(inp), "--out", str(out)])
+        assert code == (0 if fault is None else 2)
+        assert out.exists() == (code == 0)
 
 
 def test_tol_on_a_command_without_tolerance_exits_two(tmp_path, capsys):

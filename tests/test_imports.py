@@ -71,3 +71,21 @@ def test_default_ex4_loads_no_quadrature_spline_or_kd_tree(tmp_path):
     argv = ["experiment", "ex4", "--out", str(tmp_path / "ex4.csv")]
     loaded = _scipy_loaded(_CALL.format(argv=argv))
     assert _loaded_any(loaded, ("integrate", "interpolate", "spatial")) == []
+
+
+@pytest.mark.parametrize("example", ["ex1", "ex2"])
+def test_default_spline_experiment_loads_no_interpolate_special_optimize_or_spatial(tmp_path, example):
+    argv = ["experiment", example, "--out", str(tmp_path / f"{example}.csv")]
+    loaded = _scipy_loaded(_CALL.format(argv=argv))
+    assert _loaded_any(loaded, ("interpolate", "special", "optimize", "spatial")) == []
+
+
+def test_spline_profiles_load_no_scipy():
+    body = """
+import numpy as np
+from varcap.profiles import capped_even_profile, cylinder_transition_profile
+for profile in (cylinder_transition_profile(3), capped_even_profile(2)):
+    s = np.linspace(profile.s_min, profile.s_min + 4.0, 41)
+    profile.f(s), profile.element_weight(s), profile.arclength_derivative(s), profile.f(float(s[7]))
+"""
+    assert _scipy_loaded(body) == set()

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from varcap.errors import DomainError, ProfileError
 from varcap.geometry import Dimension
@@ -126,6 +129,75 @@ def test_from_doc_rejects_unknown_keys():
 def test_spline_segment_requires_increasing_samples():
     with pytest.raises(ProfileError):
         SplineSegment([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("x, y, dydx, message", [
+    ([0.0, 1.0, 2.0], [1.0, 2.0], None, "spline y must hold one number per x"),
+    ([0.0, 1.0, 2.0], [[1.0], [2.0], [3.0]], None, "spline y must hold one number per x"),
+    ([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [0.0, 1.0], "spline dydx must hold one number per x"),
+    ([0.0, 1.0, 2.0], [1.0, math.nan, 3.0], None, "spline y must hold finite numbers"),
+    ([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [0.0, INF, 1.0], "spline dydx must hold finite numbers"),
+    ([0.0, 1.0, INF], [1.0, 2.0, 3.0], None, "strictly increasing finite x"),
+])
+def test_spline_segment_checks_its_tables(x, y, dydx, message):
+    with pytest.raises(ProfileError, match=message):
+        SplineSegment(x, y, dydx)
+
+
+# -- the in-house PCHIP against scipy's, bit for bit ------------------------------
+
+_NUMBERS = st.floats(-5.0, 5.0) | st.integers(-3, 3)
+
+
+@st.composite
+def spline_tables(draw):
+    """Sample tables of 2-40 points: integer and float entries, flat runs,
+    sign changes and repeated values, with or without a derivative table."""
+    n = draw(st.integers(2, 40))
+    start = draw(st.floats(-10.0, 10.0) | st.integers(-10, 10))
+    gaps = draw(st.lists(st.floats(0.01, 3.0) | st.integers(1, 3), min_size=n - 1, max_size=n - 1))
+    x = np.cumsum([float(start), *gaps])
+    y = draw(st.lists(_NUMBERS, min_size=n, max_size=n))
+    if draw(st.booleans()):  # monotone, like a profile's neck
+        y = np.cumsum(np.abs(y))
+    dydx = draw(st.none() | st.lists(_NUMBERS, min_size=n, max_size=n))
+    return x, np.asarray(y, dtype=float), dydx
+
+
+def _points(x):
+    point = (st.sampled_from(list(x)) | st.floats(x[0] - 2.0, x[-1] + 2.0)
+             | st.sampled_from([x[0], x[-1], x[0] - 1.0, x[-1] + 1.0, math.nan]))
+    return point | st.lists(point, max_size=30).map(np.array) | point.map(np.float64) | point.map(np.asarray)
+
+
+def _bitwise_equal(ours, theirs):
+    return (type(ours) is type(theirs) and ours.dtype == theirs.dtype and ours.shape == theirs.shape
+            and np.array_equal(ours, theirs, equal_nan=True)
+            and np.array_equal(np.signbit(ours), np.signbit(theirs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=spline_tables(), data=st.data())
+def test_spline_matches_scipy_bit_for_bit(table, data):
+    x, y, dydx = table
+    segment = SplineSegment(x, y, dydx)
+    oracle = (PchipInterpolator(x, y, extrapolate=False) if dydx is None
+              else CubicHermiteSpline(x, y, dydx, extrapolate=False))
+    derivative = oracle.derivative()
+    for _ in range(3):
+        s = data.draw(_points(x))
+        clipped = np.clip(np.asarray(s, dtype=float), x[0], x[-1])
+        assert _bitwise_equal(segment.f(s), oracle(clipped))
+        assert _bitwise_equal(segment.f_coordinate_derivative(s), derivative(clipped))
+
+
+@pytest.mark.parametrize("y, dydx", [([-0.0, -1.0], [-0.5, -1.8]), ([0.0, -1.0], [-0.0, -2.5])])
+def test_spline_turns_a_negative_zero_constant_term_positive_like_scipy(y, dydx):
+    # every term of the power sum at s = 0 is -0.0 here; scipy's sum starts from 0.0 + (constant term)
+    segment = SplineSegment([0.0, 1.0], y, dydx)
+    oracle = CubicHermiteSpline([0.0, 1.0], y, dydx, extrapolate=False)
+    assert _bitwise_equal(segment.f(0.0), oracle(0.0))
+    assert _bitwise_equal(segment.f_coordinate_derivative(0.0), oracle.derivative()(0.0))
 
 
 def test_evaluation_outside_domain_rejected():
