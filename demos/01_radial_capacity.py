@@ -14,7 +14,6 @@ from varcap import (
     RadialCondenser,
     capacity_estimate,
     cylinder_transition_profile,
-    default_schedule,
     euclidean_profile,
     hyperboloid_profile,
     radial_capacity,
@@ -31,7 +30,7 @@ for m in (3, 4, 5):
 
 print("\n=== FEM route on the unit ball, m=3 ===")
 cond = RadialCondenser(euclidean_profile(3), 1.0)
-est = capacity_estimate(cond, default_schedule(cond))
+est = capacity_estimate(cond)
 print(f"  extrapolated capacity = {est.cap:.9f} +- {est.error_estimate:.1e}")
 print("  convergence table (L, h, cap, energy):")
 print("  " + fem_csv(est.rows).replace("\n", "\n  "))
@@ -49,7 +48,7 @@ print("\n=== Two-ended neck f = sqrt(1+s^2) ===")
 two = RadialCondenser(hyperboloid_profile(), 0.0, ends="two_symmetric")
 print(f"  closed form: 2/C with C = pi/2  ->  {radial_capacity(two):.12f}")
 print(f"  4/pi                             =  {4/math.pi:.12f}")
-est = capacity_estimate(two, default_schedule(two))
+est = capacity_estimate(two)
 print(f"  FEM extrapolation                =  {est.cap:.12f} +- {est.error_estimate:.1e}")
 
 print("\n=== Schwarzschild exterior (mass 1), areal radius ===")

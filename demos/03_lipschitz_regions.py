@@ -13,12 +13,10 @@ import math
 import numpy as np
 
 from varcap import (
-    CorrespondingRegionSpec,
     DefiningFunction,
     Disk,
     FiniteMetricMeasureSpace,
     build_planar_sheet,
-    corresponding_region,
     mcshane_extend,
     region_measure,
     union_spaces,
@@ -53,8 +51,7 @@ sheet = build_planar_sheet(
 space_i = union_spaces(disk, sheet)
 
 for alpha in (0.0, 0.2, 0.3, 0.6):
-    spec = CorrespondingRegionSpec(defining, alphas=(alpha,))
-    region = corresponding_region(spec, space_i, 1)
+    region = space_i.labels_at(defining.extension_on(space_i, upto=alpha) <= alpha)
     on_disk = sum(1 for lab in region if lab.startswith("K:"))
     on_sheet = len(region) - on_disk
     print(f"  alpha = {alpha:<4}: region has {on_disk} disk nodes + {on_sheet} upper-sheet nodes,"

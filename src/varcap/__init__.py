@@ -32,7 +32,6 @@ from .radial_fem import (
     FemSolution,
     RadialGrid,
     capacity_estimate,
-    default_schedule,
     solve_radial,
 )
 from .mms import (
@@ -45,9 +44,7 @@ from .mms import (
     union_spaces,
 )
 from .regions import (
-    CorrespondingRegionSpec,
     DefiningFunction,
-    corresponding_region,
     distance_to_set,
     mcshane_extend,
     region_measure,
@@ -66,7 +63,6 @@ from .mass import AFProfile, MassCurve, evaluate_mass_curve, extrapolate_mass
 __all__ = [
     "AFProfile",
     "CapacityEstimate",
-    "CorrespondingRegionSpec",
     "DefiningFunction",
     "Dimension",
     "Disk",
@@ -84,9 +80,7 @@ __all__ = [
     "capacity_estimate",
     "capped_even_profile",
     "check_semicontinuity",
-    "corresponding_region",
     "cylinder_transition_profile",
-    "default_schedule",
     "distance_to_set",
     "end_resistance",
     "end_resistance_estimate",

@@ -25,7 +25,7 @@ from .geometry import Dimension
 from .mass import MASS_COLUMNS, AFProfile, evaluate_mass_curve, extrapolate_mass
 from .mms import FiniteMetricMeasureSpace, GraphCondenser, capacity_csv, graph_capacity
 from .profiles import WarpProfile
-from .radial_fem import capacity_estimate, default_schedule, fem_csv
+from .radial_fem import capacity_estimate, fem_csv
 from .warped import RadialCondenser, radial_capacity
 
 _TOP_KEYS = {"command", "input", "input_doc", "output", "format", "tolerances", "seed"}
@@ -135,7 +135,7 @@ def _convert(convert, value, path: str, problems: list):
 def _capacity_radial(profile, s0, **options) -> dict:
     condenser = {"ends": options.pop("ends")} if "ends" in options else {}
     cond = RadialCondenser(profile, s0, **condenser)
-    est = capacity_estimate(cond, default_schedule(cond, **options))
+    est = capacity_estimate(cond, **options)
     return {
         "cap": est.cap,
         "error_estimate": est.error_estimate,
@@ -215,7 +215,7 @@ _PROFILE = _document(WarpProfile)
 # Converters check one key each.  A rule ties keys together by calling the
 # library's own check: the condenser's sets against its space, or an
 # experiment runner's (r < min i, one threshold per index).
-# Other rules, such as the library's numerical limits (h <= 0.1, increasing
+# Other rules, such as the library's numerical limits (h <= 0.1, distinct
 # radii), stay in the library and surface as computation errors.
 COMMANDS = {
     "capacity-radial": Command(
@@ -223,7 +223,7 @@ COMMANDS = {
             "profile": _PROFILE,
             "s0": _real,
             "ends": _one_of("one", "two_symmetric"),
-            "L_values": _list_of(_real),
+            "L_values": _list_of(_real, least=3),
             "levels": _integer(2),
             "h0": _positive,
             "ratio": _positive,
@@ -249,9 +249,10 @@ COMMANDS = {
         csv=_table(lambda p: capacity_csv(p["rows"], p["rim_radius"]), "provenance"),
     ),
     "experiment ex1": _experiment(
-        "run_example1", sequences._check_ball, r=_positive, L_values=_list_of(_real), m=_integer(2)
+        "run_example1", sequences._check_ball, i_list=_list_of(_integer(2), least=3), r=_positive,
+        L_values=_list_of(_real, least=3), m=_integer(2),
     ),
-    "experiment ex2": _experiment("run_example2", a=_real, b=_real, m=_integer(2), L=_real),
+    "experiment ex2": _experiment("run_example2", a=_positive, b=_positive, m=_integer(2), L=_real),
     "experiment ex3": _experiment(
         "run_example3", sequences._check_family, h=_positive, rim_radius=_positive, strip_conductance=_positive,
         alphas=_list_of(_nonnegative), alpha_rule_c=_nonnegative,

@@ -187,90 +187,67 @@ class CapacityEstimate:
     rows: tuple  # (L, h, cap, energy) per solve, finest level per L last
 
 
-def default_schedule(
+def capacity_estimate(
     condenser: RadialCondenser,
     L_values: Sequence[float] | None = None,
     levels: int = 2,
     h0: float | None = None,
     ratio: float = 1.05,
-) -> list[tuple[RadialGrid, float]]:
-    """Geometrically graded grids on a ladder of truncation radii.
+) -> CapacityEstimate:
+    """Richardson-extrapolated capacity on a ladder of truncation radii
+    (default {1e2, 1e3, 1e4} * max(s0, 1)), checked before any solve.
 
-    Default truncation radii are {1e2, 1e3, 1e4} * max(s0, 1); each L carries
-    `levels` nested refinements of the same base grid.
+    Per L: a geometric grid (first element h0, default max(s0, 1) / 64) and
+    `levels` nested refinements, extrapolated to second order.  Across L: the
+    cap_L values must be monotone nonincreasing (domain monotonicity); a
+    cap + c/L fit on consecutive pairs supplies the L -> inf limit.  The error
+    bound combines mesh extrapolation gaps and the spread of the last two
+    extrapolants.
     """
     s0 = condenser.s0
     scale = max(abs(s0), 1.0)
     if L_values is None:
         L_values = [100.0 * scale, 1000.0 * scale, 10000.0 * scale]
+    L_sorted = sorted(L_values)
+    if len(L_sorted) < 3 or len(set(L_sorted)) < len(L_sorted):
+        raise PreconditionError(f"need at least 3 truncation radii, all distinct, got {L_sorted}")
+    if L_sorted[0] <= s0:
+        raise DomainError(f"truncation radius {L_sorted[0]} must exceed s0={s0}")
+    if levels < 2:
+        raise PreconditionError("need at least 2 refinement levels")
     if h0 is None:
         h0 = scale / 64.0
-    schedule = []
-    for L in sorted(L_values):
-        if L <= s0:
-            raise DomainError(f"truncation radius {L} must exceed s0={s0}")
-        grid = RadialGrid.geometric(s0, L, h0, ratio)
-        for _ in range(levels):
-            schedule.append((grid, L))
-            grid = grid.refined()
-    return schedule
 
-
-def capacity_estimate(
-    condenser: RadialCondenser, schedule: Sequence[tuple[RadialGrid, float]]
-) -> CapacityEstimate:
-    """Richardson-extrapolated capacity from a (grid, L) schedule.
-
-    Per L: second-order extrapolation over the nested refinements.  Across L:
-    the cap_L values must be monotone nonincreasing (domain monotonicity);
-    a cap + c/L fit on consecutive pairs supplies the L -> inf limit.  The
-    error bound combines mesh extrapolation gaps and the spread of the last
-    two extrapolants.
-    """
-    by_L: dict[float, list[FemSolution]] = {}
-    rows = []
-    for grid, L in schedule:
-        if abs(grid.L - L) > 1e-9 * max(1.0, L):
-            raise PreconditionError(f"grid ends at {grid.L}, schedule says L={L}")
-        sol = solve_radial(condenser, grid)
-        by_L.setdefault(L, []).append(sol)
-        rows.append((L, grid.h_max, sol.cap_L, sol.energy))
-
-    L_sorted = sorted(by_L)
-    if len(L_sorted) < 3:
-        raise PreconditionError("schedule needs at least 3 distinct increasing L values")
-    if max(len(v) for v in by_L.values()) < 2:
-        raise PreconditionError("schedule needs at least 2 refinement levels")
-
-    cap_L, mesh_err = {}, {}
+    rows, cap_L, mesh_err = [], [], []
     for L in L_sorted:
-        sols = sorted(by_L[L], key=lambda s: s.grid.n_elements)
-        caps = [s.cap_L for s in sols]
-        if len(caps) >= 2:
-            # nested bisection: O(h^2) leading error, factor-4 reduction
-            extr = caps[-1] + (caps[-1] - caps[-2]) / 3.0
-            cap_L[L] = extr
-            mesh_err[L] = abs(caps[-1] - caps[-2]) / 3.0 + 1e-15 * abs(extr)
-        else:
-            cap_L[L] = caps[-1]
-            mesh_err[L] = 1e-12 * max(abs(caps[-1]), 1.0)
+        grid = RadialGrid.geometric(s0, L, h0, ratio)
+        caps = []
+        for _ in range(levels):
+            sol = solve_radial(condenser, grid)
+            rows.append((L, grid.h_max, sol.cap_L, sol.energy))
+            caps.append(sol.cap_L)
+            grid = grid.refined()
+        # nested bisection: O(h^2) leading error, factor-4 reduction
+        extr = caps[-1] + (caps[-1] - caps[-2]) / 3.0
+        cap_L.append(extr)
+        mesh_err.append(abs(caps[-1] - caps[-2]) / 3.0 + 1e-15 * abs(extr))
 
-    scale = max(abs(cap_L[L_sorted[0]]), 1e-30)
-    for La, Lb in zip(L_sorted, L_sorted[1:]):
-        slack = mesh_err[La] + mesh_err[Lb] + 1e-10 * scale
-        if cap_L[Lb] > cap_L[La] + slack:
+    cap_scale = max(abs(cap_L[0]), 1e-30)
+    for k, (La, Lb) in enumerate(zip(L_sorted, L_sorted[1:])):
+        slack = mesh_err[k] + mesh_err[k + 1] + 1e-10 * cap_scale
+        if cap_L[k + 1] > cap_L[k] + slack:
             raise InconsistencyError(
-                f"cap_L increased from L={La} ({cap_L[La]!r}) to L={Lb} ({cap_L[Lb]!r}); "
+                f"cap_L increased from L={La} ({cap_L[k]!r}) to L={Lb} ({cap_L[k + 1]!r}); "
                 "refine the grids"
             )
 
-    extrapolants = []
-    for La, Lb in zip(L_sorted[-3:], L_sorted[-3:][1:]):
-        ca, cb = cap_L[La], cap_L[Lb]
-        extrapolants.append((Lb * cb - La * ca) / (Lb - La))
+    extrapolants = [
+        (Lb * cb - La * ca) / (Lb - La)
+        for La, Lb, ca, cb in zip(L_sorted[-3:], L_sorted[-2:], cap_L[-3:], cap_L[-2:])
+    ]
     cap = max(extrapolants[-1], 0.0)
-    err = abs(extrapolants[-1] - extrapolants[0]) if len(extrapolants) > 1 else 0.0
-    err += sum(mesh_err[L] for L in L_sorted[-2:]) + 1e-14 * scale
+    err = abs(extrapolants[-1] - extrapolants[0])
+    err += sum(mesh_err[-2:]) + 1e-14 * cap_scale
     return CapacityEstimate(cap, err, tuple(rows))
 
 

@@ -149,44 +149,6 @@ class DefiningFunction:
             _check_lipschitz(values, space.distance_matrix(), 1.0, space.labels)
         return DefiningFunction(space, values, k_idx, canonical=False)
 
-
-@dataclass(frozen=True)
-class CorrespondingRegionSpec:
-    """A defining function plus the threshold sequence alpha_i -> 0.
-
-    Thresholds come either as an explicit list (one entry per position in the
-    experiment sequence) or as the rule alpha_i = c / i applied to the family
-    index i itself.
-    """
-
-    defining: DefiningFunction
-    alphas: tuple | None = None
-    alpha_rule_c: float | None = None
-
-    def __post_init__(self):
-        if (self.alphas is None) == (self.alpha_rule_c is None):
-            raise DomainError("provide exactly one of an alpha list or a c/i rule")
-        if self.alphas is not None:
-            alphas = tuple(float(a) for a in self.alphas)
-            if any(a < 0 for a in alphas):
-                raise DomainError("thresholds must be nonnegative")
-            object.__setattr__(self, "alphas", alphas)
-        elif self.alpha_rule_c < 0:
-            raise DomainError("alpha rule coefficient must be nonnegative")
-
-    def alpha(self, i: int, position: int | None = None) -> float:
-        """Threshold for family index i; `position` is the 1-based sequence slot.
-
-        Explicit lists are positional (position defaults to i); the c/i rule
-        uses the family index.
-        """
-        if self.alphas is not None:
-            pos = i if position is None else position
-            if not (1 <= pos <= len(self.alphas)):
-                raise DomainError(f"no threshold recorded for sequence position {pos}")
-            return self.alphas[pos - 1]
-        return self.alpha_rule_c / i
-
     def extension_on(self, target: FiniteMetricMeasureSpace, upto: float = np.inf) -> np.ndarray:
         """Values of the 1-Lipschitz extension U at the target's points.
 
@@ -195,27 +157,11 @@ class CorrespondingRegionSpec:
         KD-tree whose values above `upto` may come back as inf; otherwise the
         finite McShane minimum runs over every anchor.
         """
-        src = self.defining.space
-        if src.coords is None or target.coords is None:
+        if self.space.coords is None or target.coords is None:
             raise DomainError("ambient extension needs coordinates on both spaces")
-        if self.defining.canonical:
-            return _nearest_distance(src.coords[self.defining.region_idx], target.coords, upto)
-        return extend_from_coords(src.coords, self.defining.values, target.coords)
-
-
-def region_mask(
-    spec: CorrespondingRegionSpec, space_i: FiniteMetricMeasureSpace, i: int, position: int | None = None
-) -> np.ndarray:
-    """Boolean mask of {x in S_i : U(x) <= alpha_i} over the points of S_i."""
-    alpha = spec.alpha(i, position)
-    return spec.extension_on(space_i, upto=alpha) <= alpha
-
-
-def corresponding_region(
-    spec: CorrespondingRegionSpec, space_i: FiniteMetricMeasureSpace, i: int, position: int | None = None
-) -> tuple:
-    """Labels of {x in S_i : U(x) <= alpha_i}; empty regions are legal."""
-    return tuple(space_i.labels_at(region_mask(spec, space_i, i, position)))
+        if self.canonical:
+            return _nearest_distance(self.space.coords[self.region_idx], target.coords, upto)
+        return extend_from_coords(self.space.coords, self.values, target.coords)
 
 
 def region_measure(space: FiniteMetricMeasureSpace, region) -> float:

@@ -36,8 +36,8 @@ from .errors import DomainError, InconsistencyError, PreconditionError
 from .geometry import Dimension
 from .mms import Disk, FiniteMetricMeasureSpace, GraphCondenser, build_planar_sheet, graph_capacity, union_spaces
 from .profiles import capped_even_profile, cylinder_transition_profile, euclidean_profile, hyperboloid_profile
-from .radial_fem import RadialGrid, capacity_estimate, default_schedule, plateau_energy
-from .regions import CorrespondingRegionSpec, DefiningFunction, region_mask, region_measure
+from .radial_fem import RadialGrid, capacity_estimate, plateau_energy
+from .regions import DefiningFunction, region_measure
 from .warped import RadialCondenser, end_resistance, radial_capacity, truncated_ramp_energy
 
 DEFAULT_VERDICT_TOL = 1e-6
@@ -152,7 +152,7 @@ def run_example1(
     for i in i_list:
         profile = cylinder_transition_profile(i, m=m)
         cond = RadialCondenser(profile, r)
-        est = capacity_estimate(cond, default_schedule(cond, L_values))
+        est = capacity_estimate(cond, L_values)
         caps.append(est.cap)
         estimates.append(est.error_estimate)
     limit_profile = euclidean_profile(m)
@@ -203,7 +203,7 @@ def run_example2(
     limit_cap = radial_capacity(RadialCondenser(neck, 0.0, ends="two_symmetric"))
 
     open_cond = RadialCondenser(neck, 0.0)
-    open_est = capacity_estimate(open_cond, default_schedule(open_cond))
+    open_est = capacity_estimate(open_cond)
 
     caps, pole_energies = [], []
     for i in i_list:
@@ -259,13 +259,17 @@ def _check_family(
     i_list: Sequence[int], alphas: Sequence[float] | None = None, alpha_rule_c: float | None = None
 ) -> None:
     """Reject family indices below 1, a threshold list given with a c/i rule,
-    and a short threshold list before any work."""
+    a short threshold list and negative thresholds before any work."""
     if any(i < 1 for i in i_list):
         raise DomainError(f"family indices must be >= 1, got {list(i_list)}")
     if alphas is not None and alpha_rule_c is not None:
         raise DomainError("provide at most one of an alpha list or a c/i rule")
     if alphas is not None and len(alphas) < len(i_list):
         raise DomainError(f"need one threshold per family index, got {len(alphas)} for {len(i_list)}")
+    if alphas is not None and any(a < 0 for a in alphas):
+        raise DomainError("thresholds must be nonnegative")
+    if alpha_rule_c is not None and alpha_rule_c < 0:
+        raise DomainError("alpha rule coefficient must be nonnegative")
 
 
 def limit_plane_condenser(h: float, rim_radius: float, disk_radius: float = 1.0) -> GraphCondenser:
@@ -323,8 +327,9 @@ def run_example3(
     Capacities are condenser values at the stated rim radius (the plane has
     no capacity at infinity; the rim is disclosed in the metadata).  Region
     measures come from thresholding the 1-Lipschitz extension of the limit
-    disk's defining function; with the default alpha_i = 0 the region is
-    exactly the disk sheet.
+    disk's defining function at alpha_i: the entries of `alphas` in order,
+    the rule alpha_i = alpha_rule_c / i, or by default alpha_i = 0, where the
+    region is exactly the disk sheet.
     """
     if h > 0.1 + 1e-12:
         raise PreconditionError(f"lattice spacing h={h} too coarse to resolve the unit disk")
@@ -337,17 +342,17 @@ def run_example3(
     limit_cap = graph_capacity(limit_cond).capacity
 
     defining = DefiningFunction.canonical_for(limit_cond.space, limit_cond.k_idx)
-    if alphas is None and alpha_rule_c is None:
-        alphas = tuple(0.0 for _ in i_list)
-    spec = CorrespondingRegionSpec(defining, alphas=alphas, alpha_rule_c=alpha_rule_c)
+    if alphas is None:
+        alphas = [0.0 if alpha_rule_c is None else alpha_rule_c / i for i in i_list]
+    alphas = [float(a) for a in alphas]
     limit_measure = region_measure(limit_cond.space, limit_cond.k_idx)
 
     caps, measures, regions = [], [], []
-    for pos, i in enumerate(i_list, start=1):
+    for i, alpha in zip(i_list, alphas):
         strip = None if strip_conductance is None else strip_conductance / i
         space, inner, outer = two_sheet_space(h, i, rim_radius, strip)
         caps.append(graph_capacity(GraphCondenser(space, inner, outer, Dimension(2))).capacity)
-        region = region_mask(spec, space, i, position=pos)
+        region = defining.extension_on(space, upto=alpha) <= alpha
         regions.append(tuple(space.labels_at(region)))
         measures.append(region_measure(space, region))
 
@@ -391,6 +396,8 @@ def run_example4(
     if h > 0.1 + 1e-12:
         raise PreconditionError(f"lattice spacing h={h} too coarse to resolve the unit disk")
     i_list = tuple(i_list)
+    if rim_radius <= 2.0 + 4.0 * h:
+        raise DomainError("rim radius sits too close to the annulus; condenser would be distorted")
     _check_family(i_list)
     bounds = _plane_bounds(rim_radius, h)
     plane = build_planar_sheet(bounds, h, label_prefix="P", offset=LATTICE_OFFSET)

@@ -3,7 +3,9 @@
 Everything here deliberately takes a different route from the library:
 dense pseudo-inverse quadratic minimization instead of the sparse condenser
 solve, value-grid feasibility scans instead of the McShane formula, and
-random feasible extensions built greedily from interval bounds.
+random feasible extensions built greedily from interval bounds.  The
+radial capacity estimate is also kept in its former two-step form: a list of
+(grid, L) pairs built first, then solved and grouped by L in dicts.
 """
 
 import math
@@ -12,9 +14,10 @@ import numpy as np
 from scipy.linalg import lstsq, solveh_banded
 from scipy.sparse.csgraph import shortest_path
 
-from varcap.errors import DomainError, real
+from varcap.errors import DomainError, InconsistencyError, PreconditionError, real
 from varcap.mass import MassCurve, _geometry_at
 from varcap.mms import FiniteMetricMeasureSpace
+from varcap.radial_fem import CapacityEstimate, RadialGrid, solve_radial
 from varcap.warped import RadialCondenser, radial_capacity
 
 
@@ -345,3 +348,84 @@ def separate_mass_curve(af, radii, capacity_fn=None):
     m_alt = (V / (4.0 * math.pi)) ** (1.0 / 3.0) - cap
     columns = (A, V, cap, m_iso, m_cv, m_alt)
     return MassCurve(radii, *(tuple(c.tolist()) for c in columns))
+
+
+def two_step_schedule(condenser, L_values=None, levels=2, h0=None, ratio=1.05):
+    """Geometrically graded grids on a ladder of truncation radii: the
+    library's former two-step route, kept as it stood.
+
+    Default truncation radii are {1e2, 1e3, 1e4} * max(s0, 1); each L carries
+    `levels` nested refinements of the same base grid.
+    """
+    s0 = condenser.s0
+    scale = max(abs(s0), 1.0)
+    if L_values is None:
+        L_values = [100.0 * scale, 1000.0 * scale, 10000.0 * scale]
+    if h0 is None:
+        h0 = scale / 64.0
+    schedule = []
+    for L in sorted(L_values):
+        if L <= s0:
+            raise DomainError(f"truncation radius {L} must exceed s0={s0}")
+        grid = RadialGrid.geometric(s0, L, h0, ratio)
+        for _ in range(levels):
+            schedule.append((grid, L))
+            grid = grid.refined()
+    return schedule
+
+
+def two_step_capacity_estimate(condenser, schedule):
+    """Richardson-extrapolated capacity from a (grid, L) schedule, by
+    dicts keyed by L where the library keeps lists in ladder order.
+
+    Per L: second-order extrapolation over the nested refinements.  Across L:
+    the cap_L values must be monotone nonincreasing (domain monotonicity);
+    a cap + c/L fit on consecutive pairs supplies the L -> inf limit.  The
+    error bound combines mesh extrapolation gaps and the spread of the last
+    two extrapolants.
+    """
+    by_L = {}
+    rows = []
+    for grid, L in schedule:
+        if abs(grid.L - L) > 1e-9 * max(1.0, L):
+            raise PreconditionError(f"grid ends at {grid.L}, schedule says L={L}")
+        sol = solve_radial(condenser, grid)
+        by_L.setdefault(L, []).append(sol)
+        rows.append((L, grid.h_max, sol.cap_L, sol.energy))
+
+    L_sorted = sorted(by_L)
+    if len(L_sorted) < 3:
+        raise PreconditionError("schedule needs at least 3 distinct increasing L values")
+    if max(len(v) for v in by_L.values()) < 2:
+        raise PreconditionError("schedule needs at least 2 refinement levels")
+
+    cap_L, mesh_err = {}, {}
+    for L in L_sorted:
+        sols = sorted(by_L[L], key=lambda s: s.grid.n_elements)
+        caps = [s.cap_L for s in sols]
+        if len(caps) >= 2:
+            # nested bisection: O(h^2) leading error, factor-4 reduction
+            extr = caps[-1] + (caps[-1] - caps[-2]) / 3.0
+            cap_L[L] = extr
+            mesh_err[L] = abs(caps[-1] - caps[-2]) / 3.0 + 1e-15 * abs(extr)
+        else:
+            cap_L[L] = caps[-1]
+            mesh_err[L] = 1e-12 * max(abs(caps[-1]), 1.0)
+
+    scale = max(abs(cap_L[L_sorted[0]]), 1e-30)
+    for La, Lb in zip(L_sorted, L_sorted[1:]):
+        slack = mesh_err[La] + mesh_err[Lb] + 1e-10 * scale
+        if cap_L[Lb] > cap_L[La] + slack:
+            raise InconsistencyError(
+                f"cap_L increased from L={La} ({cap_L[La]!r}) to L={Lb} ({cap_L[Lb]!r}); "
+                "refine the grids"
+            )
+
+    extrapolants = []
+    for La, Lb in zip(L_sorted[-3:], L_sorted[-3:][1:]):
+        ca, cb = cap_L[La], cap_L[Lb]
+        extrapolants.append((Lb * cb - La * ca) / (Lb - La))
+    cap = max(extrapolants[-1], 0.0)
+    err = abs(extrapolants[-1] - extrapolants[0]) if len(extrapolants) > 1 else 0.0
+    err += sum(mesh_err[L] for L in L_sorted[-2:]) + 1e-14 * scale
+    return CapacityEstimate(cap, err, tuple(rows))

@@ -15,7 +15,7 @@ from varcap.geometry import Dimension
 from varcap.mass import AFProfile, evaluate_mass_curve, extrapolate_mass
 from varcap.mms import graph_capacity
 from varcap.profiles import cylinder_transition_profile, euclidean_profile, schwarzschild_profile
-from varcap.radial_fem import capacity_estimate, default_schedule
+from varcap.radial_fem import capacity_estimate
 from varcap.regions import mcshane_extend
 from varcap.sequences import (
     CONSISTENT_STRICT_JUMP,
@@ -64,7 +64,7 @@ def test_criterion_1_euclidean_ball_capacity():
     for r in (0.5, 1.0, 2.0):
         cond = RadialCondenser(euclidean_profile(3), r)
         t0 = time.perf_counter()
-        est = capacity_estimate(cond, default_schedule(cond))
+        est = capacity_estimate(cond)
         dt = time.perf_counter() - t0
         worst_rel = max(worst_rel, abs(est.cap - r) / r)
         worst_time = max(worst_time, dt)

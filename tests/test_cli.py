@@ -192,6 +192,11 @@ MALFORMED = [
     (["experiment", "ex1"], {"i_list": []}, "experiment ex1 input.i_list must list at least 3 entries"),
     (["experiment", "ex3"], {"alphas": [0.0, -0.1, 0.0]}, "ex3 input.alphas[1] must be a number (finite, >= 0)"),
     (["experiment", "ex3"], {"alpha_rule_c": -1.0}, "ex3 input.alpha_rule_c must be a number (finite, >= 0)"),
+    (["experiment", "ex1"], {"i_list": [1, 2, 4], "r": 0.5}, "ex1 input.i_list[0] must be an integer >= 2"),
+    (["experiment", "ex2"], {"a": -1}, "ex2 input.a must be a number (finite, > 0)"),
+    (["experiment", "ex2"], {"b": 0}, "ex2 input.b must be a number (finite, > 0)"),
+    (["capacity-radial"], _radial_doc(L_values=[100.0, 10000.0]), "input.L_values must list at least 3 entries"),
+    (["experiment", "ex1"], {"L_values": [100.0, 1e4]}, "ex1 input.L_values must list at least 3 entries"),
     (["capacity-graph"], _graph_doc(inner=["zz"]), _CONDENSER_KEYS + "condenser references unknown point 'zz'"),
     (["capacity-graph"], _graph_doc(outer=["qq"]), _CONDENSER_KEYS + "condenser references unknown point 'qq'"),
     (["capacity-graph"], _graph_doc(inner=[]), _CONDENSER_KEYS + "condenser needs a nonempty inner set K"),
@@ -394,6 +399,18 @@ def test_capacity_radial_on_generated_spline_documents(case):
         code = main(["capacity-radial", "--input", str(inp), "--out", str(out)])
         assert code == (0 if fault is None else 2)
         assert out.exists() == (code == 0)
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    (["capacity-radial"], _radial_doc(L_values=[100.0, 1000.0, 1e4, 1e4]), "all distinct"),
+    (["experiment", "ex4"], {"rim_radius": 1.05}, "rim radius sits too close to the annulus"),
+], ids=["repeated radius", "ex4 rim inside the annulus"])
+def test_library_domain_rule_exits_one(tmp_path, capsys, command, doc, message):
+    inp, out = tmp_path / "input.json", tmp_path / "report.csv"
+    inp.write_text(json.dumps(doc))
+    assert main([*command, "--input", str(inp), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tol_on_a_command_without_tolerance_exits_two(tmp_path, capsys):

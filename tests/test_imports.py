@@ -1,5 +1,5 @@
 """Import footprint: `import varcap` loads no scipy, and each command loads
-only the scipy subpackages it runs.
+only the scipy subpackages it runs.  Every public name resolves, once.
 
 Every case runs in a fresh interpreter, because an earlier test in this
 process has long since imported everything; the child prints the scipy
@@ -49,6 +49,13 @@ def _loaded_any(modules: set[str], packages) -> list[str]:
 @pytest.mark.parametrize("module", ["varcap", "varcap.cli"])
 def test_import_loads_no_scipy(module):
     assert _scipy_loaded(f"import {module}") == set()
+
+
+def test_public_names_are_unique_and_resolve():
+    # a name left in __all__ after its definition is gone fails the star import
+    assert sorted(set(varcap.__all__)) == sorted(varcap.__all__)
+    assert [name for name in varcap.__all__ if not hasattr(varcap, name)] == []
+    assert _scipy_loaded("from varcap import *\nassert 'capacity_estimate' in dir()") == set()
 
 
 def test_import_builds_no_parser():

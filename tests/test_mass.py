@@ -14,7 +14,7 @@ from varcap.profiles import (
     hyperboloid_profile,
     schwarzschild_profile,
 )
-from varcap.radial_fem import capacity_estimate, default_schedule
+from varcap.radial_fem import capacity_estimate
 from varcap.warped import RadialCondenser
 
 
@@ -100,7 +100,7 @@ def test_capacity_fn_injection(schw_af):
     # FEM capacity route gives the same quasi-local values as the closed form
     def fem_cap(R):
         cond = RadialCondenser(schw_af.profile, R)
-        return capacity_estimate(cond, default_schedule(cond)).cap
+        return capacity_estimate(cond).cap
 
     radii = (50.0, 100.0)
     closed = evaluate_mass_curve(schw_af, radii).m_cv

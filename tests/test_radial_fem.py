@@ -2,21 +2,31 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import dense_minimize_chain, dict_minimize_chain, resumming_geometric_nodes
-from varcap.errors import DomainError, InconsistencyError, PreconditionError, SingularWeightError
-from varcap.geometry import Dimension
-from varcap.profiles import INF, ConstantSegment, PowerSegment, WarpProfile, euclidean_profile, hyperboloid_profile
-from varcap.radial_fem import (
-    RadialGrid,
-    _minimize_chain,
-    capacity_estimate,
-    default_schedule,
-    fem_csv,
-    solve_radial,
+from _oracles import (
+    dense_minimize_chain,
+    dict_minimize_chain,
+    resumming_geometric_nodes,
+    two_step_capacity_estimate,
+    two_step_schedule,
 )
+from varcap import radial_fem
+from varcap.errors import DomainError, InconsistencyError, PreconditionError, SingularWeightError, VarcapError
+from varcap.geometry import Dimension
+from varcap.profiles import (
+    INF,
+    ConstantSegment,
+    PowerSegment,
+    WarpProfile,
+    capped_even_profile,
+    cylinder_transition_profile,
+    euclidean_profile,
+    hyperboloid_profile,
+    schwarzschild_profile,
+)
+from varcap.radial_fem import RadialGrid, _minimize_chain, capacity_estimate, fem_csv, solve_radial
 from varcap.warped import RadialCondenser
 
 
@@ -223,7 +233,7 @@ def test_grid_must_start_at_s0():
 def test_capacity_estimate_euclidean():
     for r in (0.5, 1.0, 2.0):
         cond = RadialCondenser(euclidean_profile(3), r)
-        est = capacity_estimate(cond, default_schedule(cond))
+        est = capacity_estimate(cond)
         assert est.cap == pytest.approx(r, rel=1e-3)
         assert abs(est.cap - r) <= max(est.error_estimate, 1e-3 * r)
 
@@ -232,41 +242,93 @@ def test_capacity_estimate_two_ended_neck():
     from varcap.warped import radial_capacity
 
     cond = RadialCondenser(hyperboloid_profile(), 0.0, ends="two_symmetric")
-    est = capacity_estimate(cond, default_schedule(cond))
+    est = capacity_estimate(cond)
     assert est.cap == pytest.approx(4.0 / math.pi, rel=1e-3)
     # two-route check: the FEM estimate agrees with the resistance formula
     assert est.cap == pytest.approx(radial_capacity(cond), rel=1e-3)
 
 
-def test_capacity_estimate_requires_three_L():
+@pytest.mark.parametrize("options, error", [
+    ({"L_values": [100.0, 1000.0]}, PreconditionError),
+    ({"L_values": [100.0, 1000.0, 1e4, 1e4]}, PreconditionError),
+    ({"L_values": [1e4, 100.0, 1e4]}, PreconditionError),
+    ({"levels": 1}, PreconditionError),
+    ({"L_values": [1.0, 1000.0, 1e4]}, DomainError),
+], ids=["two radii", "repeated radius", "repeated radius unsorted", "one level", "radius at s0"])
+def test_capacity_estimate_checks_its_inputs_before_any_solve(monkeypatch, options, error):
+    # a repeated radius used to pass and switch off the extrapolation at that
+    # L; on a Euclidean ball it moved the cap from 0.99999994 to 1.0000771
+    calls = []
+    monkeypatch.setattr(radial_fem, "solve_radial", lambda *args: calls.append(args) or solve_radial(*args))
     cond = RadialCondenser(euclidean_profile(3), 1.0)
-    schedule = default_schedule(cond, L_values=[100.0, 1000.0])
-    with pytest.raises(PreconditionError):
-        capacity_estimate(cond, schedule)
-
-
-def test_capacity_estimate_requires_refinement_levels():
-    cond = RadialCondenser(euclidean_profile(3), 1.0)
-    schedule = default_schedule(cond, levels=1)
-    with pytest.raises(PreconditionError):
-        capacity_estimate(cond, schedule)
+    with pytest.raises(error):
+        capacity_estimate(cond, **options)
+    assert calls == []
 
 
 def test_capacity_estimate_detects_inconsistent_schedule():
-    # coarse uniform grids at large L overshoot wildly, so cap_L increases
-    # along the ladder, which must be flagged as a bad discretization
-    cond = RadialCondenser(euclidean_profile(3), 1.0)
-    schedule = []
-    for L, n in [(10.0, 4000), (2000.0, 3), (4000.0, 3)]:
-        grid = RadialGrid.uniform(1.0, L, n)
-        schedule.extend([(grid, L), (grid.refined(), L)])
+    # with h0 = 20 the grids at L = 2000 and 4000 start with an element 20
+    # wide at a ball of radius 0.5, while the L = 10 grid's first element is
+    # 4.75 wide: they overshoot more, so cap_L increases along the ladder,
+    # which must be flagged as a bad discretization (as the former two-step
+    # route does)
+    cond = RadialCondenser(euclidean_profile(3), 0.5)
+    options = {"L_values": [10.0, 2000.0, 4000.0], "h0": 20.0, "ratio": 1.01}
     with pytest.raises(InconsistencyError):
-        capacity_estimate(cond, schedule)
+        capacity_estimate(cond, **options)
+    with pytest.raises(InconsistencyError):
+        two_step_capacity_estimate(cond, two_step_schedule(cond, **options))
+
+
+def _fem_case():
+    """A condenser on one of the shipped profile kinds, with s0 inside its domain."""
+    unit = st.floats(0.0, 1.0)
+    return st.one_of(
+        st.tuples(st.floats(0.5, 2.0), st.floats(0.8, 2.0), st.floats(0.1, 3.0)).map(
+            lambda t: RadialCondenser(WarpProfile(Dimension(3), [PowerSegment(0.0, INF, t[0], t[1])],
+                                                  pole_at_origin=True), t[2])),
+        st.tuples(st.integers(2, 6), unit).map(
+            lambda t: RadialCondenser(cylinder_transition_profile(t[0]), 0.2 + t[1] * (t[0] + 2.0))),
+        st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0), unit, st.sampled_from(["one", "two_symmetric"])).map(
+            lambda t: RadialCondenser(hyperboloid_profile(a=t[0], b=t[1]), 3.0 * t[2], ends=t[3])),
+        st.tuples(st.floats(0.1, 2.0), unit).map(
+            lambda t: RadialCondenser(schwarzschild_profile(t[0]), 2.0 * t[0] + 0.1 + 3.0 * t[1])),
+        st.tuples(st.integers(1, 4), unit).map(
+            lambda t: RadialCondenser(capped_even_profile(t[0]), -1.9 * t[0] + t[1] * (1.9 * t[0] + 3.0))),
+    )
+
+
+def _outcome(compute):
+    try:
+        est = compute()
+    except VarcapError as exc:
+        return type(exc)
+    return repr(est.cap), repr(est.error_estimate), repr(est.rows)
+
+
+@settings(max_examples=72, deadline=None)
+@given(
+    cond=_fem_case(),
+    spans=st.lists(st.floats(-1.0, 2e4), min_size=3, max_size=4, unique=True),
+    levels=st.integers(2, 3),
+    ratio=st.floats(1.01, 1.3),
+    h0=st.none() | st.floats(0.005, 5.0),
+    default_radii=st.booleans(),
+)
+def test_capacity_estimate_matches_the_two_step_route_bit_for_bit(cond, spans, levels, ratio, h0, default_radii):
+    # radii come unsorted and may sit at or below s0; a fault must raise the
+    # same error class on both routes
+    L_values = None if default_radii else [cond.s0 + span for span in spans]
+    assume(L_values is None or len(set(L_values)) == len(L_values))
+    options = {"L_values": L_values, "levels": levels, "ratio": ratio, "h0": h0}
+    new = _outcome(lambda: capacity_estimate(cond, **options))
+    old = _outcome(lambda: two_step_capacity_estimate(cond, two_step_schedule(cond, **options)))
+    assert new == old
 
 
 def test_fem_csv_columns():
     cond = RadialCondenser(euclidean_profile(3), 1.0)
-    est = capacity_estimate(cond, default_schedule(cond))
+    est = capacity_estimate(cond)
     text = fem_csv(est.rows)
     lines = text.strip().split("\n")
     assert lines[0] == "L,h,cap,energy"

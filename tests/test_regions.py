@@ -10,16 +10,13 @@ from _oracles import (
     random_matrix_space,
     random_point_space,
 )
-from varcap.errors import DomainError, PreconditionError
+from varcap.errors import PreconditionError
 from varcap.mms import Disk, FiniteMetricMeasureSpace, build_planar_sheet, union_spaces
 from varcap.regions import (
-    CorrespondingRegionSpec,
     DefiningFunction,
-    corresponding_region,
     distance_to_set,
     extend_from_coords,
     mcshane_extend,
-    region_mask,
     region_measure,
 )
 
@@ -162,10 +159,14 @@ def _two_sheet_fixture(h=0.25, height=0.2):
     return limit, K, union_spaces(disk, plane)
 
 
+def _region(defining, space_i, alpha):
+    """Labels of the sublevel region {U <= alpha} of S_i."""
+    return space_i.labels_at(defining.extension_on(space_i, upto=alpha) <= alpha)
+
+
 def test_region_at_zero_threshold_is_exactly_the_disk_sheet():
     limit, K, space_i = _two_sheet_fixture()
-    spec = CorrespondingRegionSpec(DefiningFunction.canonical_for(limit, K), alphas=(0.0,))
-    region = corresponding_region(spec, space_i, 1)
+    region = _region(DefiningFunction.canonical_for(limit, K), space_i, 0.0)
     assert set(region) == {lab for lab in space_i.labels if lab.startswith("K:")}
     assert region_measure(space_i, region) == pytest.approx(
         region_measure(limit, K), abs=0.0
@@ -174,8 +175,7 @@ def test_region_at_zero_threshold_is_exactly_the_disk_sheet():
 
 def test_region_above_range_is_everything():
     limit, K, space_i = _two_sheet_fixture()
-    spec = CorrespondingRegionSpec(DefiningFunction.canonical_for(limit, K), alphas=(100.0,))
-    region = corresponding_region(spec, space_i, 1)
+    region = _region(DefiningFunction.canonical_for(limit, K), space_i, 100.0)
     assert set(region) == set(space_i.labels)
 
 
@@ -184,8 +184,7 @@ def test_region_monotone_in_threshold():
     defining = DefiningFunction.canonical_for(limit, K)
     regions = []
     for alpha in (0.0, 0.21, 0.5, 1.0):
-        spec = CorrespondingRegionSpec(defining, alphas=(alpha,))
-        regions.append(set(corresponding_region(spec, space_i, 1)))
+        regions.append(set(_region(defining, space_i, alpha)))
     for small, big in zip(regions, regions[1:]):
         assert small <= big
 
@@ -194,8 +193,7 @@ def test_tubular_containment_and_equality_for_canonical():
     limit, K, space_i = _two_sheet_fixture(height=0.2)
     defining = DefiningFunction.canonical_for(limit, K)
     alpha = 0.3
-    spec = CorrespondingRegionSpec(defining, alphas=(alpha,))
-    region = set(corresponding_region(spec, space_i, 1))
+    region = set(_region(defining, space_i, alpha))
     k_coords = limit.coords[limit.indices(K)]
     diffs = space_i.coords[:, None, :] - k_coords[None, :, :]
     d_to_K = np.min(np.sqrt(np.sum(diffs * diffs, axis=-1)), axis=1)
@@ -207,16 +205,13 @@ def test_tubular_containment_and_equality_for_canonical():
 def test_bounded_region_search_matches_full_distances():
     limit, K, space_i = _two_sheet_fixture(height=0.2)
     defining = DefiningFunction.canonical_for(limit, K)
-    full = CorrespondingRegionSpec(defining, alphas=(0.0,)).extension_on(space_i)
+    full = defining.extension_on(space_i)
     # thresholds that sit exactly on node distances, between them, and at 0
     levels = [0.0, 0.2, 0.3, 1.0, 100.0] + list(np.quantile(full, [0.1, 0.5, 0.9], method="nearest"))
     for alpha in levels:
-        spec = CorrespondingRegionSpec(defining, alphas=(float(alpha),))
-        mask = region_mask(spec, space_i, 1)
+        mask = defining.extension_on(space_i, upto=float(alpha)) <= alpha
         assert np.array_equal(mask, full <= alpha), alpha
-        region = corresponding_region(spec, space_i, 1)
-        assert region == tuple(space_i.labels_at(mask))
-        assert region_measure(space_i, mask) == region_measure(space_i, region)
+        assert region_measure(space_i, mask) == region_measure(space_i, space_i.labels_at(mask))
 
 
 def test_region_inputs_as_labels_indices_or_mask():
@@ -230,14 +225,6 @@ def test_region_inputs_as_labels_indices_or_mask():
         assert np.array_equal(other.values, by_label.values)
         assert limit.labels_at(other.region_idx) == K
         assert region_measure(limit, region) == region_measure(limit, K)
-
-
-def test_alpha_rule():
-    limit, K, _ = _two_sheet_fixture()
-    spec = CorrespondingRegionSpec(DefiningFunction.canonical_for(limit, K), alpha_rule_c=1.0)
-    assert spec.alpha(4) == pytest.approx(0.25)
-    with pytest.raises(DomainError):
-        CorrespondingRegionSpec(DefiningFunction.canonical_for(limit, K))
 
 
 def test_region_measure_trivia():
@@ -261,13 +248,14 @@ def test_canonical_fast_path_matches_generic_mcshane(src, target, data):
     limit = FiniteMetricMeasureSpace([f"x{k}" for k in range(len(src))], np.ones(len(src)), coords=src)
     target_space = FiniteMetricMeasureSpace([f"y{k}" for k in range(len(target))], np.ones(len(target)), coords=target)
     defining = DefiningFunction.canonical_for(limit, K)
-    spec = CorrespondingRegionSpec(defining, alphas=(0.0,))
-    fast = spec.extension_on(target_space)
+    fast = defining.extension_on(target_space)
     slow = extend_from_coords(limit.coords, defining.values, target_space.coords)
+    generic = DefiningFunction(limit, defining.values, defining.region_idx).extension_on(target_space)
+    assert np.array_equal(generic, slow)
     diffs = target[:, None, :] - src[K][None, :, :]
     d_K = np.min(np.sqrt(np.sum(diffs * diffs, axis=-1)), axis=1)
     assert np.allclose(fast, slow, rtol=0.0, atol=1e-12)
     assert np.allclose(fast, d_K, rtol=0.0, atol=1e-12)
     alpha = data.draw(st.floats(0.0, 4.0))
-    bounded = spec.extension_on(target_space, upto=alpha)
+    bounded = defining.extension_on(target_space, upto=alpha)
     assert np.array_equal(bounded[fast <= alpha], fast[fast <= alpha])

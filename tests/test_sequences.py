@@ -202,6 +202,34 @@ def test_ex3_rejects_alpha_list_with_rule_before_building(monkeypatch):
         run_example3(h=0.1, i_list=(2, 4, 8), alphas=(0.0, 0.0, 0.0), alpha_rule_c=1.0)
 
 
+@pytest.mark.parametrize("thresholds, message", [
+    ({"alphas": (0.0, -1.0, 0.0)}, "thresholds must be nonnegative"),
+    ({"alpha_rule_c": -1.0}, "coefficient must be nonnegative"),
+], ids=["negative alpha", "negative rule"])
+def test_ex3_rejects_negative_thresholds_before_building(monkeypatch, thresholds, message):
+    _no_lattice(monkeypatch)
+    with pytest.raises(DomainError, match=message):
+        run_example3(h=0.1, i_list=(2, 4, 8), **thresholds)
+
+
+def test_ex3_alpha_rule_thresholds_by_family_index(ex3):
+    # alpha_i = c / i: the same run as the explicit list of those values
+    by_rule = run_example3(h=0.1, i_list=(2, 4, 8), alpha_rule_c=1.5)
+    by_list = run_example3(h=0.1, i_list=(2, 4, 8), alphas=[0.75, 0.375, 0.1875])
+    assert by_rule.capacities == by_list.capacities
+    assert by_rule.measures == by_list.measures
+    assert by_rule.regions == by_list.regions
+    assert all(mu > disk for mu, disk in zip(by_rule.measures, ex3.measures))
+
+
+def test_ex4_rejects_rim_inside_the_annulus_before_building(monkeypatch):
+    _no_lattice(monkeypatch)
+    with pytest.raises(DomainError, match="annulus"):
+        run_example4(h=0.1, i_list=(2, 4, 8), rim_radius=1.05)
+    with pytest.raises(DomainError, match="annulus"):
+        run_example4(h=0.05, i_list=(2, 4, 8), rim_radius=2.2)
+
+
 def _runner_condensers(monkeypatch, runner):
     seen, solve = [], sequences.graph_capacity
 
