@@ -22,7 +22,6 @@ from .warped import (
     RadialCondenser,
     end_resistance,
     end_resistance_estimate,
-    parallel_capacity,
     radial_capacity,
     truncated_ramp_energy,
     volume_and_boundary,
@@ -90,7 +89,6 @@ __all__ = [
     "graph_capacity",
     "hyperboloid_profile",
     "mcshane_extend",
-    "parallel_capacity",
     "radial_capacity",
     "region_measure",
     "run_example1",

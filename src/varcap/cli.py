@@ -191,22 +191,24 @@ class Command:
     run: Callable[..., dict]  # converted keys -> payload
     csv: Callable[[dict, dict], str]  # (payload, header) -> CSV report
     required: tuple = ()  # keys the input document must give
-    rule: Callable | None = None  # the library's own check of keys tied together; raises DomainError
-    tied: dict = field(default_factory=dict)  # the keys `rule` takes -> the library's default for each
+    # the library's own checks of keys tied together, each raising DomainError,
+    # with the keys it takes -> the library's default for each
+    rules: tuple[tuple[Callable, dict], ...] = ()
 
 
-def _experiment(runner: str, rule=None, **keys) -> Command:
+def _experiment(runner: str, *rules, **keys) -> Command:
     """An experiment entry; its runner in `sequences` is looked up at call
     time, so a wrapper put around it (a profiler, a test double) sees the call.
-    `rule` is a check the runner itself makes, run here on the converted keys."""
+    `rules` are checks the runner itself makes, run here on the converted keys."""
     defaults = inspect.signature(getattr(sequences, runner)).parameters
     return Command(
         keys={"i_list": _list_of(_integer(1), least=3), **keys},
         tolerance="verdict",
         run=lambda **args: getattr(sequences, runner)(**args).to_payload(),
         csv=sequences.experiment_csv_from_payload,
-        rule=rule,
-        tied={} if rule is None else {key: defaults[key].default for key in inspect.signature(rule).parameters},
+        rules=tuple(
+            (rule, {key: defaults[key].default for key in inspect.signature(rule).parameters}) for rule in rules
+        ),
     )
 
 
@@ -214,9 +216,10 @@ _PROFILE = _document(WarpProfile)
 
 # Converters check one key each.  A rule ties keys together by calling the
 # library's own check: the condenser's sets against its space, or an
-# experiment runner's (r < min i, one threshold per index).
-# Other rules, such as the library's numerical limits (h <= 0.1, distinct
-# radii), stay in the library and surface as computation errors.
+# experiment runner's (r < min i, one threshold per index, h <= 0.1 and a
+# rim clear of the disk or annulus).  Other rules, such as the radial
+# route's numerical limits (distinct radii, geometric ratio), stay in the
+# library and surface as computation errors.
 COMMANDS = {
     "capacity-radial": Command(
         keys={
@@ -244,8 +247,7 @@ COMMANDS = {
         required=("space", "inner", "outer"),
         tolerance="solver",
         run=_capacity_graph,
-        rule=GraphCondenser,
-        tied=dict.fromkeys(("space", "inner", "outer")),
+        rules=((GraphCondenser, dict.fromkeys(("space", "inner", "outer"))),),
         csv=_table(lambda p: capacity_csv(p["rows"], p["rim_radius"]), "provenance"),
     ),
     "experiment ex1": _experiment(
@@ -254,10 +256,10 @@ COMMANDS = {
     ),
     "experiment ex2": _experiment("run_example2", a=_positive, b=_positive, m=_integer(2), L=_real),
     "experiment ex3": _experiment(
-        "run_example3", sequences._check_family, h=_positive, rim_radius=_positive, strip_conductance=_positive,
-        alphas=_list_of(_nonnegative), alpha_rule_c=_nonnegative,
+        "run_example3", sequences._check_disk_plane, sequences._check_family, h=_positive, rim_radius=_positive,
+        strip_conductance=_positive, alphas=_list_of(_nonnegative), alpha_rule_c=_nonnegative,
     ),
-    "experiment ex4": _experiment("run_example4", h=_positive, rim_radius=_positive),
+    "experiment ex4": _experiment("run_example4", sequences._check_annulus_plane, h=_positive, rim_radius=_positive),
     "mass": Command(
         keys={"profile": _PROFILE, "radii": _list_of(_real), "tail_points": _integer(1)},
         required=("profile", "radii"),
@@ -367,15 +369,16 @@ def parse_config(
         for key, convert in spec.keys.items():
             if key in keys:
                 args[key] = _convert(convert, keys[key], f"{where}.{key}", problems)
-        # the rule runs once every given key converted and every required key is given
-        if spec.rule is not None and None not in args.values() and set(spec.required) <= args.keys():
-            tied = {key: args.get(key, default) for key, default in spec.tied.items()}
-            try:
-                spec.rule(**tied)
-            except DomainError as exc:
-                # a key left unset (None) takes no part in the rule, so it is not named
-                named = [key for key, value in tied.items() if value is not None]
-                problems.append(f"{where} keys {' and '.join(map(repr, named))}: {exc}")
+        # the rules run once every given key converted and every required key is given
+        if None not in args.values() and set(spec.required) <= args.keys():
+            for rule, defaults in spec.rules:
+                tied = {key: args.get(key, default) for key, default in defaults.items()}
+                try:
+                    rule(**tied)
+                except DomainError as exc:
+                    # a key left unset (None) takes no part in the rule, so it is not named
+                    named = [key for key, value in tied.items() if value is not None]
+                    problems.append(f"{where} keys {' and '.join(map(repr, named))}: {exc}")
         if tol_override is not None and spec.tolerance is None:
             problems.append(f"--tol: {name} has no tolerance to set")
         elif tol_override is not None:

@@ -7,7 +7,8 @@ Independent numerical route to radial capacity: minimize
 
 over grid functions with u = 1 at s0 and u = 0 at the truncation radius L,
 then extrapolate L -> inf (and mesh -> 0) to estimate the capacity.  The
-piecewise-linear minimizer is found by a symmetric tridiagonal solve.
+elements form a series chain of resistances h_k / w_k, so the
+piecewise-linear minimizer is the closed-form voltage divider along it.
 """
 
 from __future__ import annotations
@@ -117,32 +118,15 @@ def _element_conductances(condenser: RadialCondenser, grid: RadialGrid) -> np.nd
 def _minimize_chain(cond: np.ndarray, k: int) -> np.ndarray:
     """Minimize sum_j cond_j (u_{j+1}-u_j)^2 with u_k = 1 and u_N = 0 (k < N).
 
-    The free nodes left of k and those between k and N satisfy the
-    three-point harmonic equation; the two blocks form one SPD tridiagonal
-    system (its super-diagonal is zero where they meet), solved with a
-    banded Cholesky.
+    The chain is a series network of resistances 1/cond_j.  Nothing is
+    grounded left of k, so no current flows there and nodes 0..k stay at 1;
+    past k the potential drops in proportion to the resistance crossed.
     """
-    from scipy.linalg import solveh_banded
-
     n = cond.size
     if not 0 <= k < n:
         raise DomainError(f"clamped node {k} must lie left of the grounded end {n}")
-    diag = np.zeros(n + 1)
-    diag[:-1] += cond
-    diag[1:] += cond
-    ab = np.zeros((2, n - 1))
-    ab[0, 1:k] = -cond[: max(k - 1, 0)]
-    ab[0, k + 1 :] = -cond[k + 1 : n - 1]
-    ab[1] = np.concatenate([diag[:k], diag[k + 1 : n]])
-    # free slots are node j at j (j < k) and at j - 1 (k < j < N), so the
-    # clamped node's free neighbours k - 1 and k + 1 sit at slots k - 1 and k
-    lo, hi = max(k - 1, 0), min(k + 1, n - 1)
-    rhs = np.zeros(n - 1)
-    rhs[lo:hi] = cond[lo:hi]
-    # a single free node has no super-diagonal: solveh_banded takes its
-    # diagonal alone (a band row wider than the system is rejected)
-    x = solveh_banded(ab if n > 2 else ab[1:], rhs)
-    return np.concatenate([x[:k], [1.0], x[k:], [0.0]])
+    crossed = np.cumsum(1.0 / cond[k:])
+    return np.concatenate([np.ones(k + 1), 1.0 - crossed / crossed[-1]])
 
 
 def solve_radial(condenser: RadialCondenser, grid: RadialGrid) -> FemSolution:
@@ -168,7 +152,7 @@ def plateau_energy(condenser: RadialCondenser, grid: RadialGrid, anchor: float) 
     grounded at the right end, with a natural (free) left end.
 
     Used to confirm that a capped side of a condenser carries no energy: with
-    nothing grounded left of the anchor the minimizer is constant 1 there.
+    nothing grounded left of the anchor the minimizer is exactly 1 there.
     """
     cond = _element_conductances(condenser, grid)
     k = int(np.argmin(np.abs(grid.nodes - anchor)))

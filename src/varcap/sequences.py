@@ -191,9 +191,10 @@ def run_example2(
 
     The open side of each capped space carries the full resistance C, so its
     capacity is omega/(gamma C); the two-ended limit has both ends and twice
-    the capacity.  The capped side is verified numerically to carry no
-    energy: the minimizer clamped to 1 at the waist with a free pole end is
-    constant there.
+    the capacity.  The capped side carries no energy: nothing is grounded
+    between the waist and the pole, so no current flows there and the
+    series-chain minimizer clamped to 1 at the waist is exactly 1 on that
+    side (its energy is exactly 0).  The runner still checks that constancy.
     """
     i_list = tuple(i_list)
     neck = hyperboloid_profile(m=m, a=a, b=b)
@@ -253,6 +254,29 @@ def _unit_disk(h: float) -> FiniteMetricMeasureSpace:
 
 def _radius(space: FiniteMetricMeasureSpace) -> np.ndarray:
     return np.sqrt(space.coords[:, 0] ** 2 + space.coords[:, 1] ** 2)
+
+
+def _check_plane(h: float, rim_radius: float, clear_of: float, inside: str) -> None:
+    """Reject a lattice too coarse to resolve the unit disk and a rim within
+    4h of the radius `clear_of` of the `inside` set."""
+    if h > 0.1 + 1e-12:
+        raise DomainError(f"lattice spacing h={h} too coarse to resolve the unit disk (need h <= 0.1)")
+    if rim_radius <= clear_of + 4.0 * h:
+        raise DomainError(
+            f"rim radius sits too close to the {inside}; condenser would be distorted "
+            f"(need rim_radius > {clear_of:g} + 4h = {clear_of + 4.0 * h:g}, got {rim_radius})"
+        )
+
+
+def _check_disk_plane(h: float, rim_radius: float) -> None:
+    """ex3's plane: a lattice fine enough for the unit disk, a rim clear of it."""
+    _check_plane(h, rim_radius, 1.0, "disk")
+
+
+def _check_annulus_plane(h: float, rim_radius: float) -> None:
+    """ex4's plane: a lattice fine enough for the unit disk, a rim clear of
+    the annulus 1 < r < 2."""
+    _check_plane(h, rim_radius, 2.0, "annulus")
 
 
 def _check_family(
@@ -331,11 +355,8 @@ def run_example3(
     the rule alpha_i = alpha_rule_c / i, or by default alpha_i = 0, where the
     region is exactly the disk sheet.
     """
-    if h > 0.1 + 1e-12:
-        raise PreconditionError(f"lattice spacing h={h} too coarse to resolve the unit disk")
     i_list = tuple(i_list)
-    if rim_radius <= 1.0 + 4.0 * h:
-        raise DomainError("rim radius sits too close to the disk; condenser would be distorted")
+    _check_disk_plane(h, rim_radius)
     _check_family(i_list, alphas, alpha_rule_c)
 
     limit_cond = limit_plane_condenser(h, rim_radius)
@@ -393,11 +414,8 @@ def run_example4(
     nodes keep their indices, and the annulus has no edge to the plane, so
     `graph_capacity` leaves its stranded component out of the solve.
     """
-    if h > 0.1 + 1e-12:
-        raise PreconditionError(f"lattice spacing h={h} too coarse to resolve the unit disk")
     i_list = tuple(i_list)
-    if rim_radius <= 2.0 + 4.0 * h:
-        raise DomainError("rim radius sits too close to the annulus; condenser would be distorted")
+    _check_annulus_plane(h, rim_radius)
     _check_family(i_list)
     bounds = _plane_bounds(rim_radius, h)
     plane = build_planar_sheet(bounds, h, label_prefix="P", offset=LATTICE_OFFSET)

@@ -133,17 +133,6 @@ def radial_capacity(condenser: RadialCondenser, rel_tol: float = 1e-12) -> float
     return 2.0 * per_end if condenser.ends == "two_symmetric" else per_end
 
 
-def parallel_capacity(c_plus: float, c_minus: float, dim) -> float:
-    """Capacity of an asymmetric two-ended condenser from its per-end resistances."""
-    inv = 0.0
-    for c in (c_plus, c_minus):
-        if c <= 0:
-            raise DomainError("end resistances must be positive")
-        if c != INF:
-            inv += 1.0 / c
-    return dim.omega / dim.gamma * inv
-
-
 @dataclass(frozen=True)
 class RampEnergy:
     energy: float

@@ -9,9 +9,10 @@ radial capacity estimate is also kept in its former two-step form: a list of
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import lstsq, solveh_banded
+from scipy.linalg import lstsq
 from scipy.sparse.csgraph import shortest_path
 
 from varcap.errors import DomainError, InconsistencyError, PreconditionError, real
@@ -270,51 +271,33 @@ def radial_label_filter(space, rmin, rmax, prefix=None):
     return tuple(lab for lab in picked if prefix is None or lab.startswith(prefix + ":"))
 
 
-def dict_minimize_chain(cond, fixed):
-    """Reference chain minimizer: fixed node values from a dict, banded system
-    and right-hand side assembled by a loop over elements."""
-    n = cond.size + 1
-    u = np.zeros(n)
-    free = np.array([k for k in range(n) if k not in fixed], dtype=int)
-    for k, v in fixed.items():
-        u[k] = v
-    if free.size == 0:
-        return u
-    diag = np.zeros(n)
-    diag[:-1] += cond
-    diag[1:] += cond
-    pos = -np.ones(n, dtype=int)
-    pos[free] = np.arange(free.size)
-    ab = np.zeros((2, free.size))
-    ab[1] = diag[free]
-    rhs = np.zeros(free.size)
-    for k in range(n - 1):
-        i, j, c = k, k + 1, cond[k]
-        pi, pj = pos[i], pos[j]
-        if pi >= 0 and pj >= 0:
-            ab[0, pj] = -c
-        elif pi >= 0:
-            rhs[pi] += c * u[j]
-        elif pj >= 0:
-            rhs[pj] += c * u[i]
-    u[free] = solveh_banded(ab, rhs)
-    return u
-
-
-def dense_minimize_chain(cond, k):
-    """Reference chain minimizer: u_k = 1, u_N = 0, and a dense numpy solve of
-    the free nodes' harmonic equations."""
-    n = cond.size + 1
-    j = np.arange(cond.size)
-    L = np.zeros((n, n))
-    np.add.at(L, (j, j), cond)
-    np.add.at(L, (j + 1, j + 1), cond)
-    L[j, j + 1] = L[j + 1, j] = -cond
-    u = np.zeros(n)
-    u[k] = 1.0
-    free = np.setdiff1d(np.arange(n), [k, n - 1])
-    u[free] = np.linalg.solve(L[np.ix_(free, free)], -L[free, k])
-    return u
+def exact_minimize_chain(cond, k):
+    """Reference chain minimizer in exact rational arithmetic: u_k = 1,
+    u_N = 0, and the harmonic equations of every other node (a free end at
+    node 0) solved by Gaussian elimination along the chain.  Returns Fractions.
+    """
+    c = [Fraction(float(x)) for x in cond]
+    n = len(c)
+    fixed = {k: Fraction(1), n: Fraction(0)}
+    # row j: (c[j-1] + c[j]) u_j - c[j-1] u_{j-1} - c[j] u_{j+1} = 0, with
+    # c[-1] = 0 at the free end; fixed neighbours move to the right-hand side
+    pivots, rhs = {}, {}
+    for j in range(n):
+        if j in fixed:
+            continue
+        left = c[j - 1] if j > 0 else Fraction(0)
+        d, b = left + c[j], c[j] * fixed.get(j + 1, 0)
+        if j - 1 in fixed:
+            b += left * fixed[j - 1]
+        elif j > 0:  # eliminate the free left neighbour
+            d -= left * c[j - 1] / pivots[j - 1]
+            b += left * rhs[j - 1] / pivots[j - 1]
+        pivots[j], rhs[j] = d, b
+    u = dict(fixed)
+    for j in sorted(pivots, reverse=True):
+        up = c[j] * u[j + 1] if j + 1 not in fixed else 0
+        u[j] = (rhs[j] + up) / pivots[j]
+    return [u[j] for j in range(n + 1)]
 
 
 def resumming_geometric_nodes(s0, L, h0, ratio):

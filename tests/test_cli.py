@@ -201,6 +201,12 @@ MALFORMED = [
     (["capacity-graph"], _graph_doc(outer=["qq"]), _CONDENSER_KEYS + "condenser references unknown point 'qq'"),
     (["capacity-graph"], _graph_doc(inner=[]), _CONDENSER_KEYS + "condenser needs a nonempty inner set K"),
     (["capacity-graph"], _graph_doc(outer=["p:0_0"]), _CONDENSER_KEYS + "inner and outer sets must be disjoint"),
+    (["experiment", "ex3"], {"h": 0.2}, "ex3 input keys 'h' and 'rim_radius': lattice spacing h=0.2 too coarse"),
+    (["experiment", "ex4"], {"h": 0.2}, "ex4 input keys 'h' and 'rim_radius': lattice spacing h=0.2 too coarse"),
+    (["experiment", "ex3"], {"rim_radius": 1.2}, "ex3 input keys 'h' and 'rim_radius': rim radius sits too close "
+     "to the disk"),
+    (["experiment", "ex4"], {"h": 0.05, "rim_radius": 2.2}, "ex4 input keys 'h' and 'rim_radius': rim radius sits "
+     "too close to the annulus"),
 ]
 
 
@@ -403,8 +409,8 @@ def test_capacity_radial_on_generated_spline_documents(case):
 
 @pytest.mark.parametrize("command, doc, message", [
     (["capacity-radial"], _radial_doc(L_values=[100.0, 1000.0, 1e4, 1e4]), "all distinct"),
-    (["experiment", "ex4"], {"rim_radius": 1.05}, "rim radius sits too close to the annulus"),
-], ids=["repeated radius", "ex4 rim inside the annulus"])
+    (["capacity-radial"], _radial_doc(ratio=1.6), "geometric ratio must be in (1, 1.5]"),
+], ids=["repeated radius", "geometric ratio"])
 def test_library_domain_rule_exits_one(tmp_path, capsys, command, doc, message):
     inp, out = tmp_path / "input.json", tmp_path / "report.csv"
     inp.write_text(json.dumps(doc))
@@ -614,13 +620,22 @@ def test_module_runs_as_a_process(tmp_path):
     assert refused.stderr.startswith("configuration error: ")
 
 
-def test_console_entry_point(tmp_path):
+def test_console_entry_point():
+    """The `[project.scripts]` target runs as an installed console script
+    would, in a fresh interpreter; so does the installed script, if any."""
     import shutil
-    import subprocess
+    import tomllib
 
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    module, function = tomllib.loads(pyproject.read_text())["project"]["scripts"]["varcap"].split(":")
+    src = str(Path(varcap.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = f"import sys\nfrom {module} import {function}\nsys.exit({function}())"
+    runs = [[sys.executable, "-c", script, "--version"]]
     exe = shutil.which("varcap")
-    if exe is None:
-        pytest.skip("console script not installed")
-    proc = subprocess.run([exe, "--version"], capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert "varcap" in proc.stdout
+    if exe is not None:
+        runs.append([exe, "--version"])
+    for argv in runs:
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout == f"varcap {varcap.__version__}\n"

@@ -1,5 +1,6 @@
-"""Import footprint: `import varcap` loads no scipy, and each command loads
-only the scipy subpackages it runs.  Every public name resolves, once.
+"""Import footprint: `import varcap` loads no scipy, the radial commands
+(capacity-radial, ex1 and ex2) load none either, and each other command
+loads only the scipy subpackages it runs.  Every public name resolves, once.
 
 Every case runs in a fresh interpreter, because an earlier test in this
 process has long since imported everything; the child prints the scipy
@@ -16,6 +17,7 @@ import pytest
 
 import varcap
 from test_golden import _command_doc
+from varcap.profiles import cylinder_transition_profile, euclidean_profile, hyperboloid_profile, schwarzschild_profile
 
 _SRC = str(Path(varcap.__file__).resolve().parents[1])
 
@@ -63,15 +65,27 @@ def test_import_builds_no_parser():
     _scipy_loaded("import varcap.cli\nassert varcap.cli._build_parser.cache_info().currsize == 0")
 
 
-@pytest.mark.parametrize("command, absent", [
-    ("capacity-radial", ("sparse", "integrate", "interpolate", "spatial")),
-    ("capacity-graph", ("integrate", "interpolate", "spatial", "optimize", "special")),
-], ids=["capacity-radial", "capacity-graph"])
-def test_golden_command_loads_only_the_scipy_it_runs(tmp_path, command, absent):
+# the four profile kinds of the benchmark's capacity-radial calls
+RADIAL_DOCS = {
+    "power": {"profile": euclidean_profile(3).to_doc(), "s0": 1.0},
+    "schwarzschild": {"profile": schwarzschild_profile(1.0).to_doc(), "s0": 4.0},
+    "sqrt_quadratic": {"profile": hyperboloid_profile(3, 1.0, 1.0).to_doc(), "s0": 0.5, "ends": "two_symmetric"},
+    "cylinder spline": {"profile": cylinder_transition_profile(3).to_doc(), "s0": 1.0},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RADIAL_DOCS))
+def test_capacity_radial_loads_no_scipy(tmp_path, kind):
     inp = tmp_path / "input.json"
-    inp.write_text(json.dumps(_command_doc(command)))
-    loaded = _scipy_loaded(_CALL.format(argv=[command, "--input", str(inp)]))
-    assert _loaded_any(loaded, absent) == []
+    inp.write_text(json.dumps(RADIAL_DOCS[kind]))
+    assert _scipy_loaded(_CALL.format(argv=["capacity-radial", "--input", str(inp)])) == set()
+
+
+def test_golden_capacity_graph_loads_only_the_scipy_it_runs(tmp_path):
+    inp = tmp_path / "input.json"
+    inp.write_text(json.dumps(_command_doc("capacity-graph")))
+    loaded = _scipy_loaded(_CALL.format(argv=["capacity-graph", "--input", str(inp)]))
+    assert _loaded_any(loaded, ("integrate", "interpolate", "spatial", "optimize", "special")) == []
 
 
 def test_default_ex4_loads_no_quadrature_spline_or_kd_tree(tmp_path):
@@ -81,10 +95,9 @@ def test_default_ex4_loads_no_quadrature_spline_or_kd_tree(tmp_path):
 
 
 @pytest.mark.parametrize("example", ["ex1", "ex2"])
-def test_default_spline_experiment_loads_no_interpolate_special_optimize_or_spatial(tmp_path, example):
+def test_default_radial_experiment_loads_no_scipy(tmp_path, example):
     argv = ["experiment", example, "--out", str(tmp_path / f"{example}.csv")]
-    loaded = _scipy_loaded(_CALL.format(argv=argv))
-    assert _loaded_any(loaded, ("interpolate", "special", "optimize", "spatial")) == []
+    assert _scipy_loaded(_CALL.format(argv=argv)) == set()
 
 
 def test_spline_profiles_load_no_scipy():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,8 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
-    dense_minimize_chain,
-    dict_minimize_chain,
+    exact_minimize_chain,
     resumming_geometric_nodes,
     two_step_capacity_estimate,
     two_step_schedule,
@@ -92,15 +92,14 @@ def test_geometric_grid_matches_resumming_oracle(s0, span, h0, ratio):
 )
 @example(case=(np.array([1.0, 3.0]), 0))
 @example(case=(np.array([1e-6, 1e6]), 1))
-def test_chain_minimizer_matches_dict_oracle(case):
+def test_chain_minimizer_matches_exact_oracle(case):
     cond, k = case
     u = _minimize_chain(cond, k)
-    if cond.size == 2:
-        # one free node; the dict oracle's banded solve rejects that system
-        np.testing.assert_allclose(u, dense_minimize_chain(cond, k), rtol=1e-14, atol=0.0)
-    else:
-        expected = dict_minimize_chain(cond, {k: 1.0, cond.size: 0.0})
-        assert u.tobytes() == expected.tobytes()
+    n = cond.size
+    exact = exact_minimize_chain(cond, k)
+    assert max(abs(Fraction(float(v)) - e) for v, e in zip(u, exact)) <= 2 * n * np.finfo(float).eps
+    assert np.all(u[: k + 1] == 1.0) and u[n] == 0.0
+    assert np.all(np.diff(u) <= 0.0)
 
 
 def test_chain_minimizer_rejects_clamp_at_grounded_end():

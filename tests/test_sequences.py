@@ -165,21 +165,26 @@ def test_two_sheet_strip_edge_equals_label_form():
     assert space.conductance.tobytes() == by_label.conductance.tobytes()
 
 
-def test_ex3_rejects_coarse_lattice():
-    with pytest.raises(PreconditionError):
-        run_example3(h=0.3, i_list=(2, 3, 4))
-
-
-def test_ex3_rejects_rim_too_close():
-    with pytest.raises(DomainError):
-        run_example3(h=0.1, i_list=(2, 3, 4), rim_radius=1.2)
-
-
 def _no_lattice(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a lattice was built before the inputs were validated")
 
     monkeypatch.setattr(sequences, "build_planar_sheet", refuse)
+
+
+@pytest.mark.parametrize("runner", [run_example3, run_example4])
+def test_planar_runners_reject_coarse_lattice_before_building(monkeypatch, runner):
+    _no_lattice(monkeypatch)
+    with pytest.raises(DomainError, match="too coarse"):
+        runner(h=0.3, i_list=(2, 3, 4), rim_radius=8.0)
+
+
+def test_ex3_rejects_rim_too_close_before_building(monkeypatch):
+    _no_lattice(monkeypatch)
+    with pytest.raises(DomainError, match="disk"):
+        run_example3(h=0.1, i_list=(2, 3, 4), rim_radius=1.2)
+    with pytest.raises(DomainError, match="disk"):
+        run_example3(h=0.05, i_list=(2, 3, 4), rim_radius=1.2)
 
 
 @pytest.mark.parametrize("runner", [run_example3, run_example4])

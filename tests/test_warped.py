@@ -20,7 +20,6 @@ from varcap.warped import (
     RadialCondenser,
     end_resistance,
     end_resistance_estimate,
-    parallel_capacity,
     radial_capacity,
     truncated_ramp_energy,
     volume_and_boundary,
@@ -106,15 +105,6 @@ def test_zero_capacity_iff_infinite_resistance():
     assert end_resistance(finite) < INF and radial_capacity(finite) > 0
     divergent = RadialCondenser(cylinder_transition_profile(3), 1.0)
     assert end_resistance(divergent) == INF and radial_capacity(divergent) == 0.0
-
-
-def test_parallel_capacity_composition():
-    dim = Dimension(3)
-    # symmetric double agrees with the parallel formula
-    C = math.pi / 2
-    assert parallel_capacity(C, C, dim) == pytest.approx(4.0 / math.pi, rel=1e-12)
-    # one capped (infinite-resistance) side gives the single-end value
-    assert parallel_capacity(C, INF, dim) == pytest.approx(2.0 / math.pi, rel=1e-12)
 
 
 # -- ramp energy ---------------------------------------------------------------
