@@ -76,7 +76,8 @@ def _rule(test, expected: str):
 
 
 def _integer(least: int):
-    return _rule(lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= least, f"an integer >= {least}")
+    return _rule(lambda v: isinstance(v, int) and is_real(v) and v >= least,
+                 f"an integer >= {least} in the float range")
 
 
 def _one_of(*choices: str):
@@ -112,7 +113,7 @@ def _document(cls):
     def convert(value):
         try:
             return cls.from_doc(value)
-        except (VarcapError, ValueError, TypeError, KeyError) as exc:
+        except VarcapError as exc:
             raise _Invalid(f"is not a valid document: {exc}") from None
 
     return convert
@@ -218,8 +219,8 @@ _PROFILE = _document(WarpProfile)
 # library's own check: the condenser's sets against its space, or an
 # experiment runner's (r < min i, one threshold per index, h <= 0.1 and a
 # rim clear of the disk or annulus).  Other rules, such as the radial
-# route's numerical limits (distinct radii, geometric ratio), stay in the
-# library and surface as computation errors.
+# route's distinct truncation radii, stay in the library and surface as
+# computation errors.
 COMMANDS = {
     "capacity-radial": Command(
         keys={
@@ -229,7 +230,7 @@ COMMANDS = {
             "L_values": _list_of(_real, least=3),
             "levels": _integer(2),
             "h0": _positive,
-            "ratio": _positive,
+            "ratio": _rule(lambda v: is_real(v) and 1.0 < v <= 1.5, "a number in (1, 1.5]"),
         },
         required=("profile", "s0"),
         tolerance=None,
@@ -254,7 +255,7 @@ COMMANDS = {
         "run_example1", sequences._check_ball, i_list=_list_of(_integer(2), least=3), r=_positive,
         L_values=_list_of(_real, least=3), m=_integer(2),
     ),
-    "experiment ex2": _experiment("run_example2", a=_positive, b=_positive, m=_integer(2), L=_real),
+    "experiment ex2": _experiment("run_example2", a=_positive, b=_positive, m=_integer(2)),
     "experiment ex3": _experiment(
         "run_example3", sequences._check_disk_plane, sequences._check_family, h=_positive, rim_radius=_positive,
         strip_conductance=_positive, alphas=_list_of(_nonnegative), alpha_rule_c=_nonnegative,
@@ -412,7 +413,7 @@ def run(config: RunConfig) -> int:
         args["tol"] = config.tolerances[spec.tolerance]
     try:
         payload = spec.run(**args)
-    except (VarcapError, ValueError, KeyError, TypeError) as exc:
+    except VarcapError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 1
 

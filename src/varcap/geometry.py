@@ -21,7 +21,10 @@ def unit_sphere_area(m: int) -> float:
     """
     if m < 2:
         raise DomainError(f"unit_sphere_area requires m >= 2, got m={m}")
-    return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
+    try:
+        return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
+    except OverflowError:  # Gamma(m/2) passes the float range from m = 344
+        raise DomainError(f"unit sphere area for m={m} is outside the float range") from None
 
 
 @dataclass(frozen=True)
@@ -33,6 +36,7 @@ class Dimension:
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m < 2:
             raise DomainError(f"dimension must be an integer >= 2, got {self.m!r}")
+        unit_sphere_area(self.m)  # raises unless omega is a float
 
     @property
     def omega(self) -> float:

@@ -532,7 +532,10 @@ class WarpProfile:
             if hi <= lo:
                 continue
             fn = seg.resistance_integral if which == "resistance" else seg.volume_integral
-            v, e = fn(lo, hi, self.m)
+            try:
+                v, e = fn(lo, hi, self.m)
+            except OverflowError:  # a power of the coordinate past the float range
+                raise DomainError(f"{which} integral over [{a}, {b}] exceeds the float range") from None
             if v == INF:
                 return INF, 0.0
             total += v
@@ -584,16 +587,17 @@ def euclidean_profile(m: int = 3) -> WarpProfile:
     return WarpProfile(Dimension(m), [PowerSegment(0.0, INF, 1.0, 1.0)], pole_at_origin=True)
 
 
-def cylinder_transition_profile(i: float, m: int = 3, bridge_samples: int = 33) -> WarpProfile:
+def cylinder_transition_profile(i: float, m: int = 3) -> WarpProfile:
     """Euclidean out to s = i, then a monotone neck down to a unit cylinder.
 
-    f(s) = s on [0, i], a cosine-ramp spline bridge from i down to 1 on
-    [i, i+1], and f = 1 on [i+1, inf).  The unit cylinder radius makes the
-    linear-ramp test energy on the cylindrical range exactly omega/L.
+    f(s) = s on [0, i], a cosine-ramp spline bridge through 33 samples from
+    i down to 1 on [i, i+1], and f = 1 on [i+1, inf).  The unit cylinder
+    radius makes the linear-ramp test energy on the cylindrical range
+    exactly omega/L.
     """
     if i <= 1:
         raise DomainError(f"transition radius must exceed 1, got i={i}")
-    x = np.linspace(i, i + 1.0, bridge_samples)
+    x = np.linspace(i, i + 1.0, 33)
     y = 1.0 + (i - 1.0) * (1.0 + np.cos(math.pi * (x - i))) / 2.0
     y[0], y[-1] = float(i), 1.0
     segments = [

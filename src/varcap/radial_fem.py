@@ -8,7 +8,8 @@ Independent numerical route to radial capacity: minimize
 over grid functions with u = 1 at s0 and u = 0 at the truncation radius L,
 then extrapolate L -> inf (and mesh -> 0) to estimate the capacity.  The
 elements form a series chain of resistances h_k / w_k, so the
-piecewise-linear minimizer is the closed-form voltage divider along it.
+piecewise-linear minimizer is the closed-form voltage divider along it,
+falling from 1 at s0 to 0 at L.
 """
 
 from __future__ import annotations
@@ -115,18 +116,14 @@ def _element_conductances(condenser: RadialCondenser, grid: RadialGrid) -> np.nd
     return w / np.diff(nodes)
 
 
-def _minimize_chain(cond: np.ndarray, k: int) -> np.ndarray:
-    """Minimize sum_j cond_j (u_{j+1}-u_j)^2 with u_k = 1 and u_N = 0 (k < N).
+def _minimize_chain(cond: np.ndarray) -> np.ndarray:
+    """Minimize sum_j cond_j (u_{j+1}-u_j)^2 with u_0 = 1 and u_N = 0.
 
-    The chain is a series network of resistances 1/cond_j.  Nothing is
-    grounded left of k, so no current flows there and nodes 0..k stay at 1;
-    past k the potential drops in proportion to the resistance crossed.
+    The chain is a series network of resistances 1/cond_j, so the potential
+    drops from 1 in proportion to the resistance crossed.
     """
-    n = cond.size
-    if not 0 <= k < n:
-        raise DomainError(f"clamped node {k} must lie left of the grounded end {n}")
-    crossed = np.cumsum(1.0 / cond[k:])
-    return np.concatenate([np.ones(k + 1), 1.0 - crossed / crossed[-1]])
+    crossed = np.cumsum(1.0 / cond)
+    return np.concatenate([[1.0], 1.0 - crossed / crossed[-1]])
 
 
 def solve_radial(condenser: RadialCondenser, grid: RadialGrid) -> FemSolution:
@@ -138,28 +135,13 @@ def solve_radial(condenser: RadialCondenser, grid: RadialGrid) -> FemSolution:
     if abs(grid.s0 - condenser.s0) > 1e-12 * max(1.0, abs(condenser.s0)):
         raise DomainError(f"grid must start at s0={condenser.s0}, starts at {grid.s0}")
     cond = _element_conductances(condenser, grid)
-    u = _minimize_chain(cond, 0)
+    u = _minimize_chain(cond)
     omega = condenser.profile.dim.omega
     energy = omega * float(np.sum(cond * np.diff(u) ** 2))
     if condenser.ends == "two_symmetric":
         energy *= 2.0
     cap_L = energy / condenser.profile.dim.gamma
     return FemSolution(grid, u, energy, cap_L)
-
-
-def plateau_energy(condenser: RadialCondenser, grid: RadialGrid, anchor: float) -> tuple[float, np.ndarray]:
-    """Energy of the minimizer clamped to 1 at the node nearest `anchor`,
-    grounded at the right end, with a natural (free) left end.
-
-    Used to confirm that a capped side of a condenser carries no energy: with
-    nothing grounded left of the anchor the minimizer is exactly 1 there.
-    """
-    cond = _element_conductances(condenser, grid)
-    k = int(np.argmin(np.abs(grid.nodes - anchor)))
-    u = _minimize_chain(cond, k)
-    omega = condenser.profile.dim.omega
-    left = omega * float(np.sum(cond[:k] * np.diff(u[: k + 1]) ** 2))
-    return left, u
 
 
 @dataclass(frozen=True)

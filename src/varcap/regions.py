@@ -121,16 +121,11 @@ class DefiningFunction:
         return DefiningFunction(space, values, k_idx, canonical=True)
 
     @staticmethod
-    def from_values(
-        space: FiniteMetricMeasureSpace,
-        values: Sequence[float],
-        region,
-        check_lipschitz: bool = True,
-    ) -> "DefiningFunction":
+    def from_values(space: FiniteMetricMeasureSpace, values: Sequence[float], region) -> "DefiningFunction":
         """User-supplied defining function (e.g. a signed distance), validated.
 
-        Checks {values <= 0} = K, u = d(., K) off K, and (exhaustively, when
-        requested) the 1-Lipschitz bound.
+        Checks {values <= 0} = K, u = d(., K) off K, and (exhaustively) the
+        1-Lipschitz bound.
         """
         values = np.asarray(values, dtype=float)
         if values.shape != (space.n,):
@@ -145,8 +140,7 @@ class DefiningFunction:
             d_k = distance_to_set(space, k_idx)
             if np.max(np.abs(values[outside] - d_k[outside])) > _LIP_TOL:
                 raise PreconditionError("defining function must equal d(., K) outside K")
-        if check_lipschitz:
-            _check_lipschitz(values, space.distance_matrix(), 1.0, space.labels)
+        _check_lipschitz(values, space.distance_matrix(), 1.0, space.labels)
         return DefiningFunction(space, values, k_idx, canonical=False)
 
     def extension_on(self, target: FiniteMetricMeasureSpace, upto: float = np.inf) -> np.ndarray:

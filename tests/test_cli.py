@@ -19,6 +19,7 @@ from varcap.cli import COMMANDS, RunConfig, main, parse_config
 from varcap.errors import ConfigError
 from varcap.mms import build_planar_sheet
 from varcap.profiles import cylinder_transition_profile, euclidean_profile, schwarzschild_profile
+from varcap import sequences
 from varcap.sequences import experiment_csv_from_payload
 
 
@@ -179,7 +180,7 @@ MALFORMED = [
     (["experiment", "ex1"], {"L_values": [100.0, "1000", 10000.0]}, "input.L_values[1]"),
     (["experiment", "ex3"], {"alphas": "abc"}, "input.alphas"),
     (["experiment", "ex3"], {"h": 0}, "input.h"),
-    (["experiment", "ex2"], {"L": math.nan}, "input.L"),
+    (["experiment", "ex2"], {"L": 1000.0}, "unknown key 'L' in experiment ex2 input"),
     (["capacity-graph"], _graph_doc_with_point(label=True), "document: point 2 must be an object with a string"),
     (["capacity-graph"], _graph_doc_with_dist([[0.0, "1"], [1.0, 0.0]]), "document: dist[0][1]"),
     (["capacity-graph"], _graph_doc_with_dist([[0.0, 1.0], [True, 0.0]]), "document: dist[1][0]"),
@@ -207,6 +208,7 @@ MALFORMED = [
      "to the disk"),
     (["experiment", "ex4"], {"h": 0.05, "rim_radius": 2.2}, "ex4 input keys 'h' and 'rim_radius': rim radius sits "
      "too close to the annulus"),
+    (["capacity-radial"], _radial_doc(ratio=1.6), "capacity-radial input.ratio must be a number in (1, 1.5]"),
 ]
 
 
@@ -241,7 +243,7 @@ VALID = [
     (["capacity-graph"], _graph_doc(rim_radius=1.0)),
     (["mass"], _mass_doc(tail_points=4)),
     (["experiment", "ex1"], {"i_list": [2, 4, 8], "r": 1.0, "L_values": [100.0, 1000.0, 1e4], "m": 3}),
-    (["experiment", "ex2"], {"i_list": [1, 2, 4], "a": 1.0, "b": 1.0, "m": 3, "L": 1000.0}),
+    (["experiment", "ex2"], {"i_list": [1, 2, 4], "a": 1.0, "b": 1.0, "m": 3}),
     (["experiment", "ex3"], {"i_list": [2, 4, 8], "h": 0.1, "rim_radius": 4.0, "strip_conductance": 0.2,
                              "alphas": [0.0, 0.0, 0.0]}),
     (["experiment", "ex3"], {"i_list": [2, 4, 8], "alpha_rule_c": 0.5}),
@@ -407,15 +409,85 @@ def test_capacity_radial_on_generated_spline_documents(case):
         assert out.exists() == (code == 0)
 
 
+def _log_uniform(lo_exp: float, hi_exp: float):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+def _i_list(least: int):
+    return st.lists(st.integers(least, 12), min_size=3, max_size=4)
+
+
+def _mass_radii(radii: list, huge: float | None, order: str) -> list:
+    radii = radii + ([] if huge is None else [huge])
+    return sorted(radii) if order == "sorted" else radii
+
+
+# Values are drawn near their valid ranges, so that most documents reach the
+# computation; sizes stay small (at most four family indices and nine radii)
+# because `main` runs every document that converts.  A mass document may add
+# one radius as large as 1e300.
+EXPERIMENT_AND_MASS_DOCUMENTS = st.one_of(
+    st.tuples(st.just(["experiment", "ex1"]), st.fixed_dictionaries({"i_list": _i_list(2)}, optional={
+        "r": _log_uniform(-2, 0.3), "m": st.integers(2, 6),
+        "L_values": st.lists(_log_uniform(0.5, 300), min_size=3, max_size=4)})),
+    st.tuples(st.just(["experiment", "ex2"]), st.fixed_dictionaries({"i_list": _i_list(1)}, optional={
+        "a": _log_uniform(-2, 2), "b": _log_uniform(-2, 2), "m": st.integers(2, 6)})),
+    st.tuples(st.just(["mass"]), st.fixed_dictionaries({
+        "profile": st.one_of(
+            _log_uniform(-1, 0.5).map(lambda mass: schwarzschild_profile(mass).to_doc()),
+            st.just(euclidean_profile(3).to_doc()),
+            st.tuples(st.floats(0.95, 1.05), st.floats(0.98, 1.02)).map(
+                lambda ap: _power_piece(params={"a": ap[0], "p": ap[1]}))),
+        "radii": st.builds(_mass_radii, st.lists(_log_uniform(0.7, 3), max_size=8),
+                           st.none() | _log_uniform(0, 300), st.sampled_from(["sorted", "sorted", "as drawn"]))},
+        optional={"tail_points": st.integers(1, 8)})),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=EXPERIMENT_AND_MASS_DOCUMENTS, data=st.data())
+def test_experiments_and_mass_on_generated_documents(case, data):
+    """Every document exits 0, 1 or 2, and a report exists exactly on exit 0;
+    an exception escaping `main` fails the property."""
+    command, doc = case
+    if data.draw(st.booleans()):
+        doc = _replace_somewhere(data, doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        inp, out = Path(tmp) / "input.json", Path(tmp) / "report.csv"
+        inp.write_text(json.dumps(doc))
+        code = main([*command, "--input", str(inp), "--out", str(out)])
+        assert code in (0, 1, 2)
+        assert out.exists() == (code == 0)
+
+
 @pytest.mark.parametrize("command, doc, message", [
     (["capacity-radial"], _radial_doc(L_values=[100.0, 1000.0, 1e4, 1e4]), "all distinct"),
-    (["capacity-radial"], _radial_doc(ratio=1.6), "geometric ratio must be in (1, 1.5]"),
-], ids=["repeated radius", "geometric ratio"])
+    (["mass"], _mass_doc(radii=[10.0, 20.0, 40.0, 80.0, 160.0, 1e125]),
+     "volume integral over [2.0, 1e+125] exceeds the float range"),
+    (["mass"], {"profile": _power_piece(), "radii": [10.0, 20.0, 40.0, 80.0, 160.0, 1e200]},
+     "volume integral over [0.0, 1e+200] exceeds the float range"),
+    (["mass"], {"profile": _power_piece(), "radii": [10.0, 20.0, 40.0, 80.0, 160.0, 2e102]},
+     "mass values at R=2e+102 exceed the float range"),
+    (["experiment", "ex2"], {"m": 344}, "unit sphere area for m=344 is outside the float range"),
+], ids=["repeated radius", "schwarzschild volume overflow", "power volume overflow", "mass overflow",
+        "dimension overflow"])
 def test_library_domain_rule_exits_one(tmp_path, capsys, command, doc, message):
     inp, out = tmp_path / "input.json", tmp_path / "report.csv"
     inp.write_text(json.dumps(doc))
     assert main([*command, "--input", str(inp), "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_programming_error_is_not_a_computation_error(tmp_path, capsys, monkeypatch):
+    def broken_runner(**args):
+        raise TypeError("a programming error")
+
+    monkeypatch.setattr(sequences, "run_example1", broken_runner)
+    out = tmp_path / "ex1.csv"
+    with pytest.raises(TypeError, match="a programming error"):
+        main(["experiment", "ex1", "--out", str(out)])
+    assert "computation error" not in capsys.readouterr().err
     assert not out.exists()
 
 

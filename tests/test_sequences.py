@@ -106,6 +106,14 @@ def test_ex2_pole_side_carries_no_energy(ex2):
     assert all(e <= 1e-12 for e in ex2.metadata["pole_side_energies"])
 
 
+def test_ex2_reports_every_capped_index_and_refuses_a_missing_one():
+    # the capped side is constant, so a far cap leaves the capacity unchanged
+    far = run_example2(i_list=(1, 2, 20000))
+    assert far.capacities == (far.capacities[0],) * 3
+    with pytest.raises(DomainError, match="cap index must be positive"):
+        run_example2(i_list=(1, 0, 2))
+
+
 # -- ex3 ------------------------------------------------------------------------
 
 
