@@ -376,8 +376,7 @@ class GraphCondenser:
 class GraphPotential:
     """Minimizer of the graph Dirichlet energy; capacity = raw_energy / gamma_m.
 
-    `iterations` counts the CG iterations of the solve (0 when no node is free
-    or the start point already met the tolerance).
+    `iterations` counts the CG iterations of the solve (0 when no node is free).
     """
 
     u: np.ndarray
@@ -394,7 +393,7 @@ def _free_mask(condenser: GraphCondenser) -> np.ndarray:
     return free
 
 
-def graph_capacity(condenser: GraphCondenser, rtol: float = _CG_RTOL, guess=None) -> GraphPotential:
+def graph_capacity(condenser: GraphCondenser, rtol: float = _CG_RTOL) -> GraphPotential:
     """Harmonic condenser potential and capacity on the edge graph.
 
     Components meeting both K and B get the unique harmonic minimizer, solved
@@ -403,25 +402,13 @@ def graph_capacity(condenser: GraphCondenser, rtol: float = _CG_RTOL, guess=None
     exactly zero.  CG stops once its recursively updated residual is below
     `rtol` relative to the right-hand side, so the true residual of the
     returned potential can slightly exceed `rtol` (1.65e-12 at 1e-12 on a
-    28-unknown random graph).
-
-    `guess` is a full-length potential, such as the `u` of an earlier solve
-    of the same or a nearby system.  Its free entries are CG's start point;
-    its entries on K and B are ignored.  A guess changes where CG starts,
-    never the tolerance it must meet: a guess that already meets `rtol` is
-    returned as is after 0 iterations.
+    28-unknown random graph).  A capacity past the float range raises
+    `DomainError`.
     """
     from scipy.sparse.csgraph import connected_components
     from scipy.sparse.linalg import LinearOperator, cg
 
     space = condenser.space
-    if guess is not None:
-        try:
-            guess = np.asarray(guess, dtype=float)
-        except (TypeError, ValueError):
-            raise DomainError("guess must be an array of numbers") from None
-        if guess.shape != (space.n,) or not np.all(np.isfinite(guess)):
-            raise DomainError(f"guess must be a finite array of shape ({space.n},), got shape {guess.shape}")
     k_idx, b_idx = condenser.k_idx, condenser.b_idx
     L = space.laplacian()  # off-diagonal pattern = edge graph; self-loops do not join components
     _, comp = connected_components(L, directed=False)
@@ -444,14 +431,17 @@ def graph_capacity(condenser: GraphCondenser, rtol: float = _CG_RTOL, guess=None
             nonlocal iterations
             iterations += 1
 
-        x0 = None if guess is None else guess[free]
-        u[free], info = cg(A, b_vec, x0=x0, rtol=rtol, atol=0.0, maxiter=40 * free.size, M=M, callback=count)
+        u[free], info = cg(A, b_vec, rtol=rtol, atol=0.0, maxiter=40 * free.size, M=M, callback=count)
         if info != 0:
             raise SolverError(f"conjugate gradient failed to converge (info={info})")
 
     du = u[space.edges[:, 0]] - u[space.edges[:, 1]]
-    raw_energy = float(np.sum(space.conductance * du * du))
-    return GraphPotential(u, raw_energy, raw_energy / condenser.dim.gamma, iterations)
+    with np.errstate(over="ignore"):  # an overflow shows as an infinite capacity, refused below
+        raw_energy = float(np.sum(space.conductance * du * du))
+    capacity = raw_energy / condenser.dim.gamma
+    if not math.isfinite(capacity):
+        raise DomainError(f"capacity exceeds the float range (raw energy {raw_energy!r}, m={condenser.dim.m})")
+    return GraphPotential(u, raw_energy, capacity, iterations)
 
 
 def harmonicity_residual(space: FiniteMetricMeasureSpace, condenser: GraphCondenser, u: np.ndarray) -> float:

@@ -130,17 +130,20 @@ def solve_radial(condenser: RadialCondenser, grid: RadialGrid) -> FemSolution:
     """Exact minimizer of the discrete energy with u(s0)=1, u(L)=0.
 
     For a two-sided symmetric condenser the energy is doubled (the even
-    reflection solves the second end).
+    reflection solves the second end).  A chain resistance, potential or
+    capacity past the float range raises `DomainError`.
     """
     if abs(grid.s0 - condenser.s0) > 1e-12 * max(1.0, abs(condenser.s0)):
         raise DomainError(f"grid must start at s0={condenser.s0}, starts at {grid.s0}")
     cond = _element_conductances(condenser, grid)
-    u = _minimize_chain(cond)
-    omega = condenser.profile.dim.omega
-    energy = omega * float(np.sum(cond * np.diff(u) ** 2))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below when not finite
+        u = _minimize_chain(cond)
+        energy = condenser.profile.dim.omega * float(np.sum(cond * np.diff(u) ** 2))
     if condenser.ends == "two_symmetric":
         energy *= 2.0
     cap_L = energy / condenser.profile.dim.gamma
+    if not (np.all(np.isfinite(u)) and np.isfinite(cap_L)):
+        raise DomainError(f"chain resistance or energy over [{grid.s0}, {grid.L}] exceeds the float range")
     return FemSolution(grid, u, energy, cap_L)
 
 

@@ -469,8 +469,17 @@ def test_experiments_and_mass_on_generated_documents(case, data):
     (["mass"], {"profile": _power_piece(), "radii": [10.0, 20.0, 40.0, 80.0, 160.0, 2e102]},
      "mass values at R=2e+102 exceed the float range"),
     (["experiment", "ex2"], {"m": 344}, "unit sphere area for m=344 is outside the float range"),
+    (["capacity-radial"],
+     _radial_doc(profile={**_power_piece(range=[1.0, None], params={"a": 1.0, "p": -1.0}), "pole_at_origin": False},
+                 s0=1e100),
+     "chain resistance or energy over [1e+100, 1e+103] exceeds the float range"),
+    (["capacity-graph"],
+     {"space": {"points": [{"label": lab, "xyz": [x, 0.0, 0.0]} for lab, x in zip("abc", (0.0, 1.0, 2.0))],
+                "edges": [["a", "b", 1e308], ["a", "c", 1e308]]},
+      "inner": ["a"], "outer": ["b", "c"]},
+     "capacity exceeds the float range (raw energy inf, m=2)"),
 ], ids=["repeated radius", "schwarzschild volume overflow", "power volume overflow", "mass overflow",
-        "dimension overflow"])
+        "dimension overflow", "radial chain overflow", "graph energy overflow"])
 def test_library_domain_rule_exits_one(tmp_path, capsys, command, doc, message):
     inp, out = tmp_path / "input.json", tmp_path / "report.csv"
     inp.write_text(json.dumps(doc))

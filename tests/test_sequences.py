@@ -7,7 +7,8 @@ import pytest
 from _oracles import radial_label_filter
 from varcap import sequences
 from varcap.errors import DomainError, PreconditionError
-from varcap.mms import Disk, build_planar_sheet, union_spaces
+from varcap.geometry import Dimension
+from varcap.mms import Disk, GraphCondenser, build_planar_sheet, graph_capacity, union_spaces
 from varcap.profiles import cylinder_transition_profile
 from varcap.radial_fem import RadialGrid, solve_radial
 from varcap.sequences import (
@@ -267,30 +268,12 @@ def test_ex3_index_sets_equal_label_filters(monkeypatch):
 
 
 def test_ex4_index_sets_equal_label_filters(monkeypatch):
-    *family, limit = _runner_condensers(monkeypatch, run_example4)
+    family, limit = _runner_condensers(monkeypatch, run_example4)
     pad, rim = 1e-9, 4.0
-    assert len(family) == 3
-    for cond in family:
-        assert cond.inner == radial_label_filter(cond.space, 0.0, 1.0 + pad, prefix="P")
-        assert cond.outer == radial_label_filter(cond.space, rim - pad, math.inf, prefix="P")
+    assert family.inner == radial_label_filter(family.space, 0.0, 1.0 + pad, prefix="L")
+    assert family.outer == radial_label_filter(family.space, rim - pad, math.inf, prefix="L")
     assert limit.inner == tuple(lab for lab in limit.space.labels if lab.startswith("K:"))
     assert limit.outer == radial_label_filter(limit.space, rim - pad, math.inf, prefix="F")
-
-
-def test_ex4_family_solves_start_from_the_previous_potential(monkeypatch):
-    # the union numbers the plane's nodes first, so each later solve starts
-    # at a potential that already meets the tolerance
-    pots, solve = [], sequences.graph_capacity
-
-    def record(cond, *args, **kwargs):
-        pots.append(solve(cond, *args, **kwargs))
-        return pots[-1]
-
-    monkeypatch.setattr(sequences, "graph_capacity", record)
-    exp = run_example4(h=0.1, i_list=(2, 4, 8))
-    *family, _ = pots
-    assert [pot.iterations > 0 for pot in family] == [True, False, False]
-    assert exp.capacities == (family[0].capacity,) * 3
 
 
 def test_ex4_builds_its_plane_once(monkeypatch):
@@ -303,7 +286,7 @@ def test_ex4_builds_its_plane_once(monkeypatch):
 
     monkeypatch.setattr(sequences, "build_planar_sheet", count)
     run_example4(h=0.1, i_list=(2, 4, 8))
-    assert sorted(calls) == ["A", "A", "A", "F", "K", "P"]
+    assert sorted(calls) == ["F", "K", "L"]
 
 
 # -- ex4 ------------------------------------------------------------------------
@@ -323,6 +306,23 @@ def test_ex4_violates_semicontinuity(ex4):
 def test_ex4_capacity_independent_of_i(ex4):
     caps = ex4.capacities
     assert max(caps) - min(caps) <= 1e-12
+
+
+def test_ex4_capacities_equal_cold_solves_of_the_family_spaces(ex4):
+    # each family space is the plane plus a disjoint annulus at height 1/i;
+    # the annulus adds no energy, so its cold solve gives the plane's value
+    h, rim = 0.1, 4.0
+    half = rim + 2 * h
+    plane = build_planar_sheet((-half, half, -half, half), h, label_prefix="P", offset=0.5)
+    r = np.hypot(plane.coords[:, 0], plane.coords[:, 1])
+    inner, outer = np.flatnonzero(r <= 1.0 + 1e-9), np.flatnonzero(r >= rim - 1e-9)
+    for i, cap in zip(ex4.i_list, ex4.capacities):
+        annulus = build_planar_sheet(
+            (-2.0, 2.0, -2.0, 2.0), h, clip=Disk(0.0, 0.0, 2.0), hole=Disk(0.0, 0.0, 1.0), z_offset=1.0 / i,
+            label_prefix="A", offset=0.5,
+        )
+        space = union_spaces(plane, annulus)
+        assert graph_capacity(GraphCondenser(space, inner, outer, Dimension(2))).capacity == cap
 
 
 # -- verdict goldens and reports ---------------------------------------------------
