@@ -31,6 +31,7 @@ from varcap.mms import (
     harmonicity_residual,
     union_spaces,
 )
+from varcap.sequences import limit_plane_condenser
 
 
 def path_space():
@@ -145,6 +146,74 @@ def test_sparse_solve_matches_dense_oracle(n, decades, seed):
     cond = random_sparse_condenser(n, np.random.default_rng(seed), decades)
     oracle, _ = dense_graph_energy(cond.space, cond.inner, cond.outer)
     assert graph_capacity(cond).raw_energy == pytest.approx(oracle, rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("rtol", [1e-3, 1e-6])
+def test_loose_tolerance_bounds_the_energy_from_above(rtol):
+    # the harmonic potential minimises the energy, so stopping CG early can
+    # only raise it, and by little when the residual is small
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        cond = random_sparse_condenser(400, rng, 4.0)
+        oracle, _ = dense_graph_energy(cond.space, cond.inner, cond.outer)
+        loose = graph_capacity(cond, rtol=rtol)
+        assert loose.iterations < graph_capacity(cond).iterations
+        assert oracle <= loose.raw_energy <= oracle * (1.0 + rtol)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(2, 7), extra=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_stranded_component_adds_no_energy(n, extra, seed):
+    # a path with no edge to the condenser and no node of K or B sits at 0
+    rng = np.random.default_rng(seed)
+    cond = random_graph_condenser(n, rng)
+    stranded = FiniteMetricMeasureSpace(
+        [f"w{k}" for k in range(extra)], np.ones(extra), coords=rng.uniform(-1.0, 1.0, size=(extra, 3)),
+        edges=np.column_stack([np.arange(extra - 1), np.arange(1, extra)]),
+        conductance=rng.uniform(0.1, 3.0, size=extra - 1),
+    )
+    alone = graph_capacity(cond)
+    joined = graph_capacity(GraphCondenser(union_spaces(cond.space, stranded), cond.inner, cond.outer, cond.dim))
+    assert np.all(joined.u[cond.space.n :] == 0.0)
+    assert joined.u[: cond.space.n] == pytest.approx(alone.u, rel=1e-12, abs=1e-14)
+    assert joined.capacity == pytest.approx(alone.capacity, rel=1e-12, abs=1e-14)
+
+
+def test_no_free_node_takes_no_iterations():
+    # every node is held, so the energy is the conductance of the K-B edges
+    space = FiniteMetricMeasureSpace(
+        ["a", "b", "c"],
+        np.ones(3),
+        coords=np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float),
+        edges=np.array([[0, 1], [1, 2], [0, 2]]),
+        conductance=[2.0, 3.0, 5.0],
+    )
+    pot = graph_capacity(GraphCondenser(space, ("a",), ("b", "c"), Dimension(2)))
+    assert pot.iterations == 0
+    assert np.array_equal(pot.u, [1.0, 0.0, 0.0])
+    assert pot.raw_energy == 7.0
+    assert pot.capacity == 7.0 / Dimension(2).gamma
+
+
+def test_repeated_solve_is_bit_identical():
+    # the ladder's coarse rung, the plane every ex4 family capacity reports
+    cond = limit_plane_condenser(0.1, 4.0)
+    first, second = graph_capacity(cond), graph_capacity(cond)
+    assert first.iterations > 0
+    assert second.iterations == first.iterations
+    assert second.capacity == first.capacity and np.array_equal(second.u, first.u)
+
+
+def test_energy_past_the_float_range_raises():
+    space = FiniteMetricMeasureSpace(
+        ["a", "b", "c"],
+        np.ones(3),
+        coords=np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float),
+        edges=np.array([[0, 1], [0, 2]]),
+        conductance=[1e308, 1e308],
+    )
+    with pytest.raises(DomainError, match="capacity exceeds the float range"):
+        graph_capacity(GraphCondenser(space, ("a",), ("b", "c"), Dimension(2)))
 
 
 def test_monotone_in_inner_set():

@@ -216,6 +216,13 @@ def test_grid_must_start_at_s0():
         solve_radial(cond, RadialGrid.uniform(2.0, 10.0, 10))
 
 
+def test_chain_past_the_float_range_raises():
+    # the s^-2 weight near s = 1e100 gives element resistances past the float range
+    profile = WarpProfile(Dimension(3), [PowerSegment(1.0, INF, 1.0, -1.0)], pole_at_origin=False)
+    with pytest.raises(DomainError, match="exceeds the float range"):
+        solve_radial(RadialCondenser(profile, 1e100), RadialGrid.uniform(1e100, 1e103, 16))
+
+
 # -- capacity_estimate ---------------------------------------------------------------
 
 

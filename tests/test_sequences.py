@@ -19,6 +19,7 @@ from varcap.sequences import (
     experiment_csv,
     experiment_csv_from_payload,
     fit_power_law,
+    limit_plane_condenser,
     run_example1,
     run_example2,
     run_example3,
@@ -287,6 +288,20 @@ def test_ex4_builds_its_plane_once(monkeypatch):
     monkeypatch.setattr(sequences, "build_planar_sheet", count)
     run_example4(h=0.1, i_list=(2, 4, 8))
     assert sorted(calls) == ["F", "K", "L"]
+
+
+@pytest.mark.parametrize("i_list", [(2, 4, 8), (2, 4, 8, 16, 32)])
+def test_ex4_solves_the_plane_and_the_limit_once(monkeypatch, i_list):
+    sizes, solve = [], sequences.graph_capacity
+
+    def count(cond, *args, **kwargs):
+        sizes.append(cond.space.n)
+        return solve(cond, *args, **kwargs)
+
+    monkeypatch.setattr(sequences, "graph_capacity", count)
+    exp = run_example4(h=0.1, i_list=i_list)
+    assert sizes == [limit_plane_condenser(0.1, 4.0).space.n, sizes[1]]
+    assert len(exp.capacities) == len(i_list)
 
 
 # -- ex4 ------------------------------------------------------------------------
