@@ -39,6 +39,7 @@ from .mms import (
     GraphCondenser,
     GraphPotential,
     build_planar_sheet,
+    contract,
     graph_capacity,
     union_spaces,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "capacity_estimate",
     "capped_even_profile",
     "check_semicontinuity",
+    "contract",
     "cylinder_transition_profile",
     "distance_to_set",
     "end_resistance",

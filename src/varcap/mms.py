@@ -168,11 +168,16 @@ class FiniteMetricMeasureSpace:
         diff = self.coords[np.asarray(idx, dtype=int)][:, None, :] - self.coords[None, :, :]
         return np.sqrt(np.sum(diff * diff, axis=-1))
 
-    def laplacian(self):
-        """Graph Laplacian of the conductances, as a scipy CSR matrix."""
+    @property
+    def cells(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Integer lattice cells (kx, ky) of a lattice space's points; None otherwise."""
+        return None if self._lattice is None else (self._lattice.kx, self._lattice.ky)
+
+    def laplacian(self, scale: float = 1.0):
+        """Graph Laplacian of the conductances times `scale`, as a scipy CSR matrix."""
         from scipy import sparse
 
-        i, j, c = self.edges[:, 0], self.edges[:, 1], self.conductance
+        i, j, c = self.edges[:, 0], self.edges[:, 1], self.conductance * scale
         rows, cols = np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j])
         vals = np.concatenate([-c, -c, c, c])
         return sparse.coo_matrix((vals, (rows, cols)), shape=(self.n, self.n)).tocsr()
@@ -402,7 +407,10 @@ def graph_capacity(condenser: GraphCondenser, rtol: float = _CG_RTOL) -> GraphPo
     exactly zero.  CG stops once its recursively updated residual is below
     `rtol` relative to the right-hand side, so the true residual of the
     returned potential can slightly exceed `rtol` (1.65e-12 at 1e-12 on a
-    28-unknown random graph).  A capacity past the float range raises
+    28-unknown random graph).  The solve runs on the conductances scaled by
+    the power of two that brings the largest into [1/2, 1): exact in floats
+    short of subnormal conductances, so the potential is bit for bit the
+    unscaled one, and no diagonal or residual norm overflows.  A capacity past the float range raises
     `DomainError`.
     """
     from scipy.sparse.csgraph import connected_components
@@ -410,7 +418,8 @@ def graph_capacity(condenser: GraphCondenser, rtol: float = _CG_RTOL) -> GraphPo
 
     space = condenser.space
     k_idx, b_idx = condenser.k_idx, condenser.b_idx
-    L = space.laplacian()  # off-diagonal pattern = edge graph; self-loops do not join components
+    scale = math.ldexp(1.0, -math.frexp(float(np.max(space.conductance, initial=0.0)))[1])
+    L = space.laplacian(scale)  # off-diagonal pattern = edge graph; self-loops do not join components
     _, comp = connected_components(L, directed=False)
     k_comps, b_comps = np.unique(comp[k_idx]), np.unique(comp[b_idx])
 
@@ -442,6 +451,45 @@ def graph_capacity(condenser: GraphCondenser, rtol: float = _CG_RTOL) -> GraphPo
     if not math.isfinite(capacity):
         raise DomainError(f"capacity exceeds the float range (raw energy {raw_energy!r}, m={condenser.dim.m})")
     return GraphPotential(u, raw_energy, capacity, iterations)
+
+
+def contract(condenser: GraphCondenser, classes) -> GraphCondenser:
+    """The condenser on the quotient graph that merges each class of nodes into one.
+
+    `classes` holds a class id per node.  Each class becomes one
+    node that keeps its first member's label and coordinates and carries its
+    members' total weight; the edges between two classes merge into one edge
+    of their summed conductance, and edges inside a class drop.  A potential
+    constant on every class has the same energy on both graphs.  So when the
+    classes are the orbits of graph symmetries that map K and B onto
+    themselves, the unique minimiser, constant on orbits, gives the quotient
+    the same capacity.  A class that K or B splits raises `DomainError`.
+    """
+    space = condenser.space
+    classes = np.asarray(classes)
+    if classes.shape != (space.n,):
+        raise DomainError("need one class id per point")
+    _, first, cls = np.unique(classes, return_index=True, return_inverse=True)
+    nc = first.size
+    size = np.bincount(cls, minlength=nc)
+    for name, idx in (("K", condenser.k_idx), ("B", condenser.b_idx)):
+        held = np.bincount(cls[np.unique(idx)], minlength=nc)
+        if np.any((held > 0) & (held < size)):
+            raise DomainError(f"{name} splits a class of the contraction")
+
+    i, j = cls[space.edges[:, 0]], cls[space.edges[:, 1]]
+    cross = i != j
+    pair, merged = np.unique(np.minimum(i, j)[cross] * nc + np.maximum(i, j)[cross], return_inverse=True)
+    lattice = space._lattice
+    quotient = FiniteMetricMeasureSpace(
+        space.labels_at(first) if lattice is None else _LatticeLabels(*(part[first] for part in lattice)),
+        np.bincount(cls, weights=space.weight, minlength=nc),
+        coords=None if space.coords is None else space.coords[first],
+        edges=np.column_stack(np.divmod(pair, nc)),
+        conductance=np.bincount(merged, weights=space.conductance[cross], minlength=pair.size),
+        dist_matrix=None if space.dist_matrix is None else space.dist_matrix[np.ix_(first, first)],
+    )
+    return GraphCondenser(quotient, np.unique(cls[condenser.k_idx]), np.unique(cls[condenser.b_idx]), condenser.dim)
 
 
 def harmonicity_residual(space: FiniteMetricMeasureSpace, condenser: GraphCondenser, u: np.ndarray) -> float:

@@ -110,10 +110,15 @@ def _element_conductances(condenser: RadialCondenser, grid: RadialGrid) -> np.nd
         bad = float(interior[np.argmin(f_int)])
         raise SingularWeightError(f"warp factor vanishes at interior node s={bad}")
     mids = 0.5 * (nodes[:-1] + nodes[1:])
-    w = np.atleast_1d(profile.element_weight(mids))
+    with np.errstate(over="ignore"):  # an overflow shows as an infinite weight or conductance, refused below
+        w = np.atleast_1d(profile.element_weight(mids))
+        cond = w / np.diff(nodes)
+    if np.any(w == np.inf):
+        bad = float(mids[np.argmax(w)])
+        raise DomainError(f"element weight exceeds the float range at the element midpoint s={bad!r}")
     if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
         raise SingularWeightError("nonpositive element weight at an element midpoint")
-    return w / np.diff(nodes)
+    return cond
 
 
 def _minimize_chain(cond: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ alpha_i-neighborhood of K intersected with S_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -99,26 +98,32 @@ def distance_to_set(space: FiniteMetricMeasureSpace, subset) -> np.ndarray:
     return _nearest_distance(space.coords[idx], space.coords)
 
 
-@dataclass(frozen=True)
 class DefiningFunction:
     """1-Lipschitz u on a space with {u <= 0} = K and u = d(., K) off K.
 
     K is given as `space.indices` takes it and kept as the index array
-    `region_idx`.
+    `region_idx`.  The canonical u = d(., K) is computed when `values` is
+    first read: its extension reads only K's coordinates.
     """
 
-    space: FiniteMetricMeasureSpace
-    values: np.ndarray
-    region_idx: np.ndarray
-    canonical: bool = False
+    def __init__(self, space: FiniteMetricMeasureSpace, values: np.ndarray | None, region_idx: np.ndarray,
+                 canonical: bool = False):
+        self.space, self._values, self.region_idx, self.canonical = space, values, region_idx, canonical
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = distance_to_set(self.space, self.region_idx)
+            self._values[self.region_idx] = 0.0
+        return self._values
 
     @staticmethod
     def canonical_for(space: FiniteMetricMeasureSpace, region) -> "DefiningFunction":
         """The nonnegative defining function u = d(., K)."""
         k_idx = space.indices(region)
-        values = distance_to_set(space, k_idx)
-        values[k_idx] = 0.0
-        return DefiningFunction(space, values, k_idx, canonical=True)
+        if k_idx.size == 0:
+            raise DomainError("a defining function needs a nonempty K")
+        return DefiningFunction(space, None, k_idx, canonical=True)
 
     @staticmethod
     def from_values(space: FiniteMetricMeasureSpace, values: Sequence[float], region) -> "DefiningFunction":

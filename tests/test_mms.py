@@ -27,6 +27,7 @@ from varcap.mms import (
     GraphCondenser,
     build_planar_sheet,
     capacity_csv,
+    contract,
     graph_capacity,
     harmonicity_residual,
     union_spaces,
@@ -214,6 +215,73 @@ def test_energy_past_the_float_range_raises():
     )
     with pytest.raises(DomainError, match="capacity exceeds the float range"):
         graph_capacity(GraphCondenser(space, ("a",), ("b", "c"), Dimension(2)))
+
+
+@pytest.mark.parametrize("c", [1e200, 1e308])
+def test_huge_conductances_solve_without_overflow(c):
+    # the solve runs on conductances scaled into [1/2, 1), so neither the
+    # Jacobi diagonal nor CG's residual norm overflows
+    space = FiniteMetricMeasureSpace(
+        ["a", "b", "c"],
+        np.ones(3),
+        coords=np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float),
+        edges=np.array([[0, 1], [1, 2]]),
+        conductance=[c, c],
+    )
+    pot = graph_capacity(GraphCondenser(space, ("a",), ("c",), Dimension(2)))
+    assert pot.u[1] == 0.5
+    assert pot.raw_energy == c / 2.0
+
+
+def test_contract_merges_classes():
+    # a 4-cycle a-b-c-d-a with the chord b-d; b and d form one class
+    space = FiniteMetricMeasureSpace(
+        ["a", "b", "c", "d"],
+        [1.0, 2.0, 3.0, 4.0],
+        coords=np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], dtype=float),
+        edges=np.array([[0, 1], [1, 2], [2, 3], [3, 0], [1, 3]]),
+        conductance=[1.0, 2.0, 3.0, 4.0, 5.0],
+    )
+    quotient = contract(GraphCondenser(space, ["a"], ["c"], Dimension(2)), np.array([7, 3, 9, 3]))
+    assert quotient.space.labels == ["b", "a", "c"]  # classes in id order, each labelled by its first member
+    assert np.array_equal(quotient.space.weight, [6.0, 1.0, 3.0])
+    assert np.array_equal(quotient.space.coords, space.coords[[1, 0, 2]])
+    assert np.array_equal(quotient.space.edges, [[0, 1], [0, 2]])
+    assert np.array_equal(quotient.space.conductance, [5.0, 5.0])
+    assert quotient.inner == ("a",) and quotient.outer == ("c",)
+    assert graph_capacity(quotient).raw_energy == 2.5  # two conductances of 5 in series
+
+
+@pytest.mark.parametrize("classes, split", [([0, 0, 1], "K"), ([0, 1, 1], "B")])
+def test_contract_refuses_a_split_class(classes, split):
+    cond = GraphCondenser(path_space(), ["v0"], ["v2"], Dimension(2))
+    with pytest.raises(DomainError, match=f"{split} splits a class"):
+        contract(cond, np.array(classes))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 9), glue=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_contracting_a_mirrored_graph_keeps_its_capacity(n, glue, seed):
+    # a random graph glued to its mirror image by mirrored pairs of edges
+    # (i, j') and (j, i'), with mirrored K and B: merging each node with its
+    # image keeps the capacity
+    rng = np.random.default_rng(seed)
+    half = random_graph_condenser(n, rng)
+    ends = rng.integers(0, n, size=(glue, 2))
+    cross = rng.uniform(0.1, 3.0, size=glue)
+    space = FiniteMetricMeasureSpace(
+        [f"v{k}" for k in range(2 * n)],
+        np.tile(half.space.weight, 2),
+        coords=np.vstack([half.space.coords, half.space.coords * [-1.0, 1.0, 1.0]]),
+        edges=np.vstack([half.space.edges, half.space.edges + n, ends + [0, n], ends[:, ::-1] + [0, n]]),
+        conductance=np.concatenate([half.space.conductance, half.space.conductance, cross, cross]),
+    )
+    full = GraphCondenser(
+        space, np.concatenate([half.k_idx, half.k_idx + n]), np.concatenate([half.b_idx, half.b_idx + n]), half.dim
+    )
+    quotient = contract(full, np.arange(2 * n) % n)
+    assert quotient.space.n == n
+    assert graph_capacity(quotient).capacity == pytest.approx(graph_capacity(full).capacity, rel=1e-12, abs=0.0)
 
 
 def test_monotone_in_inner_set():

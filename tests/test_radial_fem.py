@@ -223,6 +223,13 @@ def test_chain_past_the_float_range_raises():
         solve_radial(RadialCondenser(profile, 1e100), RadialGrid.uniform(1e100, 1e103, 16))
 
 
+def test_element_weight_past_the_float_range_is_named():
+    # f = s^3 near s = 1e100 squares past the float range: the weight is infinite, not nonpositive
+    profile = WarpProfile(Dimension(3), [PowerSegment(0.0, INF, 1.0, 3.0)], pole_at_origin=True)
+    with pytest.raises(DomainError, match="element weight exceeds the float range at the element midpoint"):
+        solve_radial(RadialCondenser(profile, 1e100), RadialGrid.uniform(1e100, 1e102, 16))
+
+
 # -- capacity_estimate ---------------------------------------------------------------
 
 

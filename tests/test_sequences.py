@@ -8,7 +8,7 @@ from _oracles import radial_label_filter
 from varcap import sequences
 from varcap.errors import DomainError, PreconditionError
 from varcap.geometry import Dimension
-from varcap.mms import Disk, GraphCondenser, build_planar_sheet, graph_capacity, union_spaces
+from varcap.mms import Disk, GraphCondenser, build_planar_sheet, contract, graph_capacity, union_spaces
 from varcap.profiles import cylinder_transition_profile
 from varcap.radial_fem import RadialGrid, solve_radial
 from varcap.sequences import (
@@ -300,8 +300,32 @@ def test_ex4_solves_the_plane_and_the_limit_once(monkeypatch, i_list):
 
     monkeypatch.setattr(sequences, "graph_capacity", count)
     exp = run_example4(h=0.1, i_list=i_list)
-    assert sizes == [limit_plane_condenser(0.1, 4.0).space.n, sizes[1]]
+    # the plane is solved on its quotient by the 8 lattice symmetries: a
+    # 2M x 2M grid of cells has M (M + 1) / 2 orbits
+    half = math.isqrt(limit_plane_condenser(0.1, 4.0).space.n) // 2
+    assert sizes == [half * (half + 1) // 2, sizes[1]]
     assert len(exp.capacities) == len(i_list)
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05])
+def test_plane_quotient_is_exact(h):
+    cond = limit_plane_condenser(h, 4.0)
+    orbits = sequences._plane_orbits(cond.space)
+    # the orbits are the classes of nodes with the same unordered pair {|x|, |y|}
+    x, y = np.abs(cond.space.coords[:, 0]), np.abs(cond.space.coords[:, 1])
+    _, by_coords = np.unique(np.column_stack([np.maximum(x, y), np.minimum(x, y)]), axis=0, return_inverse=True)
+    _, by_cells = np.unique(orbits, return_inverse=True)
+    assert np.array_equal(by_coords.ravel(), by_cells)
+
+    full = graph_capacity(cond)
+    hi, lo = np.full(by_cells.max() + 1, -np.inf), np.full(by_cells.max() + 1, np.inf)
+    np.maximum.at(hi, by_cells, full.u)
+    np.minimum.at(lo, by_cells, full.u)
+    assert np.max(hi - lo) <= 1e-12  # the full potential is constant on orbits
+
+    quotient = contract(cond, orbits)
+    assert np.array_equal(quotient.space.indices(quotient.inner), quotient.k_idx)  # labels stay unique
+    assert graph_capacity(quotient).capacity == full.capacity
 
 
 # -- ex4 ------------------------------------------------------------------------
