@@ -173,11 +173,11 @@ class FiniteMetricMeasureSpace:
         """Integer lattice cells (kx, ky) of a lattice space's points; None otherwise."""
         return None if self._lattice is None else (self._lattice.kx, self._lattice.ky)
 
-    def laplacian(self, scale: float = 1.0):
-        """Graph Laplacian of the conductances times `scale`, as a scipy CSR matrix."""
+    def laplacian(self):
+        """Graph Laplacian of the conductances, as a scipy CSR matrix."""
         from scipy import sparse
 
-        i, j, c = self.edges[:, 0], self.edges[:, 1], self.conductance * scale
+        i, j, c = self.edges[:, 0], self.edges[:, 1], self.conductance
         rows, cols = np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j])
         vals = np.concatenate([-c, -c, c, c])
         return sparse.coo_matrix((vals, (rows, cols)), shape=(self.n, self.n)).tocsr()
@@ -364,7 +364,9 @@ class GraphCondenser:
             raise DomainError(f"condenser references unknown point {exc.args[0]!r}") from None
         if not k_idx.size:
             raise DomainError("condenser needs a nonempty inner set K")
-        if np.intersect1d(k_idx, b_idx).size:
+        in_k = np.zeros(space.n, dtype=bool)
+        in_k[k_idx] = True
+        if in_k[b_idx].any():
             raise DomainError("inner and outer sets must be disjoint")
         self.space, self.k_idx, self.b_idx, self.dim = space, k_idx, b_idx, dim
 
@@ -381,13 +383,15 @@ class GraphCondenser:
 class GraphPotential:
     """Minimizer of the graph Dirichlet energy; capacity = raw_energy / gamma_m.
 
-    `iterations` counts the CG iterations of the solve (0 when no node is free).
+    `iterations` counts the CG iterations of the solve and `n_free` the
+    unknowns it solved for (both 0 when no node is free).
     """
 
     u: np.ndarray
     raw_energy: float
     capacity: float
     iterations: int
+    n_free: int
 
 
 def _free_mask(condenser: GraphCondenser) -> np.ndarray:
@@ -401,38 +405,43 @@ def _free_mask(condenser: GraphCondenser) -> np.ndarray:
 def graph_capacity(condenser: GraphCondenser, rtol: float = _CG_RTOL) -> GraphPotential:
     """Harmonic condenser potential and capacity on the edge graph.
 
-    Components meeting both K and B get the unique harmonic minimizer, solved
-    by Jacobi-preconditioned CG whatever the system size; components meeting
-    only K sit at 1, all others at 0.  With no K-B path the capacity is
-    exactly zero.  CG stops once its recursively updated residual is below
-    `rtol` relative to the right-hand side, so the true residual of the
-    returned potential can slightly exceed `rtol` (1.65e-12 at 1e-12 on a
-    28-unknown random graph).  The solve runs on the conductances scaled by
-    the power of two that brings the largest into [1/2, 1): exact in floats
-    short of subnormal conductances, so the potential is bit for bit the
-    unscaled one, and no diagonal or residual norm overflows.  A capacity past the float range raises
-    `DomainError`.
+    Components of the edge graph meeting both K and B get the unique
+    harmonic minimizer; components meeting only K sit at 1, all others at 0.
+    When no component meets both K and B, that potential is the minimizer and
+    the capacity is exactly zero, returned before anything is assembled.
+    Otherwise only the free block A of the Laplacian (rows and columns of the
+    free nodes in components meeting both) and the right-hand side b that
+    K's edges put on it are assembled, from the edges at free nodes, and A
+    is solved by Jacobi-preconditioned CG whatever its size.  CG stops once
+    its recursively updated residual is below `rtol` relative to b, so the
+    true residual of the returned potential can slightly exceed `rtol`
+    (1.65e-12 at 1e-12 on a 28-unknown random graph).  The solve runs on the
+    conductances scaled by the power of two that brings the largest into
+    [1/2, 1): exact in floats short of subnormal conductances, so the
+    potential is bit for bit the unscaled one, and no diagonal or residual
+    norm overflows.  The energy sums over every edge.  A capacity past the
+    float range raises `DomainError`.
     """
+    from scipy import sparse
     from scipy.sparse.csgraph import connected_components
-    from scipy.sparse.linalg import LinearOperator, cg
 
     space = condenser.space
-    k_idx, b_idx = condenser.k_idx, condenser.b_idx
-    scale = math.ldexp(1.0, -math.frexp(float(np.max(space.conductance, initial=0.0)))[1])
-    L = space.laplacian(scale)  # off-diagonal pattern = edge graph; self-loops do not join components
-    _, comp = connected_components(L, directed=False)
-    k_comps, b_comps = np.unique(comp[k_idx]), np.unique(comp[b_idx])
+    n, i, j = space.n, space.edges[:, 0], space.edges[:, 1]
+    n_comp, comp = connected_components(sparse.csr_matrix((np.ones(i.size), (i, j)), shape=(n, n)), directed=False)
+    meets_k, meets_b = np.zeros(n_comp, dtype=bool), np.zeros(n_comp, dtype=bool)
+    meets_k[comp[condenser.k_idx]] = True
+    meets_b[comp[condenser.b_idx]] = True
+    u = (meets_k & ~meets_b)[comp].astype(float)
+    u[condenser.k_idx] = 1.0
+    if not np.any(meets_k & meets_b):
+        return GraphPotential(u, 0.0, 0.0, 0, 0)
 
-    u = np.zeros(space.n)
-    u[np.isin(comp, np.setdiff1d(k_comps, b_comps))] = 1.0
-    u[k_idx] = 1.0
-
-    free = np.flatnonzero(_free_mask(condenser) & np.isin(comp, np.intersect1d(k_comps, b_comps)))
+    free = np.flatnonzero(_free_mask(condenser) & (meets_k & meets_b)[comp])
     iterations = 0
     if free.size:
-        L_free = L[free]
-        A = L_free[:, free]
-        b_vec = -(L_free @ u - A @ u[free])
+        from scipy.sparse.linalg import LinearOperator, cg
+
+        A, b_vec = _free_system(condenser, free)
         diag = A.diagonal()
         M = LinearOperator(A.shape, matvec=lambda x: x / diag)
 
@@ -444,13 +453,48 @@ def graph_capacity(condenser: GraphCondenser, rtol: float = _CG_RTOL) -> GraphPo
         if info != 0:
             raise SolverError(f"conjugate gradient failed to converge (info={info})")
 
-    du = u[space.edges[:, 0]] - u[space.edges[:, 1]]
+    du = u[i] - u[j]
     with np.errstate(over="ignore"):  # an overflow shows as an infinite capacity, refused below
         raw_energy = float(np.sum(space.conductance * du * du))
     capacity = raw_energy / condenser.dim.gamma
     if not math.isfinite(capacity):
         raise DomainError(f"capacity exceeds the float range (raw energy {raw_energy!r}, m={condenser.dim.m})")
-    return GraphPotential(u, raw_energy, capacity, iterations)
+    return GraphPotential(u, raw_energy, capacity, iterations, free.size)
+
+
+def _free_system(condenser: GraphCondenser, free: np.ndarray):
+    """The free block A of the scaled Laplacian and the right-hand side b.
+
+    Only the edges at free nodes are read.  A free node's diagonal entry
+    sums its edges' conductances c in edge order.  An edge between two free
+    nodes puts -c at both of its off-diagonal places, an edge from a free
+    node to K puts c on that node's entry of b (the potential is 1 on K),
+    and an edge to B adds nothing else.  Parallel edges, and a row of b over
+    its K neighbours, sum as scipy's CSR assembly does: by column, and in
+    edge order within a row of at most 16 entries (it sorts longer rows
+    unstably).  At nodes of degree at most 8 these are the sums of the full
+    Laplacian restricted to the free nodes.
+    """
+    from scipy import sparse
+
+    space = condenser.space
+    n, nf = space.n, free.size
+    pos = np.full(n, -1)
+    pos[free] = np.arange(nf)
+    in_k = np.zeros(n, dtype=bool)
+    in_k[condenser.k_idx] = True
+    i, j = space.edges[:, 0], space.edges[:, 1]
+    c = space.conductance * math.ldexp(1.0, -math.frexp(float(np.max(space.conductance)))[1])
+    pi, pj = pos[i], pos[j]
+    ends = np.concatenate([pi, pj])
+    at = ends >= 0
+    diag = np.bincount(ends[at], weights=np.concatenate([c, c])[at], minlength=nf)
+    ff, fk, kf = (pi >= 0) & (pj >= 0), (pi >= 0) & in_k[j], in_k[i] & (pj >= 0)
+    rows, cols = np.concatenate([pi[ff], pj[ff], np.arange(nf)]), np.concatenate([pj[ff], pi[ff], np.arange(nf)])
+    A = sparse.csr_matrix((np.concatenate([-c[ff], -c[ff], diag]), (rows, cols)), shape=(nf, nf))
+    rows, cols = np.concatenate([pi[fk], pj[kf]]), np.concatenate([j[fk], i[kf]])
+    to_k = sparse.csr_matrix((np.concatenate([-c[fk], -c[kf]]), (rows, cols)), shape=(nf, n))
+    return A, -(to_k @ np.ones(n))
 
 
 def contract(condenser: GraphCondenser, classes) -> GraphCondenser:

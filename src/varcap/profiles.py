@@ -357,11 +357,12 @@ class SchwarzschildSegment(Segment):
 
     def resistance_integral(self, a, b, m):
         if m == 3:
-            # exact: d/dR [ (1/M) sqrt(1 - 2M/R) ] = R^-2 (1 - 2M/R)^(-1/2)
+            # exact: d/dR [ (1/M) sqrt(1 - 2M/R) ] = R^-2 (1 - 2M/R)^(-1/2); the difference
+            # of the two roots, over their sum, is taken without cancellation
             M = self.mass
             fb = 1.0 if b == INF else math.sqrt(1.0 - 2.0 * M / b)
             fa = math.sqrt(max(1.0 - 2.0 * M / a, 0.0))
-            return (fb - fa) / M, 0.0
+            return (2.0 / a - 2.0 / b) / (fb + fa), 0.0
         if b == INF:
             raise DomainError("unbounded schwarzschild resistance handled by the tail integrator")
         return self._subst_quad(a, b, -(m - 1.0))

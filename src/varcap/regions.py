@@ -80,12 +80,20 @@ def _nearest_distance(points: np.ndarray, queries: np.ndarray, upto: float = np.
     """Euclidean distance from each query to the nearest of `points`, by KD-tree.
 
     Distances above `upto` may come back as inf: the search stops a little
-    past it, and the distances at or below it are exact.
+    past it, and the distances at or below it are exact.  With a finite
+    `upto`, only the queries inside the points' bounding box widened by that
+    search bound reach the tree; the others are farther than it along an axis.
     """
     from scipy.spatial import cKDTree
 
-    d, _ = cKDTree(points).query(queries, k=1, distance_upper_bound=upto * (1.0 + 1e-9) + 1e-9)
-    return np.asarray(d, dtype=float)
+    bound = upto * (1.0 + 1e-9) + 1e-9
+    near = slice(None)
+    if np.isfinite(bound):
+        lo, hi = points.min(axis=0) - bound, points.max(axis=0) + bound
+        near = np.flatnonzero(np.all((queries >= lo) & (queries <= hi), axis=1))
+    d = np.full(len(queries), np.inf)
+    d[near], _ = cKDTree(points).query(queries[near], k=1, distance_upper_bound=bound)
+    return d
 
 
 def distance_to_set(space: FiniteMetricMeasureSpace, subset) -> np.ndarray:

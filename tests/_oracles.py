@@ -5,7 +5,8 @@ dense pseudo-inverse quadratic minimization instead of the sparse condenser
 solve, value-grid feasibility scans instead of the McShane formula, and
 random feasible extensions built greedily from interval bounds.  The
 radial capacity estimate is also kept in its former two-step form: a list of
-(grid, L) pairs built first, then solved and grouped by L in dicts.
+(grid, L) pairs built first, then solved and grouped by L in dicts.  The
+sparse graph solve is kept in its former form on the whole Laplacian.
 """
 
 import math
@@ -54,6 +55,54 @@ def dense_graph_energy(space, inner_labels, outer_labels):
         u[free] = sol
     du = u[space.edges[:, 0]] - u[space.edges[:, 1]]
     return float(np.sum(space.conductance * du * du)), u
+
+
+def laplacian_graph_capacity(condenser, rtol=1e-12):
+    """The former `mms.graph_capacity`, which assembled the whole Laplacian.
+
+    It builds the n x n Laplacian of the scaled conductances from 4E
+    entries, takes components from it, and slices the free block and the
+    right-hand side out of it before the same Jacobi-CG solve; with no K-B
+    path it still assembles everything and returns an energy of exactly 0.
+    """
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import LinearOperator, cg
+
+    from varcap.mms import GraphPotential, _free_mask
+
+    space = condenser.space
+    k_idx, b_idx = condenser.k_idx, condenser.b_idx
+    scale = math.ldexp(1.0, -math.frexp(float(np.max(space.conductance, initial=0.0)))[1])
+    i, j, c = space.edges[:, 0], space.edges[:, 1], space.conductance * scale
+    rows, cols = np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j])
+    L = sparse.coo_matrix((np.concatenate([-c, -c, c, c]), (rows, cols)), shape=(space.n, space.n)).tocsr()
+    _, comp = connected_components(L, directed=False)
+    k_comps, b_comps = np.unique(comp[k_idx]), np.unique(comp[b_idx])
+
+    u = np.zeros(space.n)
+    u[np.isin(comp, np.setdiff1d(k_comps, b_comps))] = 1.0
+    u[k_idx] = 1.0
+
+    free = np.flatnonzero(_free_mask(condenser) & np.isin(comp, np.intersect1d(k_comps, b_comps)))
+    iterations = 0
+    if free.size:
+        L_free = L[free]
+        A = L_free[:, free]
+        b_vec = -(L_free @ u - A @ u[free])
+        diag = A.diagonal()
+        M = LinearOperator(A.shape, matvec=lambda x: x / diag)
+
+        def count(_):
+            nonlocal iterations
+            iterations += 1
+
+        u[free], info = cg(A, b_vec, rtol=rtol, atol=0.0, maxiter=40 * free.size, M=M, callback=count)
+        assert info == 0
+
+    du = u[space.edges[:, 0]] - u[space.edges[:, 1]]
+    raw_energy = float(np.sum(space.conductance * du * du))
+    return GraphPotential(u, raw_energy, raw_energy / condenser.dim.gamma, iterations, free.size)
 
 
 def loop_space_from_doc(doc):
@@ -221,6 +270,43 @@ def random_sparse_condenser(n, rng, decades):
     )
     held = rng.permutation(n)[: max(2, n // 40)]
     return GraphCondenser(space, held[: held.size // 2], held[held.size // 2 :], Dimension(2))
+
+
+def random_component_condenser(parts, rng, decades, max_degree=8):
+    """Condenser on a graph of separate connected parts, one per (size, role).
+
+    A role names what its part holds: "KB" nodes of K and of B, "K" or "B"
+    only those, "" neither (a part of size 1 is an isolated node).  Each part
+    is a random tree plus up to `size` random extra edges, parallel ones
+    included, each kept while both of its ends have fewer than `max_degree`
+    edges; conductances are log-uniform over `decades` decades.
+    """
+    from varcap.geometry import Dimension
+    from varcap.mms import GraphCondenser
+
+    edges, inner, outer, start = [], [], [], 0
+    for size, role in parts:
+        degree, pairs = np.zeros(size, dtype=int), []
+        for t in range(1, size):  # node t joins an earlier node with room left
+            pairs.append((t, int(rng.choice(np.flatnonzero(degree[:t] < max_degree)))))
+            degree[list(pairs[-1])] += 1
+        for a, b in rng.integers(0, size, size=(size, 2)):
+            if a != b and degree[a] < max_degree and degree[b] < max_degree:
+                pairs.append((a, b))
+                degree[[a, b]] += 1
+        edges += [(start + a, start + b) for a, b in pairs]
+        held = start + rng.permutation(size)
+        k = int(rng.integers(1, size + (role == "K"))) if "K" in role else 0
+        b = int(rng.integers(1, size - k + 1)) if "B" in role else 0
+        inner += held[:k].tolist()
+        outer += held[k : k + b].tolist()
+        start += size
+    edges = np.asarray(edges, dtype=int).reshape(-1, 2)
+    space = FiniteMetricMeasureSpace(
+        [f"v{k}" for k in range(start)], np.ones(start), coords=rng.uniform(-1.0, 1.0, size=(start, 3)),
+        edges=edges, conductance=10.0 ** rng.uniform(-decades / 2, decades / 2, size=edges.shape[0]),
+    )
+    return GraphCondenser(space, np.array(inner, dtype=int), np.array(outer, dtype=int), Dimension(2))
 
 
 def loop_planar_sheet(bounds, h, hole=None, z_offset=0.0, clip=None, label_prefix="p", offset=0.0):

@@ -671,6 +671,17 @@ def test_mass_command(tmp_path):
     assert float(m_line.split("=")[1]) == pytest.approx(2.0, rel=0.02)
 
 
+def test_mass_document_with_a_far_radius_reaches_the_tail_fit(tmp_path, capsys):
+    # the capacity at R = 1e90 is exact now, but the mass formulas subtract
+    # volumes near R^3 that agree to far more digits than a float holds
+    # (m_iso reads -3e74 there), so the tail fit refuses the curve
+    inp, out = tmp_path / "mass.json", tmp_path / "mass.csv"
+    inp.write_text(json.dumps(_mass_doc(radii=[10.0, 20.0, 40.0, 80.0, 1e90])))
+    assert main(["mass", "--input", str(inp), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "mass curve tail does not follow value + c/R" in err and "tail integration" not in err
+
+
 def test_tol_flag_reaches_verdict_tolerance(tmp_path):
     cfg = parse_config(
         {"command": "experiment", "input_doc": {"example": "ex1"}, "tolerances": {"verdict": 0.5}}

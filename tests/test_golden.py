@@ -8,8 +8,10 @@ input conversion and report rendering were declared in one table.  The
 ex1/ex2 and capacity-radial hashes were re-recorded when the radial FEM
 chain came to be solved in closed form, a declared change of algorithm: it
 moved a few floats by at most 1.9e-12 relative and set ex2's pole-side
-energies (1e-28 to 1e-26 before) to exactly 0 (see CHANGES.md).  A
-refactor must keep every byte of these outputs;
+energies (1e-28 to 1e-26 before) to exactly 0 (see CHANGES.md).  The mass
+hashes were re-recorded when the Schwarzschild resistance came to be taken
+without cancellation, which moved their floats by at most 4.6e-12 relative.
+A refactor must keep every byte of these outputs;
 the determinism tests elsewhere only compare a run with itself.
 """
 
@@ -39,8 +41,8 @@ COMMAND_SHA256 = {
     ("capacity-radial", "csv"): "939d2bdd8222485fa23832ad5e905f6a040afbb29d0d192368bd5018d60be134",
     ("capacity-graph", "json"): "1905bebc3a4d8dcc4a03642c6bde9358a408e4abaa0d8c12d4b9484e1ec40b19",
     ("capacity-graph", "csv"): "51b783ba6c19ade8115172372b3c34034f23f0585d2009fb923e0636dff7210d",
-    ("mass", "json"): "3ee78cdc778027ce300721ebbab6ff6440af045542756d9c025d8251ae354049",
-    ("mass", "csv"): "678142603ee5f4060172a07256369f77f58cd72411c97927bde5e346bc133881",
+    ("mass", "json"): "a695f4843409a03dd66b31844e8b153f5ef7c3753ec4f8e97c001ed1843ea49a",
+    ("mass", "csv"): "ba3b9759dc6f8aa046fb3bef1bcea145a9d22929b2f8cf7ae01033bec9c4c6eb",
 }
 LIMIT_PLANE_DOC_SHA256 = "dcc100e8070e933c3f806a5b89165ca7206fc32a799e33906f38921ede257327"
 

@@ -11,8 +11,10 @@ from hypothesis.extra.numpy import arrays
 
 from _oracles import (
     dense_graph_energy,
+    laplacian_graph_capacity,
     loop_planar_sheet,
     loop_space_from_doc,
+    random_component_condenser,
     random_graph_condenser,
     random_matrix_space,
     random_sparse_condenser,
@@ -119,7 +121,7 @@ def test_disconnected_inner_set_has_zero_capacity():
     pot = graph_capacity(GraphCondenser(space, ("a",), ("c", "d"), Dimension(2)))
     assert pot.raw_energy == 0.0
     assert pot.capacity == 0.0
-    assert pot.iterations == 0  # no node is free
+    assert pot.iterations == 0 and pot.n_free == 0  # no node is free
     assert pot.u[space.index("a")] == 1.0 and pot.u[space.index("b")] == 1.0
 
 
@@ -317,6 +319,43 @@ def test_monotone_in_conductance():
         assert cap2 >= cap - 1e-12
 
 
+# A first part holding K (and B, or not), then parts meeting only K, only B,
+# both or neither; size-1 parts are isolated nodes.
+_PARTS = st.tuples(
+    st.tuples(st.integers(2, 60), st.sampled_from(["KB", "KB", "K"])),
+    st.lists(st.tuples(st.integers(1, 12), st.sampled_from(["K", "B", "", "KB"])), max_size=6),
+).map(lambda parts: [parts[0], *[(max(size, 2), role) if role == "KB" else (size, role) for size, role in parts[1]]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(parts=_PARTS, decades=st.floats(0.0, 12.0), seed=st.integers(0, 2**32 - 1))
+def test_free_block_solve_matches_the_full_laplacian_bit_for_bit(parts, decades, seed):
+    # degrees stay at most 8: there the full Laplacian's CSR rows (at most
+    # 16 entries) summed in edge order, as the free block does everywhere
+    cond = random_component_condenser(parts, np.random.default_rng(seed), decades)
+    pot, oracle = graph_capacity(cond), laplacian_graph_capacity(cond)
+    assert pot.u.tobytes() == oracle.u.tobytes()
+    assert (pot.raw_energy, pot.capacity) == (oracle.raw_energy, oracle.capacity)
+    assert (pot.iterations, pot.n_free) == (oracle.iterations, oracle.n_free)
+
+
+def test_high_degree_nodes_match_the_full_laplacian_to_rounding():
+    # nodes of up to 16 edges: scipy summed such rows of the full Laplacian
+    # in an unstable sort order, the free block sums them in edge order
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        cond = random_sparse_condenser(300, rng, 6.0)
+        pot, oracle = graph_capacity(cond), laplacian_graph_capacity(cond)
+        assert pot.n_free == oracle.n_free
+        assert pot.raw_energy == pytest.approx(oracle.raw_energy, rel=1e-12)
+
+
+def test_n_free_counts_the_solved_unknowns():
+    assert graph_capacity(GraphCondenser(path_space(), ("v0",), ("v2",), Dimension(3))).n_free == 1
+    # v2 has no path to B, so it sits at 1 with K and is not solved for
+    assert graph_capacity(GraphCondenser(path_space(), ("v0",), (), Dimension(3))).n_free == 0
+
+
 def test_harmonicity_residual_small():
     rng = np.random.default_rng(13)
     for _ in range(20):
@@ -352,6 +391,22 @@ def test_condenser_accepts_index_arrays_and_masks():
         GraphCondenser(space, np.array([3]), np.array([0]), Dimension(2))
     with pytest.raises(DomainError, match="disjoint"):
         GraphCondenser(space, np.array([0, 1]), np.array([1]), Dimension(2))
+
+
+@pytest.mark.parametrize("inner, outer", [
+    (("v0", "v1"), ("v2", "v1")),
+    (np.array([0, 1, 1]), np.array([2, 1, 1])),
+    (np.array([True, True, False]), np.array([False, True, True])),
+], ids=["labels", "repeated indices", "masks"])
+def test_condenser_refuses_overlapping_sets(inner, outer):
+    with pytest.raises(DomainError, match="^inner and outer sets must be disjoint$"):
+        GraphCondenser(path_space(), inner, outer, Dimension(2))
+
+
+def test_condenser_takes_repeated_indices_in_disjoint_sets():
+    cond = GraphCondenser(path_space(), np.array([0, 0]), np.array([2, 2]), Dimension(3))
+    assert cond.inner == ("v0", "v0") and cond.outer == ("v2", "v2")
+    assert graph_capacity(cond).raw_energy == 0.5
 
 
 # -- planar sheets -----------------------------------------------------------------

@@ -14,6 +14,7 @@ from varcap.errors import PreconditionError
 from varcap.mms import Disk, FiniteMetricMeasureSpace, build_planar_sheet, union_spaces
 from varcap.regions import (
     DefiningFunction,
+    _nearest_distance,
     distance_to_set,
     extend_from_coords,
     mcshane_extend,
@@ -259,3 +260,18 @@ def test_canonical_fast_path_matches_generic_mcshane(src, target, data):
     alpha = data.draw(st.floats(0.0, 4.0))
     bounded = defining.extension_on(target_space, upto=alpha)
     assert np.array_equal(bounded[fast <= alpha], fast[fast <= alpha])
+
+
+@settings(max_examples=80, deadline=None)
+@given(points=_points(24), queries=_points(40), upto=st.floats(0.0, 3.0), data=st.data())
+def test_bounded_nearest_distance_is_exact_up_to_its_bound(points, queries, upto, data):
+    # a bounded query skips the points outside K's widened bounding box;
+    # one query sits at the bound along an axis from K's extreme point there
+    axis, side = data.draw(st.integers(0, 2)), data.draw(st.sampled_from([-1.0, 1.0]))
+    edge = points[np.argmax(side * points[:, axis])].copy()
+    edge[axis] += side * upto
+    queries = np.vstack([queries, edge])
+    full, bounded = _nearest_distance(points, queries), _nearest_distance(points, queries, upto)
+    near = full <= upto
+    assert np.array_equal(bounded[near], full[near])
+    assert np.all((bounded[~near] == np.inf) | (bounded[~near] == full[~near]))

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from _oracles import radial_label_filter
-from varcap import sequences
+from varcap import mms, sequences
 from varcap.errors import DomainError, PreconditionError
 from varcap.geometry import Dimension
 from varcap.mms import Disk, GraphCondenser, build_planar_sheet, contract, graph_capacity, union_spaces
@@ -24,6 +25,7 @@ from varcap.sequences import (
     run_example2,
     run_example3,
     run_example4,
+    two_sheet_space,
 )
 from varcap.warped import RadialCondenser
 
@@ -255,6 +257,37 @@ def _runner_condensers(monkeypatch, runner):
     monkeypatch.setattr(sequences, "graph_capacity", record)
     runner(h=0.1, i_list=(2, 4, 8))
     return seen
+
+
+def _refuse_to_assemble(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a condenser with no K-B path went on to pick free nodes, assemble or solve")
+
+    monkeypatch.setattr(mms.FiniteMetricMeasureSpace, "laplacian", refuse)
+    monkeypatch.setattr(mms, "_free_mask", refuse)
+    monkeypatch.setattr(mms, "_free_system", refuse)
+    monkeypatch.setattr(scipy.sparse.linalg, "cg", refuse)
+
+
+def _assert_exact_zero(cond):
+    pot = graph_capacity(cond)
+    assert (pot.raw_energy, pot.capacity, pot.iterations, pot.n_free) == (0.0, 0.0, 0, 0)
+    k_mask = np.zeros(cond.space.n, dtype=bool)
+    k_mask[cond.k_idx] = True
+    assert np.array_equal(pot.u, k_mask)  # K's sheet or disk meets only K
+
+
+@pytest.mark.parametrize("i", [2, 4, 8])
+def test_ex3_family_returns_zero_before_assembling(monkeypatch, i):
+    space, inner, outer = two_sheet_space(0.1, i, 4.0)
+    _refuse_to_assemble(monkeypatch)
+    _assert_exact_zero(GraphCondenser(space, inner, outer, Dimension(2)))
+
+
+def test_ex4_limit_returns_zero_before_assembling(monkeypatch):
+    _, limit = _runner_condensers(monkeypatch, run_example4)
+    _refuse_to_assemble(monkeypatch)
+    _assert_exact_zero(limit)
 
 
 def test_ex3_index_sets_equal_label_filters(monkeypatch):

@@ -78,6 +78,14 @@ def test_euclidean_ball_capacity_all_dimensions():
             assert cap == pytest.approx(r ** (m - 2), rel=1e-10)
 
 
+@pytest.mark.parametrize("R", [1e6, 1e12, 1e14, 1e15, 1e17, 1e90])
+def test_schwarzschild_capacity_at_far_radii(R):
+    # 1 / integral over [R, inf) of r^-2 (1 - 2/r)^(-1/2) dr, mass 1; each
+    # window's difference of roots near 1 is taken without cancellation
+    cap = radial_capacity(RadialCondenser(schwarzschild_profile(1.0), R))
+    assert cap == pytest.approx(R / 2.0 * (1.0 + math.sqrt(1.0 - 2.0 / R)), rel=1e-12)
+
+
 def test_cylinder_transition_capacity_zero():
     for i in (2, 4):
         cap = radial_capacity(RadialCondenser(cylinder_transition_profile(i), 1.0))
