@@ -55,7 +55,11 @@ print(f"  ambient gap between sheets: 0.01;  capacity = {pot.capacity}")
 print("  (the Dirichlet form lives on the sheets, not on the ambient space)")
 
 print("\n=== A thin strip restores a little capacity ===")
-joined = union_spaces(disk, plane, [("K:4_0", "S:10_0", 0.05)])
-pot = graph_capacity(GraphCondenser(joined, tuple(disk.labels), outer, Dimension(2)))
-print(f"  one inter-sheet edge of conductance 0.05: capacity = {pot.capacity:.6f}")
-print(f"  series bound conductance/(2 pi)          = {0.05/(2*math.pi):.6f}")
+# The strip is one edge of conductance c from the disk (held at 1) to S:10_0,
+# so it is in series with the sheet's own conductance G from S:10_0 to the
+# rim: one point-source solve on the sheet alone gives G.
+c = 0.05
+G = graph_capacity(GraphCondenser(plane, ("S:10_0",), outer, Dimension(2))).raw_energy
+print(f"  sheet conductance from S:10_0 to the rim: G = {G:.6f}")
+print(f"  strip of conductance 0.05 in series: capacity = {1 / (1 / c + 1 / G) / (2 * math.pi):.6f}")
+print(f"  series bound conductance/(2 pi)               = {c / (2 * math.pi):.6f}")

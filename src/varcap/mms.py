@@ -607,14 +607,11 @@ def build_planar_sheet(
     )
 
 
-def union_spaces(
-    a: FiniteMetricMeasureSpace, b: FiniteMetricMeasureSpace, inter_sheet_edges=None
-) -> FiniteMetricMeasureSpace:
+def union_spaces(a: FiniteMetricMeasureSpace, b: FiniteMetricMeasureSpace) -> FiniteMetricMeasureSpace:
     """Disjoint union; ambient R^3 supplies the metric, sheets keep their edges.
 
-    Optional inter-sheet edges are (point_in_a, point_in_b, conductance)
-    triples of labels or integer indices; without them the Dirichlet form
-    stays blockwise even though the sheets may be arbitrarily close in R^3.
+    No edge joins them: the Dirichlet form stays blockwise even though the
+    sheets may be arbitrarily close in R^3 (ex3 adds its strip by the series law).
     """
     if a.n == 0:
         return b
@@ -632,14 +629,8 @@ def union_spaces(
         raise DomainError("union requires ambient coordinates on both spaces")
     coords = np.vstack([a.coords, b.coords])
     weight = np.concatenate([a.weight, b.weight])
-    off = a.n
-    edges = np.vstack([a.edges.reshape(-1, 2), b.edges.reshape(-1, 2) + off])
+    edges = np.vstack([a.edges.reshape(-1, 2), b.edges.reshape(-1, 2) + a.n])
     cond = np.concatenate([a.conductance, b.conductance])
-    if inter_sheet_edges:
-        ends_a, ends_b, extra_c = zip(*inter_sheet_edges)
-        extra = np.column_stack([a.indices(np.asarray(ends_a)), off + b.indices(np.asarray(ends_b))])
-        edges = np.vstack([edges, extra])
-        cond = np.concatenate([cond, np.asarray(extra_c, dtype=float)])
     return FiniteMetricMeasureSpace(labels, weight, coords=coords, edges=edges, conductance=cond)
 
 

@@ -350,6 +350,7 @@ class SchwarzschildSegment(Segment):
         # with x = sqrt(R-2M) this is 2 * integral of (x^2+2M)^(p+1/2) dx,
         # smooth through the horizon
         M = self.mass
+        math.pow(b, p + 1.0)  # the integral's size: raises OverflowError past the float range, where quad gives nan
         xa = math.sqrt(max(a - 2.0 * M, 0.0))
         xb = math.sqrt(b - 2.0 * M)
         val, err = _quad(lambda x: 2.0 * (x * x + 2.0 * M) ** (p + 0.5), xa, xb)

@@ -11,8 +11,8 @@ converging sequence of spaces:
   ex3  two planar sheets: a unit disk plus a plane-with-hole hovering 1/i
        above it; the sheet Dirichlet forms are disconnected so the capacity
        is exactly zero, while the flat limit plane gives a positive condenser
-       value.  An optional thin strip of conductance O(1/i) connects the
-       sheets, making the capacity O(1/i) instead of 0.
+       value.  A strip, one edge s/i in series with the sheet's conductance
+       G, gives capacity 1/(i/s + 1/G)/gamma_2 = O(1/i) from one solve for G.
   ex4  plane plus counter-oriented annulus: the limit space loses the annulus
        1 < r < 2, stranding the disk as its own component; capacity upstairs
        stays positive while the limit capacity is zero, so upper
@@ -64,11 +64,14 @@ def check_semicontinuity(
 
     The limsup estimate is the max over the final ceil(I/2) entries, a stable
     finite surrogate for eventually monotone sequences.  `violated` means the
-    estimate exceeds the limit by more than the tolerance.
+    estimate exceeds the limit by more than the tolerance.  Non-finite
+    values raise `DomainError`.
     """
     caps = [float(c) for c in capacities]
     if len(caps) < 3:
         raise PreconditionError("need at least 3 sequence values")
+    if not all(map(math.isfinite, [*caps, limit_cap, tol])):
+        raise DomainError(f"capacities, limit and tolerance must be finite, got {caps}, {limit_cap}, {tol}")
     tail = caps[-math.ceil(len(caps) / 2) :]
     limsup = max(tail)
     if limsup > limit_cap + tol:
@@ -231,9 +234,14 @@ LATTICE_OFFSET = 0.5  # planar experiments use the half-offset lattice (k + 1/2)
 _PAD = 1e-9  # radial selections include nodes this close to their circle
 
 
-def _plane_bounds(rim_radius: float, h: float) -> tuple[float, float, float, float]:
+def _plane_sheet(
+    h: float, rim_radius: float, prefix: str, hole: Disk | None = None, z_offset: float = 0.0
+) -> FiniteMetricMeasureSpace:
+    """The plane out to just past the rim, less the open `hole`."""
     half = rim_radius + 2.0 * h
-    return (-half, half, -half, half)
+    return build_planar_sheet(
+        (-half, half, -half, half), h, hole=hole, z_offset=z_offset, label_prefix=prefix, offset=LATTICE_OFFSET
+    )
 
 
 def _unit_disk(h: float) -> FiniteMetricMeasureSpace:
@@ -249,6 +257,8 @@ def _radius(space: FiniteMetricMeasureSpace) -> np.ndarray:
 def _check_plane(h: float, rim_radius: float, clear_of: float, inside: str) -> None:
     """Reject a lattice too coarse to resolve the unit disk and a rim within
     4h of the radius `clear_of` of the `inside` set."""
+    if not (math.isfinite(h) and math.isfinite(rim_radius)):
+        raise DomainError(f"lattice spacing and rim radius must be finite, got h={h}, rim_radius={rim_radius}")
     if h > 0.1 + 1e-12:
         raise DomainError(f"lattice spacing h={h} too coarse to resolve the unit disk (need h <= 0.1)")
     if rim_radius <= clear_of + 4.0 * h:
@@ -270,25 +280,28 @@ def _check_annulus_plane(h: float, rim_radius: float) -> None:
 
 
 def _check_family(
-    i_list: Sequence[int], alphas: Sequence[float] | None = None, alpha_rule_c: float | None = None
+    i_list: Sequence[int], alphas: Sequence[float] | None = None, alpha_rule_c: float | None = None,
+    strip_conductance: float | None = None,
 ) -> None:
     """Reject family indices below 1, a threshold list given with a c/i rule,
-    a short threshold list and negative thresholds before any work."""
+    a short threshold list, thresholds and strip conductances out of range."""
     if any(i < 1 for i in i_list):
         raise DomainError(f"family indices must be >= 1, got {list(i_list)}")
     if alphas is not None and alpha_rule_c is not None:
         raise DomainError("provide at most one of an alpha list or a c/i rule")
     if alphas is not None and len(alphas) < len(i_list):
         raise DomainError(f"need one threshold per family index, got {len(alphas)} for {len(i_list)}")
-    if alphas is not None and any(a < 0 for a in alphas):
-        raise DomainError("thresholds must be nonnegative")
-    if alpha_rule_c is not None and alpha_rule_c < 0:
-        raise DomainError("alpha rule coefficient must be nonnegative")
+    if alphas is not None and not all(0 <= a < math.inf for a in alphas):
+        raise DomainError("thresholds must be nonnegative and finite")
+    if alpha_rule_c is not None and not 0 <= alpha_rule_c < math.inf:
+        raise DomainError("alpha rule coefficient must be nonnegative and finite")
+    if strip_conductance is not None and not 0 < strip_conductance < math.inf:
+        raise DomainError(f"strip conductance must be finite and positive, got {strip_conductance}")
 
 
 def limit_plane_condenser(h: float, rim_radius: float) -> GraphCondenser:
     """Unit disk grounded at the rim circle of a full plane sheet."""
-    plane = build_planar_sheet(_plane_bounds(rim_radius, h), h, label_prefix="L", offset=LATTICE_OFFSET)
+    plane = _plane_sheet(h, rim_radius, "L")
     r = _radius(plane)
     return GraphCondenser(plane, r <= 1.0 + _PAD, r >= rim_radius - _PAD, Dimension(2))
 
@@ -330,27 +343,16 @@ def planar_condenser_study(
     return caps, errors, -fit_power_law(h_list, errors)
 
 
-def two_sheet_space(
-    h: float, i: int, rim_radius: float, strip_conductance: float | None = None
-) -> tuple[FiniteMetricMeasureSpace, np.ndarray, np.ndarray]:
-    """Disk sheet at z=0 plus plane-with-hole sheet at z=1/i.
+def two_sheet_space(h: float, i: int, rim_radius: float) -> FiniteMetricMeasureSpace:
+    """ex3's family space: the disk sheet at z=0 and the holed sheet at z=1/i, with no edge between them."""
+    return union_spaces(_unit_disk(h), _plane_sheet(h, rim_radius, "S", Disk(0.0, 0.0, 1.0), 1.0 / i))
 
-    Returns (space, inner indices, outer indices).  With `strip_conductance`
-    a single inter-sheet edge of that total conductance ties the disk rim to
-    the hole rim, standing in for a thin connecting strip.
-    """
-    _check_family((i,))
-    disk = _unit_disk(h)
-    sheet = build_planar_sheet(
-        _plane_bounds(rim_radius, h), h, hole=Disk(0.0, 0.0, 1.0), z_offset=1.0 / i, label_prefix="S",
-        offset=LATTICE_OFFSET,
-    )
-    r_sheet = _radius(sheet)
-    inter = None
-    if strip_conductance is not None:
-        inter = [(np.argmax(_radius(disk)), np.argmin(r_sheet), strip_conductance)]
-    space = union_spaces(disk, sheet, inter)
-    return space, np.arange(disk.n), disk.n + np.flatnonzero(r_sheet >= rim_radius - _PAD)
+
+def _sheet_conductance(h: float, rim_radius: float) -> float:
+    """Conductance G of ex3's holed sheet from the strip's foot, its node nearest the hole, to the rim."""
+    sheet = _plane_sheet(h, rim_radius, "S", Disk(0.0, 0.0, 1.0))
+    r = _radius(sheet)
+    return graph_capacity(GraphCondenser(sheet, np.argmin(r, keepdims=True), r >= rim_radius - _PAD)).raw_energy
 
 
 def run_example3(
@@ -360,16 +362,20 @@ def run_example3(
 ) -> SequenceExperiment:
     """Two-sheet planar family against the flat-plane condenser limit.
 
-    Capacities are condenser values at the stated rim radius (the plane has
-    no capacity at infinity; the rim is disclosed in the metadata).  Region
-    measures come from thresholding the 1-Lipschitz extension of the limit
-    disk's defining function at alpha_i: the entries of `alphas` in order,
-    the rule alpha_i = alpha_rule_c / i, or by default alpha_i = 0, where the
-    region is exactly the disk sheet.
+    Capacities are condenser values of the disk sheet against the other
+    sheet's rim (the plane has no capacity at infinity; the rim is disclosed
+    in the metadata): exactly 0 with no edge between the sheets.  A strip s
+    is one edge s/i from the disk, at potential 1, to the sheet node p
+    nearest the hole, in series with the sheet's conductance G from p to the
+    rim: capacity_i = 1/(i/s + 1/G)/gamma_2, one point-source solve for all i.
+    Region measures come from thresholding the 1-Lipschitz extension of the
+    limit disk's defining function at alpha_i: the entries of `alphas` in
+    order, the rule alpha_i = alpha_rule_c / i, or by default alpha_i = 0,
+    where the region is exactly the disk sheet.
     """
     i_list = tuple(i_list)
     _check_disk_plane(h, rim_radius)
-    _check_family(i_list, alphas, alpha_rule_c)
+    _check_family(i_list, alphas, alpha_rule_c, strip_conductance)
 
     limit_cond = limit_plane_condenser(h, rim_radius)
     limit_cap = _plane_capacity(limit_cond)
@@ -380,11 +386,14 @@ def run_example3(
     alphas = [float(a) for a in alphas]
     limit_measure = region_measure(limit_cond.space, limit_cond.k_idx)
 
-    caps, measures, regions = [], [], []
+    caps = (0.0,) * len(i_list)
+    if strip_conductance is not None:
+        G = _sheet_conductance(h, rim_radius)
+        caps = tuple(1.0 / (i / strip_conductance + 1.0 / G) / Dimension(2).gamma for i in i_list)
+
+    measures, regions = [], []
     for i, alpha in zip(i_list, alphas):
-        strip = None if strip_conductance is None else strip_conductance / i
-        space, inner, outer = two_sheet_space(h, i, rim_radius, strip)
-        caps.append(graph_capacity(GraphCondenser(space, inner, outer, Dimension(2))).capacity)
+        space = two_sheet_space(h, i, rim_radius)
         region = defining.extension_on(space, upto=alpha) <= alpha
         regions.append(tuple(space.labels_at(region)))
         measures.append(region_measure(space, region))
@@ -401,7 +410,7 @@ def run_example3(
         "limit_provenance": "graph",
     }
     return SequenceExperiment(
-        "ex3", i_list, tuple(caps), limit_cap, verdict, measures=tuple(measures), limit_measure=limit_measure,
+        "ex3", i_list, caps, limit_cap, verdict, measures=tuple(measures), limit_measure=limit_measure,
         regions=tuple(regions), metadata=meta,
     )
 
@@ -432,9 +441,7 @@ def run_example4(
     caps = (_plane_capacity(limit_plane_condenser(h, rim_radius)),) * len(i_list)
 
     limit_disk = _unit_disk(h)
-    limit_far = build_planar_sheet(
-        _plane_bounds(rim_radius, h), h, hole=Disk(0.0, 0.0, 2.0), label_prefix="F", offset=LATTICE_OFFSET
-    )
+    limit_far = _plane_sheet(h, rim_radius, "F", Disk(0.0, 0.0, 2.0))
     limit_space = union_spaces(limit_disk, limit_far)
     inner = np.arange(limit_disk.n)
     outer = limit_disk.n + np.flatnonzero(_radius(limit_far) >= rim_radius - _PAD)
@@ -459,7 +466,7 @@ def fit_power_law(i_list: Sequence[float], values: Sequence[float]) -> float:
     """Exponent p of a least-squares fit values ~ c / i^p (positive for decay)."""
     i_arr = np.asarray(i_list, dtype=float)
     v = np.asarray(values, dtype=float)
-    if i_arr.size < 2 or np.any(v <= 0) or np.any(i_arr <= 0):
-        raise DomainError("power-law fit needs >= 2 points with positive indices and values")
+    if i_arr.size < 2 or not (np.all(v > 0) and np.all(i_arr > 0) and np.all(np.isfinite([*i_arr, *v]))):
+        raise DomainError("power-law fit needs >= 2 points with finite positive indices and values")
     slope = np.polyfit(np.log(i_arr), np.log(v), 1)[0]
     return float(-slope)

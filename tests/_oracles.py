@@ -6,7 +6,9 @@ solve, value-grid feasibility scans instead of the McShane formula, and
 random feasible extensions built greedily from interval bounds.  The
 radial capacity estimate is also kept in its former two-step form: a list of
 (grid, L) pairs built first, then solved and grouped by L in dicts.  The
-sparse graph solve is kept in its former form on the whole Laplacian.
+sparse graph solve is kept in its former form on the whole Laplacian, and
+ex3's strip family in its former form: one solve of the joined two-sheet
+space per family index.
 """
 
 import math
@@ -17,9 +19,11 @@ from scipy.linalg import lstsq
 from scipy.sparse.csgraph import shortest_path
 
 from varcap.errors import DomainError, InconsistencyError, PreconditionError, real
+from varcap.geometry import Dimension
 from varcap.mass import MassCurve, _geometry_at
-from varcap.mms import FiniteMetricMeasureSpace
+from varcap.mms import FiniteMetricMeasureSpace, GraphCondenser
 from varcap.radial_fem import CapacityEstimate, RadialGrid, solve_radial
+from varcap.sequences import two_sheet_space
 from varcap.warped import RadialCondenser, radial_capacity
 
 
@@ -355,6 +359,27 @@ def radial_label_filter(space, rmin, rmax, prefix=None):
     mask = (r >= rmin) & (r <= rmax)
     picked = [lab for lab, keep in zip(space.labels, mask) if keep]
     return tuple(lab for lab in picked if prefix is None or lab.startswith(prefix + ":"))
+
+
+def joined_two_sheet_condenser(h, i, rim, strip=None):
+    """ex3's family condenser on the joined two-sheet space, as the runner
+    used to solve it for each index: K the "K:" disk sheet, B the "S:" sheet
+    nodes at the rim, picked by label prefix and radius, and with `strip`
+    one edge of that conductance from the disk's outermost node to the sheet
+    node nearest the hole (the first of each in node order), appended after
+    the sheets' own edges."""
+    space = two_sheet_space(h, i, rim)
+    labels = space.labels
+    on_disk = np.array([lab.startswith("K:") for lab in labels])
+    if strip is not None:
+        r = np.sqrt(space.coords[:, 0] ** 2 + space.coords[:, 1] ** 2)
+        ends = [np.flatnonzero(on_disk)[np.argmax(r[on_disk])], np.flatnonzero(~on_disk)[np.argmin(r[~on_disk])]]
+        space = FiniteMetricMeasureSpace(
+            labels, space.weight, coords=space.coords, edges=np.vstack([space.edges, ends]),
+            conductance=np.append(space.conductance, strip),
+        )
+    inner = tuple(lab for lab, k in zip(labels, on_disk) if k)
+    return GraphCondenser(space, inner, radial_label_filter(space, rim - 1e-9, math.inf, prefix="S"), Dimension(2))
 
 
 def exact_minimize_chain(cond, k):

@@ -464,6 +464,7 @@ def test_experiments_and_mass_on_generated_documents(case, data):
     (["capacity-radial"], _radial_doc(L_values=[100.0, 1000.0, 1e4, 1e4]), "all distinct"),
     (["mass"], _mass_doc(radii=[10.0, 20.0, 40.0, 80.0, 160.0, 1e125]),
      "volume integral over [2.0, 1e+125] exceeds the float range"),
+    (["mass"], _mass_doc(radii=[1e103]), "volume integral over [2.0, 1e+103] exceeds the float range"),
     (["mass"], {"profile": _power_piece(), "radii": [10.0, 20.0, 40.0, 80.0, 160.0, 1e200]},
      "volume integral over [0.0, 1e+200] exceeds the float range"),
     (["mass"], {"profile": _power_piece(), "radii": [10.0, 20.0, 40.0, 80.0, 160.0, 2e102]},
@@ -478,7 +479,8 @@ def test_experiments_and_mass_on_generated_documents(case, data):
                 "edges": [["a", "b", 1e308], ["a", "c", 1e308]]},
       "inner": ["a"], "outer": ["b", "c"]},
      "capacity exceeds the float range (raw energy inf, m=2)"),
-], ids=["repeated radius", "schwarzschild volume overflow", "power volume overflow", "mass overflow",
+], ids=["repeated radius", "schwarzschild volume overflow", "schwarzschild volume past the float range",
+        "power volume overflow", "mass overflow",
         "dimension overflow", "radial chain overflow", "graph energy overflow"])
 def test_library_domain_rule_exits_one(tmp_path, capsys, command, doc, message):
     inp, out = tmp_path / "input.json", tmp_path / "report.csv"

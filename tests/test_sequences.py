@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from _oracles import radial_label_filter
+from _oracles import joined_two_sheet_condenser, radial_label_filter
 from varcap import mms, sequences
 from varcap.errors import DomainError, PreconditionError
 from varcap.geometry import Dimension
@@ -25,7 +27,6 @@ from varcap.sequences import (
     run_example2,
     run_example3,
     run_example4,
-    two_sheet_space,
 )
 from varcap.warped import RadialCondenser
 
@@ -48,6 +49,18 @@ def test_verdict_uses_tail_half_max():
 def test_verdict_needs_three_values():
     with pytest.raises(PreconditionError):
         check_semicontinuity([1.0, 2.0], 0.0)
+
+
+@pytest.mark.parametrize("caps, limit, tol", [
+    ([1.0, math.nan, math.nan], 0.5, 1e-6),
+    ([1.0, 1.0, math.inf], 0.5, 1e-6),
+    ([1.0, 1.0, 1.0], math.nan, 1e-6),
+    ([1.0, 1.0, 1.0], -math.inf, 1e-6),
+    ([1.0, 1.0, 1.0], 0.5, math.nan),
+], ids=["nan capacity", "infinite capacity", "nan limit", "infinite limit", "nan tolerance"])
+def test_verdict_refuses_non_finite_values(caps, limit, tol):
+    with pytest.raises(DomainError, match="must be finite"):
+        check_semicontinuity(caps, limit, tol)
 
 
 # -- ex1 ------------------------------------------------------------------------
@@ -154,27 +167,40 @@ def test_ex3_strip_capacities_decay_like_one_over_i():
     assert exp.verdict.classification == CONSISTENT_STRICT_JUMP
 
 
-# run_example3(h=0.1, strip_conductance=0.2), recorded when two_sheet_space
-# joined its strip edge by label
-STRIP_EX3_CAPACITIES = (0.013831585764887718, 0.007400273370695394, 0.0038344462596531194)
+# run_example3(h=0.1, strip_conductance=0.2), recorded when the capacities
+# came from the series law; the joined two-sheet solves gave
+# (0.013831585764887718, 0.007400273370695394, 0.0038344462596531194)
+STRIP_EX3_CAPACITIES = (0.013831585764887713, 0.0074002733706953925, 0.0038344462596531194)
 
 
-def test_ex3_strip_capacities_unchanged_by_index_join():
+def test_ex3_strip_capacities_pinned():
     assert run_example3(h=0.1, strip_conductance=0.2).capacities == STRIP_EX3_CAPACITIES
 
 
-def test_two_sheet_strip_edge_equals_label_form():
-    h, i, rim, c = 0.1, 4, 4.0, 0.05
-    space, _, _ = sequences.two_sheet_space(h, i, rim, strip_conductance=c)
-    disk = sequences._unit_disk(h)
-    sheet = build_planar_sheet(
-        sequences._plane_bounds(rim, h), h, hole=Disk(0.0, 0.0, 1.0), z_offset=1.0 / i, label_prefix="S",
-        offset=sequences.LATTICE_OFFSET,
-    )
-    rims = disk.labels_at([np.argmax(sequences._radius(disk))]) + sheet.labels_at([np.argmin(sequences._radius(sheet))])
-    by_label = union_spaces(disk, sheet, [(*rims, c)])
-    assert np.array_equal(space.edges, by_label.edges)
-    assert space.conductance.tobytes() == by_label.conductance.tobytes()
+@settings(max_examples=6, deadline=None)
+@given(
+    h=st.sampled_from([0.1, 0.05]),
+    i_list=st.lists(st.integers(1, 64), min_size=3, max_size=3),
+    s=st.floats(1e-3, 1e3),
+    rim=st.floats(1.5, 4.0),
+)
+@example(h=0.05, i_list=[2, 4, 8], s=1.0, rim=4.0)
+def test_ex3_strip_series_law_matches_the_joined_solves(h, i_list, s, rim):
+    # the strip edge in series with the sheet's conductance from its foot to
+    # the rim: the capacity of a solve of the joined two-sheet space
+    exp = run_example3(h=h, i_list=i_list, rim_radius=rim, strip_conductance=s)
+    for i, cap in zip(i_list, exp.capacities):
+        joined = graph_capacity(joined_two_sheet_condenser(h, i, rim, s / i)).capacity
+        assert cap == pytest.approx(joined, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("strip", [None, 0.2])
+@pytest.mark.parametrize("i_list", [(2, 4, 8), (2, 4, 8, 16, 32)])
+def test_ex3_solves_the_limit_and_at_most_one_point_source(monkeypatch, strip, i_list):
+    conds = _runner_condensers(monkeypatch, run_example3, i_list=i_list, strip_conductance=strip)
+    # the limit plane, then with a strip the one point source on the sheet
+    assert len(conds) == (1 if strip is None else 2)
+    assert all(cond.k_idx.size == 1 for cond in conds[1:])
 
 
 def _no_lattice(monkeypatch):
@@ -229,6 +255,36 @@ def test_ex3_rejects_negative_thresholds_before_building(monkeypatch, thresholds
         run_example3(h=0.1, i_list=(2, 4, 8), **thresholds)
 
 
+@pytest.mark.parametrize("thresholds, message", [
+    ({"alphas": (0.0, math.nan, 0.0)}, "thresholds must be nonnegative and finite"),
+    ({"alphas": (math.nan,) * 3}, "thresholds must be nonnegative and finite"),
+    ({"alphas": (0.0, 0.0, math.inf)}, "thresholds must be nonnegative and finite"),
+    ({"alpha_rule_c": math.nan}, "coefficient must be nonnegative and finite"),
+    ({"alpha_rule_c": math.inf}, "coefficient must be nonnegative and finite"),
+], ids=["nan alpha", "all nan alphas", "infinite alpha", "nan rule", "infinite rule"])
+def test_ex3_rejects_non_finite_thresholds_before_building(monkeypatch, thresholds, message):
+    _no_lattice(monkeypatch)
+    with pytest.raises(DomainError, match=message):
+        run_example3(h=0.1, i_list=(2, 4, 8), **thresholds)
+
+
+@pytest.mark.parametrize("strip", [-0.2, 0.0, math.nan, math.inf])
+def test_ex3_rejects_a_strip_that_is_not_finite_and_positive_before_building(monkeypatch, strip):
+    _no_lattice(monkeypatch)
+    with pytest.raises(DomainError, match="strip conductance must be finite and positive"):
+        run_example3(h=0.1, i_list=(2, 4, 8), strip_conductance=strip)
+
+
+@pytest.mark.parametrize("runner", [run_example3, run_example4])
+@pytest.mark.parametrize("plane", [
+    {"h": math.nan}, {"h": -math.inf}, {"rim_radius": math.nan}, {"rim_radius": math.inf},
+], ids=["nan h", "infinite h", "nan rim", "infinite rim"])
+def test_planar_runners_reject_non_finite_plane_before_building(monkeypatch, runner, plane):
+    _no_lattice(monkeypatch)
+    with pytest.raises(DomainError, match="must be finite"):
+        runner(**{"h": 0.1, "i_list": (2, 4, 8), **plane})
+
+
 def test_ex3_alpha_rule_thresholds_by_family_index(ex3):
     # alpha_i = c / i: the same run as the explicit list of those values
     by_rule = run_example3(h=0.1, i_list=(2, 4, 8), alpha_rule_c=1.5)
@@ -247,7 +303,7 @@ def test_ex4_rejects_rim_inside_the_annulus_before_building(monkeypatch):
         run_example4(h=0.05, i_list=(2, 4, 8), rim_radius=2.2)
 
 
-def _runner_condensers(monkeypatch, runner):
+def _runner_condensers(monkeypatch, runner, **overrides):
     seen, solve = [], sequences.graph_capacity
 
     def record(cond, *args, **kwargs):
@@ -255,7 +311,7 @@ def _runner_condensers(monkeypatch, runner):
         return solve(cond, *args, **kwargs)
 
     monkeypatch.setattr(sequences, "graph_capacity", record)
-    runner(h=0.1, i_list=(2, 4, 8))
+    runner(**{"h": 0.1, "i_list": (2, 4, 8), **overrides})
     return seen
 
 
@@ -279,9 +335,10 @@ def _assert_exact_zero(cond):
 
 @pytest.mark.parametrize("i", [2, 4, 8])
 def test_ex3_family_returns_zero_before_assembling(monkeypatch, i):
-    space, inner, outer = two_sheet_space(0.1, i, 4.0)
+    # what lets run_example3 report 0.0 without a strip and with no solve
+    cond = joined_two_sheet_condenser(0.1, i, 4.0)
     _refuse_to_assemble(monkeypatch)
-    _assert_exact_zero(GraphCondenser(space, inner, outer, Dimension(2)))
+    _assert_exact_zero(cond)
 
 
 def test_ex4_limit_returns_zero_before_assembling(monkeypatch):
@@ -291,14 +348,14 @@ def test_ex4_limit_returns_zero_before_assembling(monkeypatch):
 
 
 def test_ex3_index_sets_equal_label_filters(monkeypatch):
-    limit, *family = _runner_condensers(monkeypatch, run_example3)
+    limit, source = _runner_condensers(monkeypatch, run_example3, strip_conductance=0.2)
     pad, rim = 1e-9, 4.0
     assert limit.inner == radial_label_filter(limit.space, 0.0, 1.0 + pad)
     assert limit.outer == radial_label_filter(limit.space, rim - pad, math.inf)
-    assert len(family) == 3
-    for cond in family:
-        assert cond.inner == tuple(lab for lab in cond.space.labels if lab.startswith("K:"))
-        assert cond.outer == radial_label_filter(cond.space, rim - pad, math.inf, prefix="S")
+    # the point source is the first sheet node nearest the hole, where the strip lands
+    nearest = float(np.min(np.sqrt(source.space.coords[:, 0] ** 2 + source.space.coords[:, 1] ** 2)))
+    assert source.inner == radial_label_filter(source.space, 0.0, nearest, prefix="S")[:1]
+    assert source.outer == radial_label_filter(source.space, rim - pad, math.inf, prefix="S")
 
 
 def test_ex4_index_sets_equal_label_filters(monkeypatch):
@@ -456,3 +513,13 @@ def test_power_law_fit_recovers_exponent():
 def test_power_law_fit_rejects_a_single_point():
     with pytest.raises(DomainError, match=">= 2 points"):
         fit_power_law([2.0], [0.5])
+
+
+@pytest.mark.parametrize("i_list, values", [
+    ([2, 4, 8], [1.0, math.nan, 0.25]),
+    ([2, 4, 8], [math.inf, 0.5, 0.25]),
+    ([2, math.inf, 8], [1.0, 0.5, 0.25]),
+], ids=["nan value", "infinite value", "infinite index"])
+def test_power_law_fit_refuses_non_finite_points(i_list, values):
+    with pytest.raises(DomainError, match="finite positive"):
+        fit_power_law(i_list, values)
