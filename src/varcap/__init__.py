@@ -39,7 +39,6 @@ from .mms import (
     GraphCondenser,
     GraphPotential,
     build_planar_sheet,
-    contract,
     graph_capacity,
     union_spaces,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "capacity_estimate",
     "capped_even_profile",
     "check_semicontinuity",
-    "contract",
     "cylinder_transition_profile",
     "distance_to_set",
     "end_resistance",

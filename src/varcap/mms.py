@@ -497,45 +497,6 @@ def _free_system(condenser: GraphCondenser, free: np.ndarray):
     return A, -(to_k @ np.ones(n))
 
 
-def contract(condenser: GraphCondenser, classes) -> GraphCondenser:
-    """The condenser on the quotient graph that merges each class of nodes into one.
-
-    `classes` holds a class id per node.  Each class becomes one
-    node that keeps its first member's label and coordinates and carries its
-    members' total weight; the edges between two classes merge into one edge
-    of their summed conductance, and edges inside a class drop.  A potential
-    constant on every class has the same energy on both graphs.  So when the
-    classes are the orbits of graph symmetries that map K and B onto
-    themselves, the unique minimiser, constant on orbits, gives the quotient
-    the same capacity.  A class that K or B splits raises `DomainError`.
-    """
-    space = condenser.space
-    classes = np.asarray(classes)
-    if classes.shape != (space.n,):
-        raise DomainError("need one class id per point")
-    _, first, cls = np.unique(classes, return_index=True, return_inverse=True)
-    nc = first.size
-    size = np.bincount(cls, minlength=nc)
-    for name, idx in (("K", condenser.k_idx), ("B", condenser.b_idx)):
-        held = np.bincount(cls[np.unique(idx)], minlength=nc)
-        if np.any((held > 0) & (held < size)):
-            raise DomainError(f"{name} splits a class of the contraction")
-
-    i, j = cls[space.edges[:, 0]], cls[space.edges[:, 1]]
-    cross = i != j
-    pair, merged = np.unique(np.minimum(i, j)[cross] * nc + np.maximum(i, j)[cross], return_inverse=True)
-    lattice = space._lattice
-    quotient = FiniteMetricMeasureSpace(
-        space.labels_at(first) if lattice is None else _LatticeLabels(*(part[first] for part in lattice)),
-        np.bincount(cls, weights=space.weight, minlength=nc),
-        coords=None if space.coords is None else space.coords[first],
-        edges=np.column_stack(np.divmod(pair, nc)),
-        conductance=np.bincount(merged, weights=space.conductance[cross], minlength=pair.size),
-        dist_matrix=None if space.dist_matrix is None else space.dist_matrix[np.ix_(first, first)],
-    )
-    return GraphCondenser(quotient, np.unique(cls[condenser.k_idx]), np.unique(cls[condenser.b_idx]), condenser.dim)
-
-
 def harmonicity_residual(space: FiniteMetricMeasureSpace, condenser: GraphCondenser, u: np.ndarray) -> float:
     """Max |(L u)_i| over free nodes; zero for an exactly harmonic potential."""
     r = space.laplacian() @ u

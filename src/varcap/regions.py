@@ -164,11 +164,15 @@ class DefiningFunction:
         KD-tree whose values above `upto` may come back as inf; otherwise the
         finite McShane minimum runs over every anchor.
         """
-        if self.space.coords is None or target.coords is None:
+        return self.extension_at(target.coords, upto)
+
+    def extension_at(self, xyz: np.ndarray | None, upto: float = np.inf) -> np.ndarray:
+        """`extension_on` at raw R^3 points, an (n, 3) array."""
+        if self.space.coords is None or xyz is None:
             raise DomainError("ambient extension needs coordinates on both spaces")
         if self.canonical:
-            return _nearest_distance(self.space.coords[self.region_idx], target.coords, upto)
-        return extend_from_coords(self.space.coords, self.values, target.coords)
+            return _nearest_distance(self.space.coords[self.region_idx], xyz, upto)
+        return extend_from_coords(self.space.coords, self.values, xyz)
 
 
 def region_measure(space: FiniteMetricMeasureSpace, region) -> float:

@@ -20,7 +20,8 @@ converging sequence of spaces:
 
 The finite stand-in for limsup is the max over the final half of the
 sequence; a verdict is `violated` exactly when that estimate exceeds the
-limit capacity by more than the tolerance.
+limit capacity by more than the tolerance.  The disk-in-plane condenser of
+ex3's limit, ex4 and the ladder is built on its 8-fold symmetry quotient.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from . import reports
 from .errors import DomainError, PreconditionError
 from .geometry import Dimension
 from .mms import (
-    Disk, FiniteMetricMeasureSpace, GraphCondenser, build_planar_sheet, contract, graph_capacity, union_spaces,
+    Disk, FiniteMetricMeasureSpace, GraphCondenser, _LatticeLabels, build_planar_sheet, graph_capacity, union_spaces,
 )
 from .profiles import capped_even_profile, cylinder_transition_profile, euclidean_profile, hyperboloid_profile
 from .radial_fem import capacity_estimate
@@ -284,12 +285,13 @@ def _check_family(
     strip_conductance: float | None = None,
 ) -> None:
     """Reject family indices below 1, a threshold list given with a c/i rule,
-    a short threshold list, thresholds and strip conductances out of range."""
+    a threshold list whose length is not the number of indices, thresholds
+    and strip conductances out of range."""
     if any(i < 1 for i in i_list):
         raise DomainError(f"family indices must be >= 1, got {list(i_list)}")
     if alphas is not None and alpha_rule_c is not None:
         raise DomainError("provide at most one of an alpha list or a c/i rule")
-    if alphas is not None and len(alphas) < len(i_list):
+    if alphas is not None and len(alphas) != len(i_list):
         raise DomainError(f"need one threshold per family index, got {len(alphas)} for {len(i_list)}")
     if alphas is not None and not all(0 <= a < math.inf for a in alphas):
         raise DomainError("thresholds must be nonnegative and finite")
@@ -300,32 +302,53 @@ def _check_family(
 
 
 def limit_plane_condenser(h: float, rim_radius: float) -> GraphCondenser:
-    """Unit disk grounded at the rim circle of a full plane sheet."""
+    """Unit disk grounded at the rim circle of a full plane sheet (solved as `_plane_quotient`)."""
     plane = _plane_sheet(h, rim_radius, "L")
     r = _radius(plane)
     return GraphCondenser(plane, r <= 1.0 + _PAD, r >= rim_radius - _PAD, Dimension(2))
 
 
-def _plane_orbits(plane: FiniteMetricMeasureSpace) -> np.ndarray:
-    """Orbit id of each node of the half-offset plane under the lattice's 8 symmetries.
+def _plane_quotient(h: float, rim_radius: float) -> GraphCondenser:
+    """`limit_plane_condenser` on its quotient by the lattice's 8 symmetries
+    (k -> -1-k on either axis, the axis swap), built from one wedge of cells.
 
-    The symmetries act on cells by k -> -1-k on either axis and by the axis
-    swap; an orbit is keyed by the larger and the smaller of |2kx+1| and
-    |2ky+1|.  The plane's bounds are symmetric, x = (k+1/2)h negates exactly
-    and x^2+y^2 commutes, so in floats too the node set, its unit
-    conductances, and the disk and rim selections are unions of orbits.
+    Orbit (hi, lo), 0 <= lo <= hi < n for cells -n..n-1, is node
+    hi (hi+1)/2 + lo at its first member (-1-hi, -1-lo); |O| = 8, or 4 on the
+    diagonal.  Symmetries map one member's neighbourhood onto another's, so
+    O and a later orbit O' share |O| times as many plane edges as O's folded
+    cell has neighbours in O'.  Every member has the folded cell's radius in
+    floats, so K and B are unions of orbits; the unique harmonic potential is
+    constant on orbits and has the same energy here.
     """
-    kx, ky = plane.cells
-    a, b = np.abs(2 * kx + 1), np.abs(2 * ky + 1)
-    hi, lo = np.maximum(a, b), np.minimum(a, b)
-    return hi * (hi.max() + 1) + lo
+    n = math.floor((rim_radius + 2.0 * h) / h - LATTICE_OFFSET + 1e-9) + 1  # as `_plane_sheet`'s bounds
+    hi = np.repeat(np.arange(n), np.arange(1, n + 1))
+    lo = np.arange(hi.size) - hi * (hi + 1) // 2
+    nc = hi.size
+    node, size = np.arange(nc), np.where(hi == lo, 4, 8)
+    pairs, weights = [], []
+    for a, b in ((hi + 1, lo), (hi - 1, lo), (hi, lo + 1), (hi, lo - 1)):
+        a, b = np.abs(2 * a + 1) // 2, np.abs(2 * b + 1) // 2  # fold k -> -1-k
+        there = (a < n) & (b < n)
+        a, b = np.maximum(a, b), np.minimum(a, b)
+        other = a * (a + 1) // 2 + b
+        onward = there & (other > node)  # each pair of orbits once, none inside an orbit
+        pairs.append(node[onward] * nc + other[onward])
+        weights.append(size[onward])
+    pair, merged = np.unique(np.concatenate(pairs), return_inverse=True)
+    first_x, first_y = -1 - hi, -1 - lo
+    coords = np.column_stack([(first_x + LATTICE_OFFSET) * h, (first_y + LATTICE_OFFSET) * h, np.zeros(nc)])
+    quotient = FiniteMetricMeasureSpace(
+        _LatticeLabels(np.full(nc, "L", dtype=object), first_x, first_y), size * (h * h), coords=coords,
+        edges=np.column_stack(np.divmod(pair, nc)),
+        conductance=np.bincount(merged, weights=np.concatenate(weights), minlength=pair.size),
+    )
+    r = _radius(quotient)
+    return GraphCondenser(quotient, r <= 1.0 + _PAD, r >= rim_radius - _PAD, Dimension(2))
 
 
-def _plane_capacity(cond: GraphCondenser) -> float:
-    """Capacity of a `limit_plane_condenser`, solved on its quotient by the
-    lattice symmetries: its minimiser is unique, hence constant on orbits,
-    and the contracted condenser has the same minimum energy."""
-    return graph_capacity(contract(cond, _plane_orbits(cond.space))).capacity
+def _plane_capacity(h: float, rim_radius: float) -> float:
+    """Capacity of `limit_plane_condenser(h, rim_radius)`, solved on its quotient."""
+    return graph_capacity(_plane_quotient(h, rim_radius)).capacity
 
 
 def planar_condenser_study(
@@ -338,19 +361,20 @@ def planar_condenser_study(
     is the least-squares slope of log error against log h.
     """
     target = 1.0 / math.log(rim_radius)
-    caps = [_plane_capacity(limit_plane_condenser(h, rim_radius)) for h in h_list]
+    caps = [_plane_capacity(h, rim_radius) for h in h_list]
     errors = [abs(c - target) for c in caps]
     return caps, errors, -fit_power_law(h_list, errors)
 
 
-def two_sheet_space(h: float, i: int, rim_radius: float) -> FiniteMetricMeasureSpace:
-    """ex3's family space: the disk sheet at z=0 and the holed sheet at z=1/i, with no edge between them."""
-    return union_spaces(_unit_disk(h), _plane_sheet(h, rim_radius, "S", Disk(0.0, 0.0, 1.0), 1.0 / i))
+def _limit_disk(h: float) -> tuple[FiniteMetricMeasureSpace, np.ndarray]:
+    """The limit plane's cells about the unit disk and the index array of its
+    K = {r <= 1+pad}: the nodes of `limit_plane_condenser`'s K, in its order."""
+    near = build_planar_sheet((-1.0 - h, 1.0 + h, -1.0 - h, 1.0 + h), h, label_prefix="L", offset=LATTICE_OFFSET)
+    return near, np.flatnonzero(_radius(near) <= 1.0 + _PAD)
 
 
-def _sheet_conductance(h: float, rim_radius: float) -> float:
+def _sheet_conductance(sheet: FiniteMetricMeasureSpace, rim_radius: float) -> float:
     """Conductance G of ex3's holed sheet from the strip's foot, its node nearest the hole, to the rim."""
-    sheet = _plane_sheet(h, rim_radius, "S", Disk(0.0, 0.0, 1.0))
     r = _radius(sheet)
     return graph_capacity(GraphCondenser(sheet, np.argmin(r, keepdims=True), r >= rim_radius - _PAD)).raw_energy
 
@@ -371,32 +395,36 @@ def run_example3(
     Region measures come from thresholding the 1-Lipschitz extension of the
     limit disk's defining function at alpha_i: the entries of `alphas` in
     order, the rule alpha_i = alpha_rule_c / i, or by default alpha_i = 0,
-    where the region is exactly the disk sheet.
+    where the region is exactly the disk sheet.  Only the holed sheet's
+    height 1/i depends on i, so both sheets are built once and a region is
+    the disk's nodes, then the lifted sheet's, as in their union.  K comes
+    from the limit plane's cells about the disk; no plane is built.
     """
     i_list = tuple(i_list)
     _check_disk_plane(h, rim_radius)
     _check_family(i_list, alphas, alpha_rule_c, strip_conductance)
 
-    limit_cond = limit_plane_condenser(h, rim_radius)
-    limit_cap = _plane_capacity(limit_cond)
-
-    defining = DefiningFunction.canonical_for(limit_cond.space, limit_cond.k_idx)
+    limit_cap = _plane_capacity(h, rim_radius)
+    limit_near, limit_k = _limit_disk(h)
+    defining = DefiningFunction.canonical_for(limit_near, limit_k)
+    limit_measure = region_measure(limit_near, limit_k)
     if alphas is None:
         alphas = [0.0 if alpha_rule_c is None else alpha_rule_c / i for i in i_list]
     alphas = [float(a) for a in alphas]
-    limit_measure = region_measure(limit_cond.space, limit_cond.k_idx)
 
+    disk, sheet = _unit_disk(h), _plane_sheet(h, rim_radius, "S", Disk(0.0, 0.0, 1.0))
     caps = (0.0,) * len(i_list)
     if strip_conductance is not None:
-        G = _sheet_conductance(h, rim_radius)
+        G = _sheet_conductance(sheet, rim_radius)
         caps = tuple(1.0 / (i / strip_conductance + 1.0 / G) / Dimension(2).gamma for i in i_list)
 
     measures, regions = [], []
+    disk_values, lifted = defining.extension_on(disk), sheet.coords.copy()
     for i, alpha in zip(i_list, alphas):
-        space = two_sheet_space(h, i, rim_radius)
-        region = defining.extension_on(space, upto=alpha) <= alpha
-        regions.append(tuple(space.labels_at(region)))
-        measures.append(region_measure(space, region))
+        lifted[:, 2] = 1.0 / i  # the sheet at its height in family space i
+        on_disk, on_sheet = disk_values <= alpha, defining.extension_at(lifted, upto=alpha) <= alpha
+        regions.append((*disk.labels_at(on_disk), *sheet.labels_at(on_sheet)))
+        measures.append(float(np.sum(np.concatenate([disk.weight[on_disk], sheet.weight[on_sheet]]))))
 
     verdict = check_semicontinuity(caps, limit_cap, tol)
     meta = {
@@ -438,7 +466,7 @@ def run_example4(
     i_list = tuple(i_list)
     _check_annulus_plane(h, rim_radius)
     _check_family(i_list)
-    caps = (_plane_capacity(limit_plane_condenser(h, rim_radius)),) * len(i_list)
+    caps = (_plane_capacity(h, rim_radius),) * len(i_list)
 
     limit_disk = _unit_disk(h)
     limit_far = _plane_sheet(h, rim_radius, "F", Disk(0.0, 0.0, 2.0))

@@ -21,9 +21,9 @@ from scipy.sparse.csgraph import shortest_path
 from varcap.errors import DomainError, InconsistencyError, PreconditionError, real
 from varcap.geometry import Dimension
 from varcap.mass import MassCurve, _geometry_at
-from varcap.mms import FiniteMetricMeasureSpace, GraphCondenser
+from varcap.mms import Disk, FiniteMetricMeasureSpace, GraphCondenser, _LatticeLabels, union_spaces
 from varcap.radial_fem import CapacityEstimate, RadialGrid, solve_radial
-from varcap.sequences import two_sheet_space
+from varcap.sequences import _plane_sheet, _unit_disk
 from varcap.warped import RadialCondenser, radial_capacity
 
 
@@ -359,6 +359,63 @@ def radial_label_filter(space, rmin, rmax, prefix=None):
     mask = (r >= rmin) & (r <= rmax)
     picked = [lab for lab, keep in zip(space.labels, mask) if keep]
     return tuple(lab for lab in picked if prefix is None or lab.startswith(prefix + ":"))
+
+
+def contract(condenser, classes):
+    """The condenser on the quotient graph that merges each class of nodes into one.
+
+    `classes` holds a class id per node.  Each class becomes one
+    node that keeps its first member's label and coordinates and carries its
+    members' total weight; the edges between two classes merge into one edge
+    of their summed conductance, and edges inside a class drop.  A potential
+    constant on every class has the same energy on both graphs.  So when the
+    classes are the orbits of graph symmetries that map K and B onto
+    themselves, the unique minimiser, constant on orbits, gives the quotient
+    the same capacity.  A class that K or B splits raises `DomainError`.
+    """
+    space = condenser.space
+    classes = np.asarray(classes)
+    if classes.shape != (space.n,):
+        raise DomainError("need one class id per point")
+    _, first, cls = np.unique(classes, return_index=True, return_inverse=True)
+    nc = first.size
+    size = np.bincount(cls, minlength=nc)
+    for name, idx in (("K", condenser.k_idx), ("B", condenser.b_idx)):
+        held = np.bincount(cls[np.unique(idx)], minlength=nc)
+        if np.any((held > 0) & (held < size)):
+            raise DomainError(f"{name} splits a class of the contraction")
+
+    i, j = cls[space.edges[:, 0]], cls[space.edges[:, 1]]
+    cross = i != j
+    pair, merged = np.unique(np.minimum(i, j)[cross] * nc + np.maximum(i, j)[cross], return_inverse=True)
+    lattice = space._lattice
+    quotient = FiniteMetricMeasureSpace(
+        space.labels_at(first) if lattice is None else _LatticeLabels(*(part[first] for part in lattice)),
+        np.bincount(cls, weights=space.weight, minlength=nc),
+        coords=None if space.coords is None else space.coords[first],
+        edges=np.column_stack(np.divmod(pair, nc)),
+        conductance=np.bincount(merged, weights=space.conductance[cross], minlength=pair.size),
+        dist_matrix=None if space.dist_matrix is None else space.dist_matrix[np.ix_(first, first)],
+    )
+    return GraphCondenser(quotient, np.unique(cls[condenser.k_idx]), np.unique(cls[condenser.b_idx]), condenser.dim)
+
+
+def plane_orbits(plane):
+    """Orbit id of each node of the half-offset plane under the lattice's 8 symmetries.
+
+    The symmetries act on cells by k -> -1-k on either axis and by the axis
+    swap; an orbit is keyed by the larger and the smaller of |2kx+1| and
+    |2ky+1|.
+    """
+    kx, ky = plane.cells
+    a, b = np.abs(2 * kx + 1), np.abs(2 * ky + 1)
+    hi, lo = np.maximum(a, b), np.minimum(a, b)
+    return hi * (hi.max() + 1) + lo
+
+
+def two_sheet_space(h, i, rim):
+    """ex3's family space: the disk sheet at z=0 and the holed sheet at z=1/i, with no edge between them."""
+    return union_spaces(_unit_disk(h), _plane_sheet(h, rim, "S", Disk(0.0, 0.0, 1.0), 1.0 / i))
 
 
 def joined_two_sheet_condenser(h, i, rim, strip=None):

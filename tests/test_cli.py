@@ -187,6 +187,8 @@ MALFORMED = [
     (["capacity-graph"], _graph_doc_with_dist([0.0, 1.0]), "document: dist must be a list of rows"),
     (["experiment", "ex1"], {"r": 5.0}, "input keys 'i_list' and 'r': ball radius r=5.0"),
     (["experiment", "ex3"], {"alphas": [0.0, 0.0]}, "input keys 'i_list' and 'alphas': need one threshold"),
+    (["experiment", "ex3"], {"i_list": [2, 4, 8], "alphas": [0.1, 0.1, 0.1, 5.0]},
+     "input keys 'i_list' and 'alphas': need one threshold per family index, got 4 for 3"),
     (["experiment", "ex3"], {"alphas": [0, 0, 0], "alpha_rule_c": 1.0},
      "input keys 'i_list' and 'alphas' and 'alpha_rule_c': provide at most one of an alpha list or a c/i rule"),
     (["experiment", "ex4"], {"i_list": [2]}, "experiment ex4 input.i_list must list at least 3 entries"),

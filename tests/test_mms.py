@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from _oracles import (
+    contract,
     dense_graph_energy,
     laplacian_graph_capacity,
     loop_planar_sheet,
@@ -29,7 +30,6 @@ from varcap.mms import (
     GraphCondenser,
     build_planar_sheet,
     capacity_csv,
-    contract,
     graph_capacity,
     harmonicity_residual,
     union_spaces,

@@ -7,13 +7,14 @@ import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import joined_two_sheet_condenser, radial_label_filter
+from _oracles import contract, joined_two_sheet_condenser, plane_orbits, radial_label_filter, two_sheet_space
 from varcap import mms, sequences
 from varcap.errors import DomainError, PreconditionError
 from varcap.geometry import Dimension
-from varcap.mms import Disk, GraphCondenser, build_planar_sheet, contract, graph_capacity, union_spaces
+from varcap.mms import Disk, GraphCondenser, build_planar_sheet, graph_capacity, union_spaces
 from varcap.profiles import cylinder_transition_profile
 from varcap.radial_fem import RadialGrid, solve_radial
+from varcap.regions import DefiningFunction, region_measure
 from varcap.sequences import (
     CONSISTENT_EQUAL,
     CONSISTENT_STRICT_JUMP,
@@ -233,10 +234,14 @@ def test_planar_runners_reject_index_below_one_before_building(monkeypatch, runn
         runner(h=0.1, i_list=i_list)
 
 
-def test_ex3_rejects_short_alpha_list_before_building(monkeypatch):
+@pytest.mark.parametrize("alphas, message", [
+    ((0.0, 0.0), "need one threshold per family index, got 2 for 3"),
+    ((0.1, 0.1, 0.1, 5.0), "need one threshold per family index, got 4 for 3"),
+], ids=["short", "long"])
+def test_ex3_rejects_an_alpha_list_of_another_length_before_building(monkeypatch, alphas, message):
     _no_lattice(monkeypatch)
-    with pytest.raises(DomainError, match="threshold"):
-        run_example3(h=0.1, i_list=(2, 4, 8), alphas=(0.0, 0.0))
+    with pytest.raises(DomainError, match=message):
+        run_example3(h=0.1, i_list=(2, 4, 8), alphas=alphas)
 
 
 def test_ex3_rejects_alpha_list_with_rule_before_building(monkeypatch):
@@ -283,6 +288,28 @@ def test_planar_runners_reject_non_finite_plane_before_building(monkeypatch, run
     _no_lattice(monkeypatch)
     with pytest.raises(DomainError, match="must be finite"):
         runner(**{"h": 0.1, "i_list": (2, 4, 8), **plane})
+
+
+@settings(max_examples=8, deadline=None)
+@given(h=st.sampled_from([0.1, 0.05]), rim=st.floats(2.0, 4.0), data=st.data())
+def test_ex3_regions_equal_those_cut_from_the_union_spaces(h, rim, data):
+    # the region of family space i, cut from the union of the disk and the
+    # sheet at height 1/i; the last threshold reaches the sheet, which lies
+    # at most 1/i + h from K
+    i_list = data.draw(st.lists(st.integers(1, 32), min_size=3, max_size=5), label="i_list")
+    alphas = [data.draw(st.floats(0.0, 3.0 / i), label=f"alpha at {i}") for i in i_list[:-1]]
+    alphas.append(data.draw(st.floats(1.0 / i_list[-1] + h, 3.0 / i_list[-1] + h), label="last alpha"))
+    exp = run_example3(h=h, i_list=i_list, rim_radius=rim, alphas=alphas)
+
+    limit = limit_plane_condenser(h, rim)
+    defining = DefiningFunction.canonical_for(limit.space, limit.k_idx)
+    assert exp.limit_measure == region_measure(limit.space, limit.k_idx)
+    for i, alpha, region, measure in zip(i_list, alphas, exp.regions, exp.measures):
+        space = two_sheet_space(h, i, rim)
+        mask = defining.extension_on(space, upto=alpha) <= alpha
+        assert region == tuple(space.labels_at(mask))
+        assert measure == region_measure(space, mask)
+    assert any(label.startswith("S:") for label in exp.regions[-1])
 
 
 def test_ex3_alpha_rule_thresholds_by_family_index(ex3):
@@ -367,17 +394,50 @@ def test_ex4_index_sets_equal_label_filters(monkeypatch):
     assert limit.outer == radial_label_filter(limit.space, rim - pad, math.inf, prefix="F")
 
 
-def test_ex4_builds_its_plane_once(monkeypatch):
-    calls = []
-    build = sequences.build_planar_sheet
+def _planar_builds(monkeypatch, runner, **kwargs):
+    """(label prefix, node count) of every sheet a runner builds, and its number of unions."""
+    builds, unions = [], []
+    build, union = sequences.build_planar_sheet, sequences.union_spaces
 
-    def count(*args, **kwargs):
-        calls.append(kwargs["label_prefix"])
-        return build(*args, **kwargs)
+    def count_build(*args, **kw):
+        space = build(*args, **kw)
+        builds.append((kw["label_prefix"], space.n))
+        return space
 
-    monkeypatch.setattr(sequences, "build_planar_sheet", count)
-    run_example4(h=0.1, i_list=(2, 4, 8))
-    assert sorted(calls) == ["F", "K", "L"]
+    def count_union(*args):
+        unions.append(args)
+        return union(*args)
+
+    monkeypatch.setattr(sequences, "build_planar_sheet", count_build)
+    monkeypatch.setattr(sequences, "union_spaces", count_union)
+    runner(**kwargs)
+    return sorted(builds), len(unions)
+
+
+def test_ex4_builds_no_plane(monkeypatch):
+    # the plane is solved on its quotient, built from one wedge of cells; the
+    # limit space is the disk and the far sheet
+    builds, unions = _planar_builds(monkeypatch, run_example4, h=0.1, i_list=(2, 4, 8))
+    assert [prefix for prefix, _ in builds] == ["F", "K"]
+    assert unions == 1
+
+
+@pytest.mark.parametrize("strip", [None, 0.2])
+def test_ex3_builds_one_sheet_one_disk_and_the_limit_disk_whatever_the_indices(monkeypatch, strip):
+    runs = [
+        _planar_builds(monkeypatch, run_example3, h=0.1, i_list=i_list, strip_conductance=strip)
+        for i_list in ((2, 4, 8), (2, 4, 8, 16, 32))
+    ]
+    assert runs[0] == runs[1]
+    builds, unions = runs[0]
+    assert [prefix for prefix, _ in builds] == ["K", "L", "S"]
+    assert unions == 0
+    # the 22 x 22 cells about the disk, not the plane's 84 x 84
+    assert dict(builds)["L"] == 22 * 22 and limit_plane_condenser(0.1, 4.0).space.n == 84 * 84
+
+
+def test_ladder_builds_no_lattice(monkeypatch):
+    assert _planar_builds(monkeypatch, sequences.planar_condenser_study, h_list=(0.1, 0.05, 0.025)) == ([], 0)
 
 
 @pytest.mark.parametrize("i_list", [(2, 4, 8), (2, 4, 8, 16, 32)])
@@ -400,7 +460,7 @@ def test_ex4_solves_the_plane_and_the_limit_once(monkeypatch, i_list):
 @pytest.mark.parametrize("h", [0.1, 0.05])
 def test_plane_quotient_is_exact(h):
     cond = limit_plane_condenser(h, 4.0)
-    orbits = sequences._plane_orbits(cond.space)
+    orbits = plane_orbits(cond.space)
     # the orbits are the classes of nodes with the same unordered pair {|x|, |y|}
     x, y = np.abs(cond.space.coords[:, 0]), np.abs(cond.space.coords[:, 1])
     _, by_coords = np.unique(np.column_stack([np.maximum(x, y), np.minimum(x, y)]), axis=0, return_inverse=True)
@@ -416,6 +476,40 @@ def test_plane_quotient_is_exact(h):
     quotient = contract(cond, orbits)
     assert np.array_equal(quotient.space.indices(quotient.inner), quotient.k_idx)  # labels stay unique
     assert graph_capacity(quotient).capacity == full.capacity
+
+
+def _contracted_plane(h, rim):
+    plane = limit_plane_condenser(h, rim)
+    return contract(plane, plane_orbits(plane.space))
+
+
+@st.composite
+def _planes(draw):
+    h = draw(st.floats(0.0125, 0.1))
+    return h, draw(st.floats(1.0 + 4.0 * h, 6.0, exclude_min=True))
+
+
+@settings(max_examples=12, deadline=None)
+@given(plane=_planes())
+@example(plane=(0.033, 6.0))
+@example(plane=(0.0125, 1.0500001))
+def test_plane_quotient_equals_the_contracted_plane(plane):
+    h, rim = plane
+    built, oracle = sequences._plane_quotient(h, rim), _contracted_plane(h, rim)
+    assert np.array_equal(built.space.edges, oracle.space.edges)
+    assert built.space.conductance.tobytes() == oracle.space.conductance.tobytes()
+    assert built.k_idx.tobytes() == oracle.k_idx.tobytes() and built.b_idx.tobytes() == oracle.b_idx.tobytes()
+    assert built.space.coords.tobytes() == oracle.space.coords.tobytes()
+    assert built.inner == oracle.inner and built.outer == oracle.outer
+    # |O| h^2 against the contraction's sum of |O| weights h^2: equal up to rounding
+    assert np.allclose(built.space.weight, oracle.space.weight, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05, 0.025])
+def test_plane_quotient_solve_is_bit_identical_to_the_contracted_plane(h):
+    built, oracle = graph_capacity(sequences._plane_quotient(h, 4.0)), graph_capacity(_contracted_plane(h, 4.0))
+    assert built.capacity == oracle.capacity and built.iterations == oracle.iterations
+    assert built.u.tobytes() == oracle.u.tobytes()
 
 
 # -- ex4 ------------------------------------------------------------------------
