@@ -21,7 +21,8 @@ converging sequence of spaces:
 The finite stand-in for limsup is the max over the final half of the
 sequence; a verdict is `violated` exactly when that estimate exceeds the
 limit capacity by more than the tolerance.  The disk-in-plane condenser of
-ex3's limit, ex4 and the ladder is built on its 8-fold symmetry quotient.
+ex3's limit, ex4 and the ladder is built on its 8-fold symmetry quotient;
+ex4's limit is 0 by structure and builds no lattice.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from . import reports
 from .errors import DomainError, PreconditionError
 from .geometry import Dimension
 from .mms import (
-    Disk, FiniteMetricMeasureSpace, GraphCondenser, _LatticeLabels, build_planar_sheet, graph_capacity, union_spaces,
+    Disk, FiniteMetricMeasureSpace, GraphCondenser, _LatticeLabels, build_planar_sheet, graph_capacity,
 )
 from .profiles import capped_even_profile, cylinder_transition_profile, euclidean_profile, hyperboloid_profile
 from .radial_fem import capacity_estimate
@@ -66,13 +67,15 @@ def check_semicontinuity(
     The limsup estimate is the max over the final ceil(I/2) entries, a stable
     finite surrogate for eventually monotone sequences.  `violated` means the
     estimate exceeds the limit by more than the tolerance.  Non-finite
-    values raise `DomainError`.
+    values and a negative tolerance raise `DomainError`.
     """
     caps = [float(c) for c in capacities]
     if len(caps) < 3:
         raise PreconditionError("need at least 3 sequence values")
     if not all(map(math.isfinite, [*caps, limit_cap, tol])):
         raise DomainError(f"capacities, limit and tolerance must be finite, got {caps}, {limit_cap}, {tol}")
+    if tol < 0:
+        raise DomainError(f"tolerance must be nonnegative, got {tol}")
     tail = caps[-math.ceil(len(caps) / 2) :]
     limsup = max(tail)
     if limsup > limit_cap + tol:
@@ -235,20 +238,10 @@ LATTICE_OFFSET = 0.5  # planar experiments use the half-offset lattice (k + 1/2)
 _PAD = 1e-9  # radial selections include nodes this close to their circle
 
 
-def _plane_sheet(
-    h: float, rim_radius: float, prefix: str, hole: Disk | None = None, z_offset: float = 0.0
-) -> FiniteMetricMeasureSpace:
+def _plane_sheet(h: float, rim_radius: float, prefix: str, hole: Disk | None = None) -> FiniteMetricMeasureSpace:
     """The plane out to just past the rim, less the open `hole`."""
     half = rim_radius + 2.0 * h
-    return build_planar_sheet(
-        (-half, half, -half, half), h, hole=hole, z_offset=z_offset, label_prefix=prefix, offset=LATTICE_OFFSET
-    )
-
-
-def _unit_disk(h: float) -> FiniteMetricMeasureSpace:
-    return build_planar_sheet(
-        (-1.0, 1.0, -1.0, 1.0), h, clip=Disk(0.0, 0.0, 1.0), label_prefix="K", offset=LATTICE_OFFSET
-    )
+    return build_planar_sheet((-half, half, -half, half), h, hole=hole, label_prefix=prefix, offset=LATTICE_OFFSET)
 
 
 def _radius(space: FiniteMetricMeasureSpace) -> np.ndarray:
@@ -256,10 +249,12 @@ def _radius(space: FiniteMetricMeasureSpace) -> np.ndarray:
 
 
 def _check_plane(h: float, rim_radius: float, clear_of: float, inside: str) -> None:
-    """Reject a lattice too coarse to resolve the unit disk and a rim within
-    4h of the radius `clear_of` of the `inside` set."""
+    """Reject a spacing that is not positive or too coarse to resolve the unit
+    disk, and a rim within 4h of the radius `clear_of` of the `inside` set."""
     if not (math.isfinite(h) and math.isfinite(rim_radius)):
         raise DomainError(f"lattice spacing and rim radius must be finite, got h={h}, rim_radius={rim_radius}")
+    if h <= 0:
+        raise DomainError(f"lattice spacing must be positive, got h={h}")
     if h > 0.1 + 1e-12:
         raise DomainError(f"lattice spacing h={h} too coarse to resolve the unit disk (need h <= 0.1)")
     if rim_radius <= clear_of + 4.0 * h:
@@ -360,21 +355,24 @@ def planar_condenser_study(
     continuum disk-in-plane condenser value at the stated rim, and the order
     is the least-squares slope of log error against log h.
     """
+    for h in h_list:
+        _check_disk_plane(h, rim_radius)
     target = 1.0 / math.log(rim_radius)
     caps = [_plane_capacity(h, rim_radius) for h in h_list]
     errors = [abs(c - target) for c in caps]
     return caps, errors, -fit_power_law(h_list, errors)
 
 
-def _limit_disk(h: float) -> tuple[FiniteMetricMeasureSpace, np.ndarray]:
-    """The limit plane's cells about the unit disk and the index array of its
-    K = {r <= 1+pad}: the nodes of `limit_plane_condenser`'s K, in its order."""
-    near = build_planar_sheet((-1.0 - h, 1.0 + h, -1.0 - h, 1.0 + h), h, label_prefix="L", offset=LATTICE_OFFSET)
+def _disk(h: float) -> tuple[FiniteMetricMeasureSpace, np.ndarray]:
+    """The cells within 1+h of the axes, labelled "K", and the index array of
+    their K = {r <= 1+pad}: `limit_plane_condenser`'s K, in its order."""
+    near = build_planar_sheet((-1.0 - h, 1.0 + h, -1.0 - h, 1.0 + h), h, label_prefix="K", offset=LATTICE_OFFSET)
     return near, np.flatnonzero(_radius(near) <= 1.0 + _PAD)
 
 
-def _sheet_conductance(sheet: FiniteMetricMeasureSpace, rim_radius: float) -> float:
+def _sheet_conductance(h: float, rim_radius: float) -> float:
     """Conductance G of ex3's holed sheet from the strip's foot, its node nearest the hole, to the rim."""
+    sheet = _plane_sheet(h, rim_radius, "S", Disk(0.0, 0.0, 1.0))
     r = _radius(sheet)
     return graph_capacity(GraphCondenser(sheet, np.argmin(r, keepdims=True), r >= rim_radius - _PAD)).raw_energy
 
@@ -395,36 +393,39 @@ def run_example3(
     Region measures come from thresholding the 1-Lipschitz extension of the
     limit disk's defining function at alpha_i: the entries of `alphas` in
     order, the rule alpha_i = alpha_rule_c / i, or by default alpha_i = 0,
-    where the region is exactly the disk sheet.  Only the holed sheet's
-    height 1/i depends on i, so both sheets are built once and a region is
-    the disk's nodes, then the lifted sheet's, as in their union.  K comes
-    from the limit plane's cells about the disk; no plane is built.
+    where the region is exactly the disk sheet.  One build of the cells
+    about the unit disk gives K, the limit measure and the disk sheet: K
+    itself, in every region since d(., K) = 0 there.  The holed sheet is
+    built once, out to the largest threshold's reach, and lifted to each
+    height 1/i; a region is K's nodes, then the sheet's, as in their union.
     """
     i_list = tuple(i_list)
     _check_disk_plane(h, rim_radius)
     _check_family(i_list, alphas, alpha_rule_c, strip_conductance)
 
     limit_cap = _plane_capacity(h, rim_radius)
-    limit_near, limit_k = _limit_disk(h)
-    defining = DefiningFunction.canonical_for(limit_near, limit_k)
-    limit_measure = region_measure(limit_near, limit_k)
+    disk, k_idx = _disk(h)
+    defining = DefiningFunction.canonical_for(disk, k_idx)
+    limit_measure = region_measure(disk, k_idx)
     if alphas is None:
         alphas = [0.0 if alpha_rule_c is None else alpha_rule_c / i for i in i_list]
     alphas = [float(a) for a in alphas]
 
-    disk, sheet = _unit_disk(h), _plane_sheet(h, rim_radius, "S", Disk(0.0, 0.0, 1.0))
     caps = (0.0,) * len(i_list)
     if strip_conductance is not None:
-        G = _sheet_conductance(sheet, rim_radius)
+        G = _sheet_conductance(h, rim_radius)
         caps = tuple(1.0 / (i / strip_conductance + 1.0 / G) / Dimension(2).gamma for i in i_list)
 
+    # K lies in the closed unit disk, so no sheet node past 1 + alpha on either axis is within alpha of it
+    reach = min(1.0 + max(alphas, default=0.0), rim_radius)
+    sheet = _plane_sheet(h, reach, "S", Disk(0.0, 0.0, 1.0))
     measures, regions = [], []
-    disk_values, lifted = defining.extension_on(disk), sheet.coords.copy()
+    k_labels, k_weight, lifted = disk.labels_at(k_idx), disk.weight[k_idx], sheet.coords.copy()
     for i, alpha in zip(i_list, alphas):
         lifted[:, 2] = 1.0 / i  # the sheet at its height in family space i
-        on_disk, on_sheet = disk_values <= alpha, defining.extension_at(lifted, upto=alpha) <= alpha
-        regions.append((*disk.labels_at(on_disk), *sheet.labels_at(on_sheet)))
-        measures.append(float(np.sum(np.concatenate([disk.weight[on_disk], sheet.weight[on_sheet]]))))
+        on_sheet = defining.extension_at(lifted, upto=alpha) <= alpha
+        regions.append((*k_labels, *sheet.labels_at(on_sheet)))
+        measures.append(float(np.sum(np.concatenate([k_weight, sheet.weight[on_sheet]]))))
 
     verdict = check_semicontinuity(caps, limit_cap, tol)
     meta = {
@@ -467,13 +468,7 @@ def run_example4(
     _check_annulus_plane(h, rim_radius)
     _check_family(i_list)
     caps = (_plane_capacity(h, rim_radius),) * len(i_list)
-
-    limit_disk = _unit_disk(h)
-    limit_far = _plane_sheet(h, rim_radius, "F", Disk(0.0, 0.0, 2.0))
-    limit_space = union_spaces(limit_disk, limit_far)
-    inner = np.arange(limit_disk.n)
-    outer = limit_disk.n + np.flatnonzero(_radius(limit_far) >= rim_radius - _PAD)
-    limit_cap = graph_capacity(GraphCondenser(limit_space, inner, outer, Dimension(2))).capacity
+    limit_cap = 0.0  # the limit's disk K has no edge to the far sheet r >= 2 holding B: no path from K to B
 
     verdict = check_semicontinuity(caps, limit_cap, tol)
     meta = {
@@ -494,7 +489,9 @@ def fit_power_law(i_list: Sequence[float], values: Sequence[float]) -> float:
     """Exponent p of a least-squares fit values ~ c / i^p (positive for decay)."""
     i_arr = np.asarray(i_list, dtype=float)
     v = np.asarray(values, dtype=float)
-    if i_arr.size < 2 or not (np.all(v > 0) and np.all(i_arr > 0) and np.all(np.isfinite([*i_arr, *v]))):
-        raise DomainError("power-law fit needs >= 2 points with finite positive indices and values")
+    if np.unique(i_arr).size < 2 or not (np.all(v > 0) and np.all(i_arr > 0) and np.all(np.isfinite([*i_arr, *v]))):
+        raise DomainError(
+            "power-law fit needs >= 2 points at distinct finite positive indices, with finite positive values"
+        )
     slope = np.polyfit(np.log(i_arr), np.log(v), 1)[0]
     return float(-slope)

@@ -6,9 +6,10 @@ solve, value-grid feasibility scans instead of the McShane formula, and
 random feasible extensions built greedily from interval bounds.  The
 radial capacity estimate is also kept in its former two-step form: a list of
 (grid, L) pairs built first, then solved and grouped by L in dicts.  The
-sparse graph solve is kept in its former form on the whole Laplacian, and
+sparse graph solve is kept in its former form on the whole Laplacian,
 ex3's strip family in its former form: one solve of the joined two-sheet
-space per family index.
+space per family index, and ex4's limit as the union of the disk and the
+far sheet that the runner used to solve.
 """
 
 import math
@@ -21,9 +22,9 @@ from scipy.sparse.csgraph import shortest_path
 from varcap.errors import DomainError, InconsistencyError, PreconditionError, real
 from varcap.geometry import Dimension
 from varcap.mass import MassCurve, _geometry_at
-from varcap.mms import Disk, FiniteMetricMeasureSpace, GraphCondenser, _LatticeLabels, union_spaces
+from varcap.mms import Disk, FiniteMetricMeasureSpace, GraphCondenser, _LatticeLabels, build_planar_sheet, union_spaces
 from varcap.radial_fem import CapacityEstimate, RadialGrid, solve_radial
-from varcap.sequences import _plane_sheet, _unit_disk
+from varcap.sequences import LATTICE_OFFSET
 from varcap.warped import RadialCondenser, radial_capacity
 
 
@@ -413,9 +414,34 @@ def plane_orbits(plane):
     return hi * (hi.max() + 1) + lo
 
 
+def unit_disk(h):
+    """The lattice cells in the closed unit disk, labelled "K": the disk
+    sheet the planar runners used to build by clipping."""
+    return build_planar_sheet(
+        (-1.0, 1.0, -1.0, 1.0), h, clip=Disk(0.0, 0.0, 1.0), label_prefix="K", offset=LATTICE_OFFSET
+    )
+
+
+def _lifted_plane_sheet(h, rim, prefix, hole, z_offset=0.0):
+    """The planar runners' sheet out to just past the rim, less the open `hole`, at height `z_offset`."""
+    half = rim + 2.0 * h
+    return build_planar_sheet(
+        (-half, half, -half, half), h, hole=hole, z_offset=z_offset, label_prefix=prefix, offset=LATTICE_OFFSET
+    )
+
+
 def two_sheet_space(h, i, rim):
     """ex3's family space: the disk sheet at z=0 and the holed sheet at z=1/i, with no edge between them."""
-    return union_spaces(_unit_disk(h), _plane_sheet(h, rim, "S", Disk(0.0, 0.0, 1.0), 1.0 / i))
+    return union_spaces(unit_disk(h), _lifted_plane_sheet(h, rim, "S", Disk(0.0, 0.0, 1.0), 1.0 / i))
+
+
+def ex4_limit_condenser(h, rim):
+    """ex4's limit condenser as the runner used to solve it: the unit disk,
+    all of it K, in disjoint union with the far sheet r >= 2, whose rim
+    nodes are B.  No edge joins them, so its capacity is exactly 0."""
+    disk, far = unit_disk(h), _lifted_plane_sheet(h, rim, "F", Disk(0.0, 0.0, 2.0))
+    outer = disk.n + np.flatnonzero(np.sqrt(far.coords[:, 0] ** 2 + far.coords[:, 1] ** 2) >= rim - 1e-9)
+    return GraphCondenser(union_spaces(disk, far), np.arange(disk.n), outer, Dimension(2))
 
 
 def joined_two_sheet_condenser(h, i, rim, strip=None):

@@ -7,7 +7,10 @@ import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import contract, joined_two_sheet_condenser, plane_orbits, radial_label_filter, two_sheet_space
+from _oracles import (
+    contract, ex4_limit_condenser, joined_two_sheet_condenser, plane_orbits, radial_label_filter, two_sheet_space,
+    unit_disk,
+)
 from varcap import mms, sequences
 from varcap.errors import DomainError, PreconditionError
 from varcap.geometry import Dimension
@@ -62,6 +65,17 @@ def test_verdict_needs_three_values():
 def test_verdict_refuses_non_finite_values(caps, limit, tol):
     with pytest.raises(DomainError, match="must be finite"):
         check_semicontinuity(caps, limit, tol)
+
+
+@pytest.mark.parametrize("tol", [-0.5, -1e-300, -math.inf])
+def test_verdict_refuses_a_negative_tolerance(tol):
+    # a constant sequence equal to its limit would otherwise read `violated`
+    with pytest.raises(DomainError, match="tolerance must be"):
+        check_semicontinuity([1.0, 1.0, 1.0], 1.0, tol)
+
+
+def test_verdict_accepts_a_zero_tolerance():
+    assert check_semicontinuity([1.0, 1.0, 1.0], 1.0, 0.0).classification == CONSISTENT_EQUAL
 
 
 # -- ex1 ------------------------------------------------------------------------
@@ -209,6 +223,21 @@ def _no_lattice(monkeypatch):
         raise AssertionError("a lattice was built before the inputs were validated")
 
     monkeypatch.setattr(sequences, "build_planar_sheet", refuse)
+    monkeypatch.setattr(sequences, "_plane_quotient", refuse)
+
+
+@pytest.mark.parametrize("runner", [run_example3, run_example4])
+@pytest.mark.parametrize("h", [0.0, -0.0, -0.05, -1e-300])
+def test_planar_runners_reject_a_spacing_that_is_not_positive_before_building(monkeypatch, runner, h):
+    _no_lattice(monkeypatch)
+    with pytest.raises(DomainError, match="lattice spacing must be positive"):
+        runner(h=h, i_list=(2, 4, 8))
+
+
+def test_ex3_without_indices_still_raises_a_precondition_error():
+    # no index, no threshold: the sheet's reach falls back to the unit disk
+    with pytest.raises(PreconditionError, match="at least 3"):
+        run_example3(h=0.1, i_list=())
 
 
 @pytest.mark.parametrize("runner", [run_example3, run_example4])
@@ -290,17 +319,10 @@ def test_planar_runners_reject_non_finite_plane_before_building(monkeypatch, run
         runner(**{"h": 0.1, "i_list": (2, 4, 8), **plane})
 
 
-@settings(max_examples=8, deadline=None)
-@given(h=st.sampled_from([0.1, 0.05]), rim=st.floats(2.0, 4.0), data=st.data())
-def test_ex3_regions_equal_those_cut_from_the_union_spaces(h, rim, data):
+def _assert_regions_cut_from_the_union_spaces(h, rim, i_list, alphas):
     # the region of family space i, cut from the union of the disk and the
-    # sheet at height 1/i; the last threshold reaches the sheet, which lies
-    # at most 1/i + h from K
-    i_list = data.draw(st.lists(st.integers(1, 32), min_size=3, max_size=5), label="i_list")
-    alphas = [data.draw(st.floats(0.0, 3.0 / i), label=f"alpha at {i}") for i in i_list[:-1]]
-    alphas.append(data.draw(st.floats(1.0 / i_list[-1] + h, 3.0 / i_list[-1] + h), label="last alpha"))
+    # whole sheet at height 1/i
     exp = run_example3(h=h, i_list=i_list, rim_radius=rim, alphas=alphas)
-
     limit = limit_plane_condenser(h, rim)
     defining = DefiningFunction.canonical_for(limit.space, limit.k_idx)
     assert exp.limit_measure == region_measure(limit.space, limit.k_idx)
@@ -310,6 +332,47 @@ def test_ex3_regions_equal_those_cut_from_the_union_spaces(h, rim, data):
         assert region == tuple(space.labels_at(mask))
         assert measure == region_measure(space, mask)
     assert any(label.startswith("S:") for label in exp.regions[-1])
+
+
+@settings(max_examples=8, deadline=None)
+@given(h=st.sampled_from([0.1, 0.05]), rim=st.floats(2.0, 4.0), data=st.data())
+def test_ex3_regions_equal_those_cut_from_the_union_spaces(h, rim, data):
+    # the last threshold reaches the sheet, which lies at most 1/i + h from
+    # K, or reaches past the rim, where the runner's sheet is the whole sheet
+    i_list = data.draw(st.lists(st.integers(1, 32), min_size=3, max_size=5), label="i_list")
+    alphas = [data.draw(st.floats(0.0, 3.0 / i), label=f"alpha at {i}") for i in i_list[:-1]]
+    near, past_rim = st.floats(1.0 / i_list[-1] + h, 3.0 / i_list[-1] + h), st.floats(rim - 1.0, rim + 1.0)
+    alphas.append(data.draw(near | past_rim, label="last alpha"))
+    _assert_regions_cut_from_the_union_spaces(h, rim, i_list, alphas)
+
+
+@pytest.mark.parametrize("alphas", [(0.0, 0.3, 1.5), (0.0, 1.5, 1.5 + 1e-9), (4.0, 0.0, 0.25)])
+def test_ex3_regions_at_thresholds_that_reach_the_rim(alphas):
+    # 1 + alpha at or past the rim 2.5: the sheet is cut at the rim, not past it
+    _assert_regions_cut_from_the_union_spaces(0.1, 2.5, (2, 4, 8), alphas)
+
+
+@settings(max_examples=10, deadline=None)
+@given(h=st.floats(0.01, 0.1))
+@example(h=0.1)
+@example(h=2.0 / math.sqrt(410.0))  # (7h/2)^2 + (19h/2)^2 = 1: a cell centre on the unit circle
+def test_ex3_disk_is_the_limit_planes_k(h):
+    disk, k_idx = sequences._disk(h)
+    limit = limit_plane_condenser(h, 1.0 + 5.0 * h)
+    assert disk.coords[k_idx].tobytes() == limit.space.coords[limit.k_idx].tobytes()
+    for built, limits in zip(disk.cells, limit.space.cells):
+        assert np.array_equal(built[k_idx], limits[limit.k_idx])
+    assert set(disk.labels_at(k_idx)) <= {lab for lab in disk.labels if lab.startswith("K:")}
+
+
+@pytest.mark.parametrize("h", [0.1, 0.07, 0.05, 0.033, 0.025, 2.0 / math.sqrt(410.0)])
+def test_ex3_disk_is_the_clipped_unit_disk(h):
+    # the disk sheet the runners used to build; the two can differ only at a
+    # cell centre less than 1e-9 outside the unit circle, which none of these h has
+    disk, k_idx = sequences._disk(h)
+    clipped = unit_disk(h)
+    assert disk.labels_at(k_idx) == clipped.labels
+    assert disk.coords[k_idx].tobytes() == clipped.coords.tobytes()
 
 
 def test_ex3_alpha_rule_thresholds_by_family_index(ex3):
@@ -369,9 +432,16 @@ def test_ex3_family_returns_zero_before_assembling(monkeypatch, i):
 
 
 def test_ex4_limit_returns_zero_before_assembling(monkeypatch):
-    _, limit = _runner_condensers(monkeypatch, run_example4)
+    # what lets run_example4 report the limit 0.0 with no lattice and no solve
+    limit = ex4_limit_condenser(0.1, 4.0)
     _refuse_to_assemble(monkeypatch)
     _assert_exact_zero(limit)
+
+
+@pytest.mark.parametrize("h, rim", [(0.1, 4.0), (0.05, 5.0), (0.033, 2.5)])
+def test_ex4_limit_equals_the_solve_of_the_disk_and_far_sheet(h, rim):
+    solved = graph_capacity(ex4_limit_condenser(h, rim)).capacity
+    assert repr(run_example4(h=h, rim_radius=rim).limit_capacity) == repr(solved) == "0.0"
 
 
 def test_ex3_index_sets_equal_label_filters(monkeypatch):
@@ -386,7 +456,8 @@ def test_ex3_index_sets_equal_label_filters(monkeypatch):
 
 
 def test_ex4_index_sets_equal_label_filters(monkeypatch):
-    family, limit = _runner_condensers(monkeypatch, run_example4)
+    (family,) = _runner_condensers(monkeypatch, run_example4)
+    limit = ex4_limit_condenser(0.1, 4.0)
     pad, rim = 1e-9, 4.0
     assert family.inner == radial_label_filter(family.space, 0.0, 1.0 + pad, prefix="L")
     assert family.outer == radial_label_filter(family.space, rim - pad, math.inf, prefix="L")
@@ -395,53 +466,21 @@ def test_ex4_index_sets_equal_label_filters(monkeypatch):
 
 
 def _planar_builds(monkeypatch, runner, **kwargs):
-    """(label prefix, node count) of every sheet a runner builds, and its number of unions."""
-    builds, unions = [], []
-    build, union = sequences.build_planar_sheet, sequences.union_spaces
+    """(label prefix, node count) of every sheet a runner builds, sorted."""
+    builds, build = [], sequences.build_planar_sheet
 
     def count_build(*args, **kw):
         space = build(*args, **kw)
         builds.append((kw["label_prefix"], space.n))
         return space
 
-    def count_union(*args):
-        unions.append(args)
-        return union(*args)
-
     monkeypatch.setattr(sequences, "build_planar_sheet", count_build)
-    monkeypatch.setattr(sequences, "union_spaces", count_union)
     runner(**kwargs)
-    return sorted(builds), len(unions)
-
-
-def test_ex4_builds_no_plane(monkeypatch):
-    # the plane is solved on its quotient, built from one wedge of cells; the
-    # limit space is the disk and the far sheet
-    builds, unions = _planar_builds(monkeypatch, run_example4, h=0.1, i_list=(2, 4, 8))
-    assert [prefix for prefix, _ in builds] == ["F", "K"]
-    assert unions == 1
-
-
-@pytest.mark.parametrize("strip", [None, 0.2])
-def test_ex3_builds_one_sheet_one_disk_and_the_limit_disk_whatever_the_indices(monkeypatch, strip):
-    runs = [
-        _planar_builds(monkeypatch, run_example3, h=0.1, i_list=i_list, strip_conductance=strip)
-        for i_list in ((2, 4, 8), (2, 4, 8, 16, 32))
-    ]
-    assert runs[0] == runs[1]
-    builds, unions = runs[0]
-    assert [prefix for prefix, _ in builds] == ["K", "L", "S"]
-    assert unions == 0
-    # the 22 x 22 cells about the disk, not the plane's 84 x 84
-    assert dict(builds)["L"] == 22 * 22 and limit_plane_condenser(0.1, 4.0).space.n == 84 * 84
-
-
-def test_ladder_builds_no_lattice(monkeypatch):
-    assert _planar_builds(monkeypatch, sequences.planar_condenser_study, h_list=(0.1, 0.05, 0.025)) == ([], 0)
+    return sorted(builds)
 
 
 @pytest.mark.parametrize("i_list", [(2, 4, 8), (2, 4, 8, 16, 32)])
-def test_ex4_solves_the_plane_and_the_limit_once(monkeypatch, i_list):
+def test_ex4_builds_no_lattice_and_solves_only_the_plane_quotient(monkeypatch, i_list):
     sizes, solve = [], sequences.graph_capacity
 
     def count(cond, *args, **kwargs):
@@ -449,12 +488,48 @@ def test_ex4_solves_the_plane_and_the_limit_once(monkeypatch, i_list):
         return solve(cond, *args, **kwargs)
 
     monkeypatch.setattr(sequences, "graph_capacity", count)
-    exp = run_example4(h=0.1, i_list=i_list)
+    assert _planar_builds(monkeypatch, run_example4, h=0.1, i_list=i_list) == []
     # the plane is solved on its quotient by the 8 lattice symmetries: a
-    # 2M x 2M grid of cells has M (M + 1) / 2 orbits
+    # 2M x 2M grid of cells has M (M + 1) / 2 orbits; the limit is not solved
     half = math.isqrt(limit_plane_condenser(0.1, 4.0).space.n) // 2
-    assert sizes == [half * (half + 1) // 2, sizes[1]]
-    assert len(exp.capacities) == len(i_list)
+    assert sizes == [half * (half + 1) // 2]
+    assert not hasattr(sequences, "union_spaces")
+
+
+@pytest.mark.parametrize("strip", [None, 0.2])
+def test_ex3_builds_the_disk_and_a_sheet_cut_to_the_thresholds_whatever_the_indices(monkeypatch, strip):
+    runs = [
+        _planar_builds(monkeypatch, run_example3, h=0.1, i_list=i_list, strip_conductance=strip)
+        for i_list in ((2, 4, 8), (2, 4, 8, 16, 32))
+    ]
+    assert runs[0] == runs[1]
+    # the 22 x 22 cells about the disk, not the plane's 84 x 84; the holed
+    # sheet out to 1 + max alpha + 2h = 1.2 on either axis, and with a strip
+    # also the whole sheet
+    space = two_sheet_space(0.1, 1, 4.0)
+    sheet = np.array([lab.startswith("S:") for lab in space.labels])
+    near = np.max(np.abs(space.coords[:, :2]), axis=1) <= 1.2 + 1e-9
+    expected = [("K", 22 * 22), ("S", int(np.sum(sheet & near)))]
+    assert runs[0] == sorted(expected + ([] if strip is None else [("S", int(np.sum(sheet)))]))
+    assert limit_plane_condenser(0.1, 4.0).space.n == 84 * 84
+
+
+def test_ladder_builds_no_lattice(monkeypatch):
+    assert _planar_builds(monkeypatch, sequences.planar_condenser_study, h_list=(0.1, 0.05, 0.025)) == []
+
+
+@pytest.mark.parametrize("h_list, rim, message", [
+    ((0.2, 0.1, 0.05), 4.0, "too coarse"),
+    ((0.1, 0.05, 0.025), 1.2, "rim radius sits too close to the disk"),
+    ((0.1, 0.05, 0.0), 4.0, "lattice spacing must be positive"),
+    ((0.1, -0.05, 0.025), 4.0, "lattice spacing must be positive"),
+    ((0.1, math.nan, 0.025), 4.0, "must be finite"),
+    ((0.1, 0.05, 0.025), math.inf, "must be finite"),
+], ids=["coarse rung", "rim inside 1 + 4h", "zero rung", "negative rung", "nan rung", "infinite rim"])
+def test_ladder_checks_every_rung_before_the_first_solve(monkeypatch, h_list, rim, message):
+    _no_lattice(monkeypatch)
+    with pytest.raises(DomainError, match=message):
+        sequences.planar_condenser_study(h_list, rim_radius=rim)
 
 
 @pytest.mark.parametrize("h", [0.1, 0.05])
@@ -607,6 +682,13 @@ def test_power_law_fit_recovers_exponent():
 def test_power_law_fit_rejects_a_single_point():
     with pytest.raises(DomainError, match=">= 2 points"):
         fit_power_law([2.0], [0.5])
+
+
+def test_power_law_fit_rejects_a_single_distinct_index():
+    # a vertical line in log-log has no slope; polyfit would warn and return one
+    with pytest.raises(DomainError, match="distinct"):
+        fit_power_law([2, 2, 2], [1.0, 2.0, 3.0])
+    assert fit_power_law([2, 2, 4], [1.0, 1.0, 0.5]) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("i_list, values", [
