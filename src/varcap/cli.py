@@ -25,7 +25,7 @@ from .geometry import Dimension
 from .mass import MASS_COLUMNS, AFProfile, evaluate_mass_curve, extrapolate_mass
 from .mms import FiniteMetricMeasureSpace, GraphCondenser, capacity_csv, graph_capacity
 from .profiles import WarpProfile
-from .radial_fem import capacity_estimate, fem_csv
+from .radial_fem import _check_schedule, capacity_estimate, fem_csv
 from .warped import RadialCondenser, radial_capacity
 
 _TOP_KEYS = {"command", "input", "input_doc", "output", "format", "tolerances", "seed"}
@@ -197,19 +197,22 @@ class Command:
     rules: tuple[tuple[Callable, dict], ...] = ()
 
 
+def _tied(rule: Callable, source: Callable) -> tuple:
+    """A `Command.rules` entry: `rule` with the default `source` gives each of its keys."""
+    defaults = inspect.signature(source).parameters
+    return rule, {key: defaults[key].default for key in inspect.signature(rule).parameters}
+
+
 def _experiment(runner: str, *rules, **keys) -> Command:
     """An experiment entry; its runner in `sequences` is looked up at call
     time, so a wrapper put around it (a profiler, a test double) sees the call.
     `rules` are checks the runner itself makes, run here on the converted keys."""
-    defaults = inspect.signature(getattr(sequences, runner)).parameters
     return Command(
         keys={"i_list": _list_of(_integer(1), least=3), **keys},
         tolerance="verdict",
         run=lambda **args: getattr(sequences, runner)(**args).to_payload(),
         csv=sequences.experiment_csv_from_payload,
-        rules=tuple(
-            (rule, {key: defaults[key].default for key in inspect.signature(rule).parameters}) for rule in rules
-        ),
+        rules=tuple(_tied(rule, getattr(sequences, runner)) for rule in rules),
     )
 
 
@@ -217,10 +220,11 @@ _PROFILE = _document(WarpProfile)
 
 # Converters check one key each.  A rule ties keys together by calling the
 # library's own check: the condenser's sets against its space, or an
-# experiment runner's (r < min i, one threshold per index, h <= 0.1 and a
-# rim clear of the disk or annulus).  Other rules, such as the radial
-# route's distinct truncation radii, stay in the library and surface as
-# computation errors.
+# experiment runner's (r < min i, one threshold per index, h <= 0.1, a rim
+# clear of the disk or annulus and a lattice within its node budget), or the
+# radial route's element budget.  Other rules, such as the radial route's
+# distinct truncation radii, stay in the library and surface as computation
+# errors.
 COMMANDS = {
     "capacity-radial": Command(
         keys={
@@ -235,6 +239,7 @@ COMMANDS = {
         required=("profile", "s0"),
         tolerance=None,
         run=_capacity_radial,
+        rules=(_tied(_check_schedule, _check_schedule),),
         csv=_table(lambda p: fem_csv(p["rows"]), "provenance", "cap", "error_estimate"),
     ),
     "capacity-graph": Command(
@@ -252,8 +257,8 @@ COMMANDS = {
         csv=_table(lambda p: capacity_csv(p["rows"], p["rim_radius"]), "provenance"),
     ),
     "experiment ex1": _experiment(
-        "run_example1", sequences._check_ball, i_list=_list_of(_integer(2), least=3), r=_positive,
-        L_values=_list_of(_real, least=3), m=_integer(2),
+        "run_example1", sequences._check_ball, sequences._check_bridges,
+        i_list=_list_of(_integer(2), least=3), r=_positive, L_values=_list_of(_real, least=3), m=_integer(2),
     ),
     "experiment ex2": _experiment("run_example2", a=_positive, b=_positive, m=_integer(2)),
     "experiment ex3": _experiment(

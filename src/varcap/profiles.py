@@ -14,8 +14,8 @@ The three densities every segment exposes (all per unit sphere area):
     volume density       q * f^(m-1)    -- integrand of the volume
     element weight       f^(m-1) / q    -- 1D Dirichlet-form coefficient
 
-Power and constant segments integrate in closed form; splines and the other
-analytic kinds fall back to adaptive quadrature.
+Power and constant segments integrate in closed form, also out to infinity;
+splines and the other analytic kinds fall back to adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -35,14 +35,15 @@ _QUAD_EPSREL = 1e-12
 _POSITIVITY_SAMPLES = 129
 
 
-def _quad(fun: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """Adaptive quadrature on a finite interval; returns (value, abs error)."""
+def _quad(fun: Callable[[float], float], a: float, b: float, scale: float = 1.0) -> tuple[float, float]:
+    """Adaptive quadrature on [a, b], returning (value, abs error); an infinite b goes to
+    QUADPACK's QAGI in w = (s - a) / scale, `scale` being the length the integrand varies over."""
     from scipy import integrate
 
-    if b <= a:
-        return 0.0, 0.0
-    val, err = integrate.quad(fun, a, b, epsabs=0.0, epsrel=_QUAD_EPSREL, limit=200)
-    return val, err
+    options = {"epsabs": 0.0, "epsrel": _QUAD_EPSREL, "limit": 200}
+    if b == INF:
+        return integrate.quad(lambda w: scale * fun(a + scale * w), 0.0, INF, **options)
+    return integrate.quad(fun, a, b, **options)
 
 
 class Segment:
@@ -122,7 +123,7 @@ class PowerSegment(Segment):
         return self.a * self.p * s ** (self.p - 1.0)
 
     def _monomial_integral(self, a: float, b: float, coef: float, expo: float) -> float:
-        # integral of coef * s**expo on [a, b]; b may be finite only here
+        # integral of coef * s**expo on [a, b]; b = inf gives 0 or inf for b**e1
         if expo == -1.0:
             if a <= 0.0:
                 return INF
@@ -302,7 +303,9 @@ class SqrtQuadraticSegment(Segment):
             root = math.sqrt(self.a * self.b)
             k = math.sqrt(self.b / self.a)
             return (math.atan(k * b) - math.atan(k * a)) / root, 0.0
-        return super().resistance_integral(a, b, m)
+        if m == 2 and b == INF:  # the density tends to 1/(sqrt(B) s)
+            return INF, 0.0
+        return _quad(lambda s: float(self.resistance_density(s, m)), a, b, max(abs(a), math.sqrt(self.a / self.b)))
 
     def volume_integral(self, a, b, m):
         if m == 3:
@@ -314,8 +317,8 @@ class SchwarzschildSegment(Segment):
     """Schwarzschild exterior in areal radius: f(R) = R, q(R) = (1-2M/R)^(-1/2).
 
     Defined for R >= 2M; the horizon R = 2M is the inner boundary.  Quadrature
-    near the horizon substitutes x = sqrt(R - 2M), which removes the q
-    singularity exactly.
+    substitutes x = sqrt(R - 2M), which removes the q singularity at the
+    horizon exactly and maps R = inf to x = inf.
     """
 
     kind = "schwarzschild"
@@ -348,24 +351,23 @@ class SchwarzschildSegment(Segment):
     def _subst_quad(self, a: float, b: float, p: float) -> tuple[float, float]:
         # integral of R^p * (1-2M/R)^(-1/2) dR = integral of R^(p+1/2) (R-2M)^(-1/2) dR;
         # with x = sqrt(R-2M) this is 2 * integral of (x^2+2M)^(p+1/2) dx,
-        # smooth through the horizon
+        # smooth through the horizon and varying over max(x, sqrt(2M))
         M = self.mass
         math.pow(b, p + 1.0)  # the integral's size: raises OverflowError past the float range, where quad gives nan
         xa = math.sqrt(max(a - 2.0 * M, 0.0))
         xb = math.sqrt(b - 2.0 * M)
-        val, err = _quad(lambda x: 2.0 * (x * x + 2.0 * M) ** (p + 0.5), xa, xb)
-        return val, err
+        return _quad(lambda x: 2.0 * (x * x + 2.0 * M) ** (p + 0.5), xa, xb, max(xa, math.sqrt(2.0 * M)))
 
     def resistance_integral(self, a, b, m):
         if m == 3:
             # exact: d/dR [ (1/M) sqrt(1 - 2M/R) ] = R^-2 (1 - 2M/R)^(-1/2); the difference
             # of the two roots, over their sum, is taken without cancellation
             M = self.mass
-            fb = 1.0 if b == INF else math.sqrt(1.0 - 2.0 * M / b)
+            fb = math.sqrt(1.0 - 2.0 * M / b)
             fa = math.sqrt(max(1.0 - 2.0 * M / a, 0.0))
             return (2.0 / a - 2.0 / b) / (fb + fa), 0.0
-        if b == INF:
-            raise DomainError("unbounded schwarzschild resistance handled by the tail integrator")
+        if m == 2 and b == INF:  # the density tends to 1/R
+            return INF, 0.0
         return self._subst_quad(a, b, -(m - 1.0))
 
     def volume_integral(self, a, b, m):
@@ -595,13 +597,17 @@ def cylinder_transition_profile(i: float, m: int = 3) -> WarpProfile:
     f(s) = s on [0, i], a cosine-ramp spline bridge through 33 samples from
     i down to 1 on [i, i+1], and f = 1 on [i+1, inf).  The unit cylinder
     radius makes the linear-ramp test energy on the cylindrical range
-    exactly omega/L.
+    exactly omega/L.  An i so large that the 33 samples of [i, i+1] do not
+    increase in floats raises `DomainError`.
     """
+    i = float(i)
     if i <= 1:
         raise DomainError(f"transition radius must exceed 1, got i={i}")
     x = np.linspace(i, i + 1.0, 33)
+    if not np.all(np.diff(x) > 0):
+        raise DomainError(f"transition radius i={i:g} leaves the bridge [i, i+1] no room in floats")
     y = 1.0 + (i - 1.0) * (1.0 + np.cos(math.pi * (x - i))) / 2.0
-    y[0], y[-1] = float(i), 1.0
+    y[0], y[-1] = i, 1.0
     segments = [
         PowerSegment(0.0, i, 1.0, 1.0),
         SplineSegment(x, y),

@@ -14,6 +14,7 @@ falling from 1 at s0 to 0 at L.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,6 +23,26 @@ import numpy as np
 from . import reports
 from .errors import DomainError, InconsistencyError, PreconditionError, SingularWeightError
 from .warped import RadialCondenser
+
+# The most elements one schedule's finest grids may hold together, counted
+# before any grid is built: 14 levels on the default radii of a unit ball
+# (4.1 million elements, 1.4 s and 170 MB at peak) fit, while 30 levels
+# would need 2.7e11 elements.
+_ELEMENT_BUDGET = 2**22
+
+
+def _check_grading(h0: float, ratio: float) -> None:
+    if not (1.0 < ratio <= 1.5):
+        raise DomainError(f"geometric ratio must be in (1, 1.5], got {ratio}")
+    if h0 <= 0:
+        raise DomainError(f"need h0 > 0, got h0={h0}")
+
+
+def _geometric_elements(span: float, h0: float, ratio: float) -> float:
+    """Elements of `RadialGrid.geometric` over `span`, to within one (inf past
+    the float range): sizes h0 ratio^k sum past the span after
+    log(1 + span (ratio - 1) / h0) / log(ratio) of them."""
+    return max(2.0, math.log1p(span * (ratio - 1.0) / h0) / math.log1p(ratio - 1.0))
 
 
 @dataclass(frozen=True)
@@ -47,11 +68,13 @@ class RadialGrid:
     @staticmethod
     def geometric(s0: float, L: float, h0: float, ratio: float = 1.05) -> "RadialGrid":
         """Element sizes h0 * ratio^k, rescaled so the last node lands on L."""
-        if not (1.0 < ratio <= 1.5):
-            raise DomainError(f"geometric ratio must be in (1, 1.5], got {ratio}")
-        if h0 <= 0 or L <= s0:
-            raise DomainError("need h0 > 0 and L > s0")
+        _check_grading(h0, ratio)
+        if L <= s0:
+            raise DomainError(f"need L > s0, got L={L}, s0={s0}")
         span = L - s0
+        if _geometric_elements(span, h0, ratio) > _ELEMENT_BUDGET:
+            raise DomainError(f"a geometric grid with h0={h0:g} and ratio={ratio!r} over [{s0:g}, {L:g}] "
+                              f"has more than {_ELEMENT_BUDGET:,} elements")
         sizes, total = [h0], h0  # total adds left to right, as sum(sizes) does
         while total < span:
             sizes.append(sizes[-1] * ratio)
@@ -152,6 +175,30 @@ def solve_radial(condenser: RadialCondenser, grid: RadialGrid) -> FemSolution:
     return FemSolution(grid, u, energy, cap_L)
 
 
+def _schedule(s0: float, L_values: Sequence[float] | None, h0: float | None) -> tuple[list, float]:
+    """The sorted truncation radii and the first element size, defaults filled in."""
+    scale = max(abs(s0), 1.0)
+    if L_values is None:
+        L_values = [100.0 * scale, 1000.0 * scale, 10000.0 * scale]
+    return sorted(L_values), scale / 64.0 if h0 is None else h0
+
+
+def _check_schedule(
+    s0: float, L_values: Sequence[float] | None = None, levels: int = 2, h0: float | None = None,
+    ratio: float = 1.05,
+) -> None:
+    """Refuse a `capacity_estimate` schedule whose finest grids, each radius
+    past s0 graded from h0 and bisected `levels - 1` times, hold more than
+    `_ELEMENT_BUDGET` elements together."""
+    L_sorted, h0 = _schedule(s0, L_values, h0)
+    _check_grading(h0, ratio)
+    base = sum(_geometric_elements(L - s0, h0, ratio) for L in L_sorted if L > s0)
+    finest = base * 2.0 ** min(levels - 1, 1023)  # 2^1023 is the largest power of two a float holds
+    if finest > _ELEMENT_BUDGET:
+        raise DomainError(f"the schedule's finest grids hold {finest:.3g} elements together, "
+                          f"more than {_ELEMENT_BUDGET:,}")
+
+
 @dataclass(frozen=True)
 class CapacityEstimate:
     """Extrapolated capacity with a conservative error bound and the raw table."""
@@ -169,7 +216,8 @@ def capacity_estimate(
     ratio: float = 1.05,
 ) -> CapacityEstimate:
     """Richardson-extrapolated capacity on a ladder of truncation radii
-    (default {1e2, 1e3, 1e4} * max(s0, 1)), checked before any solve.
+    (default {1e2, 1e3, 1e4} * max(s0, 1)), checked before any solve, with
+    `_check_schedule`'s element budget among the checks.
 
     Per L: a geometric grid (first element h0, default max(s0, 1) / 64) and
     `levels` nested refinements, extrapolated to second order.  Across L: the
@@ -179,18 +227,14 @@ def capacity_estimate(
     extrapolants.
     """
     s0 = condenser.s0
-    scale = max(abs(s0), 1.0)
-    if L_values is None:
-        L_values = [100.0 * scale, 1000.0 * scale, 10000.0 * scale]
-    L_sorted = sorted(L_values)
+    L_sorted, h0 = _schedule(s0, L_values, h0)
     if len(L_sorted) < 3 or len(set(L_sorted)) < len(L_sorted):
         raise PreconditionError(f"need at least 3 truncation radii, all distinct, got {L_sorted}")
     if L_sorted[0] <= s0:
         raise DomainError(f"truncation radius {L_sorted[0]} must exceed s0={s0}")
     if levels < 2:
         raise PreconditionError("need at least 2 refinement levels")
-    if h0 is None:
-        h0 = scale / 64.0
+    _check_schedule(s0, L_sorted, levels, h0, ratio)
 
     rows, cap_L, mesh_err = [], [], []
     for L in L_sorted:

@@ -147,6 +147,12 @@ def _check_ball(i_list: Sequence[int], r: float) -> None:
         raise DomainError(f"ball radius r={r} must lie inside the Euclidean region (r < min i)")
 
 
+def _check_bridges(i_list: Sequence[int]) -> None:
+    """Reject an index whose bridge [i, i+1] collapses in floats (see `cylinder_transition_profile`)."""
+    for i in i_list:
+        cylinder_transition_profile(i)
+
+
 def run_example1(
     i_list: Sequence[int] = (2, 4, 8),
     r: float = 1.0,
@@ -157,9 +163,9 @@ def run_example1(
     """Capacity of the ball {s <= r} along the cylinder-transition family."""
     i_list = tuple(i_list)
     _check_ball(i_list, r)
+    profiles = [cylinder_transition_profile(i, m=m) for i in i_list]  # every member is checked before any solve
     caps, estimates = [], []
-    for i in i_list:
-        profile = cylinder_transition_profile(i, m=m)
+    for profile in profiles:
         cond = RadialCondenser(profile, r)
         est = capacity_estimate(cond, L_values)
         caps.append(est.cap)
@@ -236,6 +242,10 @@ def run_example2(
 
 LATTICE_OFFSET = 0.5  # planar experiments use the half-offset lattice (k + 1/2) * h
 _PAD = 1e-9  # radial selections include nodes this close to their circle
+# Largest full plane sheet, in nodes, that ex3 and ex4 build or fold: the
+# h = 0.00625 rung at rim 4 (1,284^2 = 1,648,656 nodes) fits; a finer
+# lattice or a farther rim would outgrow memory and solve time.
+_PLANE_NODE_BUDGET = 2**22
 
 
 def _plane_sheet(h: float, rim_radius: float, prefix: str, hole: Disk | None = None) -> FiniteMetricMeasureSpace:
@@ -248,9 +258,15 @@ def _radius(space: FiniteMetricMeasureSpace) -> np.ndarray:
     return np.sqrt(space.coords[:, 0] ** 2 + space.coords[:, 1] ** 2)
 
 
+def _plane_cells(h: float, rim_radius: float) -> float:
+    """n, where `_plane_sheet(h, rim_radius)` spans the cells -n..n-1 on each axis (inf past the float range)."""
+    return float(np.floor((rim_radius + 2.0 * h) / h - LATTICE_OFFSET + 1e-9)) + 1.0
+
+
 def _check_plane(h: float, rim_radius: float, clear_of: float, inside: str) -> None:
     """Reject a spacing that is not positive or too coarse to resolve the unit
-    disk, and a rim within 4h of the radius `clear_of` of the `inside` set."""
+    disk, a rim within 4h of the radius `clear_of` of the `inside` set, and a
+    sheet of more than `_PLANE_NODE_BUDGET` nodes."""
     if not (math.isfinite(h) and math.isfinite(rim_radius)):
         raise DomainError(f"lattice spacing and rim radius must be finite, got h={h}, rim_radius={rim_radius}")
     if h <= 0:
@@ -262,6 +278,11 @@ def _check_plane(h: float, rim_radius: float, clear_of: float, inside: str) -> N
             f"rim radius sits too close to the {inside}; condenser would be distorted "
             f"(need rim_radius > {clear_of:g} + 4h = {clear_of + 4.0 * h:g}, got {rim_radius})"
         )
+    side = 2.0 * _plane_cells(h, rim_radius)
+    nodes = side * side  # inf, not OverflowError, past the float range
+    if nodes > _PLANE_NODE_BUDGET:
+        raise DomainError(f"a plane sheet with h={h:g} out to rim_radius={rim_radius:g} has {nodes:.4g} nodes, "
+                          f"more than the {_PLANE_NODE_BUDGET:,} this library builds")
 
 
 def _check_disk_plane(h: float, rim_radius: float) -> None:
@@ -315,7 +336,7 @@ def _plane_quotient(h: float, rim_radius: float) -> GraphCondenser:
     floats, so K and B are unions of orbits; the unique harmonic potential is
     constant on orbits and has the same energy here.
     """
-    n = math.floor((rim_radius + 2.0 * h) / h - LATTICE_OFFSET + 1e-9) + 1  # as `_plane_sheet`'s bounds
+    n = int(_plane_cells(h, rim_radius))
     hi = np.repeat(np.arange(n), np.arange(1, n + 1))
     lo = np.arange(hi.size) - hi * (hi + 1) // 2
     nc = hi.size

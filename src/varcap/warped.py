@@ -18,15 +18,6 @@ from typing import Literal
 from .errors import DomainError, InconsistencyError
 from .profiles import INF, ConstantSegment, WarpProfile
 
-# Divergence detector for the unbounded tail: integrate on doubling windows
-# and declare a divergent end once this many consecutive window integrals
-# fail to decay geometrically (ratio >= _DIVERGENCE_RATIO).  Misclassifies
-# tails with decay exponent in (1, ~1.0145] as divergent; the profiles this
-# library ships decay with window ratio <= 1/2 or not at all.
-_DIVERGENCE_WINDOWS = 12
-_DIVERGENCE_RATIO = 0.99
-_MAX_WINDOWS = 400
-
 
 @dataclass(frozen=True)
 class RadialCondenser:
@@ -52,7 +43,8 @@ class RadialCondenser:
 
 @dataclass(frozen=True)
 class TailQuadrature:
-    """Windowed tail integral with a conservative error estimate."""
+    """End resistance and its quadrature error estimate (0 for a closed form);
+    `windows_used` is always 0 and stays because `perfbench/run.py`'s trace hook reads it."""
 
     value: float
     error_estimate: float
@@ -61,58 +53,20 @@ class TailQuadrature:
 
 
 def end_resistance_estimate(condenser: RadialCondenser, rel_tol: float = 1e-12) -> TailQuadrature:
-    """Resistance of one end, integral of q*f^(1-m) on [s0, s_max).
-
-    Finite segments integrate exactly or by adaptive quadrature; the final
-    unbounded segment is integrated on doubling windows with geometric tail
-    extrapolation.  Divergence is declared by the window-ratio detector.
-    """
-    profile = condenser.profile
-    if not profile.is_unbounded:
+    """Resistance of one end, the integral of q*f^(1-m) on [s0, inf), in one
+    call: +inf for a non-integrable end, `InconsistencyError` when the error
+    estimate exceeds `rel_tol` of the value, and `DomainError` when the value
+    underflows to 0, as the capacity then passes the float range."""
+    if not condenser.profile.is_unbounded:
         raise DomainError("end resistance needs a profile defined out to infinity")
-    tail_seg = profile.segments[-1]
-    t0 = max(condenser.s0, tail_seg.lo)
-
-    head, head_err = profile.resistance_between(condenser.s0, t0)
-    if head == INF:
+    value, err = condenser.profile.resistance_between(condenser.s0, INF)
+    if value == INF:
         return TailQuadrature(INF, 0.0, 0, True)
-
-    total, err = head, head_err
-    m = profile.m
-
-    # bootstrap window, then strict doubling
-    edges = [t0, max(2.0 * t0, t0 + 1.0)]
-    prev = None
-    bad_streak = 0
-    windows = 0
-    tail_est = INF
-    while windows < _MAX_WINDOWS:
-        a, b = edges[-2], edges[-1]
-        val, e = tail_seg.resistance_integral(a, b, m)
-        if val == INF:
-            return TailQuadrature(INF, 0.0, windows, True)
-        total += val
-        err += e
-        windows += 1
-        if prev is not None and prev > 0.0:
-            ratio = val / prev
-            if ratio >= _DIVERGENCE_RATIO:
-                bad_streak += 1
-                if bad_streak >= _DIVERGENCE_WINDOWS:
-                    return TailQuadrature(INF, 0.0, windows, True)
-            else:
-                bad_streak = 0
-                tail_est = val * ratio / (1.0 - ratio)
-                if tail_est < 0.5 * rel_tol * (total + tail_est):
-                    total += tail_est
-                    err += tail_est
-                    return TailQuadrature(total, err + 1e-15 * abs(total), windows, False)
-        prev = val
-        edges.append(2.0 * edges[-1])
-    raise InconsistencyError(
-        f"tail integration did not settle after {_MAX_WINDOWS} windows "
-        f"(last tail estimate {tail_est:.3e})"
-    )
+    if value == 0.0:
+        raise DomainError(f"end resistance from s0={condenser.s0!r} underflows to 0: capacity past the float range")
+    if not err <= rel_tol * value:
+        raise InconsistencyError(f"end resistance {value!r} has error estimate {err:.3e}, above rel_tol={rel_tol:g}")
+    return TailQuadrature(value, err, 0, False)
 
 
 def end_resistance(condenser: RadialCondenser, rel_tol: float = 1e-12) -> float:
@@ -123,14 +77,18 @@ def end_resistance(condenser: RadialCondenser, rel_tol: float = 1e-12) -> float:
 def radial_capacity(condenser: RadialCondenser, rel_tol: float = 1e-12) -> float:
     """Capacity of {s <= s0}: omega/(gamma*C) per end, doubled for the even double.
 
-    Returns 0 when the end resistance diverges.
+    Returns 0 when the end resistance diverges; a capacity past the float
+    range raises `DomainError`.
     """
     C = end_resistance(condenser, rel_tol)
     if C == INF:
         return 0.0
     dim = condenser.profile.dim
     per_end = dim.omega / (dim.gamma * C)
-    return 2.0 * per_end if condenser.ends == "two_symmetric" else per_end
+    cap = 2.0 * per_end if condenser.ends == "two_symmetric" else per_end
+    if cap == INF:
+        raise DomainError(f"capacity of {{s <= {condenser.s0!r}}} exceeds the float range (end resistance {C!r})")
+    return cap
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from varcap.cli import COMMANDS, RunConfig, main, parse_config
 from varcap.errors import ConfigError
 from varcap.mms import build_planar_sheet
 from varcap.profiles import cylinder_transition_profile, euclidean_profile, schwarzschild_profile
+from varcap.radial_fem import RadialGrid
 from varcap import sequences
 from varcap.sequences import experiment_csv_from_payload
 
@@ -221,6 +222,33 @@ def test_malformed_document_exits_two_naming_its_key(tmp_path, capsys, command, 
     assert main([*command, "--input", str(inp), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert path in err and err.startswith("configuration error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    (["experiment", "ex3"], {"h": 1e-300}, "ex3 input keys 'h' and 'rim_radius': a plane sheet with h=1e-300"),
+    (["experiment", "ex4"], {"rim_radius": 1e12},
+     "ex4 input keys 'h' and 'rim_radius': a plane sheet with h=0.1 out to rim_radius=1e+12 has 4e+26 nodes"),
+    (["experiment", "ex1"], {"i_list": [2, 4, 2**64]}, "ex1 input keys 'i_list': transition radius i=1.84467e+19"),
+    (["experiment", "ex1"], {"i_list": [2, 4, 2**60]}, "ex1 input keys 'i_list': transition radius i=1.15292e+18"),
+    (["capacity-radial"], _radial_doc(levels=30),
+     "capacity-radial input keys 's0' and 'levels' and 'ratio': the schedule's finest grids hold 2.66e+11"),
+    (["capacity-radial"], _radial_doc(ratio=1.0 + 1e-9, h0=1e-12),
+     "capacity-radial input keys 's0' and 'levels' and 'h0' and 'ratio': the schedule's finest grids hold"),
+], ids=["ex3 h=1e-300", "ex4 rim=1e12", "ex1 i=2**64", "ex1 i=2**60", "30 levels", "ratio near 1"])
+def test_input_past_a_size_or_float_limit_exits_two_without_a_lattice_or_grid(
+        tmp_path, capsys, monkeypatch, command, doc, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a lattice or grid was built")
+
+    for owner, name in [(sequences, "build_planar_sheet"), (sequences, "_plane_quotient"),
+                        (RadialGrid, "geometric"), (RadialGrid, "refined")]:
+        monkeypatch.setattr(owner, name, refuse)
+    inp, out = tmp_path / "input.json", tmp_path / "report.csv"
+    inp.write_text(json.dumps(doc))
+    assert main([*command, "--input", str(inp), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
     assert not out.exists()
 
 

@@ -1,4 +1,4 @@
-"""Smoke runs of the demos: the public label API and the CSV renderers."""
+"""Smoke runs of the demos, with every warning an error: the public label API and the CSV renderers."""
 
 import os
 import subprocess
@@ -24,7 +24,9 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)], capture_output=True, text=True, env=env, timeout=120
+        # -W error: a demo's subprocess does not inherit pytest's filterwarnings
+        [sys.executable, "-W", "error", str(ROOT / "demos" / demo)], capture_output=True, text=True, env=env,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip()

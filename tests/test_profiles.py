@@ -64,6 +64,16 @@ def test_cylinder_transition_shape():
     assert np.all(np.diff(vals) <= 1e-12)  # monotone neck
 
 
+def test_cylinder_transition_works_in_floats_and_refuses_a_collapsed_bridge():
+    # an int past int64, such as 2**64, would make numpy's linspace object-dtype;
+    # past 2**47 the 33 bridge samples no longer increase, and from 2**53 on i + 1 == i
+    big = cylinder_transition_profile(2**40)
+    assert big.to_doc() == cylinder_transition_profile(2.0**40).to_doc()
+    for i in (2**48, 2**60, 2**64):
+        with pytest.raises(DomainError, match="no room in floats"):
+            cylinder_transition_profile(i)
+
+
 def test_capped_even_profile_matches_base_past_junction():
     for i in (1, 2, 5):
         capped = capped_even_profile(i)

@@ -269,6 +269,30 @@ def test_capacity_estimate_checks_its_inputs_before_any_solve(monkeypatch, optio
     assert calls == []
 
 
+@pytest.mark.parametrize("options", [
+    {"levels": 30},  # 476 MiB for one array of the finest grid
+    {"levels": 15},
+    {"ratio": 1.0 + 1e-9, "h0": 1e-12},  # the grading loop would run about 1.6e10 times
+], ids=["30 levels", "15 levels", "ratio near 1"])
+def test_capacity_estimate_refuses_a_schedule_past_the_element_budget_before_any_grid(monkeypatch, options):
+    monkeypatch.setattr(RadialGrid, "geometric", lambda *a: pytest.fail("a grid was built"))
+    with pytest.raises(DomainError, match="more than 4,194,304"):
+        capacity_estimate(RadialCondenser(euclidean_profile(3), 1.0), **options)
+
+
+def test_element_budget_admits_fourteen_levels_on_the_default_radii():
+    radial_fem._check_schedule(1.0, levels=14)
+    with pytest.raises(DomainError, match="has more than 4,194,304 elements"):
+        RadialGrid.geometric(1.0, 1e4, 1e-12, ratio=1.0 + 1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(span=st.floats(1e-3, 1e4), h0=st.floats(1e-3, 10.0), ratio=st.floats(1.001, 1.5))
+def test_geometric_element_count_is_within_one_of_the_grid(span, h0, ratio):
+    count = radial_fem._geometric_elements(span, h0, ratio)
+    assert abs(RadialGrid.geometric(0.0, span, h0, ratio).n_elements - count) <= 1.0
+
+
 def test_capacity_estimate_detects_inconsistent_schedule():
     # with h0 = 20 the grids at L = 2000 and 4000 start with an element 20
     # wide at a ball of radius 0.5, while the L = 10 grid's first element is

@@ -234,6 +234,32 @@ def test_planar_runners_reject_a_spacing_that_is_not_positive_before_building(mo
         runner(h=h, i_list=(2, 4, 8))
 
 
+@pytest.mark.parametrize("runner, h, rim_radius", [
+    (run_example3, 1e-300, 4.0),  # bounds numpy refuses: "Maximum allowed size exceeded"
+    (run_example4, 0.1, 1e12),  # a 72.8 TiB lattice
+    (run_example3, 0.001, 4.0),  # 8,004^2 = 64 million nodes
+    (run_example4, 0.0031, 4.0),  # 2,584^2 = 6.7 million nodes
+], ids=["ex3 h=1e-300", "ex4 rim=1e12", "ex3 h=0.001", "ex4 h=0.0031"])
+def test_planar_runners_refuse_a_lattice_past_the_node_budget_before_building(monkeypatch, runner, h, rim_radius):
+    _no_lattice(monkeypatch)
+    with pytest.raises(DomainError, match="more than the 4,194,304"):
+        runner(h=h, i_list=(2, 4, 8), rim_radius=rim_radius)
+
+
+def test_node_budget_admits_the_finest_ladder_rung():
+    # the h = 0.00625 rung at rim 4 is a 1,284 x 1,284 sheet
+    assert 2 * sequences._plane_cells(0.00625, 4.0) == 1284.0
+    sequences._check_disk_plane(0.00625, 4.0)
+    sequences._check_annulus_plane(0.00625, 4.0)
+
+
+@pytest.mark.parametrize("big", [2**60, 2**64, 2.0**53])
+def test_ex1_refuses_an_index_past_float_resolution_before_any_solve(monkeypatch, big):
+    monkeypatch.setattr(sequences, "capacity_estimate", lambda *a: pytest.fail("a grid was solved"))
+    with pytest.raises(DomainError, match="no room in floats"):
+        run_example1(i_list=(2, 4, big))
+
+
 def test_ex3_without_indices_still_raises_a_precondition_error():
     # no index, no threshold: the sheet's reach falls back to the unit disk
     with pytest.raises(PreconditionError, match="at least 3"):
