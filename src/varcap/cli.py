@@ -20,9 +20,9 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__, reports, sequences
-from .errors import ConfigError, DomainError, VarcapError, is_real
+from .errors import ConfigError, VarcapError, is_real
 from .geometry import Dimension
-from .mass import MASS_COLUMNS, AFProfile, evaluate_mass_curve, extrapolate_mass
+from .mass import MASS_COLUMNS, AFProfile, _check_exhaustion, evaluate_mass_curve, extrapolate_mass
 from .mms import FiniteMetricMeasureSpace, GraphCondenser, capacity_csv, graph_capacity
 from .profiles import WarpProfile
 from .radial_fem import _check_schedule, capacity_estimate, fem_csv
@@ -192,7 +192,7 @@ class Command:
     run: Callable[..., dict]  # converted keys -> payload
     csv: Callable[[dict, dict], str]  # (payload, header) -> CSV report
     required: tuple = ()  # keys the input document must give
-    # the library's own checks of keys tied together, each raising DomainError,
+    # the library's own checks of keys tied together, each raising a VarcapError,
     # with the keys it takes -> the library's default for each
     rules: tuple[tuple[Callable, dict], ...] = ()
 
@@ -219,12 +219,13 @@ def _experiment(runner: str, *rules, **keys) -> Command:
 _PROFILE = _document(WarpProfile)
 
 # Converters check one key each.  A rule ties keys together by calling the
-# library's own check: the condenser's sets against its space, or an
-# experiment runner's (r < min i, one threshold per index, h <= 0.1, a rim
-# clear of the disk or annulus and a lattice within its node budget), or the
-# radial route's element budget.  Other rules, such as the radial route's
-# distinct truncation radii, stay in the library and surface as computation
-# errors.
+# library's own check: a condenser's sets against its space or its s0 against
+# its profile, an experiment runner's (r < min i, truncation radii past every
+# cylinder, one threshold per index, h <= 0.1, a rim clear of the disk or
+# annulus and a lattice within its node budget), the radial route's whole
+# schedule (at least 3 distinct radii past s0 and the element budget), or the
+# mass curve's profile and radii.  What only a computation can show, such as
+# a value past the float range, surfaces as a computation error.
 COMMANDS = {
     "capacity-radial": Command(
         keys={
@@ -239,7 +240,7 @@ COMMANDS = {
         required=("profile", "s0"),
         tolerance=None,
         run=_capacity_radial,
-        rules=(_tied(_check_schedule, _check_schedule),),
+        rules=((RadialCondenser, dict.fromkeys(("profile", "s0"))), _tied(_check_schedule, _check_schedule)),
         csv=_table(lambda p: fem_csv(p["rows"]), "provenance", "cap", "error_estimate"),
     ),
     "capacity-graph": Command(
@@ -257,7 +258,7 @@ COMMANDS = {
         csv=_table(lambda p: capacity_csv(p["rows"], p["rim_radius"]), "provenance"),
     ),
     "experiment ex1": _experiment(
-        "run_example1", sequences._check_ball, sequences._check_bridges,
+        "run_example1", sequences._check_ball, sequences._check_bridges, sequences._check_reach,
         i_list=_list_of(_integer(2), least=3), r=_positive, L_values=_list_of(_real, least=3), m=_integer(2),
     ),
     "experiment ex2": _experiment("run_example2", a=_positive, b=_positive, m=_integer(2)),
@@ -271,6 +272,7 @@ COMMANDS = {
         required=("profile", "radii"),
         tolerance="quadrature",
         run=_mass,
+        rules=((_check_exhaustion, dict.fromkeys(("profile", "radii", "tail_points"))),),
         csv=_table(
             lambda p: reports.csv_table(MASS_COLUMNS, p["rows"]), "provenance", "m_iso", "m_cv", "error_estimate"
         ),
@@ -381,7 +383,7 @@ def parse_config(
                 tied = {key: args.get(key, default) for key, default in defaults.items()}
                 try:
                     rule(**tied)
-                except DomainError as exc:
+                except VarcapError as exc:
                     # a key left unset (None) takes no part in the rule, so it is not named
                     named = [key for key, value in tied.items() if value is not None]
                     problems.append(f"{where} keys {' and '.join(map(repr, named))}: {exc}")

@@ -71,6 +71,29 @@ class AFProfile:
         return AFProfile(profile, float(s_af), ratio_eps, deriv_eps)
 
 
+def _check_tail(radii: Sequence[float], tail_points: int | None) -> None:
+    """Refuse radii a value + c/R tail fit cannot use: fewer than 4, not
+    increasing, not spanning a decade, or fewer than `tail_points`."""
+    if len(radii) < 4:
+        raise PreconditionError(f"mass extrapolation needs at least 4 radii, got {list(radii)}")
+    if sorted(radii) != list(radii):
+        raise DomainError(f"radii must be increasing, got {list(radii)}")
+    if max(radii) < 10.0 * min(radii):
+        raise PreconditionError(f"mass extrapolation needs radii spanning a decade, got {list(radii)}")
+    if tail_points is not None and tail_points > len(radii):
+        raise PreconditionError(f"tail_points={tail_points} exceeds the number of radii, {len(radii)}")
+
+
+def _check_exhaustion(profile: WarpProfile, radii: Sequence[float], tail_points: int | None) -> None:
+    """Refuse a mass curve before any volume or capacity: a profile that
+    `AFProfile.check` rejects, a radius that is no `RadialCondenser` of it
+    (outside its domain or on its pole), or radii that `_check_tail` rejects."""
+    AFProfile.check(profile)
+    for R in radii:
+        RadialCondenser(profile, R)
+    _check_tail(radii, tail_points)
+
+
 def _geometry_at(af: AFProfile, radii: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     V, A = [], []
     for R in radii:
@@ -155,14 +178,11 @@ def _fit_tail(radii: np.ndarray, values: np.ndarray) -> tuple[float, float, floa
 def extrapolate_mass(curve: MassCurve, tail_points: int | None = None) -> MassExtrapolation:
     """R -> inf limits of both mass curves from a value + c/R tail fit.
 
-    Requires at least 4 radii spanning a decade.  A tail whose residual is
-    out of proportion to the fitted constant is rejected as non-convergent.
+    The radii must pass `_check_tail`.  A tail whose residual is out of
+    proportion to the fitted constant is rejected as non-convergent.
     """
+    _check_tail(curve.radii, tail_points)
     radii = np.asarray(curve.radii, dtype=float)
-    if radii.size < 4:
-        raise PreconditionError("mass extrapolation needs at least 4 radii")
-    if radii.max() < 10.0 * radii.min():
-        raise PreconditionError("mass extrapolation needs radii spanning a decade")
     if tail_points is None:
         tail_points = max(4, radii.size // 2)
     tail = slice(-tail_points, None)

@@ -305,7 +305,23 @@ class SqrtQuadraticSegment(Segment):
             return (math.atan(k * b) - math.atan(k * a)) / root, 0.0
         if m == 2 and b == INF:  # the density tends to 1/(sqrt(B) s)
             return INF, 0.0
-        return _quad(lambda s: float(self.resistance_density(s, m)), a, b, max(abs(a), math.sqrt(self.a / self.b)))
+        if b <= 0.0:  # the density is even
+            return self.resistance_integral(-b, -a, m)
+        w = math.sqrt(self.a / self.b)  # the neck's width
+        for cut in (0.0, w):  # the density peaks at s = 0; past s = w the angle below changes form
+            if a < cut < b:
+                left, right = self.resistance_integral(a, cut, m), self.resistance_integral(cut, b, m)
+                return left[0] + right[0], left[1] + right[1]
+        # s = w tan(t) turns (A + B s^2)^((1-m)/2) ds into w A^((1-m)/2) cos(t)^(m-3) dt, smooth
+        # however narrow the neck; t = atan(s / w) keeps its digits up to s = w and
+        # pi/2 - t = atan(w / s) past it
+        if b <= w:
+            value, err = _quad(lambda t: math.cos(t) ** (m - 3), math.atan(a / w), math.atan(b / w))
+        else:
+            value, err = _quad(lambda u: math.sin(u) ** (m - 3), math.atan(w / b), math.atan(w / a))
+        with np.errstate(over="ignore"):  # a factor past the float range makes the end divergent in floats
+            scale = w * np.float64(self.a) ** ((1 - m) / 2)
+        return float(scale * value), float(scale * err)
 
     def volume_integral(self, a, b, m):
         if m == 3:

@@ -47,7 +47,7 @@ def _geometric_elements(span: float, h0: float, ratio: float) -> float:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing nodes t_0 < ... < t_N; uniform or geometrically graded."""
+    """Strictly increasing nodes t_0 < ... < t_N."""
 
     nodes: np.ndarray
 
@@ -60,28 +60,26 @@ class RadialGrid:
             raise DomainError("grid nodes must be strictly increasing")
 
     @staticmethod
-    def uniform(s0: float, L: float, n_elements: int) -> "RadialGrid":
-        if n_elements < 2:
-            raise DomainError("need at least 2 elements")
-        return RadialGrid(np.linspace(s0, L, n_elements + 1))
-
-    @staticmethod
     def geometric(s0: float, L: float, h0: float, ratio: float = 1.05) -> "RadialGrid":
-        """Element sizes h0 * ratio^k, rescaled so the last node lands on L."""
+        """Element sizes h0 * ratio^k, up to the first whose running sum reaches
+        L - s0, rescaled so the last node lands on L (two halves when h0 alone
+        reaches it)."""
         _check_grading(h0, ratio)
         if L <= s0:
             raise DomainError(f"need L > s0, got L={L}, s0={s0}")
         span = L - s0
-        if _geometric_elements(span, h0, ratio) > _ELEMENT_BUDGET:
+        count = _geometric_elements(span, h0, ratio)
+        if count > _ELEMENT_BUDGET:
             raise DomainError(f"a geometric grid with h0={h0:g} and ratio={ratio!r} over [{s0:g}, {L:g}] "
                               f"has more than {_ELEMENT_BUDGET:,} elements")
-        sizes, total = [h0], h0  # total adds left to right, as sum(sizes) does
-        while total < span:
-            sizes.append(sizes[-1] * ratio)
-            total += sizes[-1]
-        if len(sizes) < 2:
-            sizes, total = [span / 2.0, span / 2.0], span
-        h = np.array(sizes) * (span / total)
+        # count is within one of the sizes needed, so int(count) + 2 of them reach the span;
+        # accumulate and cumsum multiply and add left to right, one rounding a step
+        steps = np.full(int(count) + 2, ratio)
+        steps[0] = h0
+        sizes = np.multiply.accumulate(steps)
+        totals = np.cumsum(sizes)
+        n = int(np.searchsorted(totals, span)) + 1
+        h = np.full(2, span / 2.0) if n < 2 else sizes[:n] * (span / totals[n - 1])
         nodes = s0 + np.concatenate(([0.0], np.cumsum(h)))
         nodes[-1] = L
         return RadialGrid(nodes)
@@ -175,28 +173,44 @@ def solve_radial(condenser: RadialCondenser, grid: RadialGrid) -> FemSolution:
     return FemSolution(grid, u, energy, cap_L)
 
 
-def _schedule(s0: float, L_values: Sequence[float] | None, h0: float | None) -> tuple[list, float]:
-    """The sorted truncation radii and the first element size, defaults filled in."""
-    scale = max(abs(s0), 1.0)
-    if L_values is None:
-        L_values = [100.0 * scale, 1000.0 * scale, 10000.0 * scale]
-    return sorted(L_values), scale / 64.0 if h0 is None else h0
-
-
 def _check_schedule(
     s0: float, L_values: Sequence[float] | None = None, levels: int = 2, h0: float | None = None,
     ratio: float = 1.05,
-) -> None:
-    """Refuse a `capacity_estimate` schedule whose finest grids, each radius
-    past s0 graded from h0 and bisected `levels - 1` times, hold more than
-    `_ELEMENT_BUDGET` elements together."""
-    L_sorted, h0 = _schedule(s0, L_values, h0)
+) -> tuple[list, float]:
+    """The sorted truncation radii and first element size of a `capacity_estimate`
+    schedule, defaults filled in ({1e2, 1e3, 1e4} * max(|s0|, 1) and
+    max(|s0|, 1) / 64), once every rule holds: at least 3 radii, all distinct
+    and past s0, at least 2 levels, a grading `RadialGrid.geometric` takes, and
+    finest grids (each radius graded from h0 and bisected `levels - 1` times)
+    holding at most `_ELEMENT_BUDGET` elements together."""
+    scale = max(abs(s0), 1.0)
+    L_sorted = sorted([100.0 * scale, 1000.0 * scale, 10000.0 * scale] if L_values is None else L_values)
+    h0 = scale / 64.0 if h0 is None else h0
+    if len(L_sorted) < 3 or len(set(L_sorted)) < len(L_sorted):
+        raise PreconditionError(f"need at least 3 truncation radii, all distinct, got {L_sorted}")
+    if L_sorted[0] <= s0:
+        raise DomainError(f"truncation radius {L_sorted[0]} must exceed the inner radius {s0}")
+    if levels < 2:
+        raise PreconditionError("need at least 2 refinement levels")
     _check_grading(h0, ratio)
-    base = sum(_geometric_elements(L - s0, h0, ratio) for L in L_sorted if L > s0)
+    base = sum(_geometric_elements(L - s0, h0, ratio) for L in L_sorted)
     finest = base * 2.0 ** min(levels - 1, 1023)  # 2^1023 is the largest power of two a float holds
     if finest > _ELEMENT_BUDGET:
         raise DomainError(f"the schedule's finest grids hold {finest:.3g} elements together, "
                           f"more than {_ELEMENT_BUDGET:,}")
+    return L_sorted, h0
+
+
+def _check_monotone(L_sorted: list, cap_L: list, mesh_err: list, cap_scale: float) -> None:
+    """Refuse extrapolated cap_L values that increase along the ladder by more
+    than their mesh errors: domain monotonicity fails only on a bad grid."""
+    for k, (La, Lb) in enumerate(zip(L_sorted, L_sorted[1:])):
+        slack = mesh_err[k] + mesh_err[k + 1] + 1e-10 * cap_scale
+        if cap_L[k + 1] > cap_L[k] + slack:
+            raise InconsistencyError(
+                f"cap_L increased from L={La} ({cap_L[k]!r}) to L={Lb} ({cap_L[k + 1]!r}); "
+                "refine the grids"
+            )
 
 
 @dataclass(frozen=True)
@@ -216,49 +230,34 @@ def capacity_estimate(
     ratio: float = 1.05,
 ) -> CapacityEstimate:
     """Richardson-extrapolated capacity on a ladder of truncation radii
-    (default {1e2, 1e3, 1e4} * max(s0, 1)), checked before any solve, with
-    `_check_schedule`'s element budget among the checks.
+    (default {1e2, 1e3, 1e4} * max(|s0|, 1)), whose schedule `_check_schedule`
+    fills in and checks whole before any grid is built.
 
-    Per L: a geometric grid (first element h0, default max(s0, 1) / 64) and
-    `levels` nested refinements, extrapolated to second order.  Across L: the
-    cap_L values must be monotone nonincreasing (domain monotonicity); a
-    cap + c/L fit on consecutive pairs supplies the L -> inf limit.  The error
-    bound combines mesh extrapolation gaps and the spread of the last two
-    extrapolants.
+    Per L: a geometric grid (first element h0, default max(|s0|, 1) / 64)
+    solved at `levels` nested refinements, extrapolated to second order.
+    Across L: the cap_L values must be monotone nonincreasing (domain
+    monotonicity, `_check_monotone`); a cap + c/L fit on consecutive pairs
+    supplies the L -> inf limit.  The error bound combines mesh extrapolation
+    gaps and the spread of the last two extrapolants.
     """
     s0 = condenser.s0
-    L_sorted, h0 = _schedule(s0, L_values, h0)
-    if len(L_sorted) < 3 or len(set(L_sorted)) < len(L_sorted):
-        raise PreconditionError(f"need at least 3 truncation radii, all distinct, got {L_sorted}")
-    if L_sorted[0] <= s0:
-        raise DomainError(f"truncation radius {L_sorted[0]} must exceed s0={s0}")
-    if levels < 2:
-        raise PreconditionError("need at least 2 refinement levels")
-    _check_schedule(s0, L_sorted, levels, h0, ratio)
+    L_sorted, h0 = _check_schedule(s0, L_values, levels, h0, ratio)
 
     rows, cap_L, mesh_err = [], [], []
     for L in L_sorted:
-        grid = RadialGrid.geometric(s0, L, h0, ratio)
         caps = []
-        for _ in range(levels):
+        for level in range(levels):
+            grid = grid.refined() if level else RadialGrid.geometric(s0, L, h0, ratio)
             sol = solve_radial(condenser, grid)
             rows.append((L, grid.h_max, sol.cap_L, sol.energy))
             caps.append(sol.cap_L)
-            grid = grid.refined()
         # nested bisection: O(h^2) leading error, factor-4 reduction
         extr = caps[-1] + (caps[-1] - caps[-2]) / 3.0
         cap_L.append(extr)
         mesh_err.append(abs(caps[-1] - caps[-2]) / 3.0 + 1e-15 * abs(extr))
 
     cap_scale = max(abs(cap_L[0]), 1e-30)
-    for k, (La, Lb) in enumerate(zip(L_sorted, L_sorted[1:])):
-        slack = mesh_err[k] + mesh_err[k + 1] + 1e-10 * cap_scale
-        if cap_L[k + 1] > cap_L[k] + slack:
-            raise InconsistencyError(
-                f"cap_L increased from L={La} ({cap_L[k]!r}) to L={Lb} ({cap_L[k + 1]!r}); "
-                "refine the grids"
-            )
-
+    _check_monotone(L_sorted, cap_L, mesh_err, cap_scale)
     extrapolants = [
         (Lb * cb - La * ca) / (Lb - La)
         for La, Lb, ca, cb in zip(L_sorted[-3:], L_sorted[-2:], cap_L[-3:], cap_L[-2:])

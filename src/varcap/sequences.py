@@ -40,7 +40,7 @@ from .mms import (
     Disk, FiniteMetricMeasureSpace, GraphCondenser, _LatticeLabels, build_planar_sheet, graph_capacity,
 )
 from .profiles import capped_even_profile, cylinder_transition_profile, euclidean_profile, hyperboloid_profile
-from .radial_fem import capacity_estimate
+from .radial_fem import _check_schedule, capacity_estimate
 from .regions import DefiningFunction, region_measure
 from .warped import RadialCondenser, end_resistance, radial_capacity, truncated_ramp_energy
 
@@ -153,6 +153,16 @@ def _check_bridges(i_list: Sequence[int]) -> None:
         cylinder_transition_profile(i)
 
 
+def _check_reach(i_list: Sequence[int], r: float, L_values: Sequence[float] | None) -> None:
+    """Reject a truncation ladder that stops short of a member's cylinder,
+    which begins at i + 1: its capacity would be the Euclidean ball's."""
+    L_sorted, _ = _check_schedule(r, L_values)
+    reach = max(i_list, default=-math.inf) + 1
+    if L_sorted[0] <= reach:
+        raise DomainError(f"every truncation radius in 'L_values' (smallest {L_sorted[0]:g}) must lie past the "
+                          f"cylinder of each index in 'i_list', which begins at max(i) + 1 = {reach:g}")
+
+
 def run_example1(
     i_list: Sequence[int] = (2, 4, 8),
     r: float = 1.0,
@@ -160,10 +170,12 @@ def run_example1(
     m: int = 3,
     tol: float = DEFAULT_VERDICT_TOL,
 ) -> SequenceExperiment:
-    """Capacity of the ball {s <= r} along the cylinder-transition family."""
+    """Capacity of the ball {s <= r} along the cylinder-transition family,
+    on truncation radii all past max(i_list) + 1, where the last cylinder begins."""
     i_list = tuple(i_list)
     _check_ball(i_list, r)
     profiles = [cylinder_transition_profile(i, m=m) for i in i_list]  # every member is checked before any solve
+    _check_reach(i_list, r, L_values)
     caps, estimates = [], []
     for profile in profiles:
         cond = RadialCondenser(profile, r)

@@ -34,9 +34,9 @@ class RadialCondenser:
     def __post_init__(self):
         p = self.profile
         if not (p.s_min <= self.s0 < p.s_max):
-            raise DomainError(f"s0={self.s0} outside profile domain [{p.s_min}, {p.s_max})")
+            raise DomainError(f"inner radius {self.s0} outside profile domain [{p.s_min}, {p.s_max})")
         if p.pole_at_origin and self.s0 <= p.s_min:
-            raise DomainError("s0 must lie strictly outside the pole")
+            raise DomainError(f"inner radius {self.s0} must lie strictly outside the pole")
         if self.ends not in ("one", "two_symmetric"):
             raise DomainError(f"unknown ends mode {self.ends!r}")
 

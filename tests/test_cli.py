@@ -139,7 +139,7 @@ def _spline_piece(**changes):
 
 
 def _mass_doc(**changes):
-    return {"profile": schwarzschild_profile(1.0).to_doc(), "radii": [10.0, 20.0, 40.0, 80.0], **changes}
+    return {"profile": schwarzschild_profile(1.0).to_doc(), "radii": [10.0, 20.0, 40.0, 80.0, 160.0], **changes}
 
 
 _UNKNOWN_PIECE = {"dimension": 3, "pieces": [{"kind": "cubic", "range": [0.0, None], "params": {}}]}
@@ -244,6 +244,56 @@ def test_input_past_a_size_or_float_limit_exits_two_without_a_lattice_or_grid(
     for owner, name in [(sequences, "build_planar_sheet"), (sequences, "_plane_quotient"),
                         (RadialGrid, "geometric"), (RadialGrid, "refined")]:
         monkeypatch.setattr(owner, name, refuse)
+    inp, out = tmp_path / "input.json", tmp_path / "report.csv"
+    inp.write_text(json.dumps(doc))
+    assert main([*command, "--input", str(inp), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+    assert not out.exists()
+
+
+_SCHEDULE_KEYS = "capacity-radial input keys 's0' and 'L_values' and 'levels' and 'ratio': "
+_RADII_KEYS = "mass input keys 'profile' and 'radii': "
+
+RULE_FAULTS = [
+    (["capacity-radial"], _radial_doc(L_values=[100.0, 1000.0, 1e4, 1e4]),
+     _SCHEDULE_KEYS + "need at least 3 truncation radii, all distinct"),
+    (["capacity-radial"], _radial_doc(L_values=[1.0, 1000.0, 1e4]),
+     _SCHEDULE_KEYS + "truncation radius 1.0 must exceed the inner radius 1.0"),
+    (["capacity-radial"], _radial_doc(s0=-1.0),
+     "capacity-radial input keys 'profile' and 's0': inner radius -1.0 outside profile domain [0.0, inf)"),
+    (["capacity-radial"], _radial_doc(s0=0.0),
+     "capacity-radial input keys 'profile' and 's0': inner radius 0.0 must lie strictly outside the pole"),
+    (["experiment", "ex1"], {"i_list": [2, 4, 20000]},
+     "ex1 input keys 'i_list' and 'r': every truncation radius in 'L_values' (smallest 100) must lie past"),
+    (["experiment", "ex1"], {"i_list": [2, 4, 99]}, "which begins at max(i) + 1 = 100"),
+    (["experiment", "ex1"], {"L_values": [0.5, 100.0, 1000.0]},
+     "ex1 input keys 'i_list' and 'r' and 'L_values': truncation radius 0.5 must exceed the inner radius 1.0"),
+    (["mass"], _mass_doc(radii=[1e103]), _RADII_KEYS + "mass extrapolation needs at least 4 radii"),
+    (["mass"], _mass_doc(radii=[10.0, 20.0, 40.0]), _RADII_KEYS + "mass extrapolation needs at least 4 radii"),
+    (["mass"], _mass_doc(radii=[10.0, 20.0, 40.0, 60.0]),
+     _RADII_KEYS + "mass extrapolation needs radii spanning a decade"),
+    (["mass"], _mass_doc(radii=[40.0, 20.0, 100.0, 400.0]), _RADII_KEYS + "radii must be increasing"),
+    (["mass"], _mass_doc(radii=[1.0, 20.0, 100.0, 400.0]),
+     _RADII_KEYS + "inner radius 1.0 outside profile domain [2.0, inf)"),
+    (["mass"], _mass_doc(profile=cylinder_transition_profile(3).to_doc()),
+     _RADII_KEYS + "profile fails the flat-tail test"),
+    (["mass"], _mass_doc(radii=[10.0, 20.0, 40.0, 400.0], tail_points=9),
+     "mass input keys 'profile' and 'radii' and 'tail_points': tail_points=9 exceeds the number of radii, 4"),
+]
+
+
+@pytest.mark.parametrize("command, doc, message", RULE_FAULTS, ids=[
+    "repeated radius", "radius at s0", "s0 outside the profile", "s0 on the pole", "ex1 i=20000", "ex1 i=99",
+    "ex1 radius below r", "one mass radius", "three mass radii", "radii within a decade", "radii unsorted",
+    "radius inside the horizon", "profile not flat", "tail past the radii"])
+def test_rule_fault_exits_two_before_any_solve_or_quadrature(tmp_path, capsys, monkeypatch, command, doc, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve or quadrature ran")
+
+    for target in ["varcap.radial_fem.solve_radial", "varcap.profiles.WarpProfile.resistance_between",
+                   "varcap.profiles.WarpProfile.volume_between", "varcap.mass.volume_and_boundary"]:
+        monkeypatch.setattr(target, refuse)
     inp, out = tmp_path / "input.json", tmp_path / "report.csv"
     inp.write_text(json.dumps(doc))
     assert main([*command, "--input", str(inp), "--out", str(out)]) == 2
@@ -491,10 +541,8 @@ def test_experiments_and_mass_on_generated_documents(case, data):
 
 
 @pytest.mark.parametrize("command, doc, message", [
-    (["capacity-radial"], _radial_doc(L_values=[100.0, 1000.0, 1e4, 1e4]), "all distinct"),
     (["mass"], _mass_doc(radii=[10.0, 20.0, 40.0, 80.0, 160.0, 1e125]),
      "volume integral over [2.0, 1e+125] exceeds the float range"),
-    (["mass"], _mass_doc(radii=[1e103]), "volume integral over [2.0, 1e+103] exceeds the float range"),
     (["mass"], {"profile": _power_piece(), "radii": [10.0, 20.0, 40.0, 80.0, 160.0, 1e200]},
      "volume integral over [0.0, 1e+200] exceeds the float range"),
     (["mass"], {"profile": _power_piece(), "radii": [10.0, 20.0, 40.0, 80.0, 160.0, 2e102]},
@@ -509,8 +557,7 @@ def test_experiments_and_mass_on_generated_documents(case, data):
                 "edges": [["a", "b", 1e308], ["a", "c", 1e308]]},
       "inner": ["a"], "outer": ["b", "c"]},
      "capacity exceeds the float range (raw energy inf, m=2)"),
-], ids=["repeated radius", "schwarzschild volume overflow", "schwarzschild volume past the float range",
-        "power volume overflow", "mass overflow",
+], ids=["schwarzschild volume overflow", "power volume overflow", "mass overflow",
         "dimension overflow", "radial chain overflow", "graph energy overflow"])
 def test_library_domain_rule_exits_one(tmp_path, capsys, command, doc, message):
     inp, out = tmp_path / "input.json", tmp_path / "report.csv"

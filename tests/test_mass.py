@@ -156,6 +156,9 @@ def test_extrapolation_preconditions(flat_af):
     narrow = evaluate_mass_curve(flat_af, (1.0, 2.0, 3.0, 4.0))
     with pytest.raises(PreconditionError):
         extrapolate_mass(narrow)
+    wide = evaluate_mass_curve(flat_af, (1.0, 2.0, 5.0, 10.0))
+    with pytest.raises(PreconditionError, match="tail_points=5 exceeds the number of radii, 4"):
+        extrapolate_mass(wide, tail_points=5)
 
 
 def test_non_convergent_tail_rejected(flat_af):

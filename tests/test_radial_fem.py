@@ -76,9 +76,15 @@ def test_geometric_grid_hits_endpoints():
     s0=st.floats(-5.0, 5.0),
     span=st.floats(1e-3, 1e4),
     h0=st.floats(1e-3, 10.0),
-    ratio=st.floats(1.001, 1.5),
+    ratio=st.floats(1.0 + 1e-6, 1.5),
 )
+@example(s0=0.0, span=1e4, h0=1e-3, ratio=1.001)  # the largest grid of ratios past 1.001: 9,216 elements
+@example(s0=0.0, span=2.0, h0=1e-3, ratio=1.0 + 1e-6)
+@example(s0=-5.0, span=1.0, h0=1e-3, ratio=1.0 + 1e-6)
 def test_geometric_grid_matches_resumming_oracle(s0, span, h0, ratio):
+    # the oracle re-sums every step, so its cost grows with the square of the elements;
+    # 10,000 keeps every grid of ratios past 1.001 (at most 9,216 elements) at about 0.2 s
+    assume(radial_fem._geometric_elements(span, h0, ratio) <= 10_000)
     nodes = RadialGrid.geometric(s0, s0 + span, h0, ratio).nodes
     expected = resumming_geometric_nodes(s0, s0 + span, h0, ratio)
     assert nodes.tobytes() == expected.tobytes()
@@ -110,7 +116,7 @@ def test_refined_grid_is_nested():
 def test_constant_profile_linear_minimizer():
     for m, c, s0, L in [(3, 2.0, 1.0, 5.0), (4, 0.7, 0.5, 3.0)]:
         cond = RadialCondenser(constant_profile(c, m), s0)
-        grid = RadialGrid.uniform(s0, L, 17)
+        grid = RadialGrid(np.linspace(s0, L, 18))
         sol = solve_radial(cond, grid)
         omega = Dimension(m).omega
         assert sol.energy == pytest.approx(omega * c ** (m - 1) / (L - s0), rel=1e-12)
@@ -124,7 +130,7 @@ def test_euclidean_truncated_condenser_order_two():
     exact = euclid_cap_L(1.0, L)
     errors = []
     for n in (20, 40, 80):
-        sol = solve_radial(cond, RadialGrid.uniform(1.0, L, n))
+        sol = solve_radial(cond, RadialGrid(np.linspace(1.0, L, n + 1)))
         errors.append(abs(sol.cap_L - exact))
     orders = [math.log2(errors[k] / errors[k + 1]) for k in range(2)]
     assert min(orders) >= 1.9
@@ -132,7 +138,7 @@ def test_euclidean_truncated_condenser_order_two():
 
 def test_energy_equals_gamma_times_cap():
     cond = RadialCondenser(euclidean_profile(5), 1.0)
-    sol = solve_radial(cond, RadialGrid.uniform(1.0, 30.0, 50))
+    sol = solve_radial(cond, RadialGrid(np.linspace(1.0, 30.0, 51)))
     assert sol.energy == pytest.approx(Dimension(5).gamma * sol.cap_L, rel=1e-14)
 
 
@@ -213,21 +219,21 @@ def test_singular_weight_detection():
 def test_grid_must_start_at_s0():
     cond = RadialCondenser(euclidean_profile(3), 1.0)
     with pytest.raises(DomainError):
-        solve_radial(cond, RadialGrid.uniform(2.0, 10.0, 10))
+        solve_radial(cond, RadialGrid(np.linspace(2.0, 10.0, 11)))
 
 
 def test_chain_past_the_float_range_raises():
     # the s^-2 weight near s = 1e100 gives element resistances past the float range
     profile = WarpProfile(Dimension(3), [PowerSegment(1.0, INF, 1.0, -1.0)], pole_at_origin=False)
     with pytest.raises(DomainError, match="exceeds the float range"):
-        solve_radial(RadialCondenser(profile, 1e100), RadialGrid.uniform(1e100, 1e103, 16))
+        solve_radial(RadialCondenser(profile, 1e100), RadialGrid(np.linspace(1e100, 1e103, 17)))
 
 
 def test_element_weight_past_the_float_range_is_named():
     # f = s^3 near s = 1e100 squares past the float range: the weight is infinite, not nonpositive
     profile = WarpProfile(Dimension(3), [PowerSegment(0.0, INF, 1.0, 3.0)], pole_at_origin=True)
     with pytest.raises(DomainError, match="element weight exceeds the float range at the element midpoint"):
-        solve_radial(RadialCondenser(profile, 1e100), RadialGrid.uniform(1e100, 1e102, 16))
+        solve_radial(RadialCondenser(profile, 1e100), RadialGrid(np.linspace(1e100, 1e102, 17)))
 
 
 # -- capacity_estimate ---------------------------------------------------------------
@@ -280,6 +286,19 @@ def test_capacity_estimate_refuses_a_schedule_past_the_element_budget_before_any
         capacity_estimate(RadialCondenser(euclidean_profile(3), 1.0), **options)
 
 
+def test_check_schedule_fills_in_the_defaults_sorted():
+    assert radial_fem._check_schedule(2.0) == ([200.0, 2000.0, 20000.0], 2.0 / 64.0)
+    assert radial_fem._check_schedule(-3.0, [5.0, 1.0, 2.0], h0=0.1) == ([1.0, 2.0, 5.0], 0.1)
+
+
+@pytest.mark.parametrize("levels", [2, 3])
+def test_capacity_estimate_refines_each_grid_levels_minus_one_times(monkeypatch, levels):
+    refined, refine = [], RadialGrid.refined
+    monkeypatch.setattr(RadialGrid, "refined", lambda grid: refined.append(grid) or refine(grid))
+    est = capacity_estimate(RadialCondenser(euclidean_profile(3), 1.0), levels=levels)
+    assert len(refined) == 3 * (levels - 1) and len(est.rows) == 3 * levels
+
+
 def test_element_budget_admits_fourteen_levels_on_the_default_radii():
     radial_fem._check_schedule(1.0, levels=14)
     with pytest.raises(DomainError, match="has more than 4,194,304 elements"):
@@ -287,9 +306,11 @@ def test_element_budget_admits_fourteen_levels_on_the_default_radii():
 
 
 @settings(max_examples=60, deadline=None)
-@given(span=st.floats(1e-3, 1e4), h0=st.floats(1e-3, 10.0), ratio=st.floats(1.001, 1.5))
+@given(span=st.floats(1e-3, 1e4), h0=st.floats(1e-3, 10.0), ratio=st.floats(1.0 + 1e-6, 1.5))
+@example(span=1e4, h0=1e-2, ratio=1.0 + 1e-6)
 def test_geometric_element_count_is_within_one_of_the_grid(span, h0, ratio):
     count = radial_fem._geometric_elements(span, h0, ratio)
+    assume(count <= 2**20)
     assert abs(RadialGrid.geometric(0.0, span, h0, ratio).n_elements - count) <= 1.0
 
 

@@ -103,6 +103,21 @@ def test_ex1_rejects_ball_outside_euclidean_region():
         run_example1(i_list=(2, 4), r=3.0)
 
 
+@pytest.mark.parametrize("i_list, L_values", [((2, 4, 20000), None), ((2, 4, 99), None),
+                                               ((2, 4, 8), [9.0, 100.0, 1000.0])])
+def test_ex1_refuses_a_ladder_short_of_a_cylinder_before_any_solve(monkeypatch, i_list, L_values):
+    # the default radii {1e2, 1e3, 1e4} used to extrapolate the Euclidean ball
+    # for i = 20000, a capacity of 0.99999994 and the verdict consistent-equal
+    monkeypatch.setattr(sequences, "capacity_estimate", lambda *a: pytest.fail("a capacity was estimated"))
+    with pytest.raises(DomainError, match=r"'L_values' .* must lie past the cylinder of each index in 'i_list'"):
+        run_example1(i_list=i_list, L_values=L_values)
+
+
+def test_ex1_ladder_past_every_cylinder_runs():
+    exp = run_example1(i_list=(2, 4, 98))
+    assert max(exp.capacities) < 1e-2 and exp.verdict.classification == CONSISTENT_STRICT_JUMP
+
+
 def test_ex1_estimate_decreases_with_larger_truncation():
     cond = RadialCondenser(cylinder_transition_profile(4), 1.0)
     caps = [

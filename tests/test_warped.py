@@ -116,6 +116,32 @@ def test_sqrt_quadratic_resistance_at_m4_matches_its_closed_form_from_any_radius
 
 
 @settings(max_examples=100, deadline=None)
+@given(a=_DECADES, b=_DECADES, s0=_DECADES.map(lambda e: -e), s1=st.just(INF) | _DECADES)
+@example(a=1e-6, b=1e3, s0=-10.0, s1=INF)  # a neck 3e-5 wide, far from s0
+def test_sqrt_quadratic_resistance_at_m5_matches_its_closed_form_across_the_neck(a, b, s0, s1):
+    # the integral of (a + b s^2)^-2 is s / (2a (a + b s^2)) + atan(s sqrt(b/a)) / (2a sqrt(ab)),
+    # whose terms at s1 > 0 and at s0 < 0 add without cancellation
+    def antiderivative(s):
+        if s == INF:
+            return math.pi / (4.0 * a * math.sqrt(a * b))
+        return s / (2.0 * a * (a + b * s * s)) + math.atan(s * math.sqrt(b / a)) / (2.0 * a * math.sqrt(a * b))
+
+    prof = WarpProfile(Dimension(5), [SqrtQuadraticSegment(-2e6, INF, a, b)])
+    value, _ = prof.resistance_between(s0, s1)
+    assert value == pytest.approx(antiderivative(s1) - antiderivative(s0), rel=1e-12)
+
+
+def test_sqrt_quadratic_end_from_far_below_a_narrow_neck_is_accepted():
+    # QUADPACK from s0 = -10 used to miss the peak at s = 0 and return -5.6e-8;
+    # the integral of (a + b s^2)^(-3/2) is s / (a sqrt(a + b s^2))
+    a, b = 1e-6, 1e3
+    prof = WarpProfile(Dimension(4), [SqrtQuadraticSegment(-20.0, INF, a, b)])
+    tail = end_resistance_estimate(RadialCondenser(prof, -10.0))
+    exact = 1.0 / (a * math.sqrt(b)) + 10.0 / (a * math.sqrt(a + 100.0 * b))  # 63,245.5532...
+    assert tail.value == pytest.approx(exact, rel=1e-12) and not tail.diverged
+
+
+@settings(max_examples=100, deadline=None)
 @given(mass=st.floats(1e-3, 1e3), w=st.floats(0.01, 1.0))
 def test_schwarzschild_resistance_at_m4_matches_its_closed_form(mass, w):
     s0 = max(2.0 * mass / w, 2.0 * mass)
