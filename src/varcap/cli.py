@@ -23,14 +23,14 @@ from . import __version__, reports, sequences
 from .errors import ConfigError, VarcapError, is_real
 from .geometry import Dimension
 from .mass import MASS_COLUMNS, AFProfile, _check_exhaustion, evaluate_mass_curve, extrapolate_mass
-from .mms import FiniteMetricMeasureSpace, GraphCondenser, capacity_csv, graph_capacity
+from .mms import FiniteMetricMeasureSpace, GraphCondenser, _check_document_condenser, capacity_csv, graph_capacity
 from .profiles import WarpProfile
 from .radial_fem import _check_schedule, capacity_estimate, fem_csv
 from .warped import RadialCondenser, radial_capacity
 
 _TOP_KEYS = {"command", "input", "input_doc", "output", "format", "tolerances", "seed"}
 # every entry is hashed into config_sha256, whichever of them a command reads
-_TOLERANCES = {"quadrature": 1e-10, "solver": 1e-12, "verdict": 1e-6}
+_TOLERANCES = {"quadrature": 1e-10, "verdict": 1e-6}
 
 
 def _closest(key: str, valid) -> str:
@@ -145,9 +145,9 @@ def _capacity_radial(profile, s0, **options) -> dict:
     }
 
 
-def _capacity_graph(space, inner, outer, tol, m=None, rim_radius=None) -> dict:
+def _capacity_graph(space, inner, outer, m=None, rim_radius=None) -> dict:
     dim = () if m is None else (Dimension(m),)
-    pot = graph_capacity(GraphCondenser(space, inner, outer, *dim), rtol=tol)
+    pot = graph_capacity(GraphCondenser(space, inner, outer, *dim))
     return {
         "rows": [["condenser", pot.raw_energy, pot.capacity]],
         "rim_radius": rim_radius,
@@ -252,9 +252,9 @@ COMMANDS = {
             "rim_radius": _positive,
         },
         required=("space", "inner", "outer"),
-        tolerance="solver",
+        tolerance=None,
         run=_capacity_graph,
-        rules=((GraphCondenser, dict.fromkeys(("space", "inner", "outer"))),),
+        rules=((_check_document_condenser, dict.fromkeys(("space", "inner", "outer"))),),
         csv=_table(lambda p: capacity_csv(p["rows"], p["rim_radius"]), "provenance"),
     ),
     "experiment ex1": _experiment(

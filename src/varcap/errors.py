@@ -32,10 +32,6 @@ class InconsistencyError(VarcapError, RuntimeError):
     """Numerical results violate a structural guarantee (signals a bad grid)."""
 
 
-class SolverError(VarcapError, RuntimeError):
-    """A linear solve failed to reach its target residual."""
-
-
 class UnsupportedDimensionError(DomainError):
     """Operation is only defined for a specific dimension."""
 

@@ -73,13 +73,15 @@ class AFProfile:
 
 def _check_tail(radii: Sequence[float], tail_points: int | None) -> None:
     """Refuse radii a value + c/R tail fit cannot use: fewer than 4, not
-    increasing, not spanning a decade, or fewer than `tail_points`."""
+    increasing, not spanning a decade, or fewer than `tail_points`, itself 3 or more to leave a residual."""
     if len(radii) < 4:
         raise PreconditionError(f"mass extrapolation needs at least 4 radii, got {list(radii)}")
     if sorted(radii) != list(radii):
         raise DomainError(f"radii must be increasing, got {list(radii)}")
     if max(radii) < 10.0 * min(radii):
         raise PreconditionError(f"mass extrapolation needs radii spanning a decade, got {list(radii)}")
+    if tail_points is not None and tail_points < 3:
+        raise PreconditionError(f"tail_points={tail_points} is below 3, too few for the fit to leave a residual")
     if tail_points is not None and tail_points > len(radii):
         raise PreconditionError(f"tail_points={tail_points} exceeds the number of radii, {len(radii)}")
 

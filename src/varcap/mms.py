@@ -28,12 +28,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import reports
-from .errors import DomainError, EmptyRegionWarning, MetricError, SolverError, is_real, real
+from .errors import DomainError, EmptyRegionWarning, MetricError, is_real, real
 from .geometry import Dimension
 
 _TRIANGLE_TOL = 1e-9
 _METRIC_CHECK_LIMIT = 1500  # full O(n^3) metric validation cap
-_CG_RTOL = 1e-12
 
 
 class _LatticeLabels(NamedTuple):
@@ -383,15 +382,28 @@ class GraphCondenser:
 class GraphPotential:
     """Minimizer of the graph Dirichlet energy; capacity = raw_energy / gamma_m.
 
-    `iterations` counts the CG iterations of the solve and `n_free` the
-    unknowns it solved for (both 0 when no node is free).
+    `n_free` counts the unknowns the solve factored (0 when no node is free).
     """
 
     u: np.ndarray
     raw_energy: float
     capacity: float
-    iterations: int
     n_free: int
+
+
+# Most nodes a capacity-graph document may leave free.  A general graph's sparse factor can fill
+# toward dense: at 8,192 nodes, a random graph of mean degree 4 factored in 0.8 s and 105 MB, one
+# of mean degree 64 (a factor 76% dense) in 43 s and 750 MB resident, on a 2-vCPU, 8 GB machine.
+_DOCUMENT_FREE_BUDGET = 2**13
+
+
+def _check_document_condenser(space: FiniteMetricMeasureSpace, inner, outer) -> None:
+    """capacity-graph's rule: a `GraphCondenser` leaving at most
+    `_DOCUMENT_FREE_BUDGET` nodes free."""
+    free = int(np.count_nonzero(_free_mask(GraphCondenser(space, inner, outer))))
+    if free > _DOCUMENT_FREE_BUDGET:
+        raise DomainError(f"the condenser leaves {free:,} nodes free, more than the {_DOCUMENT_FREE_BUDGET:,} "
+                          "a graph document may have (a general graph's sparse factor can fill toward dense)")
 
 
 def _free_mask(condenser: GraphCondenser) -> np.ndarray:
@@ -402,7 +414,7 @@ def _free_mask(condenser: GraphCondenser) -> np.ndarray:
     return free
 
 
-def graph_capacity(condenser: GraphCondenser, rtol: float = _CG_RTOL) -> GraphPotential:
+def graph_capacity(condenser: GraphCondenser) -> GraphPotential:
     """Harmonic condenser potential and capacity on the edge graph.
 
     Components of the edge graph meeting both K and B get the unique
@@ -412,14 +424,17 @@ def graph_capacity(condenser: GraphCondenser, rtol: float = _CG_RTOL) -> GraphPo
     Otherwise only the free block A of the Laplacian (rows and columns of the
     free nodes in components meeting both) and the right-hand side b that
     K's edges put on it are assembled, from the edges at free nodes, and A
-    is solved by Jacobi-preconditioned CG whatever its size.  CG stops once
-    its recursively updated residual is below `rtol` relative to b, so the
-    true residual of the returned potential can slightly exceed `rtol`
-    (1.65e-12 at 1e-12 on a 28-unknown random graph).  The solve runs on the
-    conductances scaled by the power of two that brings the largest into
-    [1/2, 1): exact in floats short of subnormal conductances, so the
-    potential is bit for bit the unscaled one, and no diagonal or residual
-    norm overflows.  The energy sums over every edge.  A capacity past the
+    is factored once by SuperLU: a minimum-degree ordering of A + A^T and
+    pivots taken from the diagonal, which A (symmetric positive definite)
+    allows.  The ordering keeps a planar lattice's factor small, but a
+    general graph's can fill toward dense, in time toward the cube of the
+    free nodes: the caller bounds the graph (`_PLANE_NODE_BUDGET` in
+    `sequences`, `_DOCUMENT_FREE_BUDGET` here for capacity-graph documents).
+    The solve runs on the conductances scaled by the power of two that
+    brings the largest into [1/2, 1), exactly, so the potential is bit for
+    bit the unscaled one, and no pivot overflows; a conductance at a free
+    node that the scaling would take below the normal float range raises
+    `DomainError`.  The energy sums over every edge.  A capacity past the
     float range raises `DomainError`.
     """
     from scipy import sparse
@@ -434,24 +449,15 @@ def graph_capacity(condenser: GraphCondenser, rtol: float = _CG_RTOL) -> GraphPo
     u = (meets_k & ~meets_b)[comp].astype(float)
     u[condenser.k_idx] = 1.0
     if not np.any(meets_k & meets_b):
-        return GraphPotential(u, 0.0, 0.0, 0, 0)
+        return GraphPotential(u, 0.0, 0.0, 0)
 
     free = np.flatnonzero(_free_mask(condenser) & (meets_k & meets_b)[comp])
-    iterations = 0
     if free.size:
-        from scipy.sparse.linalg import LinearOperator, cg
+        from scipy.sparse.linalg import splu
 
         A, b_vec = _free_system(condenser, free)
-        diag = A.diagonal()
-        M = LinearOperator(A.shape, matvec=lambda x: x / diag)
-
-        def count(_):
-            nonlocal iterations
-            iterations += 1
-
-        u[free], info = cg(A, b_vec, rtol=rtol, atol=0.0, maxiter=40 * free.size, M=M, callback=count)
-        if info != 0:
-            raise SolverError(f"conjugate gradient failed to converge (info={info})")
+        lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        u[free] = lu.solve(b_vec)
 
     du = u[i] - u[j]
     with np.errstate(over="ignore"):  # an overflow shows as an infinite capacity, refused below
@@ -459,7 +465,7 @@ def graph_capacity(condenser: GraphCondenser, rtol: float = _CG_RTOL) -> GraphPo
     capacity = raw_energy / condenser.dim.gamma
     if not math.isfinite(capacity):
         raise DomainError(f"capacity exceeds the float range (raw energy {raw_energy!r}, m={condenser.dim.m})")
-    return GraphPotential(u, raw_energy, capacity, iterations, free.size)
+    return GraphPotential(u, raw_energy, capacity, free.size)
 
 
 def _free_system(condenser: GraphCondenser, free: np.ndarray):
@@ -486,6 +492,10 @@ def _free_system(condenser: GraphCondenser, free: np.ndarray):
     i, j = space.edges[:, 0], space.edges[:, 1]
     c = space.conductance * math.ldexp(1.0, -math.frexp(float(np.max(space.conductance)))[1])
     pi, pj = pos[i], pos[j]
+    lost = np.flatnonzero(((pi >= 0) | (pj >= 0)) & (c < np.finfo(float).tiny))
+    if lost.size:
+        raise DomainError(f"conductance {float(space.conductance[lost[0]])!r} at a free node is more than 2^1022 times "
+                          f"below the largest, {float(np.max(space.conductance))!r}; the scaled solve cannot hold it")
     ends = np.concatenate([pi, pj])
     at = ends >= 0
     diag = np.bincount(ends[at], weights=np.concatenate([c, c])[at], minlength=nf)

@@ -180,9 +180,10 @@ def _check_schedule(
     """The sorted truncation radii and first element size of a `capacity_estimate`
     schedule, defaults filled in ({1e2, 1e3, 1e4} * max(|s0|, 1) and
     max(|s0|, 1) / 64), once every rule holds: at least 3 radii, all distinct
-    and past s0, at least 2 levels, a grading `RadialGrid.geometric` takes, and
+    and past s0, at least 2 levels, a grading `RadialGrid.geometric` takes,
     finest grids (each radius graded from h0 and bisected `levels - 1` times)
-    holding at most `_ELEMENT_BUDGET` elements together."""
+    holding at most `_ELEMENT_BUDGET` elements together, and no finest element
+    under 4 float spacings wide, so rounding keeps their nodes increasing."""
     scale = max(abs(s0), 1.0)
     L_sorted = sorted([100.0 * scale, 1000.0 * scale, 10000.0 * scale] if L_values is None else L_values)
     h0 = scale / 64.0 if h0 is None else h0
@@ -198,6 +199,15 @@ def _check_schedule(
     if finest > _ELEMENT_BUDGET:
         raise DomainError(f"the schedule's finest grids hold {finest:.3g} elements together, "
                           f"more than {_ELEMENT_BUDGET:,}")
+    for L in L_sorted:
+        # The first graded element a is the least (h0, or half a span h0 overreaches, shrunk onto L by
+        # under 1 + ratio).  Element a ratio^k ends within |s0| + a ratio^(k+1) / (ratio - 1) of 0, so
+        # none is narrower than the first against eps |end| (>= the float spacing there, <= ulp(2 |end|)).
+        first = min(h0, (L - s0) / 2.0) / (1.0 + ratio)
+        far = min(max(abs(s0), abs(L)), abs(s0) + first * ratio / (ratio - 1.0))
+        if math.ldexp(first, 1 - levels) < 4.0 * math.ulp(2.0 * far):
+            raise DomainError(f"the finest grid from the inner radius {s0!r} to the truncation radius {L!r} "
+                              f"(h0={h0:g}, {levels} levels) would have elements under 4 float spacings")
     return L_sorted, h0
 
 

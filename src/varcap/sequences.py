@@ -254,10 +254,10 @@ def run_example2(
 
 LATTICE_OFFSET = 0.5  # planar experiments use the half-offset lattice (k + 1/2) * h
 _PAD = 1e-9  # radial selections include nodes this close to their circle
-# Largest full plane sheet, in nodes, that ex3 and ex4 build or fold: the
-# h = 0.00625 rung at rim 4 (1,284^2 = 1,648,656 nodes) fits; a finer
-# lattice or a farther rim would outgrow memory and solve time.
-_PLANE_NODE_BUDGET = 2**22
+# Largest full plane sheet, in nodes, that ex3 and ex4 build or fold.  At the largest admitted
+# (h = 0.1 out to rim 72.2, 1,448^2 nodes) the costliest solve, ex3's strip sheet factored whole,
+# peaked at 2,660 MB resident in 37 s on a 2-vCPU, 8 GB machine; h = 0.00625 at rim 4 fits.
+_PLANE_NODE_BUDGET = 2**21
 
 
 def _plane_sheet(h: float, rim_radius: float, prefix: str, hole: Disk | None = None) -> FiniteMetricMeasureSpace:

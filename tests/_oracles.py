@@ -62,17 +62,17 @@ def dense_graph_energy(space, inner_labels, outer_labels):
     return float(np.sum(space.conductance * du * du)), u
 
 
-def laplacian_graph_capacity(condenser, rtol=1e-12):
+def laplacian_graph_capacity(condenser):
     """The former `mms.graph_capacity`, which assembled the whole Laplacian.
 
     It builds the n x n Laplacian of the scaled conductances from 4E
     entries, takes components from it, and slices the free block and the
-    right-hand side out of it before the same Jacobi-CG solve; with no K-B
+    right-hand side out of it before the same SuperLU solve; with no K-B
     path it still assembles everything and returns an energy of exactly 0.
     """
     from scipy import sparse
     from scipy.sparse.csgraph import connected_components
-    from scipy.sparse.linalg import LinearOperator, cg
+    from scipy.sparse.linalg import splu
 
     from varcap.mms import GraphPotential, _free_mask
 
@@ -90,24 +90,16 @@ def laplacian_graph_capacity(condenser, rtol=1e-12):
     u[k_idx] = 1.0
 
     free = np.flatnonzero(_free_mask(condenser) & np.isin(comp, np.intersect1d(k_comps, b_comps)))
-    iterations = 0
     if free.size:
         L_free = L[free]
         A = L_free[:, free]
         b_vec = -(L_free @ u - A @ u[free])
-        diag = A.diagonal()
-        M = LinearOperator(A.shape, matvec=lambda x: x / diag)
-
-        def count(_):
-            nonlocal iterations
-            iterations += 1
-
-        u[free], info = cg(A, b_vec, rtol=rtol, atol=0.0, maxiter=40 * free.size, M=M, callback=count)
-        assert info == 0
+        lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        u[free] = lu.solve(b_vec)
 
     du = u[space.edges[:, 0]] - u[space.edges[:, 1]]
     raw_energy = float(np.sum(space.conductance * du * du))
-    return GraphPotential(u, raw_energy, raw_energy / condenser.dim.gamma, iterations, free.size)
+    return GraphPotential(u, raw_energy, raw_energy / condenser.dim.gamma, free.size)
 
 
 def loop_space_from_doc(doc):
@@ -529,10 +521,11 @@ def separate_mass_curve(af, radii, capacity_fn=None):
 
 def two_step_schedule(condenser, L_values=None, levels=2, h0=None, ratio=1.05):
     """Geometrically graded grids on a ladder of truncation radii: the
-    library's former two-step route, kept as it stood.
+    library's former two-step route, kept as it stood but for refining each
+    grid `levels - 1` times, as the library does, not once more.
 
     Default truncation radii are {1e2, 1e3, 1e4} * max(s0, 1); each L carries
-    `levels` nested refinements of the same base grid.
+    its base grid and `levels - 1` nested refinements of it.
     """
     s0 = condenser.s0
     scale = max(abs(s0), 1.0)
@@ -544,10 +537,9 @@ def two_step_schedule(condenser, L_values=None, levels=2, h0=None, ratio=1.05):
     for L in sorted(L_values):
         if L <= s0:
             raise DomainError(f"truncation radius {L} must exceed s0={s0}")
-        grid = RadialGrid.geometric(s0, L, h0, ratio)
-        for _ in range(levels):
-            schedule.append((grid, L))
-            grid = grid.refined()
+        schedule.append((RadialGrid.geometric(s0, L, h0, ratio), L))
+        for _ in range(levels - 1):
+            schedule.append((schedule[-1][0].refined(), L))
     return schedule
 
 

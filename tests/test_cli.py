@@ -260,6 +260,11 @@ RULE_FAULTS = [
      _SCHEDULE_KEYS + "need at least 3 truncation radii, all distinct"),
     (["capacity-radial"], _radial_doc(L_values=[1.0, 1000.0, 1e4]),
      _SCHEDULE_KEYS + "truncation radius 1.0 must exceed the inner radius 1.0"),
+    # 13 float spacings past s0: this exited 0 with cap 0.0 at 2 levels, and 1 at 4
+    (["capacity-radial"], _radial_doc(s0=4.2, L_values=[4.200000000000012, 5.2, 6.2], levels=2),
+     _SCHEDULE_KEYS + "the finest grid from the inner radius 4.2 to the truncation radius 4.200000000000012"),
+    (["capacity-radial"], _radial_doc(s0=4.2, L_values=[4.200000000000012, 5.2, 6.2], levels=4),
+     "(h0=0.065625, 4 levels) would have elements under 4 float spacings"),
     (["capacity-radial"], _radial_doc(s0=-1.0),
      "capacity-radial input keys 'profile' and 's0': inner radius -1.0 outside profile domain [0.0, inf)"),
     (["capacity-radial"], _radial_doc(s0=0.0),
@@ -280,13 +285,16 @@ RULE_FAULTS = [
      _RADII_KEYS + "profile fails the flat-tail test"),
     (["mass"], _mass_doc(radii=[10.0, 20.0, 40.0, 400.0], tail_points=9),
      "mass input keys 'profile' and 'radii' and 'tail_points': tail_points=9 exceeds the number of radii, 4"),
+    (["mass"], _mass_doc(tail_points=2),
+     "mass input keys 'profile' and 'radii' and 'tail_points': tail_points=2 is below 3"),
 ]
 
 
 @pytest.mark.parametrize("command, doc, message", RULE_FAULTS, ids=[
-    "repeated radius", "radius at s0", "s0 outside the profile", "s0 on the pole", "ex1 i=20000", "ex1 i=99",
+    "repeated radius", "radius at s0", "radius 13 ulps past s0 at 2 levels", "radius 13 ulps past s0 at 4 levels",
+    "s0 outside the profile", "s0 on the pole", "ex1 i=20000", "ex1 i=99",
     "ex1 radius below r", "one mass radius", "three mass radii", "radii within a decade", "radii unsorted",
-    "radius inside the horizon", "profile not flat", "tail past the radii"])
+    "radius inside the horizon", "profile not flat", "tail past the radii", "tail of two points"])
 def test_rule_fault_exits_two_before_any_solve_or_quadrature(tmp_path, capsys, monkeypatch, command, doc, message):
     def refuse(*args, **kwargs):
         raise AssertionError("a solve or quadrature ran")
@@ -299,6 +307,32 @@ def test_rule_fault_exits_two_before_any_solve_or_quadrature(tmp_path, capsys, m
     assert main([*command, "--input", str(inp), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and message in err
+    assert not out.exists()
+
+
+def _path_doc(free):
+    """A path of `free` + 2 points, K and B at its two ends."""
+    labels = [f"v{k}" for k in range(free + 2)]
+    return {"space": {"points": [{"label": lab, "xyz": [float(k), 0.0, 0.0]} for k, lab in enumerate(labels)],
+                      "edges": [[a, b, 1.0] for a, b in zip(labels, labels[1:])]},
+            "inner": labels[:1], "outer": labels[-1:]}
+
+
+def test_graph_document_past_the_free_budget_exits_two_before_any_solve(tmp_path, capsys, monkeypatch):
+    inp, out = tmp_path / "input.json", tmp_path / "report.csv"
+    inp.write_text(json.dumps(_path_doc(2**13)))
+    assert main(["capacity-graph", "--input", str(inp), "--out", str(out)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr("varcap.cli.graph_capacity", refuse)
+    out.unlink()
+    inp.write_text(json.dumps(_path_doc(2**13 + 1)))
+    assert main(["capacity-graph", "--input", str(inp), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and _CONDENSER_KEYS + (
+        "the condenser leaves 8,193 nodes free, more than the 8,192 a graph document may have") in err
     assert not out.exists()
 
 
@@ -367,7 +401,8 @@ JSON = st.recursive(
 )
 
 
-# keys a document may hold ("input", a path, is left out: it would read files)
+# keys a document may hold ("input", a path, is left out: it would read files),
+# and "solver", a tolerance the graph solve no longer takes
 KEY_NAMES = sorted({"command", "input_doc", "output", "format", "tolerances", "seed", "example", "dist",
                     "quadrature", "solver", "verdict"} | {key for spec in COMMANDS.values() for key in spec.keys})
 
@@ -557,8 +592,14 @@ def test_experiments_and_mass_on_generated_documents(case, data):
                 "edges": [["a", "b", 1e308], ["a", "c", 1e308]]},
       "inner": ["a"], "outer": ["b", "c"]},
      "capacity exceeds the float range (raw energy inf, m=2)"),
+    # scaled by 2^-997, the free node's conductances fall below the smallest subnormal
+    (["capacity-graph"],
+     {"space": {"points": [{"label": lab, "xyz": [x, 0.0, 0.0]} for lab, x in zip("kyb", (0.0, 1.0, 2.0))],
+                "edges": [["k", "b", 1e300], ["k", "y", 1e-30], ["y", "b", 1e-30]]},
+      "inner": ["k"], "outer": ["b"]},
+     "computation error: conductance 1e-30 at a free node is more than 2^1022 times below the largest, 1e+300"),
 ], ids=["schwarzschild volume overflow", "power volume overflow", "mass overflow",
-        "dimension overflow", "radial chain overflow", "graph energy overflow"])
+        "dimension overflow", "radial chain overflow", "graph energy overflow", "graph conductance underflow"])
 def test_library_domain_rule_exits_one(tmp_path, capsys, command, doc, message):
     inp, out = tmp_path / "input.json", tmp_path / "report.csv"
     inp.write_text(json.dumps(doc))
@@ -588,19 +629,22 @@ def test_tol_on_a_command_without_tolerance_exits_two(tmp_path, capsys):
 
 def test_tol_sets_each_commands_declared_tolerance():
     mass = parse_config({"command": "mass", "input_doc": _mass_doc()}, tol_override=1e-8)
-    graph = parse_config({"command": "capacity-graph", "input_doc": _graph_doc()}, tol_override=1e-9)
-    assert (mass.tolerances["quadrature"], graph.tolerances["solver"]) == (1e-8, 1e-9)
+    ex1 = parse_config({"command": "experiment", "input_doc": {"example": "ex1"}}, tol_override=1e-9)
+    assert (mass.tolerances["quadrature"], ex1.tolerances["verdict"]) == (1e-8, 1e-9)
 
 
-def test_tol_governs_small_graph_solves(tmp_path):
-    inp, out = tmp_path / "input.json", tmp_path / "report.json"
-    inp.write_text(json.dumps(_command_doc("capacity-graph")))  # 81 nodes
-    energies = []
-    for tol in ([], ["--tol", "1e-3"]):
-        assert main(["capacity-graph", "--input", str(inp), "--format", "json", "--out", str(out), *tol]) == 0
-        energies.append(json.loads(out.read_text())["rows"][0][1])
-    assert energies[1] != energies[0]
-    assert energies[1] == pytest.approx(energies[0], rel=1e-3)
+def test_graph_solve_has_no_tolerance_to_set(tmp_path, capsys):
+    # the graph solve is a direct factorisation: neither `tolerances.solver`
+    # nor capacity-graph's --tol has anything to set
+    inp, out = tmp_path / "input.json", tmp_path / "report.csv"
+    inp.write_text(json.dumps(_command_doc("capacity-graph")))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tolerances": {"solver": 1e-12}}))
+    assert main(["capacity-graph", "--config", str(config), "--input", str(inp), "--out", str(out)]) == 2
+    assert "unknown key 'solver' in tolerances" in capsys.readouterr().err
+    assert main(["capacity-graph", "--input", str(inp), "--tol", "1e-3", "--out", str(out)]) == 2
+    assert "--tol: capacity-graph has no tolerance to set" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_all_problems_reported_together():

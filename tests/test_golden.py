@@ -15,6 +15,11 @@ and again when each end came to be integrated in one closed-form call
 instead of a sum of doubling windows: capacities moved by at most 4.4e-16
 relative, the m_cv column by at most 5.3e-14 (its own cancellation), and
 m_iso not at all.
+Every hash was re-recorded when the graph solve went from Jacobi-CG to one
+SuperLU factorisation and the `solver` tolerance left the configuration:
+each report's config_sha256 moved, and ex3's limit and ex4's capacities
+moved by 1 ulp (0.6993664837923906 to 0.6993664837923907); the
+limit-plane document did not move.
 A refactor must keep every byte of these outputs;
 the determinism tests elsewhere only compare a run with itself.
 """
@@ -31,22 +36,22 @@ from varcap.profiles import euclidean_profile, schwarzschild_profile
 from varcap.sequences import limit_plane_condenser
 
 REPORT_SHA256 = {
-    ("ex1", "json"): "437dd1f76cbd03e5839609be8006b3d402eb7757d6d91019031ad36b8d6cf5dc",
-    ("ex1", "csv"): "bdc8af1b6909129f1f7148092f9764e315ffba99b25dfb968304c718b60d5b6a",
-    ("ex2", "json"): "4376e5cf709cd0af4209dc7e5df061cc6c18febc41923983478718ff51fd153d",
-    ("ex2", "csv"): "1b76f698f70bb223d92dc0119a64a705a3e3ab88e4a630925c59f1f673b47bc9",
-    ("ex3", "json"): "766ef258c50fcf2d375b31eb8d76d38f59b1817538279c7e1bd830827d1e7eb1",
-    ("ex3", "csv"): "108951d519d95a75a7087df136e929d539f0fb5b887f189cb618e18bc47e4e03",
-    ("ex4", "json"): "ecd1f6350c4678b4056cb73bd9a1beef0e68419fef1a7eb8e85e519b6505cefd",
-    ("ex4", "csv"): "07f36b913a25bb26f14ddbb131bbbf5b66bc6150ee5cc032e14d8b9f2fe1fcd0",
+    ("ex1", "json"): "c8823bfe076523bf711452935e8120181bd2750bac82aa667dfa1821839fb827",
+    ("ex1", "csv"): "52e610c8907f10f98dd5db407cec2ab6ac3ddef049e43a72264899024f64b5ab",
+    ("ex2", "json"): "c13b579f15058db5be5925be5dd0c3c3db2fa1fd25b82bab1f70defbad95ed8a",
+    ("ex2", "csv"): "67090d1af5c7416de39bc228a928b69474cf92c7939179c041db1a5309356a51",
+    ("ex3", "json"): "5fb42a6e2fcde100a76d0419ce4f43da66394d2a09172848aa2c6c2196b71150",
+    ("ex3", "csv"): "65f2eff701d82916d708ca08110ff77ec235e49d795b2cb7c7509b6fdc3d86ea",
+    ("ex4", "json"): "be9cfa5dfb55574163f50a4879cec4d6e77892815d7870738f5ce0e2c2e95b54",
+    ("ex4", "csv"): "b04695bb44c968120b73a36e5114df3c0499323f924688309b3fadc9e6f00c24",
 }
 COMMAND_SHA256 = {
-    ("capacity-radial", "json"): "d5836e493996e6d0ba80831dfa94448c177a9a0f9533b035b32329c42b1a00d5",
-    ("capacity-radial", "csv"): "939d2bdd8222485fa23832ad5e905f6a040afbb29d0d192368bd5018d60be134",
-    ("capacity-graph", "json"): "1905bebc3a4d8dcc4a03642c6bde9358a408e4abaa0d8c12d4b9484e1ec40b19",
-    ("capacity-graph", "csv"): "51b783ba6c19ade8115172372b3c34034f23f0585d2009fb923e0636dff7210d",
-    ("mass", "json"): "7d5392fe56ef89dcb90ca00b83039db912f17567d7639d16b9c1a837efddbea3",
-    ("mass", "csv"): "812090216edf66e64f99741fcba7a9cfd944f7522822dddc4bd06686fcc7ad19",
+    ("capacity-radial", "json"): "39f812c3833cf4d4e3354a337ca7f1ee777adebd34a10df2ef704d9475c61a97",
+    ("capacity-radial", "csv"): "8cb9300322a4959e1779c288fdabb2d287b419a6a9702196cf520ee5a057eab9",
+    ("capacity-graph", "json"): "7e5d0b8771b47306a29a697c29efe4bc50fead5bd5895b145de8188b4b7ae9bf",
+    ("capacity-graph", "csv"): "7e07c04519d1987f472ff865f039f787f8d54412253c3825b26013c611e09cd5",
+    ("mass", "json"): "78cfbe1825e8de4db4320697bd6bd2ed3d7f1c49e6546db78e1ceb253f0219b2",
+    ("mass", "csv"): "3e237fb3cf64c1b723f0ab82991a6f7261a0730c22397ef3ed6e951fbe64c42f",
 }
 LIMIT_PLANE_DOC_SHA256 = "dcc100e8070e933c3f806a5b89165ca7206fc32a799e33906f38921ede257327"
 
@@ -99,9 +104,9 @@ def test_shared_parser_carries_no_state(tmp_path):
     order = sorted(COMMAND_SHA256)
     for command, fmt in order + order[::-1]:
         flags = ["--tol", "1e-3", "--seed", "7", "--format", "json" if fmt == "csv" else "csv"]
-        # capacity-radial has no tolerance to set, so that call exits 2
+        # capacity-radial and capacity-graph have no tolerance to set, so those calls exit 2
         assert main([command, "--input", str(inputs[command]), "--out", str(other), *flags]) == (
-            2 if command == "capacity-radial" else 0)
+            2 if command in ("capacity-radial", "capacity-graph") else 0)
         fmt_flag = ["--format", fmt] if fmt == "json" else []  # csv is the default
         assert main([command, "--input", str(inputs[command]), "--out", str(out), *fmt_flag]) == 0
         assert _sha256(out.read_bytes()) == COMMAND_SHA256[(command, fmt)]

@@ -159,6 +159,10 @@ def test_extrapolation_preconditions(flat_af):
     wide = evaluate_mass_curve(flat_af, (1.0, 2.0, 5.0, 10.0))
     with pytest.raises(PreconditionError, match="tail_points=5 exceeds the number of radii, 4"):
         extrapolate_mass(wide, tail_points=5)
+    # a value + c/R fit through 1 or 2 points leaves no residual to estimate its error by
+    for tail_points in (1, 2):
+        with pytest.raises(PreconditionError, match=f"tail_points={tail_points} is below 3"):
+            extrapolate_mass(wide, tail_points=tail_points)
 
 
 def test_non_convergent_tail_rejected(flat_af):

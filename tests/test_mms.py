@@ -28,6 +28,8 @@ from varcap.mms import (
     Disk,
     FiniteMetricMeasureSpace,
     GraphCondenser,
+    _free_mask,
+    _free_system,
     build_planar_sheet,
     capacity_csv,
     graph_capacity,
@@ -121,7 +123,7 @@ def test_disconnected_inner_set_has_zero_capacity():
     pot = graph_capacity(GraphCondenser(space, ("a",), ("c", "d"), Dimension(2)))
     assert pot.raw_energy == 0.0
     assert pot.capacity == 0.0
-    assert pot.iterations == 0 and pot.n_free == 0  # no node is free
+    assert pot.n_free == 0  # no node is free
     assert pot.u[space.index("a")] == 1.0 and pot.u[space.index("b")] == 1.0
 
 
@@ -145,23 +147,26 @@ def test_brute_force_equivalence_small_graphs():
     seed=st.integers(0, 2**32 - 1),
 )
 @example(n=2050, decades=6.0, seed=1)  # 1,996 free nodes: the top of the size range covered here
+@example(n=78, decades=5.976875984746526, seed=32363176)  # residual 6.1e-11 of b, backward error 1.5e-16
 def test_sparse_solve_matches_dense_oracle(n, decades, seed):
+    from scipy.sparse.csgraph import connected_components
+
     cond = random_sparse_condenser(n, np.random.default_rng(seed), decades)
     oracle, _ = dense_graph_energy(cond.space, cond.inner, cond.outer)
-    assert graph_capacity(cond).raw_energy == pytest.approx(oracle, rel=1e-10, abs=1e-10)
-
-
-@pytest.mark.parametrize("rtol", [1e-3, 1e-6])
-def test_loose_tolerance_bounds_the_energy_from_above(rtol):
-    # the harmonic potential minimises the energy, so stopping CG early can
-    # only raise it, and by little when the residual is small
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        cond = random_sparse_condenser(400, rng, 4.0)
-        oracle, _ = dense_graph_energy(cond.space, cond.inner, cond.outer)
-        loose = graph_capacity(cond, rtol=rtol)
-        assert loose.iterations < graph_capacity(cond).iterations
-        assert oracle <= loose.raw_energy <= oracle * (1.0 + rtol)
+    pot = graph_capacity(cond)
+    assert pot.raw_energy == pytest.approx(oracle, rel=1e-10, abs=1e-10)
+    # the true residual of the factored block, as a backward error: at most
+    # 3.4e-16 over 20,000 draws of this range.  Relative to b it reached
+    # 6.1e-11, where 6 decades of conductance leave b small beside A u.
+    _, comp = connected_components(cond.space.adjacency(), directed=False)
+    both = np.intersect1d(comp[cond.k_idx], comp[cond.b_idx])
+    free = np.flatnonzero(_free_mask(cond) & np.isin(comp, both))
+    assert pot.n_free == free.size
+    A, b = _free_system(cond, free)
+    u = pot.u[free]
+    residual = b - A @ u
+    scale = abs(A).sum(axis=1).max() * np.abs(u).max(initial=0.0) + np.abs(b).max(initial=0.0)
+    assert np.abs(residual).max(initial=0.0) <= 1e-15 * scale
 
 
 @settings(max_examples=20, deadline=None)
@@ -182,7 +187,7 @@ def test_stranded_component_adds_no_energy(n, extra, seed):
     assert joined.capacity == pytest.approx(alone.capacity, rel=1e-12, abs=1e-14)
 
 
-def test_no_free_node_takes_no_iterations():
+def test_no_free_node_solves_nothing():
     # every node is held, so the energy is the conductance of the K-B edges
     space = FiniteMetricMeasureSpace(
         ["a", "b", "c"],
@@ -192,7 +197,7 @@ def test_no_free_node_takes_no_iterations():
         conductance=[2.0, 3.0, 5.0],
     )
     pot = graph_capacity(GraphCondenser(space, ("a",), ("b", "c"), Dimension(2)))
-    assert pot.iterations == 0
+    assert pot.n_free == 0
     assert np.array_equal(pot.u, [1.0, 0.0, 0.0])
     assert pot.raw_energy == 7.0
     assert pot.capacity == 7.0 / Dimension(2).gamma
@@ -202,8 +207,8 @@ def test_repeated_solve_is_bit_identical():
     # the ladder's coarse rung, the plane every ex4 family capacity reports
     cond = limit_plane_condenser(0.1, 4.0)
     first, second = graph_capacity(cond), graph_capacity(cond)
-    assert first.iterations > 0
-    assert second.iterations == first.iterations
+    assert first.n_free > 0
+    assert second.n_free == first.n_free
     assert second.capacity == first.capacity and np.array_equal(second.u, first.u)
 
 
@@ -221,8 +226,8 @@ def test_energy_past_the_float_range_raises():
 
 @pytest.mark.parametrize("c", [1e200, 1e308])
 def test_huge_conductances_solve_without_overflow(c):
-    # the solve runs on conductances scaled into [1/2, 1), so neither the
-    # Jacobi diagonal nor CG's residual norm overflows
+    # the solve runs on conductances scaled into [1/2, 1), so no pivot of
+    # the factorisation overflows
     space = FiniteMetricMeasureSpace(
         ["a", "b", "c"],
         np.ones(3),
@@ -233,6 +238,25 @@ def test_huge_conductances_solve_without_overflow(c):
     pot = graph_capacity(GraphCondenser(space, ("a",), ("c",), Dimension(2)))
     assert pot.u[1] == 0.5
     assert pot.raw_energy == c / 2.0
+
+
+@pytest.mark.parametrize("low, refused", [(1e-30, True), (1e-7, False)])
+def test_conductance_the_scaling_would_lose_is_refused(low, refused):
+    # scaled by 2^-997, 1e-30 falls below the smallest subnormal and the
+    # free node's row of A would be zero; 1e-7 scales to a normal float
+    space = FiniteMetricMeasureSpace(
+        ["k", "y", "b"],
+        np.ones(3),
+        coords=np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float),
+        edges=np.array([[0, 2], [0, 1], [1, 2]]),
+        conductance=[1e300, low, low],
+    )
+    cond = GraphCondenser(space, ("k",), ("b",), Dimension(2))
+    if refused:
+        with pytest.raises(DomainError, match=r"conductance 1e-30 at a free node is more than 2\^1022 times"):
+            graph_capacity(cond)
+    else:
+        assert graph_capacity(cond).u[1] == 0.5
 
 
 def test_contract_merges_classes():
@@ -336,7 +360,7 @@ def test_free_block_solve_matches_the_full_laplacian_bit_for_bit(parts, decades,
     pot, oracle = graph_capacity(cond), laplacian_graph_capacity(cond)
     assert pot.u.tobytes() == oracle.u.tobytes()
     assert (pot.raw_energy, pot.capacity) == (oracle.raw_energy, oracle.capacity)
-    assert (pot.iterations, pot.n_free) == (oracle.iterations, oracle.n_free)
+    assert pot.n_free == oracle.n_free
 
 
 def test_high_degree_nodes_match_the_full_laplacian_to_rounding():

@@ -299,6 +299,54 @@ def test_capacity_estimate_refines_each_grid_levels_minus_one_times(monkeypatch,
     assert len(refined) == 3 * (levels - 1) and len(est.rows) == 3 * levels
 
 
+@pytest.mark.parametrize("cond, L_values, levels, options", [
+    (RadialCondenser(euclidean_profile(3), 4.2), [4.200000000000012, 5.2, 6.2], 2, {}),
+    (RadialCondenser(euclidean_profile(3), 4.2), [4.200000000000012, 5.2, 6.2], 3, {}),
+    (RadialCondenser(euclidean_profile(3), 4.2), [4.200000000000012, 5.2, 6.2], 4, {}),
+    (RadialCondenser(euclidean_profile(3), 1.0), [1.0000000000000004, 2.0, 3.0], 2, {}),
+    (RadialCondenser(cylinder_transition_profile(2), 4.2), [5.2, 6.2, 4.2 + 1.13e-14], 3, {"ratio": 1.25}),
+    (RadialCondenser(euclidean_profile(3), 1e10), None, 2, {"h0": 1e-8}),
+], ids=["13 ulps, 2 levels", "13 ulps, 3 levels", "13 ulps, 4 levels", "2 ulps", "cylinder, 13 ulps",
+        "h0 under the spacing at s0"])
+def test_capacity_estimate_refuses_a_radius_floats_cannot_resolve_before_any_grid(
+        monkeypatch, cond, L_values, levels, options):
+    # the 13-ulp radius returned cap 0.0 with an error estimate of 6.4e15 at 2
+    # and 3 levels, and raised "grid nodes must be strictly increasing" at 4
+    monkeypatch.setattr(RadialGrid, "geometric", lambda *a: pytest.fail("a grid was built"))
+    with pytest.raises(DomainError, match="under 4 float spacings"):
+        capacity_estimate(cond, L_values, levels, **options)
+
+
+@st.composite
+def _tight_schedules(draw):
+    """Schedules near the float-spacing rule: spans of 10 to 3e4 float
+    spacings past s0, first elements of 10 to 1e4 spacings of s0."""
+    s0 = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-3.0, 9.0))
+    spacing = math.ulp(s0)
+    spans = draw(st.lists(st.floats(1.0, 4.5), min_size=3, max_size=3, unique=True))
+    L_values = [s0 + 10.0**e * spacing for e in spans]
+    h0 = 10.0 ** draw(st.floats(1.0, 4.0)) * spacing
+    ratio = 1.0 + 10.0 ** draw(st.floats(-4.0, math.log10(0.5)))
+    return s0, L_values, draw(st.integers(2, 5)), h0, ratio
+
+
+@settings(max_examples=100, deadline=None)
+@given(schedule=_tight_schedules())
+@example(schedule=(4.2, [4.2 + 48 * math.ulp(4.2), 5.2, 6.2], 2, 4.2 / 64, 1.05))
+def test_every_schedule_the_float_rule_accepts_builds_strictly_increasing_grids(schedule):
+    s0, L_values, levels, h0, ratio = schedule
+    assume(len(set(L_values)) == 3)
+    try:
+        L_sorted, _ = radial_fem._check_schedule(s0, L_values, levels, h0, ratio)
+    except VarcapError:
+        return  # refused: nothing is built
+    for L in L_sorted:  # at most about 3e4 / 10 * 2^4 = 50,000 elements
+        grid = RadialGrid.geometric(s0, L, h0, ratio)
+        for _ in range(levels - 1):
+            grid = grid.refined()  # raises unless the nodes stay strictly increasing
+        assert grid.nodes[0] == s0 and grid.nodes[-1] == L
+
+
 def test_element_budget_admits_fourteen_levels_on_the_default_radii():
     radial_fem._check_schedule(1.0, levels=14)
     with pytest.raises(DomainError, match="has more than 4,194,304 elements"):
@@ -354,6 +402,15 @@ def _outcome(compute):
     return repr(est.cap), repr(est.error_estimate), repr(est.rows)
 
 
+def _unresolved(s0, options) -> bool:
+    """Whether `_check_schedule` refuses a radius for finest elements under 4 float spacings."""
+    try:
+        radial_fem._check_schedule(s0, **options)
+    except VarcapError as exc:
+        return "float spacings" in str(exc)
+    return False
+
+
 @settings(max_examples=72, deadline=None)
 @given(
     cond=_fem_case(),
@@ -365,10 +422,12 @@ def _outcome(compute):
 )
 def test_capacity_estimate_matches_the_two_step_route_bit_for_bit(cond, spans, levels, ratio, h0, default_radii):
     # radii come unsorted and may sit at or below s0; a fault must raise the
-    # same error class on both routes
+    # same error class on both routes.  Both routes must accept every radius
+    # but those floats cannot resolve, which only the library refuses
     L_values = None if default_radii else [cond.s0 + span for span in spans]
     assume(L_values is None or len(set(L_values)) == len(L_values))
     options = {"L_values": L_values, "levels": levels, "ratio": ratio, "h0": h0}
+    assume(not _unresolved(cond.s0, options))
     new = _outcome(lambda: capacity_estimate(cond, **options))
     old = _outcome(lambda: two_step_capacity_estimate(cond, two_step_schedule(cond, **options)))
     assert new == old
