@@ -220,8 +220,8 @@ _PROFILE = _document(WarpProfile)
 
 # Converters check one key each.  A rule ties keys together by calling the
 # library's own check: a condenser's sets against its space or its s0 against
-# its profile, an experiment runner's (r < min i, truncation radii past every
-# cylinder, one threshold per index, h <= 0.1, a rim clear of the disk or
+# its profile, an experiment runner's (r < min i, a bridge [i, i+1] with room
+# in floats, one threshold per index, h <= 0.1, a rim clear of the disk or
 # annulus and a lattice within its node budget), the radial route's whole
 # schedule (at least 3 distinct radii past s0 and the element budget), or the
 # mass curve's profile and radii.  What only a computation can show, such as
@@ -258,10 +258,10 @@ COMMANDS = {
         csv=_table(lambda p: capacity_csv(p["rows"], p["rim_radius"]), "provenance"),
     ),
     "experiment ex1": _experiment(
-        "run_example1", sequences._check_ball, sequences._check_bridges, sequences._check_reach,
-        i_list=_list_of(_integer(2), least=3), r=_positive, L_values=_list_of(_real, least=3), m=_integer(2),
+        "run_example1", sequences._check_ball, sequences._check_bridges,
+        i_list=_list_of(_integer(2), least=3), r=_positive, m=_integer(2),
     ),
-    "experiment ex2": _experiment("run_example2", a=_positive, b=_positive, m=_integer(2)),
+    "experiment ex2": _experiment("run_example2", a=_positive, b=_positive, m=_integer(3)),
     "experiment ex3": _experiment(
         "run_example3", sequences._check_disk_plane, sequences._check_family, h=_positive, rim_radius=_positive,
         strip_conductance=_positive, alphas=_list_of(_nonnegative), alpha_rule_c=_nonnegative,

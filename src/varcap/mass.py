@@ -213,5 +213,5 @@ def extrapolate_mass(curve: MassCurve, tail_points: int | None = None) -> MassEx
 MASS_COLUMNS = ["R", "A", "V", "cap", "m_iso", "m_cv", "m_cv_alt"]
 
 
-def mass_csv(curve: MassCurve, meta: dict | None = None) -> str:
-    return reports.csv_table(MASS_COLUMNS, curve.rows(), meta)
+def mass_csv(curve: MassCurve) -> str:
+    return reports.csv_table(MASS_COLUMNS, curve.rows())

@@ -29,6 +29,7 @@ from .errors import DomainError, ProfileError, real
 from .geometry import Dimension
 
 INF = math.inf
+_NORMAL = 2.0**-1022  # the smallest normal float
 
 _JUNCTION_RTOL = 1e-12
 _QUAD_EPSREL = 1e-12
@@ -276,6 +277,11 @@ class SplineSegment(Segment):
         return doc
 
 
+def _atan_ks(k: float, s: float) -> float:
+    """atan(k s) for k > 0, exact at s = 0 and s = +-inf, where k s may be 0 * inf in floats."""
+    return math.atan(k * s) if 0.0 < abs(s) < INF else math.copysign(math.pi / 2, s) if s else s
+
+
 class SqrtQuadraticSegment(Segment):
     """f(s) = sqrt(a + b*s^2); hyperboloid-style neck for even profiles."""
 
@@ -299,10 +305,12 @@ class SqrtQuadraticSegment(Segment):
 
     def resistance_integral(self, a, b, m):
         if m == 3:
-            # integral of 1/(A + B s^2) = arctan(s sqrt(B/A)) / sqrt(A B)
-            root = math.sqrt(self.a * self.b)
-            k = math.sqrt(self.b / self.a)
-            return (math.atan(k * b) - math.atan(k * a)) / root, 0.0
+            # integral of 1/(A + B s^2) = atan(k s) / sqrt(A B), k = sqrt(B/A); where A B or B/A leaves
+            # the normal range, the square roots are taken apart
+            ab, k2 = self.a * self.b, self.b / self.a
+            root = math.sqrt(ab) if _NORMAL <= ab < INF else math.sqrt(self.a) * math.sqrt(self.b)
+            k = math.sqrt(k2) if _NORMAL <= k2 < INF else math.sqrt(self.b) / math.sqrt(self.a)
+            return (_atan_ks(k, b) - _atan_ks(k, a)) / root, 0.0
         if m == 2 and b == INF:  # the density tends to 1/(sqrt(B) s)
             return INF, 0.0
         if b <= 0.0:  # the density is even
@@ -546,8 +554,8 @@ class WarpProfile:
         if not (self.s_min - 1e-12 <= a <= b <= self.s_max):
             raise DomainError(f"integration range [{a}, {b}] outside domain")
         a = max(a, self.s_min)
-        total, err = 0.0, 0.0
-        for seg in self.segments:
+        parts = []
+        for seg in reversed(self.segments):  # the end first: if it diverges, nothing else is integrated
             lo, hi = max(a, seg.lo), min(b, seg.hi)
             if hi <= lo:
                 continue
@@ -558,6 +566,9 @@ class WarpProfile:
                 raise DomainError(f"{which} integral over [{a}, {b}] exceeds the float range") from None
             if v == INF:
                 return INF, 0.0
+            parts.append((v, e))
+        total, err = 0.0, 0.0
+        for v, e in reversed(parts):  # summed in segment order
             total += v
             err += e
         return total, err
@@ -632,9 +643,9 @@ def cylinder_transition_profile(i: float, m: int = 3) -> WarpProfile:
     return WarpProfile(Dimension(m), segments, pole_at_origin=True)
 
 
-def hyperboloid_profile(m: int = 3, a: float = 1.0, b: float = 1.0, s_min: float = 0.0) -> WarpProfile:
-    """One-sided even-neck profile f(s) = sqrt(a + b s^2) on [s_min, inf)."""
-    return WarpProfile(Dimension(m), [SqrtQuadraticSegment(s_min, INF, a, b)])
+def hyperboloid_profile(m: int = 3, a: float = 1.0, b: float = 1.0) -> WarpProfile:
+    """One-sided even-neck profile f(s) = sqrt(a + b s^2) on [0, inf)."""
+    return WarpProfile(Dimension(m), [SqrtQuadraticSegment(0.0, INF, a, b)])
 
 
 def capped_even_profile(i: float, m: int = 3, a: float = 1.0, b: float = 1.0) -> WarpProfile:

@@ -4,10 +4,10 @@ Four shipped families probe how condenser capacity behaves along a
 converging sequence of spaces:
 
   ex1  cylinder transition: smooth metrics that are Euclidean out to radius i
-       and a unit cylinder past i+1; capacity of a fixed ball dies, the flat
-       limit keeps it positive.
+       and a unit cylinder past i+1, whose end resistance diverges: a fixed
+       ball has capacity exactly 0, the flat limit keeps it positive.
   ex2  capped neck: an even neck profile capped by a pole on one side; every
-       capped space carries half the capacity of the two-ended limit.
+       capped space carries exactly half the capacity of the two-ended limit.
   ex3  two planar sheets: a unit disk plus a plane-with-hole hovering 1/i
        above it; the sheet Dirichlet forms are disconnected so the capacity
        is exactly zero, while the flat limit plane gives a positive condenser
@@ -20,9 +20,10 @@ converging sequence of spaces:
 
 The finite stand-in for limsup is the max over the final half of the
 sequence; a verdict is `violated` exactly when that estimate exceeds the
-limit capacity by more than the tolerance.  The disk-in-plane condenser of
-ex3's limit, ex4 and the ladder is built on its 8-fold symmetry quotient;
-ex4's limit is 0 by structure and builds no lattice.
+limit capacity by more than the tolerance.  ex1 and ex2 take closed forms
+from the end resistance; ex3's limit, ex4 and the ladder solve the
+disk-in-plane condenser on its 8-fold symmetry quotient, and ex4's limit
+is 0 by structure.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .mms import (
     Disk, FiniteMetricMeasureSpace, GraphCondenser, _LatticeLabels, build_planar_sheet, graph_capacity,
 )
 from .profiles import capped_even_profile, cylinder_transition_profile, euclidean_profile, hyperboloid_profile
-from .radial_fem import _check_schedule, capacity_estimate
 from .regions import DefiningFunction, region_measure
 from .warped import RadialCondenser, end_resistance, radial_capacity, truncated_ramp_energy
 
@@ -117,9 +117,9 @@ class SequenceExperiment:
         }
 
 
-def experiment_csv(exp: SequenceExperiment, meta: dict | None = None) -> str:
+def experiment_csv(exp: SequenceExperiment) -> str:
     """Per-index rows plus the limit/limsup/verdict footer block."""
-    return experiment_csv_from_payload(exp.to_payload(), meta)
+    return experiment_csv_from_payload(exp.to_payload())
 
 
 def experiment_csv_from_payload(payload: dict, meta: dict | None = None) -> str:
@@ -153,40 +153,23 @@ def _check_bridges(i_list: Sequence[int]) -> None:
         cylinder_transition_profile(i)
 
 
-def _check_reach(i_list: Sequence[int], r: float, L_values: Sequence[float] | None) -> None:
-    """Reject a truncation ladder that stops short of a member's cylinder,
-    which begins at i + 1: its capacity would be the Euclidean ball's."""
-    L_sorted, _ = _check_schedule(r, L_values)
-    reach = max(i_list, default=-math.inf) + 1
-    if L_sorted[0] <= reach:
-        raise DomainError(f"every truncation radius in 'L_values' (smallest {L_sorted[0]:g}) must lie past the "
-                          f"cylinder of each index in 'i_list', which begins at max(i) + 1 = {reach:g}")
-
-
 def run_example1(
     i_list: Sequence[int] = (2, 4, 8),
     r: float = 1.0,
-    L_values: Sequence[float] | None = None,
     m: int = 3,
     tol: float = DEFAULT_VERDICT_TOL,
 ) -> SequenceExperiment:
-    """Capacity of the ball {s <= r} along the cylinder-transition family,
-    on truncation radii all past max(i_list) + 1, where the last cylinder begins."""
+    """Capacity of the ball {s <= r} along the cylinder-transition family: exactly 0
+    by structure, as each member's unit cylinder on [i+1, inf) has the resistance
+    density 1, which is not integrable.  No member is solved; min(i)'s gives the ramp."""
     i_list = tuple(i_list)
     _check_ball(i_list, r)
-    profiles = [cylinder_transition_profile(i, m=m) for i in i_list]  # every member is checked before any solve
-    _check_reach(i_list, r, L_values)
-    caps, estimates = [], []
-    for profile in profiles:
-        cond = RadialCondenser(profile, r)
-        est = capacity_estimate(cond, L_values)
-        caps.append(est.cap)
-        estimates.append(est.error_estimate)
-    limit_profile = euclidean_profile(m)
-    limit_cap = radial_capacity(RadialCondenser(limit_profile, r))
+    _check_bridges(i_list)
+    caps = (0.0,) * len(i_list)
+    limit_cap = radial_capacity(RadialCondenser(euclidean_profile(m), r))
+    verdict = check_semicontinuity(caps, limit_cap, tol)
     ramp_L = 1000.0
     ramp = truncated_ramp_energy(cylinder_transition_profile(min(i_list), m=m), ramp_L)
-    verdict = check_semicontinuity(caps, limit_cap, tol)
     meta = {
         "family": "cylinder-transition",
         "r": r,
@@ -194,11 +177,10 @@ def run_example1(
         "ramp_L": ramp_L,
         "ramp_energy": ramp.energy,
         "ramp_on_cylinder": ramp.outside_cylinder,
-        "capacity_error_estimates": tuple(estimates),
-        "provenance": "fem",
+        "provenance": "closed-form",
         "limit_provenance": "closed-form",
     }
-    return SequenceExperiment("ex1", i_list, tuple(caps), limit_cap, verdict, metadata=meta)
+    return SequenceExperiment("ex1", i_list, caps, limit_cap, verdict, metadata=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +198,12 @@ def run_example2(
     """Capacity of the waist slice {s = 0} for capped even necks f = sqrt(a + b s^2).
 
     The open side of each capped space carries the full resistance C, so its
-    capacity is omega/(gamma C); the two-ended limit has both ends and twice
-    the capacity.  The capped side lies inside K = {s <= 0} and nothing there
-    is grounded, so the potential is exactly 1 on it and its energy exactly 0:
-    every capped capacity is the open side's, whatever i.  The runner builds
-    each capped profile only to check that the family member exists.
+    capacity is omega/(gamma C), from the C computed here; the two-ended limit
+    has both ends and exactly twice the capacity.  The capped side lies inside
+    K = {s <= 0} and nothing there is grounded, so the potential is exactly 1
+    on it and its energy exactly 0: every capped capacity is the open side's,
+    whatever i.  Each capped profile is built only to check that it exists.
+    At m = 2 every neck's end diverges, a `DomainError`.
     """
     i_list = tuple(i_list)
     neck = hyperboloid_profile(m=m, a=a, b=b)
@@ -228,20 +211,18 @@ def run_example2(
     if C == math.inf:
         raise DomainError("degenerate experiment: the neck profile has a divergent end")
     limit_cap = radial_capacity(RadialCondenser(neck, 0.0, ends="two_symmetric"))
-    open_est = capacity_estimate(RadialCondenser(neck, 0.0))
     for i in i_list:
         capped_even_profile(i, m=m, a=a, b=b)
-    caps = (open_est.cap,) * len(i_list)
+    caps = (neck.dim.omega / (neck.dim.gamma * C),) * len(i_list)  # finite, as its double `limit_cap` is
 
     verdict = check_semicontinuity(caps, limit_cap, tol)
     meta = {
         "family": "capped-even-neck",
         "m": m,
         "end_resistance": C,
-        "open_side_error_estimate": open_est.error_estimate,
         "pole_side_energies": (0.0,) * len(i_list),
         "ratio_to_limit": tuple(c / limit_cap for c in caps),
-        "provenance": "fem",
+        "provenance": "closed-form",
         "limit_provenance": "closed-form",
     }
     return SequenceExperiment("ex2", i_list, caps, limit_cap, verdict, metadata=meta)

@@ -12,6 +12,7 @@ the capacity of every compact set to zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -53,15 +54,17 @@ class TailQuadrature:
 
 
 def end_resistance_estimate(condenser: RadialCondenser, rel_tol: float = 1e-12) -> TailQuadrature:
-    """Resistance of one end, the integral of q*f^(1-m) on [s0, inf), in one
-    call: +inf for a non-integrable end, `InconsistencyError` when the error
-    estimate exceeds `rel_tol` of the value, and `DomainError` when the value
+    """Resistance of one end, the integral of q*f^(1-m) on [s0, inf), in one call:
+    +inf for a non-integrable end, `InconsistencyError` for a NaN value or an error
+    estimate above `rel_tol` of the value, and `DomainError` when the value
     underflows to 0, as the capacity then passes the float range."""
     if not condenser.profile.is_unbounded:
         raise DomainError("end resistance needs a profile defined out to infinity")
     value, err = condenser.profile.resistance_between(condenser.s0, INF)
     if value == INF:
         return TailQuadrature(INF, 0.0, 0, True)
+    if math.isnan(value):
+        raise InconsistencyError(f"end resistance from s0={condenser.s0!r} is NaN")
     if value == 0.0:
         raise DomainError(f"end resistance from s0={condenser.s0!r} underflows to 0: capacity past the float range")
     if not err <= rel_tol * value:

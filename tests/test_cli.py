@@ -178,7 +178,7 @@ MALFORMED = [
     (["mass"], _mass_doc(radii="abc"), "input.radii"),
     (["mass"], _mass_doc(tail_points=2.5), "input.tail_points"),
     (["experiment", "ex1"], {"m": 3.5}, "input.m"),
-    (["experiment", "ex1"], {"L_values": [100.0, "1000", 10000.0]}, "input.L_values[1]"),
+    (["experiment", "ex1"], {"L_values": [100.0, 1e3, 1e4]}, "unknown key 'L_values' in experiment ex1 input"),
     (["experiment", "ex3"], {"alphas": "abc"}, "input.alphas"),
     (["experiment", "ex3"], {"h": 0}, "input.h"),
     (["experiment", "ex2"], {"L": 1000.0}, "unknown key 'L' in experiment ex2 input"),
@@ -199,8 +199,9 @@ MALFORMED = [
     (["experiment", "ex1"], {"i_list": [1, 2, 4], "r": 0.5}, "ex1 input.i_list[0] must be an integer >= 2"),
     (["experiment", "ex2"], {"a": -1}, "ex2 input.a must be a number (finite, > 0)"),
     (["experiment", "ex2"], {"b": 0}, "ex2 input.b must be a number (finite, > 0)"),
+    # every neck's end diverges at m = 2, whatever a and b; this exited 1 after the resistance was computed
+    (["experiment", "ex2"], {"m": 2}, "ex2 input.m must be an integer >= 3"),
     (["capacity-radial"], _radial_doc(L_values=[100.0, 10000.0]), "input.L_values must list at least 3 entries"),
-    (["experiment", "ex1"], {"L_values": [100.0, 1e4]}, "ex1 input.L_values must list at least 3 entries"),
     (["capacity-graph"], _graph_doc(inner=["zz"]), _CONDENSER_KEYS + "condenser references unknown point 'zz'"),
     (["capacity-graph"], _graph_doc(outer=["qq"]), _CONDENSER_KEYS + "condenser references unknown point 'qq'"),
     (["capacity-graph"], _graph_doc(inner=[]), _CONDENSER_KEYS + "condenser needs a nonempty inner set K"),
@@ -269,11 +270,6 @@ RULE_FAULTS = [
      "capacity-radial input keys 'profile' and 's0': inner radius -1.0 outside profile domain [0.0, inf)"),
     (["capacity-radial"], _radial_doc(s0=0.0),
      "capacity-radial input keys 'profile' and 's0': inner radius 0.0 must lie strictly outside the pole"),
-    (["experiment", "ex1"], {"i_list": [2, 4, 20000]},
-     "ex1 input keys 'i_list' and 'r': every truncation radius in 'L_values' (smallest 100) must lie past"),
-    (["experiment", "ex1"], {"i_list": [2, 4, 99]}, "which begins at max(i) + 1 = 100"),
-    (["experiment", "ex1"], {"L_values": [0.5, 100.0, 1000.0]},
-     "ex1 input keys 'i_list' and 'r' and 'L_values': truncation radius 0.5 must exceed the inner radius 1.0"),
     (["mass"], _mass_doc(radii=[1e103]), _RADII_KEYS + "mass extrapolation needs at least 4 radii"),
     (["mass"], _mass_doc(radii=[10.0, 20.0, 40.0]), _RADII_KEYS + "mass extrapolation needs at least 4 radii"),
     (["mass"], _mass_doc(radii=[10.0, 20.0, 40.0, 60.0]),
@@ -292,9 +288,8 @@ RULE_FAULTS = [
 
 @pytest.mark.parametrize("command, doc, message", RULE_FAULTS, ids=[
     "repeated radius", "radius at s0", "radius 13 ulps past s0 at 2 levels", "radius 13 ulps past s0 at 4 levels",
-    "s0 outside the profile", "s0 on the pole", "ex1 i=20000", "ex1 i=99",
-    "ex1 radius below r", "one mass radius", "three mass radii", "radii within a decade", "radii unsorted",
-    "radius inside the horizon", "profile not flat", "tail past the radii", "tail of two points"])
+    "s0 outside the profile", "s0 on the pole", "one mass radius", "three mass radii", "radii within a decade",
+    "radii unsorted", "radius inside the horizon", "profile not flat", "tail past the radii", "tail of two points"])
 def test_rule_fault_exits_two_before_any_solve_or_quadrature(tmp_path, capsys, monkeypatch, command, doc, message):
     def refuse(*args, **kwargs):
         raise AssertionError("a solve or quadrature ran")
@@ -356,7 +351,7 @@ VALID = [
     (["capacity-radial"], _radial_doc(ends="one", L_values=[100.0, 1000.0, 1e4], levels=2, h0=0.02, ratio=1.05)),
     (["capacity-graph"], _graph_doc(rim_radius=1.0)),
     (["mass"], _mass_doc(tail_points=4)),
-    (["experiment", "ex1"], {"i_list": [2, 4, 8], "r": 1.0, "L_values": [100.0, 1000.0, 1e4], "m": 3}),
+    (["experiment", "ex1"], {"i_list": [2, 4, 8], "r": 1.0, "m": 3}),
     (["experiment", "ex2"], {"i_list": [1, 2, 4], "a": 1.0, "b": 1.0, "m": 3}),
     (["experiment", "ex3"], {"i_list": [2, 4, 8], "h": 0.1, "rim_radius": 4.0, "strip_conductance": 0.2,
                              "alphas": [0.0, 0.0, 0.0]}),
@@ -540,11 +535,11 @@ def _mass_radii(radii: list, huge: float | None, order: str) -> list:
 # Values are drawn near their valid ranges, so that most documents reach the
 # computation; sizes stay small (at most four family indices and nine radii)
 # because `main` runs every document that converts.  A mass document may add
-# one radius as large as 1e300.
+# one radius as large as 1e300.  ex2's m = 2, just below its valid range,
+# exits 2 at the boundary.
 EXPERIMENT_AND_MASS_DOCUMENTS = st.one_of(
     st.tuples(st.just(["experiment", "ex1"]), st.fixed_dictionaries({"i_list": _i_list(2)}, optional={
-        "r": _log_uniform(-2, 0.3), "m": st.integers(2, 6),
-        "L_values": st.lists(_log_uniform(0.5, 300), min_size=3, max_size=4)})),
+        "r": _log_uniform(-2, 0.3), "m": st.integers(2, 6)})),
     st.tuples(st.just(["experiment", "ex2"]), st.fixed_dictionaries({"i_list": _i_list(1)}, optional={
         "a": _log_uniform(-2, 2), "b": _log_uniform(-2, 2), "m": st.integers(2, 6)})),
     st.tuples(st.just(["mass"]), st.fixed_dictionaries({

@@ -20,6 +20,13 @@ SuperLU factorisation and the `solver` tolerance left the configuration:
 each report's config_sha256 moved, and ex3's limit and ex4's capacities
 moved by 1 ulp (0.6993664837923906 to 0.6993664837923907); the
 limit-plane document did not move.
+The ex1 and ex2 hashes were re-recorded again when those runners stopped
+running the FEM and reported their capacities from the end resistance:
+ex1's capacities stayed 0.0 and only its metadata changed (no
+`capacity_error_estimates`, provenance `closed-form`); ex2's capacities and
+limsup moved from 0.6366197688909645 to 0.6366197723675814 = 2/pi (5.5e-9
+relative), its `ratio_to_limit` became exactly 0.5 and its
+`open_side_error_estimate` left; its limit and every verdict stayed.
 A refactor must keep every byte of these outputs;
 the determinism tests elsewhere only compare a run with itself.
 """
@@ -36,10 +43,10 @@ from varcap.profiles import euclidean_profile, schwarzschild_profile
 from varcap.sequences import limit_plane_condenser
 
 REPORT_SHA256 = {
-    ("ex1", "json"): "c8823bfe076523bf711452935e8120181bd2750bac82aa667dfa1821839fb827",
-    ("ex1", "csv"): "52e610c8907f10f98dd5db407cec2ab6ac3ddef049e43a72264899024f64b5ab",
-    ("ex2", "json"): "c13b579f15058db5be5925be5dd0c3c3db2fa1fd25b82bab1f70defbad95ed8a",
-    ("ex2", "csv"): "67090d1af5c7416de39bc228a928b69474cf92c7939179c041db1a5309356a51",
+    ("ex1", "json"): "b873558bf70bb88f98a7df834643e9c63d76df816943704b2cde8a304c0ad246",
+    ("ex1", "csv"): "b1b7705f25999272aab379353ec96fd9fda7ef8fb9a966dec37277f2cb197f36",
+    ("ex2", "json"): "cfdac80b757bba1000dcfff17666fdb6e4d4ed666a2145b53964506ba906e8a5",
+    ("ex2", "csv"): "8dcb5150d1f9e460f2408664a3878204bcdda87d8c5ee9d9e431e8eba96a8897",
     ("ex3", "json"): "5fb42a6e2fcde100a76d0419ce4f43da66394d2a09172848aa2c6c2196b71150",
     ("ex3", "csv"): "65f2eff701d82916d708ca08110ff77ec235e49d795b2cb7c7509b6fdc3d86ea",
     ("ex4", "json"): "be9cfa5dfb55574163f50a4879cec4d6e77892815d7870738f5ce0e2c2e95b54",

@@ -1,3 +1,6 @@
+import ast
+import contextlib
+import inspect
 import json
 import math
 
@@ -11,12 +14,12 @@ from _oracles import (
     contract, ex4_limit_condenser, joined_two_sheet_condenser, plane_orbits, radial_label_filter, two_sheet_space,
     unit_disk,
 )
-from varcap import mms, sequences
+from varcap import mms, radial_fem, sequences
 from varcap.errors import DomainError, PreconditionError
 from varcap.geometry import Dimension
 from varcap.mms import Disk, GraphCondenser, build_planar_sheet, graph_capacity, union_spaces
-from varcap.profiles import cylinder_transition_profile
-from varcap.radial_fem import RadialGrid, solve_radial
+from varcap.profiles import cylinder_transition_profile, hyperboloid_profile
+from varcap.radial_fem import RadialGrid, capacity_estimate, solve_radial
 from varcap.regions import DefiningFunction, region_measure
 from varcap.sequences import (
     CONSISTENT_EQUAL,
@@ -32,7 +35,7 @@ from varcap.sequences import (
     run_example3,
     run_example4,
 )
-from varcap.warped import RadialCondenser
+from varcap.warped import RadialCondenser, radial_capacity
 
 
 # -- verdicts -----------------------------------------------------------------
@@ -78,6 +81,89 @@ def test_verdict_accepts_a_zero_tolerance():
     assert check_semicontinuity([1.0, 1.0, 1.0], 1.0, 0.0).classification == CONSISTENT_EQUAL
 
 
+# -- ex1 and ex2 take their capacities from the end resistance ----------------------
+
+
+@contextlib.contextmanager
+def _no_fem():
+    """Make any FEM estimate or grid build fail inside the block."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the FEM ran")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(radial_fem, "capacity_estimate", refuse)
+        patch.setattr(RadialGrid, "geometric", refuse)
+        yield
+
+
+def test_sequences_imports_nothing_from_the_fem():
+    imports = [node.module for node in ast.walk(ast.parse(inspect.getsource(sequences)))
+               if isinstance(node, ast.ImportFrom)]
+    assert "radial_fem" not in imports
+
+
+def test_ex1_and_ex2_run_at_their_defaults_without_the_fem():
+    with _no_fem():
+        ex1, ex2 = run_example1(), run_example2()
+    assert ex1.capacities == (0.0, 0.0, 0.0) and ex1.limit_capacity == 1.0
+    assert ex2.limit_capacity == 2.0 * ex2.capacities[0] and ex2.metadata["ratio_to_limit"] == (0.5, 0.5, 0.5)
+    assert ex1.metadata["provenance"] == ex2.metadata["provenance"] == "closed-form"
+
+
+_DECADES = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(i_list=st.lists(st.integers(2, 10**6), min_size=3, max_size=4), r_share=st.floats(1e-3, 0.999),
+       m=st.integers(2, 6))
+@example(i_list=[2, 4, 98], r_share=0.05, m=3)
+def test_ex1_capacities_are_each_members_closed_form(i_list, r_share, m):
+    # every member ends in the unit cylinder, whose resistance density 1 is not integrable
+    r = r_share * min(i_list)
+    with _no_fem():
+        exp = run_example1(i_list=i_list, r=r, m=m)
+    assert exp.capacities == (0.0,) * len(i_list)
+    for i in i_list:
+        assert radial_capacity(RadialCondenser(cylinder_transition_profile(i, m=m), r)) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_DECADES, b=_DECADES, m=st.integers(3, 8), i_list=st.lists(st.integers(1, 64), min_size=3, max_size=4))
+@example(a=1e-6, b=1e3, m=4, i_list=[1, 2, 4])  # a neck 3e-5 wide, which the FEM read as capacity 0.0
+def test_ex2_capacities_are_the_one_ended_closed_form_and_half_the_limit(a, b, m, i_list):
+    with _no_fem():
+        exp = run_example2(i_list=i_list, a=a, b=b, m=m)
+    one_end = radial_capacity(RadialCondenser(hyperboloid_profile(m=m, a=a, b=b), 0.0))
+    assert exp.capacities == (one_end,) * len(i_list)
+    assert exp.limit_capacity == 2.0 * one_end and exp.metadata["ratio_to_limit"] == (0.5,) * len(i_list)
+
+
+def test_ex2_narrow_neck_carries_half_its_limit():
+    exp = run_example2(a=1e-6, b=1e3, m=4)
+    assert exp.capacities == (1.58113883008419e-05,) * 3 and exp.limit_capacity == 3.16227766016838e-05
+
+
+@pytest.mark.parametrize("a, b", [(1e-300, 1e300), (1e300, 1e-300)])
+def test_ex2_neck_whose_width_leaves_the_float_range_runs(a, b):
+    # sqrt(b/a) overflowed to inf or underflowed to 0 and the end resistance read NaN
+    exp = run_example2(a=a, b=b)
+    assert exp.capacities == (2 / math.pi,) * 3 and exp.metadata["end_resistance"] == math.pi / 2
+
+
+@pytest.mark.parametrize("runner, args, s0", [
+    (run_example2, {}, 0.0),
+    (run_example1, {"i_list": (2, 4, 8), "r": 1.0}, 1.0),
+    (run_example1, {"i_list": (8, 16, 32), "r": 0.1}, 0.1),
+], ids=["ex2 neck", "ex1 r=1", "ex1 r=0.1"])
+def test_fem_lands_within_its_estimate_of_the_runners_closed_forms(runner, args, s0):
+    # the cross-route check the runners no longer make: the first family member's FEM estimate
+    exp = runner(**args)
+    i = exp.i_list[0]
+    profile = hyperboloid_profile() if runner is run_example2 else cylinder_transition_profile(i)
+    est = capacity_estimate(RadialCondenser(profile, s0))
+    assert abs(est.cap - exp.capacities[0]) <= est.error_estimate
+
+
 # -- ex1 ------------------------------------------------------------------------
 
 
@@ -103,19 +189,13 @@ def test_ex1_rejects_ball_outside_euclidean_region():
         run_example1(i_list=(2, 4), r=3.0)
 
 
-@pytest.mark.parametrize("i_list, L_values", [((2, 4, 20000), None), ((2, 4, 99), None),
-                                               ((2, 4, 8), [9.0, 100.0, 1000.0])])
-def test_ex1_refuses_a_ladder_short_of_a_cylinder_before_any_solve(monkeypatch, i_list, L_values):
-    # the default radii {1e2, 1e3, 1e4} used to extrapolate the Euclidean ball
-    # for i = 20000, a capacity of 0.99999994 and the verdict consistent-equal
-    monkeypatch.setattr(sequences, "capacity_estimate", lambda *a: pytest.fail("a capacity was estimated"))
-    with pytest.raises(DomainError, match=r"'L_values' .* must lie past the cylinder of each index in 'i_list'"):
-        run_example1(i_list=i_list, L_values=L_values)
-
-
-def test_ex1_ladder_past_every_cylinder_runs():
-    exp = run_example1(i_list=(2, 4, 98))
-    assert max(exp.capacities) < 1e-2 and exp.verdict.classification == CONSISTENT_STRICT_JUMP
+@pytest.mark.parametrize("i_list", [(2, 4, 98), (2, 4, 99), (2, 4, 20000)])
+def test_ex1_cylinder_past_any_truncation_radius_has_capacity_zero(i_list):
+    # the FEM's default radii {1e2, 1e3, 1e4} stopped short of the cylinder past i = 98,
+    # and for i = 20000 extrapolated the Euclidean ball, a capacity of 0.99999994
+    with _no_fem():
+        exp = run_example1(i_list=i_list)
+    assert exp.capacities == (0.0, 0.0, 0.0) and exp.verdict.classification == CONSISTENT_STRICT_JUMP
 
 
 def test_ex1_estimate_decreases_with_larger_truncation():
@@ -139,8 +219,7 @@ def test_ex2_half_capacity(ex2):
     assert ex2.limit_capacity == pytest.approx(4 / math.pi, abs=1e-3)
     for cap in ex2.capacities:
         assert cap == pytest.approx(2 / math.pi, abs=1e-3)
-    for ratio in ex2.metadata["ratio_to_limit"]:
-        assert ratio == pytest.approx(0.5, abs=1e-3)
+    assert ex2.metadata["ratio_to_limit"] == (0.5, 0.5, 0.5)
     assert ex2.verdict.classification == CONSISTENT_STRICT_JUMP
 
 
@@ -273,9 +352,8 @@ def test_node_budget_admits_the_finest_ladder_rung():
 
 
 @pytest.mark.parametrize("big", [2**60, 2**64, 2.0**53])
-def test_ex1_refuses_an_index_past_float_resolution_before_any_solve(monkeypatch, big):
-    monkeypatch.setattr(sequences, "capacity_estimate", lambda *a: pytest.fail("a grid was solved"))
-    with pytest.raises(DomainError, match="no room in floats"):
+def test_ex1_refuses_an_index_past_float_resolution_before_any_solve(big):
+    with _no_fem(), pytest.raises(DomainError, match="no room in floats"):
         run_example1(i_list=(2, 4, big))
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from varcap import profiles
 from varcap.errors import DomainError, InconsistencyError, UnsupportedDimensionError
 from varcap.geometry import Dimension
 from varcap.profiles import (
@@ -55,6 +57,39 @@ def test_end_resistance_divergent_constant_tail():
 def test_end_resistance_arctan():
     C = end_resistance(RadialCondenser(hyperboloid_profile(), 0.0))
     assert C == pytest.approx(math.pi / 2, rel=1e-10)
+
+
+_ANY_DECADE = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_ANY_DECADE, b=_ANY_DECADE, s0=st.floats(-1e6, 1e6), s1=st.just(INF) | st.floats(-1e6, 1e6))
+@example(a=1e-24, b=1e-300, s0=0.0, s1=INF)  # sqrt(a b) underflowed to 0: a ZeroDivisionError
+def test_m3_neck_keeps_every_arctan_result_inside_the_normal_range(a, b, s0, s1):
+    # the end resistance from 0 is (pi/2)/sqrt(a b) to within rounding, and where a b and b/a are normal
+    # floats, every integral is the arctan formula's bit for bit
+    neck = SqrtQuadraticSegment(-INF, INF, a, b)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exact = float(Decimal(math.pi / 2) / (Decimal(a) * Decimal(b)).sqrt())
+    assert neck.resistance_integral(0.0, INF, 3)[0] == pytest.approx(exact, rel=1e-15)
+    s0, s1 = min(s0, s1), max(s0, s1)
+    if sys.float_info.min <= a * b < INF and sys.float_info.min <= b / a < INF:
+        k = math.sqrt(b / a)
+        formula = (math.atan(k * s1) - math.atan(k * s0)) / math.sqrt(a * b)
+        assert neck.resistance_integral(s0, s1, 3)[0] == formula
+
+
+def test_m3_neck_with_a_subnormal_width_ratio_keeps_its_digits():
+    # b/a = 1e-320 is subnormal, and its square root read the integral 5.6e-6 low; atan(x) = x - x^3/3 + ...
+    value, _ = SqrtQuadraticSegment(-INF, INF, 1e300, 1e-20).resistance_integral(0.0, 1e150, 3)
+    assert value == pytest.approx(1e-150, rel=1e-15)
+
+
+def test_nan_end_resistance_is_refused_by_name(monkeypatch):
+    monkeypatch.setattr(WarpProfile, "resistance_between", lambda self, a, b: (math.nan, 0.0))
+    with pytest.raises(InconsistencyError, match="end resistance from s0=0.0 is NaN"):
+        end_resistance_estimate(RadialCondenser(hyperboloid_profile(), 0.0))
 
 
 def test_end_resistance_requires_unbounded_profile():
@@ -199,6 +234,13 @@ def test_cylinder_transition_capacity_zero():
     for i in (2, 4):
         cap = radial_capacity(RadialCondenser(cylinder_transition_profile(i), 1.0))
         assert cap == 0.0
+
+
+@pytest.mark.parametrize("i", [4, 2**17, 2**40])
+def test_divergent_end_is_found_before_any_quadrature(monkeypatch, i):
+    # QUADPACK on the bridge [i, i+1] warned of roundoff from i = 2^17 on, though the cylinder past it diverges
+    monkeypatch.setattr(profiles, "_quad", lambda *args, **kwargs: pytest.fail("a quadrature ran"))
+    assert radial_capacity(RadialCondenser(cylinder_transition_profile(i), 1.0)) == 0.0
 
 
 def test_two_ended_neck_capacity():
