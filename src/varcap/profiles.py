@@ -15,7 +15,8 @@ The three densities every segment exposes (all per unit sphere area):
     element weight       f^(m-1) / q    -- 1D Dirichlet-form coefficient
 
 Power and constant segments integrate in closed form, also out to infinity;
-splines and the other analytic kinds fall back to adaptive quadrature.
+so do sqrt_quadratic and Schwarzschild segments at m = 3.  Splines and the
+other cases fall back to adaptive quadrature, splines one cubic piece at a time.
 """
 
 from __future__ import annotations
@@ -270,6 +271,27 @@ class SplineSegment(Segment):
     def f_coordinate_derivative(self, s):
         return self._evaluate(self._deriv_coef, s)
 
+    def _piecewise_integral(self, a: float, b: float, power: int) -> tuple[float, float]:
+        # integral of f^power on [a, b], one cubic piece at a time in its own offset z = s - x_k:
+        # each piece's integrand is smooth (f'' jumps only at the knots), and z keeps the digits
+        # that s - x_k, taken at a quadrature node s far from the origin, would lose
+        total, err = 0.0, 0.0
+        for k, (x0, x1) in enumerate(zip(self.x.tolist(), self.x[1:].tolist())):
+            lo, hi = max(a, x0), min(b, x1)
+            if hi <= lo:
+                continue
+            c3, c2, c1, c0 = self._coef[:, k].tolist()
+            v, e = _quad(lambda z: (((c3 * z + c2) * z + c1) * z + c0) ** power, lo - x0, hi - x0)
+            total += v
+            err += e
+        return total, err
+
+    def resistance_integral(self, a, b, m):
+        return self._piecewise_integral(a, b, 1 - m)
+
+    def volume_integral(self, a, b, m):
+        return self._piecewise_integral(a, b, m - 1)
+
     def params(self):
         doc = {"x": self.x.tolist(), "y": self.y.tolist()}
         if self.dydx is not None:
@@ -340,7 +362,8 @@ class SqrtQuadraticSegment(Segment):
 class SchwarzschildSegment(Segment):
     """Schwarzschild exterior in areal radius: f(R) = R, q(R) = (1-2M/R)^(-1/2).
 
-    Defined for R >= 2M; the horizon R = 2M is the inner boundary.  Quadrature
+    Defined for R >= 2M; the horizon R = 2M is the inner boundary.  At m = 3
+    the resistance and the volume are closed forms.  Otherwise quadrature
     substitutes x = sqrt(R - 2M), which removes the q singularity at the
     horizon exactly and maps R = inf to x = inf.
     """
@@ -357,7 +380,7 @@ class SchwarzschildSegment(Segment):
         self.mass = float(mass)
 
     def f(self, s):
-        return np.asarray(s, dtype=float)
+        return np.array(s, dtype=float)  # a copy: the caller's array is not the profile's value
 
     def f_coordinate_derivative(self, s):
         return np.ones_like(np.asarray(s, dtype=float))
@@ -397,7 +420,24 @@ class SchwarzschildSegment(Segment):
     def volume_integral(self, a, b, m):
         if b == INF:
             return INF, 0.0
+        if m == 3:
+            return self._volume3(a, b), 0.0
         return self._subst_quad(a, b, m - 1.0)
+
+    def _volume3(self, a: float, b: float) -> float:
+        # exact: with c = 2M, x = sqrt(R - c) and u = sqrt(R), 2 * integral of (x^2 + c)^(5/2) dx
+        # is 2 [x u (8 u^4 + 10 c u^2 + 15 c^2) / 48 + (5/16) c^3 asinh(x / sqrt(c))].  Its change
+        # from a to b is taken with the factor d = b - a pulled out of every term, so nothing cancels:
+        # x u changes by d (a + b - c) / (xb ub + xa ua), the polynomial by d (8 (a + b) + 10 c),
+        # and the asinh by asinh(d / (xb ua + xa ub)) (the sinh of a difference)
+        c = 2.0 * self.mass
+        math.pow(b, 3.0)  # the integral's size: raises OverflowError past the float range, as `_subst_quad` does
+        xa, xb = math.sqrt(max(a - c, 0.0)), math.sqrt(b - c)
+        ua, ub = math.sqrt(a), math.sqrt(b)
+        d = b - a
+        algebraic = ((a - c + b) / (xb * ub + xa * ua) * (8.0 * b * b + 10.0 * c * b + 15.0 * c * c)
+                     + xa * ua * (8.0 * (a + b) + 10.0 * c)) / 48.0 * d
+        return 2.0 * (algebraic + 5.0 / 16.0 * c**3 * math.asinh(d / (xb * ua + xa * ub)))
 
 
 _SEGMENT_KINDS = {
@@ -526,11 +566,14 @@ class WarpProfile:
         s = np.atleast_1d(s)
         if np.any(s < self.s_min - 1e-12) or np.any(s > self.s_max):
             raise DomainError(f"evaluation outside profile domain [{self.s_min}, {self.s_max})")
-        out = np.empty_like(s)
-        idx = self._segment_index(s)
-        for k in np.unique(idx):
-            mask = idx == k
-            out[mask] = per_segment(self.segments[k], s[mask])
+        if len(self.segments) == 1:
+            out = per_segment(self.segments[0], s)
+        else:
+            out = np.empty_like(s)
+            idx = self._segment_index(s)
+            for k in np.unique(idx):
+                mask = idx == k
+                out[mask] = per_segment(self.segments[k], s[mask])
         return float(out[0]) if scalar else out
 
     def f(self, s):
@@ -618,21 +661,28 @@ def euclidean_profile(m: int = 3) -> WarpProfile:
     return WarpProfile(Dimension(m), [PowerSegment(0.0, INF, 1.0, 1.0)], pole_at_origin=True)
 
 
+def bridge_knots(i: float) -> np.ndarray:
+    """The 33 knots of `cylinder_transition_profile(i)`'s bridge [i, i+1];
+    `DomainError` for i <= 1, i = inf or NaN, or knots that do not increase in floats."""
+    i = float(i)
+    if not 1 < i < INF:
+        raise DomainError(f"transition radius must be a finite number above 1, got i={i}")
+    x = np.linspace(i, i + 1.0, 33)
+    if not np.all(np.diff(x) > 0):
+        raise DomainError(f"transition radius i={i:g} leaves the bridge [i, i+1] no room in floats")
+    return x
+
+
 def cylinder_transition_profile(i: float, m: int = 3) -> WarpProfile:
     """Euclidean out to s = i, then a monotone neck down to a unit cylinder.
 
     f(s) = s on [0, i], a cosine-ramp spline bridge through 33 samples from
     i down to 1 on [i, i+1], and f = 1 on [i+1, inf).  The unit cylinder
     radius makes the linear-ramp test energy on the cylindrical range
-    exactly omega/L.  An i so large that the 33 samples of [i, i+1] do not
-    increase in floats raises `DomainError`.
+    exactly omega/L.  An i that `bridge_knots` refuses raises `DomainError`.
     """
     i = float(i)
-    if i <= 1:
-        raise DomainError(f"transition radius must exceed 1, got i={i}")
-    x = np.linspace(i, i + 1.0, 33)
-    if not np.all(np.diff(x) > 0):
-        raise DomainError(f"transition radius i={i:g} leaves the bridge [i, i+1] no room in floats")
+    x = bridge_knots(i)
     y = 1.0 + (i - 1.0) * (1.0 + np.cos(math.pi * (x - i))) / 2.0
     y[0], y[-1] = i, 1.0
     segments = [

@@ -40,7 +40,9 @@ from .geometry import Dimension
 from .mms import (
     Disk, FiniteMetricMeasureSpace, GraphCondenser, _LatticeLabels, build_planar_sheet, graph_capacity,
 )
-from .profiles import capped_even_profile, cylinder_transition_profile, euclidean_profile, hyperboloid_profile
+from .profiles import (
+    bridge_knots, capped_even_profile, cylinder_transition_profile, euclidean_profile, hyperboloid_profile,
+)
 from .regions import DefiningFunction, region_measure
 from .warped import RadialCondenser, end_resistance, radial_capacity, truncated_ramp_energy
 
@@ -148,9 +150,9 @@ def _check_ball(i_list: Sequence[int], r: float) -> None:
 
 
 def _check_bridges(i_list: Sequence[int]) -> None:
-    """Reject an index whose bridge [i, i+1] collapses in floats (see `cylinder_transition_profile`)."""
+    """Reject an index that `cylinder_transition_profile` rejects, from its bridge knots alone."""
     for i in i_list:
-        cylinder_transition_profile(i)
+        bridge_knots(i)
 
 
 def run_example1(

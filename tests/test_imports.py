@@ -1,6 +1,7 @@
 """Import footprint: `import varcap` loads no scipy, the radial commands
-(capacity-radial, ex1 and ex2) load none either, and each other command
-loads only the scipy subpackages it runs.  Every public name resolves, once.
+(capacity-radial, ex1 and ex2) and a Schwarzschild `mass` call load none
+either, and each other command loads only the scipy subpackages it runs.
+Every public name resolves, once.
 
 Every case runs in a fresh interpreter, because an earlier test in this
 process has long since imported everything; the child prints the scipy
@@ -79,6 +80,13 @@ def test_capacity_radial_loads_no_scipy(tmp_path, kind):
     inp = tmp_path / "input.json"
     inp.write_text(json.dumps(RADIAL_DOCS[kind]))
     assert _scipy_loaded(_CALL.format(argv=["capacity-radial", "--input", str(inp)])) == set()
+
+
+def test_schwarzschild_mass_loads_no_scipy(tmp_path):
+    # the volume at m = 3 is a closed form, like the resistance, so no quadrature runs
+    inp = tmp_path / "input.json"
+    inp.write_text(json.dumps(_command_doc("mass")))
+    assert _scipy_loaded(_CALL.format(argv=["mass", "--input", str(inp)])) == set()
 
 
 def test_golden_capacity_graph_loads_only_the_scipy_it_runs(tmp_path):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
@@ -13,7 +13,9 @@ from varcap.geometry import Dimension
 from varcap.profiles import (
     ConstantSegment,
     PowerSegment,
+    SchwarzschildSegment,
     SplineSegment,
+    SqrtQuadraticSegment,
     WarpProfile,
     capped_even_profile,
     cylinder_transition_profile,
@@ -99,6 +101,76 @@ def test_schwarzschild_volume_against_high_precision_oracle():
     oracle_V = 5054.9087020011138677 / (4 * math.pi)
     vol, err = schwarzschild_profile(1.0).volume_between(2.0, 10.0)
     assert vol == pytest.approx(oracle_V, rel=1e-12)
+
+
+_DECADE = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(M=_DECADE, a_excess=st.one_of(st.just(0.0), st.floats(-12.0, 10.0).map(lambda e: 10.0**e)),
+       gap=st.floats(-2.0, 92.0).map(lambda e: 10.0**e))
+@example(M=1.0, a_excess=0.0, gap=1e92)  # from the horizon out to 1e90
+def test_schwarzschild_volume_closed_form_matches_the_quadrature(M, a_excess, gap):
+    # b at least 1% past a: nearer, the quadrature's x = sqrt(R - 2M) keeps too few digits of b - a
+    seg = SchwarzschildSegment(2.0 * M, INF, M)
+    a = 2.0 * M * (1.0 + a_excess)
+    b = min(a * (1.0 + gap), 1e90)
+    assume(b > a)
+    value, err = seg.volume_integral(a, b, 3)
+    quad, _ = seg._subst_quad(a, b, 2.0)
+    assert err == 0.0 and value == pytest.approx(quad, rel=1e-13)
+
+
+# the largest float whose cube is finite: the volume's last radius before the float range runs out
+_LAST_CUBABLE = float.fromhex("0x1.428a2f98d728ap+341")
+
+
+@pytest.mark.parametrize("M", [1.0, 1e50])
+def test_schwarzschild_volume_leaves_the_float_range_where_the_quadrature_did(M):
+    assert _LAST_CUBABLE**3 < INF
+    past = math.nextafter(_LAST_CUBABLE, INF)
+    seg = SchwarzschildSegment(2.0 * M, INF, M)
+    assert seg.volume_integral(2.0 * M, _LAST_CUBABLE, 3)[0] == pytest.approx(
+        seg._subst_quad(2.0 * M, _LAST_CUBABLE, 2.0)[0], rel=1e-13)
+    with pytest.raises(OverflowError):
+        seg._subst_quad(2.0 * M, past, 2.0)
+    prof = schwarzschild_profile(M)
+    assert prof.volume_between(2.0 * M, _LAST_CUBABLE)[0] < INF
+    with pytest.raises(DomainError, match="exceeds the float range"):
+        prof.volume_between(2.0 * M, past)
+
+
+@pytest.mark.parametrize("i", [2**17, 2**20])
+def test_spline_integrals_far_from_the_origin_match_the_bridge_moved_to_2_16(i):
+    # the bridge's table at i is the same shape wherever it lies; moved by exactly 2**16 - i it must
+    # integrate to the same values, and from i = 2**17 on QUADPACK used to warn of roundoff (an error here)
+    profile = cylinder_transition_profile(i)
+    bridge = profile.segments[1]
+    moved = SplineSegment(bridge.x - i + 2**16, bridge.y)
+    resistance, err = profile.resistance_between(i, i + 1)
+    assert resistance == pytest.approx(moved.resistance_integral(2**16, 2**16 + 1, 3)[0], rel=1e-12)
+    assert err <= 1e-12 * resistance
+    volume, _ = profile.volume_between(i + 0.25, i + 1)
+    assert volume == pytest.approx(moved.volume_integral(2**16 + 0.25, 2**16 + 1, 3)[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("profile, split", [
+    (schwarzschild_profile(1.5), lambda: [SchwarzschildSegment(3.0, 7.0, 1.5), SchwarzschildSegment(7.0, INF, 1.5)]),
+    (euclidean_profile(4), lambda: [PowerSegment(0.0, 7.0, 1.0, 1.0), PowerSegment(7.0, INF, 1.0, 1.0)]),
+    (hyperboloid_profile(3, 2.0, 0.5), lambda: [SqrtQuadraticSegment(0.0, 7.0, 2.0, 0.5),
+                                                SqrtQuadraticSegment(7.0, INF, 2.0, 0.5)]),
+], ids=["schwarzschild", "power", "sqrt_quadratic"])
+def test_one_segment_profile_evaluates_as_its_two_segment_twin(profile, split):
+    # a one-segment profile is evaluated without the segment search; its values keep every bit
+    twin = WarpProfile(profile.dim, split(), pole_at_origin=profile.pole_at_origin)
+    s = np.random.default_rng(5).uniform(profile.s_min, 20.0, 64)
+    s[0] = profile.s_min + 1e-3
+    for name in ("f", "lapse", "element_weight", "arclength_derivative"):
+        one, two = getattr(profile, name), getattr(twin, name)
+        values = one(s)
+        assert values is not s and np.array_equal(values, two(s)), name
+        assert np.array_equal(one(s.reshape(8, 8)), values.reshape(8, 8)), name
+        assert type(one(float(s[3]))) is float and one(float(s[3])) == two(float(s[3])), name
 
 
 def test_schwarzschild_resistance_closed_form():

@@ -15,6 +15,7 @@ from _oracles import (
     unit_disk,
 )
 from varcap import mms, radial_fem, sequences
+from varcap.cli import main
 from varcap.errors import DomainError, PreconditionError
 from varcap.geometry import Dimension
 from varcap.mms import Disk, GraphCondenser, build_planar_sheet, graph_capacity, union_spaces
@@ -196,6 +197,56 @@ def test_ex1_cylinder_past_any_truncation_radius_has_capacity_zero(i_list):
     with _no_fem():
         exp = run_example1(i_list=i_list)
     assert exp.capacities == (0.0, 0.0, 0.0) and exp.verdict.classification == CONSISTENT_STRICT_JUMP
+
+
+def _refusal(check, i):
+    try:
+        check(i)
+    except DomainError:
+        return True
+    return False
+
+
+_COLLAPSE = 2**48  # from here on the 33 bridge knots of [i, i+1] no longer increase in floats
+
+
+@settings(max_examples=200, deadline=None)
+@given(i=st.one_of(
+    st.integers(-3, 40),
+    st.floats(-4.0, 1e6, allow_nan=False),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(_COLLAPSE - 2**12, _COLLAPSE + 2**12),
+    st.integers(2**40, 2**70),
+))
+@example(i=1)
+@example(i=1.0000000000000002)
+@example(i=_COLLAPSE - 1)
+@example(i=_COLLAPSE)
+@example(i=math.inf)
+@example(i=math.nan)
+def test_ex1_bridge_check_refuses_exactly_the_members_that_cannot_be_built(i):
+    refused = _refusal(cylinder_transition_profile, i)
+    assert _refusal(lambda j: sequences._check_bridges([j]), i) == refused
+    if isinstance(i, int):  # a float just below 2**48 with a fraction has knots past it
+        assert refused == (not 1 < i < _COLLAPSE)
+
+
+def test_experiment_ex1_builds_one_cylinder_member_a_call(monkeypatch, tmp_path):
+    # the CLI rule and the runner check the bridges from their knots; only min(i)'s member is built, for the ramp
+    built, build = [], sequences.cylinder_transition_profile
+
+    def count(i, *args, **kwargs):
+        built.append(i)
+        return build(i, *args, **kwargs)
+
+    monkeypatch.setattr(sequences, "cylinder_transition_profile", count)
+    assert main(["experiment", "ex1", "--out", str(tmp_path / "ex1.csv")]) == 0
+    assert built == [2]
+    inp = tmp_path / "input.json"
+    inp.write_text(json.dumps({"i_list": [5, 3, 7, 9]}))
+    built.clear()
+    assert main(["experiment", "ex1", "--input", str(inp), "--out", str(tmp_path / "ex1b.csv")]) == 0
+    assert built == [3]
 
 
 def test_ex1_estimate_decreases_with_larger_truncation():
