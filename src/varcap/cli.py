@@ -26,7 +26,7 @@ from .mass import MASS_COLUMNS, AFProfile, _check_exhaustion, evaluate_mass_curv
 from .mms import FiniteMetricMeasureSpace, GraphCondenser, _check_document_condenser, capacity_csv, graph_capacity
 from .profiles import WarpProfile
 from .radial_fem import _check_schedule, capacity_estimate, fem_csv
-from .warped import RadialCondenser, radial_capacity
+from .warped import RadialCondenser
 
 _TOP_KEYS = {"command", "input", "input_doc", "output", "format", "tolerances", "seed"}
 # every entry is hashed into config_sha256, whichever of them a command reads
@@ -157,11 +157,7 @@ def _capacity_graph(space, inner, outer, m=None, rim_radius=None) -> dict:
 
 def _mass(profile, radii, tol, **extrapolation) -> dict:
     af = AFProfile.check(profile)
-
-    def capacity_fn(R):
-        return radial_capacity(RadialCondenser(profile, R), rel_tol=tol)
-
-    curve = evaluate_mass_curve(af, radii, capacity_fn=capacity_fn)
+    curve = evaluate_mass_curve(af, radii, rel_tol=tol)
     extrap = extrapolate_mass(curve, **extrapolation)
     return {
         "rows": [list(row) for row in curve.rows()],

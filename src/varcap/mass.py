@@ -31,7 +31,7 @@ import numpy as np
 from . import reports
 from .errors import DegenerateProblemError, DomainError, NoLimitError, PreconditionError, UnsupportedDimensionError
 from .profiles import WarpProfile
-from .warped import RadialCondenser, radial_capacity, volume_and_boundary
+from .warped import _check_inner_radii, radial_capacities, volumes_and_boundaries
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -73,11 +73,15 @@ class AFProfile:
 
 def _check_tail(radii: Sequence[float], tail_points: int | None) -> None:
     """Refuse radii a value + c/R tail fit cannot use: fewer than 4, not
-    increasing, not spanning a decade, or fewer than `tail_points`, itself 3 or more to leave a residual."""
+    increasing, repeated (a repeated radius adds no abscissa, so the fit's
+    residual understates its error), not spanning a decade, or fewer than
+    `tail_points`, itself 3 or more to leave a residual."""
     if len(radii) < 4:
         raise PreconditionError(f"mass extrapolation needs at least 4 radii, got {list(radii)}")
     if sorted(radii) != list(radii):
         raise DomainError(f"radii must be increasing, got {list(radii)}")
+    if len(set(radii)) < len(radii):
+        raise PreconditionError(f"mass extrapolation needs distinct radii, got {list(radii)}")
     if max(radii) < 10.0 * min(radii):
         raise PreconditionError(f"mass extrapolation needs radii spanning a decade, got {list(radii)}")
     if tail_points is not None and tail_points < 3:
@@ -91,20 +95,8 @@ def _check_exhaustion(profile: WarpProfile, radii: Sequence[float], tail_points:
     `AFProfile.check` rejects, a radius that is no `RadialCondenser` of it
     (outside its domain or on its pole), or radii that `_check_tail` rejects."""
     AFProfile.check(profile)
-    for R in radii:
-        RadialCondenser(profile, R)
+    _check_inner_radii(profile, radii)
     _check_tail(radii, tail_points)
-
-
-def _geometry_at(af: AFProfile, radii: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    V, A = [], []
-    for R in radii:
-        v, a = volume_and_boundary(af.profile, R)
-        if a <= 0.0:
-            raise DegenerateProblemError(f"boundary area vanishes at R={R}")
-        V.append(v)
-        A.append(a)
-    return np.asarray(V), np.asarray(A)
 
 
 def _iso_mass(V: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -136,20 +128,24 @@ class MassCurve:
 
 
 def evaluate_mass_curve(
-    af: AFProfile, radii: Sequence[float], capacity_fn: Callable[[float], float] | None = None
+    af: AFProfile, radii: Sequence[float], capacity_fn: Callable[[float], float] | None = None,
+    rel_tol: float = 1e-12,
 ) -> MassCurve:
     """Geometry, capacity and every mass display at each of the increasing `radii`.
 
     `capacity_fn` maps a radius to the capacity of {s <= R}; the default is
-    the closed-form/quadrature route.
+    the closed-form/quadrature route, `radial_capacities` at every radius in
+    one pass, its end resistances held to `rel_tol`.  Like V and A
+    (`volumes_and_boundaries`), it names the first radius that fails a check.
     """
     radii = tuple(float(R) for R in radii)
     if sorted(radii) != list(radii):
         raise DomainError("radii must be increasing")
-    V, A = _geometry_at(af, radii)
+    V, A = volumes_and_boundaries(af.profile, radii)
     if capacity_fn is None:
-        capacity_fn = lambda R: radial_capacity(RadialCondenser(af.profile, R))
-    cap = np.array([capacity_fn(R) for R in radii], dtype=float)
+        cap = radial_capacities(af.profile, radii, rel_tol=rel_tol)
+    else:
+        cap = np.array([capacity_fn(R) for R in radii], dtype=float)
     if np.any(cap <= 0.0):
         raise DegenerateProblemError("capacity vanished along the exhaustion (non-flat end?)")
     with np.errstate(over="ignore", invalid="ignore"):

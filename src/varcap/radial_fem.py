@@ -14,21 +14,26 @@ falling from 1 at s0 to 0 at L.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import reports
-from .errors import DomainError, InconsistencyError, PreconditionError, SingularWeightError
+from .errors import DomainError, InconsistencyError, PreconditionError, SingularWeightError, VarcapError
 from .warped import RadialCondenser
 
 # The most elements one schedule's finest grids may hold together, counted
 # before any grid is built: 14 levels on the default radii of a unit ball
-# (4.1 million elements, 1.4 s and 170 MB at peak) fit, while 30 levels
-# would need 2.7e11 elements.
+# (4.1 million elements; one `capacity-radial` call of 0.3 s and 122 MB peak
+# RSS on a 2-vCPU host) fit, while 30 levels would need 2.7e11 elements.
 _ELEMENT_BUDGET = 2**22
+# The most nodes whose profile values are evaluated together: every schedule of a
+# few levels is one batch, and a larger schedule's memory stays that of its largest grid.
+_EVALUATION_BATCH = 2**18
 
 
 def _check_grading(h0: float, ratio: float) -> None:
@@ -119,27 +124,56 @@ class FemSolution:
     cap_L: float
 
 
-def _element_conductances(condenser: RadialCondenser, grid: RadialGrid) -> np.ndarray:
-    """Per-element conductance w_k / h_k with midpoint-rule weights."""
+def _midpoints(grids: Sequence[RadialGrid]) -> np.ndarray:
+    """Every element midpoint 0.5 (t_k + t_k+1) of `grids`, one grid after another,
+    written in place, with no per-grid temporaries (see `_element_conductances`)."""
+    out = np.empty(sum(g.n_elements for g in grids))
+    end = 0
+    for g in grids:
+        part = out[end:end + g.n_elements]
+        np.add(g.nodes[:-1], g.nodes[1:], out=part)
+        part *= 0.5
+        end += g.n_elements
+    return out
+
+
+def _element_conductances(condenser: RadialCondenser, grids: Sequence[RadialGrid]) -> list:
+    """Per-element conductances w_k / h_k, with midpoint-rule weights, of each of
+    `grids` up to the first whose checks fail, and in its place the error they
+    raise, which the caller raises in that grid's turn.  f (for the
+    vanishing-factor check) and the element weight are each evaluated once,
+    over every grid inside the profile domain."""
     profile = condenser.profile
-    nodes = grid.nodes
-    if nodes[0] < profile.s_min - 1e-12 or nodes[-1] > profile.s_max:
-        raise DomainError("grid exceeds the profile domain")
-    interior = nodes[1:-1]
-    f_int = np.atleast_1d(profile.f(interior))
-    if np.any(f_int <= 0.0):
-        bad = float(interior[np.argmin(f_int)])
-        raise SingularWeightError(f"warp factor vanishes at interior node s={bad}")
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    with np.errstate(over="ignore"):  # an overflow shows as an infinite weight or conductance, refused below
-        w = np.atleast_1d(profile.element_weight(mids))
-        cond = w / np.diff(nodes)
-    if np.any(w == np.inf):
-        bad = float(mids[np.argmax(w)])
-        raise DomainError(f"element weight exceeds the float range at the element midpoint s={bad!r}")
-    if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
-        raise SingularWeightError("nonpositive element weight at an element midpoint")
-    return cond
+    inside = list(itertools.takewhile(lambda g: profile.s_min - 1e-12 <= g.nodes[0] and g.nodes[-1] <= profile.s_max,
+                                      grids))
+    if inside:
+        # Memory: the weights go first, so f is not held through their temporaries, and a
+        # lone grid's interior is passed as a view; with copies of it or per-grid midpoints
+        # the element-budget schedule peaked at 136 MB RSS, not 122 MB.
+        with np.errstate(over="ignore"):  # an overflow shows as an infinite weight, refused below
+            w = profile.element_weight(_midpoints(inside))
+        interior = [g.nodes[1:-1] for g in inside]
+        f = profile.f(interior[0] if len(interior) == 1 else np.concatenate(interior))
+    conds, a, b = [], 0, 0
+    for grid in grids:
+        nodes = grid.nodes
+        if abs(grid.s0 - condenser.s0) > 1e-12 * max(1.0, abs(condenser.s0)):
+            return conds + [DomainError(f"grid must start at s0={condenser.s0}, starts at {grid.s0}")]
+        if len(conds) == len(inside):
+            return conds + [DomainError("grid exceeds the profile domain")]
+        f_int, w_k = f[a:a + nodes.size - 2], w[b:b + nodes.size - 1]
+        a, b = a + f_int.size, b + w_k.size
+        if (f_int <= 0.0).any():
+            bad = float(nodes[1:-1][np.argmin(f_int)])
+            return conds + [SingularWeightError(f"warp factor vanishes at interior node s={bad}")]
+        if (w_k == np.inf).any():
+            bad = float(0.5 * (nodes[:-1] + nodes[1:])[np.argmax(w_k)])
+            return conds + [DomainError(f"element weight exceeds the float range at the element midpoint s={bad!r}")]
+        if not (w_k > 0.0).all():  # nonpositive or NaN
+            return conds + [SingularWeightError("nonpositive element weight at an element midpoint")]
+        with np.errstate(over="ignore"):  # an infinite conductance is refused with the chain
+            conds.append(w_k / (nodes[1:] - nodes[:-1]))
+    return conds
 
 
 def _minimize_chain(cond: np.ndarray) -> np.ndarray:
@@ -152,25 +186,61 @@ def _minimize_chain(cond: np.ndarray) -> np.ndarray:
     return np.concatenate([[1.0], 1.0 - crossed / crossed[-1]])
 
 
-def solve_radial(condenser: RadialCondenser, grid: RadialGrid) -> FemSolution:
-    """Exact minimizer of the discrete energy with u(s0)=1, u(L)=0.
+def _batches(grids: Iterable[RadialGrid]) -> Iterator[list]:
+    """`grids` in order, each run closed once it holds `_EVALUATION_BATCH` nodes."""
+    batch, size = [], 0
+    for grid in grids:
+        batch.append(grid)
+        size += grid.nodes.size
+        if size >= _EVALUATION_BATCH:
+            yield batch
+            batch, size = [], 0
+    if batch:
+        yield batch
+
+
+def _solve_chain(condenser: RadialCondenser, grid: RadialGrid, cond: np.ndarray) -> FemSolution:
+    """Exact minimizer of the discrete energy with u(s0)=1, u(L)=0 on `grid`,
+    whose element conductances are `cond` (an error in their place is raised).
 
     For a two-sided symmetric condenser the energy is doubled (the even
     reflection solves the second end).  A chain resistance, potential or
     capacity past the float range raises `DomainError`.
     """
-    if abs(grid.s0 - condenser.s0) > 1e-12 * max(1.0, abs(condenser.s0)):
-        raise DomainError(f"grid must start at s0={condenser.s0}, starts at {grid.s0}")
-    cond = _element_conductances(condenser, grid)
+    if isinstance(cond, VarcapError):
+        raise cond
+    dim = condenser.profile.dim
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below when not finite
         u = _minimize_chain(cond)
-        energy = condenser.profile.dim.omega * float(np.sum(cond * np.diff(u) ** 2))
+        energy = dim.omega * float(np.sum(cond * (u[1:] - u[:-1]) ** 2))
     if condenser.ends == "two_symmetric":
         energy *= 2.0
-    cap_L = energy / condenser.profile.dim.gamma
-    if not (np.all(np.isfinite(u)) and np.isfinite(cap_L)):
+    cap_L = energy / dim.gamma
+    if not (np.isfinite(u).all() and np.isfinite(cap_L)):
         raise DomainError(f"chain resistance or energy over [{grid.s0}, {grid.L}] exceeds the float range")
     return FemSolution(grid, u, energy, cap_L)
+
+
+def _solutions(condenser: RadialCondenser, grids: Iterable[RadialGrid]) -> Iterator[FemSolution]:
+    """`_solve_chain` on each of `grids` in turn, the profile evaluated once per batch of them."""
+    for batch in _batches(grids):
+        yield from map(functools.partial(_solve_chain, condenser), batch, _element_conductances(condenser, batch))
+
+
+def solve_radial(condenser: RadialCondenser, grid: RadialGrid) -> FemSolution:
+    """Exact minimizer of the discrete energy with u(s0)=1, u(L)=0 on `grid`
+    (see `_solve_chain`): the one-grid case of `_solutions`."""
+    return next(_solutions(condenser, [grid]))
+
+
+def _ladder(s0: float, L_sorted: list, levels: int, h0: float, ratio: float) -> Iterator[RadialGrid]:
+    """Each radius's geometric grid, then its `levels - 1` nested refinements, built one at a time."""
+    for L in L_sorted:
+        grid = RadialGrid.geometric(s0, L, h0, ratio)
+        yield grid
+        for _ in range(levels - 1):
+            grid = grid.refined()
+            yield grid
 
 
 def _check_schedule(
@@ -244,7 +314,9 @@ def capacity_estimate(
     fills in and checks whole before any grid is built.
 
     Per L: a geometric grid (first element h0, default max(|s0|, 1) / 64)
-    solved at `levels` nested refinements, extrapolated to second order.
+    solved at `levels` nested refinements, extrapolated to second order; the
+    profile is evaluated once per `_EVALUATION_BATCH` nodes of these grids,
+    once for all of them in any schedule of a few levels (`_solutions`).
     Across L: the cap_L values must be monotone nonincreasing (domain
     monotonicity, `_check_monotone`); a cap + c/L fit on consecutive pairs
     supplies the L -> inf limit.  The error bound combines mesh extrapolation
@@ -253,13 +325,12 @@ def capacity_estimate(
     s0 = condenser.s0
     L_sorted, h0 = _check_schedule(s0, L_values, levels, h0, ratio)
 
+    solutions = _solutions(condenser, _ladder(s0, L_sorted, levels, h0, ratio))
     rows, cap_L, mesh_err = [], [], []
     for L in L_sorted:
         caps = []
-        for level in range(levels):
-            grid = grid.refined() if level else RadialGrid.geometric(s0, L, h0, ratio)
-            sol = solve_radial(condenser, grid)
-            rows.append((L, grid.h_max, sol.cap_L, sol.energy))
+        for sol in itertools.islice(solutions, levels):
+            rows.append((L, sol.grid.h_max, sol.cap_L, sol.energy))
             caps.append(sol.cap_L)
         # nested bisection: O(h^2) leading error, factor-4 reduction
         extr = caps[-1] + (caps[-1] - caps[-2]) / 3.0

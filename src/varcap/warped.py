@@ -12,12 +12,23 @@ the capacity of every compact set to zero.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Callable, Literal, Sequence
 
-from .errors import DomainError, InconsistencyError
+import numpy as np
+
+from .errors import DegenerateProblemError, DomainError, InconsistencyError, UnsupportedDimensionError, VarcapError
 from .profiles import INF, ConstantSegment, WarpProfile
+
+
+def _check_inner_radii(profile: WarpProfile, s0s: Sequence[float]) -> None:
+    """`RadialCondenser`'s rule on each inner radius in turn: inside the
+    profile domain, and strictly outside a pole."""
+    for s0 in s0s:
+        if not (profile.s_min <= s0 < profile.s_max):
+            raise DomainError(f"inner radius {s0} outside profile domain [{profile.s_min}, {profile.s_max})")
+        if profile.pole_at_origin and s0 <= profile.s_min:
+            raise DomainError(f"inner radius {s0} must lie strictly outside the pole")
 
 
 @dataclass(frozen=True)
@@ -33,11 +44,7 @@ class RadialCondenser:
     ends: Literal["one", "two_symmetric"] = "one"
 
     def __post_init__(self):
-        p = self.profile
-        if not (p.s_min <= self.s0 < p.s_max):
-            raise DomainError(f"inner radius {self.s0} outside profile domain [{p.s_min}, {p.s_max})")
-        if p.pole_at_origin and self.s0 <= p.s_min:
-            raise DomainError(f"inner radius {self.s0} must lie strictly outside the pole")
+        _check_inner_radii(self.profile, [self.s0])
         if self.ends not in ("one", "two_symmetric"):
             raise DomainError(f"unknown ends mode {self.ends!r}")
 
@@ -53,23 +60,66 @@ class TailQuadrature:
     diverged: bool
 
 
-def end_resistance_estimate(condenser: RadialCondenser, rel_tol: float = 1e-12) -> TailQuadrature:
-    """Resistance of one end, the integral of q*f^(1-m) on [s0, inf), in one call:
-    +inf for a non-integrable end, `InconsistencyError` for a NaN value or an error
-    estimate above `rel_tol` of the value, and `DomainError` when the value
-    underflows to 0, as the capacity then passes the float range."""
-    if not condenser.profile.is_unbounded:
+def _end_resistances(
+    profile: WarpProfile, s0s: Sequence[float], rel_tol: float, ends: str | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The resistance of one end, the integral of q*f^(1-m) on [s0, inf), and its
+    error estimate from each inner radius of `s0s`, and given `ends` the capacity
+    omega/(gamma*C) of {s <= s0} (doubled for "two_symmetric"); a non-integrable
+    end has resistance +inf, error 0 and capacity 0.  As a loop over the radii
+    would, the first faulty radius raises: `InconsistencyError` for a NaN
+    resistance or an error estimate above `rel_tol` of it, `DomainError` for a
+    resistance that underflows to 0 or a capacity past the float range."""
+    if not profile.is_unbounded:
         raise DomainError("end resistance needs a profile defined out to infinity")
-    value, err = condenser.profile.resistance_between(condenser.s0, INF)
-    if value == INF:
-        return TailQuadrature(INF, 0.0, 0, True)
-    if math.isnan(value):
-        raise InconsistencyError(f"end resistance from s0={condenser.s0!r} is NaN")
-    if value == 0.0:
-        raise DomainError(f"end resistance from s0={condenser.s0!r} underflows to 0: capacity past the float range")
-    if not err <= rel_tol * value:
-        raise InconsistencyError(f"end resistance {value!r} has error estimate {err:.3e}, above rel_tol={rel_tol:g}")
-    return TailQuadrature(value, err, 0, False)
+    value, err = np.empty(len(s0s)), np.empty(len(s0s))
+    for k, s0 in enumerate(s0s):
+        try:
+            value[k], err[k] = profile.resistance_between(s0, INF)
+        except DomainError:  # past the float range; a fault at an earlier radius comes first
+            _check_ends(s0s[:k], value[:k], err[:k], rel_tol, ends, profile)
+            raise
+    return value, err, _check_ends(s0s, value, err, rel_tol, ends, profile)
+
+
+def _raise_first(*faults: tuple[np.ndarray, Callable[[int], VarcapError]]) -> None:
+    """Raise as a loop over the radii would: each fault is a mask over the radii
+    with the error it raises for radius k, listed in the order the loop checks
+    them, so the first flagged radius raises the first of its faults."""
+    masks = np.array([mask for mask, _ in faults], dtype=bool)
+    flagged = masks.any(axis=0)
+    if flagged.any():
+        k = int(flagged.argmax())
+        raise faults[int(masks[:, k].argmax())][1](k)
+
+
+def _check_ends(s0s, value, err, rel_tol, ends, profile) -> np.ndarray | None:
+    """`_end_resistances`' checks on its values so far; the capacities, given `ends`."""
+    C = value.tolist()
+    faults = [
+        (np.isnan(value), lambda k: InconsistencyError(f"end resistance from s0={s0s[k]!r} is NaN")),
+        (value == 0.0, lambda k: DomainError(
+            f"end resistance from s0={s0s[k]!r} underflows to 0: capacity past the float range")),
+        (~(err <= rel_tol * value) & (value != INF), lambda k: InconsistencyError(
+            f"end resistance {C[k]!r} has error estimate {err[k]:.3e}, above rel_tol={rel_tol:g}")),
+    ]
+    cap = None
+    if ends is not None:
+        with np.errstate(divide="ignore", over="ignore"):  # a zero resistance is refused first
+            cap = profile.dim.omega / (profile.dim.gamma * value)
+        if ends == "two_symmetric":
+            cap = 2.0 * cap
+        faults.append((cap == INF, lambda k: DomainError(
+            f"capacity of {{s <= {s0s[k]!r}}} exceeds the float range (end resistance {C[k]!r})")))
+    _raise_first(*faults)
+    return cap
+
+
+def end_resistance_estimate(condenser: RadialCondenser, rel_tol: float = 1e-12) -> TailQuadrature:
+    """Resistance of one end and its error estimate, in one call: the one-radius
+    case of `_end_resistances`."""
+    value, err, _ = _end_resistances(condenser.profile, [condenser.s0], rel_tol)
+    return TailQuadrature(float(value[0]), float(err[0]), 0, bool(value[0] == INF))
 
 
 def end_resistance(condenser: RadialCondenser, rel_tol: float = 1e-12) -> float:
@@ -77,21 +127,23 @@ def end_resistance(condenser: RadialCondenser, rel_tol: float = 1e-12) -> float:
     return end_resistance_estimate(condenser, rel_tol).value
 
 
-def radial_capacity(condenser: RadialCondenser, rel_tol: float = 1e-12) -> float:
-    """Capacity of {s <= s0}: omega/(gamma*C) per end, doubled for the even double.
+def radial_capacities(
+    profile: WarpProfile, s0s: Sequence[float], ends: str = "one", rel_tol: float = 1e-12
+) -> np.ndarray:
+    """Capacity of {s <= s0} at each inner radius of `s0s`, in one pass: omega/(gamma*C)
+    per end, doubled for the even double, 0 where the end resistance diverges.
 
-    Returns 0 when the end resistance diverges; a capacity past the float
-    range raises `DomainError`.
+    Every radius first passes `RadialCondenser`'s rule; then the first faulty
+    radius raises as `_end_resistances` says, a capacity past the float range
+    with `DomainError`.
     """
-    C = end_resistance(condenser, rel_tol)
-    if C == INF:
-        return 0.0
-    dim = condenser.profile.dim
-    per_end = dim.omega / (dim.gamma * C)
-    cap = 2.0 * per_end if condenser.ends == "two_symmetric" else per_end
-    if cap == INF:
-        raise DomainError(f"capacity of {{s <= {condenser.s0!r}}} exceeds the float range (end resistance {C!r})")
-    return cap
+    _check_inner_radii(profile, s0s)
+    return _end_resistances(profile, s0s, rel_tol, ends)[2]
+
+
+def radial_capacity(condenser: RadialCondenser, rel_tol: float = 1e-12) -> float:
+    """Capacity of {s <= s0}: the one-radius case of `radial_capacities`."""
+    return float(radial_capacities(condenser.profile, [condenser.s0], condenser.ends, rel_tol)[0])
 
 
 @dataclass(frozen=True)
@@ -118,19 +170,36 @@ def truncated_ramp_energy(profile: WarpProfile, L: float) -> RampEnergy:
     return RampEnergy(energy, on_cyl)
 
 
-def volume_and_boundary(profile: WarpProfile, R: float) -> tuple[float, float]:
-    """(V, A) of the region {s <= R}: V = integral of omega f^2 q, A = omega f(R)^2.
+def volumes_and_boundaries(profile: WarpProfile, radii: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """(V, A) of each region {s <= R}, R in `radii`: V = integral of omega f^2 q,
+    A = omega f(R)^2, f evaluated once for all of them.
 
     The mass functionals downstream are three-dimensional, so this is
-    restricted to m = 3.
+    restricted to m = 3.  As a loop over the radii would, the first faulty
+    radius raises: `DomainError` for one outside the profile domain or a volume
+    past the float range, `DegenerateProblemError` for a boundary area that
+    is not positive.
     """
-    from .errors import UnsupportedDimensionError
-
     if profile.m != 3:
         raise UnsupportedDimensionError(f"volume_and_boundary requires m=3, got m={profile.m}")
-    if not (profile.s_min <= R <= profile.s_max):
-        raise DomainError(f"R={R} outside profile domain")
-    vol, _ = profile.volume_between(profile.s_min, R)
+    R = np.asarray(radii, dtype=float)
+    outside = ~((profile.s_min <= R) & (R <= profile.s_max))
+    inside = int(outside.argmax()) if outside.any() else len(radii)  # the radii before the first outside
     omega = profile.dim.omega
-    fr = profile.f(R)
-    return omega * vol, omega * fr * fr
+    with np.errstate(over="ignore"):  # as in floats, an f or A past the float range is inf, refused downstream
+        f = profile.f(R[:inside])
+        A = omega * f * f
+    vanishes = A <= 0.0
+    flat = int(vanishes.argmax()) if vanishes.any() else inside
+    V = np.array([omega * profile.volume_between(profile.s_min, r)[0] for r in radii[:min(flat + 1, inside)]])
+    if flat < inside:
+        raise DegenerateProblemError(f"boundary area vanishes at R={radii[flat]}")
+    if inside < len(radii):
+        raise DomainError(f"R={radii[inside]} outside profile domain")
+    return V, A
+
+
+def volume_and_boundary(profile: WarpProfile, R: float) -> tuple[float, float]:
+    """(V, A) of the region {s <= R}: the one-radius case of `volumes_and_boundaries`."""
+    V, A = volumes_and_boundaries(profile, [R])
+    return float(V[0]), float(A[0])

@@ -21,11 +21,10 @@ from scipy.sparse.csgraph import shortest_path
 
 from varcap.errors import DomainError, InconsistencyError, PreconditionError, real
 from varcap.geometry import Dimension
-from varcap.mass import MassCurve, _geometry_at
+from varcap.mass import MassCurve
 from varcap.mms import Disk, FiniteMetricMeasureSpace, GraphCondenser, _LatticeLabels, build_planar_sheet, union_spaces
 from varcap.radial_fem import CapacityEstimate, RadialGrid, solve_radial
 from varcap.sequences import LATTICE_OFFSET
-from varcap.warped import RadialCondenser, radial_capacity
 
 
 def dense_graph_energy(space, inner_labels, outer_labels):
@@ -501,17 +500,23 @@ def resumming_geometric_nodes(s0, L, h0, ratio):
     return nodes
 
 
-def _default_capacity_fn(af):
-    return lambda R: radial_capacity(RadialCondenser(af.profile, R))
-
-
 def separate_mass_curve(af, radii, capacity_fn=None):
-    """Reference mass curve with every formula stated inline."""
+    """Reference mass curve with every formula stated inline, one radius at a
+    time: V and A from the profile's volume integral and warp factor, and by
+    default the capacity omega / (gamma C) from its end resistance C."""
+    profile, dim = af.profile, af.profile.dim
     radii = tuple(float(R) for R in radii)
-    capacity_fn = capacity_fn or _default_capacity_fn(af)
-    V, A = _geometry_at(af, radii)
-    cap = np.array([capacity_fn(R) for R in radii], dtype=float)
-    assert np.all(cap > 0.0)
+    V, A, cap = [], [], []
+    for R in radii:
+        f = profile.f(R)
+        V.append(dim.omega * profile.volume_between(profile.s_min, R)[0])
+        A.append(dim.omega * f * f)
+        if capacity_fn is None:
+            cap.append(dim.omega / (dim.gamma * profile.resistance_between(R, math.inf)[0]))
+        else:
+            cap.append(capacity_fn(R))
+    V, A, cap = np.array(V), np.array(A), np.array(cap, dtype=float)
+    assert np.all(A > 0.0) and np.all(cap > 0.0)
     m_iso = (2.0 / A) * (V - A**1.5 / (6.0 * math.sqrt(math.pi)))
     m_cv = (V - (4.0 * math.pi / 3.0) * cap**3) / (4.0 * math.pi * cap**2)
     m_alt = (V / (4.0 * math.pi)) ** (1.0 / 3.0) - cap

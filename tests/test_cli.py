@@ -275,6 +275,9 @@ RULE_FAULTS = [
     (["mass"], _mass_doc(radii=[10.0, 20.0, 40.0, 60.0]),
      _RADII_KEYS + "mass extrapolation needs radii spanning a decade"),
     (["mass"], _mass_doc(radii=[40.0, 20.0, 100.0, 400.0]), _RADII_KEYS + "radii must be increasing"),
+    # two distinct abscissae under a 2-parameter fit: its residual, 0, hid an error of 5.7e-4 in m_iso
+    (["mass"], _mass_doc(radii=[10.0, 20.0, 1000.0, 1000.0, 1000.0]),
+     _RADII_KEYS + "mass extrapolation needs distinct radii"),
     (["mass"], _mass_doc(radii=[1.0, 20.0, 100.0, 400.0]),
      _RADII_KEYS + "inner radius 1.0 outside profile domain [2.0, inf)"),
     (["mass"], _mass_doc(profile=cylinder_transition_profile(3).to_doc()),
@@ -289,13 +292,15 @@ RULE_FAULTS = [
 @pytest.mark.parametrize("command, doc, message", RULE_FAULTS, ids=[
     "repeated radius", "radius at s0", "radius 13 ulps past s0 at 2 levels", "radius 13 ulps past s0 at 4 levels",
     "s0 outside the profile", "s0 on the pole", "one mass radius", "three mass radii", "radii within a decade",
-    "radii unsorted", "radius inside the horizon", "profile not flat", "tail past the radii", "tail of two points"])
+    "radii unsorted", "radii repeated", "radius inside the horizon", "profile not flat", "tail past the radii", "tail of two points"])
 def test_rule_fault_exits_two_before_any_solve_or_quadrature(tmp_path, capsys, monkeypatch, command, doc, message):
     def refuse(*args, **kwargs):
         raise AssertionError("a solve or quadrature ran")
 
-    for target in ["varcap.radial_fem.solve_radial", "varcap.profiles.WarpProfile.resistance_between",
-                   "varcap.profiles.WarpProfile.volume_between", "varcap.mass.volume_and_boundary"]:
+    for target in ["varcap.radial_fem.solve_radial", "varcap.radial_fem._element_conductances",
+                   "varcap.radial_fem._solve_chain", "varcap.profiles.WarpProfile.element_weight",
+                   "varcap.profiles.WarpProfile.resistance_between", "varcap.profiles.WarpProfile.volume_between",
+                   "varcap.mass.volumes_and_boundaries", "varcap.mass.radial_capacities"]:
         monkeypatch.setattr(target, refuse)
     inp, out = tmp_path / "input.json", tmp_path / "report.csv"
     inp.write_text(json.dumps(doc))

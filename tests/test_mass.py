@@ -9,6 +9,7 @@ from _oracles import separate_mass_curve
 from varcap.errors import DomainError, NoLimitError, PreconditionError
 from varcap.mass import AFProfile, MassCurve, evaluate_mass_curve, extrapolate_mass, mass_csv
 from varcap.profiles import (
+    WarpProfile,
     cylinder_transition_profile,
     euclidean_profile,
     hyperboloid_profile,
@@ -187,15 +188,36 @@ def test_radii_must_increase(flat_af):
         evaluate_mass_curve(flat_af, (2.0, 1.0, 3.0))
 
 
-@settings(max_examples=25, deadline=None)
+def test_repeated_radii_are_refused_by_the_tail_fit(schw_af):
+    # with two distinct abscissae the value + c/R fit leaves no residual to estimate its error by
+    curve = evaluate_mass_curve(schw_af, (10.0, 20.0, 1000.0, 1000.0, 1000.0))
+    with pytest.raises(PreconditionError, match="mass extrapolation needs distinct radii"):
+        extrapolate_mass(curve)
+
+
+@pytest.mark.parametrize("profile", [schwarzschild_profile(1.0), hyperboloid_profile(3, 2.0, 1.0)])
+@pytest.mark.parametrize("count", [4, 12])
+def test_mass_curve_evaluates_f_once(monkeypatch, profile, count):
+    af = AFProfile.check(profile)
+    calls = []
+    original = WarpProfile.f
+    monkeypatch.setattr(WarpProfile, "f", lambda self, s: calls.append(s) or original(self, s))
+    curve = evaluate_mass_curve(af, tuple(np.geomspace(10.0, 1000.0, count)))
+    assert len(calls) == 1 and len(curve.rows()) == count
+
+
+@settings(max_examples=40, deadline=None)
 @given(
-    mass=st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
+    kind=st.sampled_from(["euclidean", "schwarzschild", "sqrt_quadratic"]),
+    mass=st.floats(0.1, 3.0),
     start=st.floats(7.0, 50.0),
     growth=st.lists(st.floats(1.01, 3.0), min_size=1, max_size=5),
     scale_cap=st.booleans(),
 )
-def test_mass_formulas_match_separate_oracles(mass, start, growth, scale_cap):
-    profile = euclidean_profile(3) if mass == 0.0 else schwarzschild_profile(mass)
+def test_mass_formulas_match_separate_oracles(kind, mass, start, growth, scale_cap):
+    # `mass` is the Schwarzschild mass, or the sqrt_quadratic profile's a
+    profile = {"euclidean": euclidean_profile(3), "schwarzschild": schwarzschild_profile(mass),
+               "sqrt_quadratic": hyperboloid_profile(3, mass, 1.0)}[kind]
     af = AFProfile.check(profile)
     radii = list(start * max(mass, 1.0) * np.cumprod([1.0] + growth))
     # an injected capacity route must be used as given; None takes the default

@@ -212,8 +212,47 @@ def test_singular_weight_detection():
     )
     cond = SimpleNamespace(profile=fake_profile, s0=0.0)
     grid = RadialGrid(np.array([0.0, 1.0, 2.0, 3.0]))
-    with pytest.raises(SingularWeightError):
-        _element_conductances(cond, grid)
+    [error] = _element_conductances(cond, [grid])
+    assert isinstance(error, SingularWeightError)
+
+
+# a fault in (k, k + 1) reaches every grid [0, L] with L > k: f vanishing at the node k + 1/2, the weight
+# infinite, NaN, 0 or small enough to overflow the chain at the midpoint k + 1/4
+_GRID_FAULTS = {"f zero": (0.0, 1.0), "weight inf": (1.0, INF), "weight NaN": (1.0, math.nan),
+                "weight zero": (1.0, 0.0), "chain overflow": (1.0, 1e-320), "none": (1.0, 1.0)}
+
+
+@settings(max_examples=120, deadline=None)
+@given(faults=st.lists(st.sampled_from(sorted(_GRID_FAULTS)), min_size=1, max_size=5),
+       order=st.permutations(range(5)), off_s0=st.none() | st.integers(0, 4), s_max=st.sampled_from([3.0, INF]),
+       batch=st.sampled_from([4, 20, 2**18]))
+@example(faults=["chain overflow", "weight inf"], order=[0, 1, 2, 3, 4], off_s0=None, s_max=INF, batch=2**18)
+def test_batched_solves_raise_as_one_grid_at_a_time(faults, order, off_s0, s_max, batch):
+    from types import SimpleNamespace
+
+    def table(s, column):
+        k = np.floor(np.asarray(s, dtype=float)).astype(int)
+        values = np.array([_GRID_FAULTS[faults[j]][column] if j < len(faults) else 1.0 for j in range(6)])
+        return values[np.clip(k, 0, 5)]
+
+    profile = SimpleNamespace(s_min=0.0, s_max=s_max, dim=Dimension(3),
+                              f=lambda s: table(s, 0), element_weight=lambda s: table(s, 1))
+    cond = SimpleNamespace(profile=profile, s0=0.0, ends="one")
+    # grids [0, L] in any order, perhaps one of them starting off s0
+    grids = [RadialGrid(np.linspace(0.0, k + 1, 4 * k + 5)) for k in order]
+    if off_s0 is not None:
+        grids[off_s0] = RadialGrid(np.linspace(0.5, 2.0, 4))
+
+    def outcome(compute):
+        try:
+            return [(sol.energy, sol.cap_L, sol.u.tobytes()) for sol in compute()]
+        except VarcapError as exc:
+            return type(exc), str(exc)
+
+    one_at_a_time = outcome(lambda: [solve_radial(cond, grid) for grid in grids])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(radial_fem, "_EVALUATION_BATCH", batch)
+        assert outcome(lambda: list(radial_fem._solutions(cond, grids))) == one_at_a_time
 
 
 def test_grid_must_start_at_s0():
@@ -268,7 +307,9 @@ def test_capacity_estimate_checks_its_inputs_before_any_solve(monkeypatch, optio
     # a repeated radius used to pass and switch off the extrapolation at that
     # L; on a Euclidean ball it moved the cap from 0.99999994 to 1.0000771
     calls = []
-    monkeypatch.setattr(radial_fem, "solve_radial", lambda *args: calls.append(args) or solve_radial(*args))
+    for name in ("solve_radial", "_element_conductances"):
+        original = getattr(radial_fem, name)
+        monkeypatch.setattr(radial_fem, name, lambda *args, original=original: calls.append(args) or original(*args))
     cond = RadialCondenser(euclidean_profile(3), 1.0)
     with pytest.raises(error):
         capacity_estimate(cond, **options)
@@ -289,6 +330,21 @@ def test_capacity_estimate_refuses_a_schedule_past_the_element_budget_before_any
 def test_check_schedule_fills_in_the_defaults_sorted():
     assert radial_fem._check_schedule(2.0) == ([200.0, 2000.0, 20000.0], 2.0 / 64.0)
     assert radial_fem._check_schedule(-3.0, [5.0, 1.0, 2.0], h0=0.1) == ([1.0, 2.0, 5.0], 0.1)
+
+
+@pytest.mark.parametrize("L_values", [None, [10.0, 20.0, 40.0, 80.0, 160.0]], ids=["3 radii", "5 radii"])
+@pytest.mark.parametrize("levels", [2, 3, 5])
+@pytest.mark.parametrize("profile", [schwarzschild_profile(0.25), cylinder_transition_profile(3)],
+                         ids=["one segment", "three segments"])
+def test_capacity_estimate_evaluates_each_profile_quantity_once(monkeypatch, profile, levels, L_values):
+    calls = []
+    for name in ("f", "element_weight", "lapse"):
+        original = getattr(WarpProfile, name)
+        monkeypatch.setattr(WarpProfile, name,
+                            lambda self, s, name=name, original=original: calls.append(name) or original(self, s))
+    est = capacity_estimate(RadialCondenser(profile, 1.0), L_values=L_values, levels=levels)
+    assert sorted(calls) == ["element_weight", "f"]
+    assert len(est.rows) == levels * (3 if L_values is None else 5)
 
 
 @pytest.mark.parametrize("levels", [2, 3])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from varcap import profiles
-from varcap.errors import DomainError, InconsistencyError, UnsupportedDimensionError
+from varcap.errors import DegenerateProblemError, DomainError, InconsistencyError, UnsupportedDimensionError, VarcapError
 from varcap.geometry import Dimension
 from varcap.profiles import (
     INF,
@@ -26,9 +26,11 @@ from varcap.warped import (
     RadialCondenser,
     end_resistance,
     end_resistance_estimate,
+    radial_capacities,
     radial_capacity,
     truncated_ramp_energy,
     volume_and_boundary,
+    volumes_and_boundaries,
 )
 
 
@@ -90,6 +92,102 @@ def test_nan_end_resistance_is_refused_by_name(monkeypatch):
     monkeypatch.setattr(WarpProfile, "resistance_between", lambda self, a, b: (math.nan, 0.0))
     with pytest.raises(InconsistencyError, match="end resistance from s0=0.0 is NaN"):
         end_resistance_estimate(RadialCondenser(hyperboloid_profile(), 0.0))
+
+
+# per-radius (value, error estimate) of the end resistance; None raises as a value past the float range does
+_END_OUTCOMES = {"ok": (2.0, 0.0), "nan": (math.nan, 0.0), "zero": (0.0, 0.0), "loose": (2.0, 1.0),
+                 "capacity overflow": (1e-320, 0.0), "diverged": (INF, 0.0), "overflow": None}
+
+
+def _outcome(compute):
+    try:
+        return [float(x).hex() for x in compute()]
+    except VarcapError as exc:
+        return type(exc), str(exc)
+
+
+def _looped_capacities(profile, s0s, table, rel_tol):
+    """The former per-radius route: each radius's end resistance and checks, then the next."""
+    dim, caps = profile.dim, []
+    for s0 in s0s:
+        if table[s0] is None:
+            raise DomainError("resistance integral exceeds the float range")
+        value, err = table[s0]
+        if value == INF:
+            caps.append(0.0)
+            continue
+        if math.isnan(value):
+            raise InconsistencyError(f"end resistance from s0={s0!r} is NaN")
+        if value == 0.0:
+            raise DomainError(f"end resistance from s0={s0!r} underflows to 0: capacity past the float range")
+        if not err <= rel_tol * value:
+            raise InconsistencyError(f"end resistance {value!r} has error estimate {err:.3e}, above rel_tol={rel_tol:g}")
+        cap = dim.omega / (dim.gamma * value)
+        if cap == INF:
+            raise DomainError(f"capacity of {{s <= {s0!r}}} exceeds the float range (end resistance {value!r})")
+        caps.append(cap)
+    return caps
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(sorted(_END_OUTCOMES)), min_size=1, max_size=6))
+def test_radial_capacities_raise_for_the_first_faulty_radius_as_a_loop_would(kinds):
+    profile = hyperboloid_profile()
+    s0s = [float(k + 1) for k in range(len(kinds))]
+    table = {s0: _END_OUTCOMES[kind] for s0, kind in zip(s0s, kinds)}
+
+    def resistance_between(self, a, b):
+        if table[a] is None:
+            raise DomainError("resistance integral exceeds the float range")
+        return table[a]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(WarpProfile, "resistance_between", resistance_between)
+        got = _outcome(lambda: radial_capacities(profile, s0s))
+        single = [_outcome(lambda: [radial_capacity(RadialCondenser(profile, s0))]) for s0 in s0s]
+    assert got == _outcome(lambda: _looped_capacities(profile, s0s, table, 1e-12))
+    assert single == [_outcome(lambda: _looped_capacities(profile, [s0], table, 1e-12)) for s0 in s0s]
+
+
+# per-radius (f(R), volume); None raises as a volume past the float range does, and a radius
+# below the profile's start stands for one outside its domain
+_GEOMETRY_OUTCOMES = {"ok": (2.0, 3.0), "zero area": (0.0, 0.0), "infinite area": (INF, 3.0),
+                      "overflow": (2.0, None), "outside": None}
+
+
+def _looped_geometry(profile, radii, table):
+    """The former per-radius route: each radius's domain, volume and area checks, then the next."""
+    omega, V, A = profile.dim.omega, [], []
+    for R in radii:
+        if table[R] is None:
+            raise DomainError(f"R={R} outside profile domain")
+        fr, vol = table[R]
+        if vol is None:
+            raise DomainError("volume integral exceeds the float range")
+        V.append(omega * vol)
+        A.append(omega * fr * fr)
+        if A[-1] <= 0.0:
+            raise DegenerateProblemError(f"boundary area vanishes at R={R}")
+    return V + A
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(sorted(_GEOMETRY_OUTCOMES)), min_size=1, max_size=6))
+def test_volumes_and_boundaries_raise_for_the_first_faulty_radius_as_a_loop_would(kinds):
+    profile = hyperboloid_profile()
+    radii = [float(k + 1) * (-1.0 if kind == "outside" else 1.0) for k, kind in enumerate(kinds)]
+    table = {R: _GEOMETRY_OUTCOMES[kind] for R, kind in zip(radii, kinds)}
+
+    def volume_between(self, a, b):
+        if table[b][1] is None:
+            raise DomainError("volume integral exceeds the float range")
+        return table[b][1], 0.0
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(WarpProfile, "f", lambda self, s: np.array([table[R][0] for R in np.asarray(s).tolist()]))
+        patch.setattr(WarpProfile, "volume_between", volume_between)
+        got = _outcome(lambda: np.concatenate(volumes_and_boundaries(profile, radii)))
+    assert got == _outcome(lambda: _looped_geometry(profile, radii, table))
 
 
 def test_end_resistance_requires_unbounded_profile():
@@ -315,6 +413,11 @@ def test_volume_and_boundary_schwarzschild_oracle():
     V, A = volume_and_boundary(schwarzschild_profile(1.0), 10.0)
     assert V == pytest.approx(5054.9087020011138677, rel=1e-10)
     assert A == pytest.approx(400.0 * math.pi, rel=1e-13)
+
+
+def test_volume_and_boundary_refuses_the_pole():
+    with pytest.raises(DegenerateProblemError, match="boundary area vanishes at R=0.0"):
+        volume_and_boundary(euclidean_profile(3), 0.0)
 
 
 def test_volume_and_boundary_rejects_other_dimensions():
