@@ -9,7 +9,9 @@ radial capacity estimate is also kept in its former two-step form: a list of
 sparse graph solve is kept in its former form on the whole Laplacian,
 ex3's strip family in its former form: one solve of the joined two-sheet
 space per family index, and ex4's limit as the union of the disk and the
-far sheet that the runner used to solve.
+far sheet that the runner used to solve.  The canonical extension d(K, .)
+is kept in its former form too: a new KD-tree over K for every query, with
+no bounding-box cut.
 """
 
 import math
@@ -419,6 +421,16 @@ def _lifted_plane_sheet(h, rim, prefix, hole, z_offset=0.0):
     return build_planar_sheet(
         (-half, half, -half, half), h, hole=hole, z_offset=z_offset, label_prefix=prefix, offset=LATTICE_OFFSET
     )
+
+
+def fresh_tree_extension_at(defining, xyz, upto=np.inf):
+    """d(K, .) at raw R^3 points for a canonical `DefiningFunction`, from a
+    KD-tree over K built for this query alone; values above `upto` may be inf."""
+    from scipy.spatial import cKDTree
+
+    d, _ = cKDTree(defining.space.coords[defining.region_idx]).query(
+        xyz, k=1, distance_upper_bound=upto * (1.0 + 1e-9) + 1e-9)
+    return d
 
 
 def two_sheet_space(h, i, rim):

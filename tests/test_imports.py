@@ -96,6 +96,31 @@ def test_golden_capacity_graph_loads_only_the_scipy_it_runs(tmp_path):
     assert _loaded_any(loaded, ("integrate", "interpolate", "spatial", "optimize", "special")) == []
 
 
+def _subpackages(loaded: set[str]) -> set[str]:
+    import scipy
+
+    return {package for package in scipy.submodules if _loaded_any(loaded, (package,))}
+
+
+def _ex3_loaded(tmp_path, doc) -> set[str]:
+    inp = tmp_path / "input.json"
+    inp.write_text(json.dumps(doc))
+    argv = ["experiment", "ex3", "--input", str(inp), "--out", str(tmp_path / "ex3.json")]
+    return _scipy_loaded(_CALL.format(argv=argv))
+
+
+@pytest.mark.parametrize("doc", [{}, {"h": 0.1, "i_list": [2, 4, 8], "alpha_rule_c": 0.5}],
+                         ids=["defaults", "sheet-families cold document"])
+def test_ex3_below_the_sheet_loads_only_sparse_and_linalg(tmp_path, doc):
+    # alpha_i = 0 or c/i with c < 1 stays below the sheet at height 1/i: the
+    # bounding-box cut leaves no query, so no KD-tree is built
+    assert _subpackages(_ex3_loaded(tmp_path, doc)) == {"sparse", "linalg"}
+
+
+def test_ex3_whose_thresholds_reach_the_sheet_loads_the_kd_tree(tmp_path):
+    assert "scipy.spatial" in _ex3_loaded(tmp_path, {"alpha_rule_c": 1.5})
+
+
 def test_default_ex4_loads_no_quadrature_spline_or_kd_tree(tmp_path):
     argv = ["experiment", "ex4", "--out", str(tmp_path / "ex4.csv")]
     loaded = _scipy_loaded(_CALL.format(argv=argv))

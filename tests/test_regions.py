@@ -10,7 +10,7 @@ from _oracles import (
     random_matrix_space,
     random_point_space,
 )
-from varcap.errors import PreconditionError
+from varcap.errors import DomainError, PreconditionError
 from varcap.mms import Disk, FiniteMetricMeasureSpace, build_planar_sheet, union_spaces
 from varcap.regions import (
     DefiningFunction,
@@ -215,6 +215,20 @@ def test_bounded_region_search_matches_full_distances():
         assert region_measure(space_i, mask) == region_measure(space_i, space_i.labels_at(mask))
 
 
+@pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "generic"])
+def test_extension_refuses_a_nan_bound_and_a_negative_one_holds_no_point(canonical):
+    limit, K, space_i = _two_sheet_fixture(h=0.5)
+    defining = DefiningFunction.canonical_for(limit, K)
+    if not canonical:
+        defining = DefiningFunction(limit, defining.values, defining.region_idx)
+    with pytest.raises(DomainError, match="upto must be a number, got nan"):
+        defining.extension_on(space_i, upto=float("nan"))
+    with pytest.raises(DomainError, match="upto must be a number, got nan"):
+        defining.extension_at(space_i.coords, np.float64("nan"))
+    for upto in (-np.inf, -1.0, -1e-3, -1e-12):
+        assert not np.any(defining.extension_on(space_i, upto=upto) <= upto), upto
+
+
 def test_region_inputs_as_labels_indices_or_mask():
     limit, K, _ = _two_sheet_fixture()
     idx = limit.indices(K)
@@ -275,3 +289,10 @@ def test_bounded_nearest_distance_is_exact_up_to_its_bound(points, queries, upto
     near = full <= upto
     assert np.array_equal(bounded[near], full[near])
     assert np.all((bounded[~near] == np.inf) | (bounded[~near] == full[~near]))
+    # every query moved past the bound along that axis: the cut leaves none, and none lies within the bound
+    past = queries.copy()
+    past[:, axis] = side * (np.max(side * points[:, axis]) + 2.0 * upto + 1e-6 + np.abs(queries[:, axis]))
+    assert np.all(_nearest_distance(points, past) > upto)
+    assert np.array_equal(_nearest_distance(points, past, upto), np.full(len(past), np.inf))
+    for bound in (upto, np.inf):
+        assert _nearest_distance(points, queries[:0], bound).shape == (0,)

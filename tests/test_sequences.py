@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
-    contract, ex4_limit_condenser, joined_two_sheet_condenser, plane_orbits, radial_label_filter, two_sheet_space,
-    unit_disk,
+    contract, ex4_limit_condenser, fresh_tree_extension_at, joined_two_sheet_condenser, plane_orbits,
+    radial_label_filter, two_sheet_space, unit_disk,
 )
 from varcap import mms, radial_fem, sequences
 from varcap.cli import main
@@ -518,6 +518,29 @@ def test_ex3_regions_equal_those_cut_from_the_union_spaces(h, rim, data):
     near, past_rim = st.floats(1.0 / i_list[-1] + h, 3.0 / i_list[-1] + h), st.floats(rim - 1.0, rim + 1.0)
     alphas.append(data.draw(near | past_rim, label="last alpha"))
     _assert_regions_cut_from_the_union_spaces(h, rim, i_list, alphas)
+
+
+@pytest.mark.parametrize("alpha_rule_c, trees", [(None, 0), (0.5, 0), (1.5, 1), (3.0, 1)])
+def test_ex3_builds_a_kd_tree_only_once_a_threshold_reaches_the_sheet(monkeypatch, alpha_rule_c, trees):
+    # the sheet of family space i lies 1/i above K, so alpha_i = c/i reaches it
+    # only for c > 1; then one tree over K serves every index of the call
+    import scipy.spatial
+
+    built = []
+
+    class CountedTree(scipy.spatial.cKDTree):
+        def __init__(self, *args, **kwargs):
+            built.append(len(args[0]))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountedTree)
+    runs = [run_example3(alpha_rule_c=alpha_rule_c) for _ in range(2)]
+    assert built == [sum(label.startswith("K:") for label in runs[0].regions[0])] * (2 * trees)
+    assert all(any(label.startswith("S:") for label in region) == (trees > 0) for region in runs[0].regions)
+    monkeypatch.setattr(DefiningFunction, "extension_at", fresh_tree_extension_at)
+    oracle = run_example3(alpha_rule_c=alpha_rule_c)
+    for exp in runs:
+        assert (exp.regions, exp.measures, exp.limit_measure) == (oracle.regions, oracle.measures, oracle.limit_measure)
 
 
 @pytest.mark.parametrize("alphas", [(0.0, 0.3, 1.5), (0.0, 1.5, 1.5 + 1e-9), (4.0, 0.0, 0.25)])
