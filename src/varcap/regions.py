@@ -14,7 +14,6 @@ alpha_i-neighborhood of K intersected with S_i.
 
 from __future__ import annotations
 
-import functools
 from typing import Sequence
 
 import numpy as np
@@ -77,39 +76,28 @@ def extend_from_coords(anchor_xyz: np.ndarray, anchor_values: np.ndarray, query_
     return out
 
 
-class _NearestPoint:
-    """Euclidean distance to the nearest of a fixed point set, by its bounding
-    box and one KD-tree.  The tree is built, and `scipy.spatial` imported, when
-    a query first gets past the box cut; later queries reuse it."""
-
-    def __init__(self, points: np.ndarray):
-        self.points, self.lo, self.hi, self._tree = points, points.min(axis=0), points.max(axis=0), None
-
-    def distances(self, queries: np.ndarray, upto: float = np.inf) -> np.ndarray:
-        """Distances above `upto` may come back as inf: the search stops a
-        little past it, and the distances at or below it are exact.  Unless
-        `upto` is inf, only the queries inside the bounding box widened by
-        that search bound reach the tree; the others are farther than it
-        along an axis.  An unbounded search sends every query to it."""
-        bound = upto * (1.0 + 1e-9) + 1e-9
-        near = slice(None)
-        if bound < np.inf:
-            near = np.flatnonzero(np.all((queries >= self.lo - bound) & (queries <= self.hi + bound), axis=1))
-        d = np.full(len(queries), np.inf)
-        reached = queries[near]
-        if len(reached):
-            if self._tree is None:
-                from scipy.spatial import cKDTree
-
-                self._tree = cKDTree(self.points)
-            d[near], _ = self._tree.query(reached, k=1, distance_upper_bound=bound)
-        return d
-
-
 def _nearest_distance(points: np.ndarray, queries: np.ndarray, upto: float = np.inf) -> np.ndarray:
-    """`_NearestPoint.distances` for one set of queries: a KD-tree is built
-    only if a query is left after the bounding-box cut; else all are inf."""
-    return _NearestPoint(points).distances(queries, upto)
+    """Euclidean distance from each query to the nearest of `points`, by KD-tree.
+
+    Distances above `upto` may come back as inf: the search stops a little
+    past it, and the distances at or below it are exact.  Unless `upto` is
+    inf, only the queries inside the points' bounding box widened by that
+    search bound reach the tree; the others are farther than it along an
+    axis.  The tree is built, and `scipy.spatial` imported, only when a
+    query is left after that cut; else every distance is inf.
+    """
+    bound = upto * (1.0 + 1e-9) + 1e-9
+    near = slice(None)
+    if bound < np.inf:
+        lo, hi = points.min(axis=0) - bound, points.max(axis=0) + bound
+        near = np.flatnonzero(np.all((queries >= lo) & (queries <= hi), axis=1))
+    d = np.full(len(queries), np.inf)
+    reached = queries[near]
+    if len(reached):
+        from scipy.spatial import cKDTree
+
+        d[near], _ = cKDTree(points).query(reached, k=1, distance_upper_bound=bound)
+    return d
 
 
 def distance_to_set(space: FiniteMetricMeasureSpace, subset) -> np.ndarray:
@@ -127,10 +115,9 @@ class DefiningFunction:
 
     K is given as `space.indices` takes it and kept as the index array
     `region_idx`.  The canonical u = d(., K) is computed when `values` is
-    first read: its extension reads only K's coordinates, keeps K's
-    bounding box, and builds its one KD-tree over K on the first query that
-    gets within `upto` of that box, so thresholds that reach no query build
-    no tree.
+    first read: its extension reads only K's coordinates and builds a
+    KD-tree over K for a query only when some point gets within `upto` of
+    K's bounding box, so thresholds that reach no point build no tree.
     """
 
     def __init__(self, space: FiniteMetricMeasureSpace, values: np.ndarray | None, region_idx: np.ndarray,
@@ -143,10 +130,6 @@ class DefiningFunction:
             self._values = distance_to_set(self.space, self.region_idx)
             self._values[self.region_idx] = 0.0
         return self._values
-
-    @functools.cached_property
-    def _nearest(self) -> _NearestPoint:
-        return _NearestPoint(self.space.coords[self.region_idx])
 
     @staticmethod
     def canonical_for(space: FiniteMetricMeasureSpace, region) -> "DefiningFunction":
@@ -183,10 +166,11 @@ class DefiningFunction:
         """Values of the 1-Lipschitz extension U at the target's points.
 
         Both spaces must carry ambient R^3 coordinates.  For the canonical
-        defining function the extension is exactly d(K, .), evaluated with
-        K's one KD-tree, whose values above `upto` may come back as inf;
-        otherwise the finite McShane minimum runs over every anchor.  A NaN
-        `upto` is refused; a negative one holds no point.
+        defining function the extension is exactly d(K, .), evaluated with a
+        KD-tree whose values above `upto` may come back as inf; since
+        d(K, .) >= 0, a negative `upto` there holds no point.  Otherwise the
+        finite McShane minimum runs over every anchor and `upto` is not
+        used.  A NaN `upto` is refused either way.
         """
         return self.extension_at(target.coords, upto)
 
@@ -197,7 +181,7 @@ class DefiningFunction:
         if np.isnan(upto):
             raise DomainError("the extension bound upto must be a number, got nan")
         if self.canonical:
-            return self._nearest.distances(xyz, upto)
+            return _nearest_distance(self.space.coords[self.region_idx], xyz, upto)
         return extend_from_coords(self.space.coords, self.values, xyz)
 
 

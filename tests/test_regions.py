@@ -215,18 +215,34 @@ def test_bounded_region_search_matches_full_distances():
         assert region_measure(space_i, mask) == region_measure(space_i, space_i.labels_at(mask))
 
 
-@pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "generic"])
-def test_extension_refuses_a_nan_bound_and_a_negative_one_holds_no_point(canonical):
+def _signed_defining_function(limit, K):
+    """A signed defining function for K: -t on K, with t(x) = min over y off K
+    of d(x, y) - d(y, K), the largest depth that keeps it 1-Lipschitz."""
+    canonical = DefiningFunction.canonical_for(limit, K)
+    values, k_idx = canonical.values.copy(), canonical.region_idx
+    off = np.setdiff1d(np.arange(limit.n), k_idx)
+    depth = np.min(limit.distance_matrix()[np.ix_(k_idx, off)] - values[off], axis=1)
+    values[k_idx] = -depth
+    return DefiningFunction.from_values(limit, values, K)
+
+
+def test_extension_refuses_a_nan_bound():
     limit, K, space_i = _two_sheet_fixture(h=0.5)
-    defining = DefiningFunction.canonical_for(limit, K)
-    if not canonical:
-        defining = DefiningFunction(limit, defining.values, defining.region_idx)
-    with pytest.raises(DomainError, match="upto must be a number, got nan"):
-        defining.extension_on(space_i, upto=float("nan"))
-    with pytest.raises(DomainError, match="upto must be a number, got nan"):
-        defining.extension_at(space_i.coords, np.float64("nan"))
-    for upto in (-np.inf, -1.0, -1e-3, -1e-12):
-        assert not np.any(defining.extension_on(space_i, upto=upto) <= upto), upto
+    for defining in (DefiningFunction.canonical_for(limit, K), _signed_defining_function(limit, K)):
+        with pytest.raises(DomainError, match="upto must be a number, got nan"):
+            defining.extension_on(space_i, upto=float("nan"))
+        with pytest.raises(DomainError, match="upto must be a number, got nan"):
+            defining.extension_at(space_i.coords, np.float64("nan"))
+
+
+def test_a_negative_bound_holds_no_point_of_the_canonical_extension_and_is_unused_by_a_signed_one():
+    limit, K, space_i = _two_sheet_fixture(h=0.5)
+    canonical, signed = DefiningFunction.canonical_for(limit, K), _signed_defining_function(limit, K)
+    full = signed.extension_on(space_i)
+    assert np.min(full) < -0.1
+    for upto in (-np.inf, -1.0, -0.1, -1e-3, -1e-12):
+        assert not np.any(canonical.extension_on(space_i, upto=upto) <= upto), upto
+        assert np.array_equal(signed.extension_on(space_i, upto=upto), full), upto
 
 
 def test_region_inputs_as_labels_indices_or_mask():

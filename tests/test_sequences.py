@@ -520,10 +520,13 @@ def test_ex3_regions_equal_those_cut_from_the_union_spaces(h, rim, data):
     _assert_regions_cut_from_the_union_spaces(h, rim, i_list, alphas)
 
 
-@pytest.mark.parametrize("alpha_rule_c, trees", [(None, 0), (0.5, 0), (1.5, 1), (3.0, 1)])
-def test_ex3_builds_a_kd_tree_only_once_a_threshold_reaches_the_sheet(monkeypatch, alpha_rule_c, trees):
-    # the sheet of family space i lies 1/i above K, so alpha_i = c/i reaches it
-    # only for c > 1; then one tree over K serves every index of the call
+@pytest.mark.parametrize("kwargs, reaching", [
+    ({}, 0), ({"alpha_rule_c": 0.5}, 0), ({"alpha_rule_c": 1.5}, 3), ({"alpha_rule_c": 3.0}, 3),
+    ({"alphas": [0.0, 0.3, 0.1]}, 1),
+], ids=["defaults", "c=0.5", "c=1.5", "c=3", "alphas"])
+def test_ex3_builds_a_kd_tree_only_for_an_index_whose_threshold_reaches_the_sheet(monkeypatch, kwargs, reaching):
+    # the sheet of family space i lies 1/i above K, so alpha_i reaches it only
+    # at alpha_i >= 1/i: alpha_i = c/i with c > 1, or 0.3 >= 1/4 but not 0.1 < 1/8
     import scipy.spatial
 
     built = []
@@ -534,13 +537,12 @@ def test_ex3_builds_a_kd_tree_only_once_a_threshold_reaches_the_sheet(monkeypatc
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(scipy.spatial, "cKDTree", CountedTree)
-    runs = [run_example3(alpha_rule_c=alpha_rule_c) for _ in range(2)]
-    assert built == [sum(label.startswith("K:") for label in runs[0].regions[0])] * (2 * trees)
-    assert all(any(label.startswith("S:") for label in region) == (trees > 0) for region in runs[0].regions)
+    exp = run_example3(**kwargs)
+    assert built == [sum(label.startswith("K:") for label in exp.regions[0])] * reaching
+    assert sum(any(label.startswith("S:") for label in region) for region in exp.regions) == reaching
     monkeypatch.setattr(DefiningFunction, "extension_at", fresh_tree_extension_at)
-    oracle = run_example3(alpha_rule_c=alpha_rule_c)
-    for exp in runs:
-        assert (exp.regions, exp.measures, exp.limit_measure) == (oracle.regions, oracle.measures, oracle.limit_measure)
+    oracle = run_example3(**kwargs)
+    assert (exp.regions, exp.measures, exp.limit_measure) == (oracle.regions, oracle.measures, oracle.limit_measure)
 
 
 @pytest.mark.parametrize("alphas", [(0.0, 0.3, 1.5), (0.0, 1.5, 1.5 + 1e-9), (4.0, 0.0, 0.25)])
