@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import reports
-from .errors import DomainError, InconsistencyError, PreconditionError, SingularWeightError, VarcapError
+from .errors import DomainError, InconsistencyError, PreconditionError, SingularWeightError
 from .warped import RadialCondenser
 
 # The most elements one schedule's finest grids may hold together, counted
@@ -137,12 +137,12 @@ def _midpoints(grids: Sequence[RadialGrid]) -> np.ndarray:
     return out
 
 
-def _element_conductances(condenser: RadialCondenser, grids: Sequence[RadialGrid]) -> list:
+def _element_conductances(condenser: RadialCondenser, grids: Sequence[RadialGrid]) -> Iterator[np.ndarray]:
     """Per-element conductances w_k / h_k, with midpoint-rule weights, of each of
-    `grids` up to the first whose checks fail, and in its place the error they
-    raise, which the caller raises in that grid's turn.  f (for the
-    vanishing-factor check) and the element weight are each evaluated once,
-    over every grid inside the profile domain."""
+    `grids` in turn; a grid whose checks fail raises in its turn, so the grids
+    before it can be solved first.  f (for the vanishing-factor check) and the
+    element weight are each evaluated once, over every grid inside the profile
+    domain."""
     profile = condenser.profile
     inside = list(itertools.takewhile(lambda g: profile.s_min - 1e-12 <= g.nodes[0] and g.nodes[-1] <= profile.s_max,
                                       grids))
@@ -150,30 +150,30 @@ def _element_conductances(condenser: RadialCondenser, grids: Sequence[RadialGrid
         # Memory: the weights go first, so f is not held through their temporaries, and a
         # lone grid's interior is passed as a view; with copies of it or per-grid midpoints
         # the element-budget schedule peaked at 136 MB RSS, not 122 MB.
-        with np.errstate(over="ignore"):  # an overflow shows as an infinite weight, refused below
+        with np.errstate(over="ignore"):  # an overflow shows as an infinite f or weight, refused below
             w = profile.element_weight(_midpoints(inside))
-        interior = [g.nodes[1:-1] for g in inside]
-        f = profile.f(interior[0] if len(interior) == 1 else np.concatenate(interior))
-    conds, a, b = [], 0, 0
-    for grid in grids:
+            interior = [g.nodes[1:-1] for g in inside]
+            f = profile.f(interior[0] if len(interior) == 1 else np.concatenate(interior))
+    a, b = 0, 0
+    for k, grid in enumerate(grids):
         nodes = grid.nodes
         if abs(grid.s0 - condenser.s0) > 1e-12 * max(1.0, abs(condenser.s0)):
-            return conds + [DomainError(f"grid must start at s0={condenser.s0}, starts at {grid.s0}")]
-        if len(conds) == len(inside):
-            return conds + [DomainError("grid exceeds the profile domain")]
+            raise DomainError(f"grid must start at s0={condenser.s0}, starts at {grid.s0}")
+        if k == len(inside):
+            raise DomainError("grid exceeds the profile domain")
         f_int, w_k = f[a:a + nodes.size - 2], w[b:b + nodes.size - 1]
         a, b = a + f_int.size, b + w_k.size
         if (f_int <= 0.0).any():
             bad = float(nodes[1:-1][np.argmin(f_int)])
-            return conds + [SingularWeightError(f"warp factor vanishes at interior node s={bad}")]
+            raise SingularWeightError(f"warp factor vanishes at interior node s={bad}")
         if (w_k == np.inf).any():
             bad = float(0.5 * (nodes[:-1] + nodes[1:])[np.argmax(w_k)])
-            return conds + [DomainError(f"element weight exceeds the float range at the element midpoint s={bad!r}")]
+            raise DomainError(f"element weight exceeds the float range at the element midpoint s={bad!r}")
         if not (w_k > 0.0).all():  # nonpositive or NaN
-            return conds + [SingularWeightError("nonpositive element weight at an element midpoint")]
+            raise SingularWeightError("nonpositive element weight at an element midpoint")
         with np.errstate(over="ignore"):  # an infinite conductance is refused with the chain
-            conds.append(w_k / (nodes[1:] - nodes[:-1]))
-    return conds
+            cond = w_k / (nodes[1:] - nodes[:-1])
+        yield cond
 
 
 def _minimize_chain(cond: np.ndarray) -> np.ndarray:
@@ -201,14 +201,12 @@ def _batches(grids: Iterable[RadialGrid]) -> Iterator[list]:
 
 def _solve_chain(condenser: RadialCondenser, grid: RadialGrid, cond: np.ndarray) -> FemSolution:
     """Exact minimizer of the discrete energy with u(s0)=1, u(L)=0 on `grid`,
-    whose element conductances are `cond` (an error in their place is raised).
+    whose element conductances are `cond`.
 
     For a two-sided symmetric condenser the energy is doubled (the even
     reflection solves the second end).  A chain resistance, potential or
     capacity past the float range raises `DomainError`.
     """
-    if isinstance(cond, VarcapError):
-        raise cond
     dim = condenser.profile.dim
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below when not finite
         u = _minimize_chain(cond)

@@ -12,12 +12,14 @@ the capacity of every compact set to zero.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import DegenerateProblemError, DomainError, InconsistencyError, UnsupportedDimensionError, VarcapError
+from .errors import DegenerateProblemError, DomainError, InconsistencyError, UnsupportedDimensionError
 from .profiles import INF, ConstantSegment, WarpProfile
 
 
@@ -62,64 +64,43 @@ class TailQuadrature:
 
 def _end_resistances(
     profile: WarpProfile, s0s: Sequence[float], rel_tol: float, ends: str | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The resistance of one end, the integral of q*f^(1-m) on [s0, inf), and its
-    error estimate from each inner radius of `s0s`, and given `ends` the capacity
-    omega/(gamma*C) of {s <= s0} (doubled for "two_symmetric"); a non-integrable
-    end has resistance +inf, error 0 and capacity 0.  As a loop over the radii
-    would, the first faulty radius raises: `InconsistencyError` for a NaN
-    resistance or an error estimate above `rel_tol` of it, `DomainError` for a
-    resistance that underflows to 0 or a capacity past the float range."""
+) -> list[tuple[float, float, float | None]]:
+    """(C, error estimate, capacity) from each inner radius of `s0s` in turn: C is
+    the resistance of one end, the integral of q*f^(1-m) on [s0, inf), and given
+    `ends` the capacity is omega/(gamma*C) of {s <= s0} (doubled for
+    "two_symmetric"), else None; a non-integrable end has C = +inf, error 0 and
+    capacity 0.  Each radius is checked before the next is integrated, so the
+    first faulty radius raises: `InconsistencyError` for a NaN C or an error
+    estimate above `rel_tol` of it, `DomainError` for a C that underflows to 0
+    or a capacity past the float range."""
     if not profile.is_unbounded:
         raise DomainError("end resistance needs a profile defined out to infinity")
-    value, err = np.empty(len(s0s)), np.empty(len(s0s))
-    for k, s0 in enumerate(s0s):
-        try:
-            value[k], err[k] = profile.resistance_between(s0, INF)
-        except DomainError:  # past the float range; a fault at an earlier radius comes first
-            _check_ends(s0s[:k], value[:k], err[:k], rel_tol, ends, profile)
-            raise
-    return value, err, _check_ends(s0s, value, err, rel_tol, ends, profile)
-
-
-def _raise_first(*faults: tuple[np.ndarray, Callable[[int], VarcapError]]) -> None:
-    """Raise as a loop over the radii would: each fault is a mask over the radii
-    with the error it raises for radius k, listed in the order the loop checks
-    them, so the first flagged radius raises the first of its faults."""
-    masks = np.array([mask for mask, _ in faults], dtype=bool)
-    flagged = masks.any(axis=0)
-    if flagged.any():
-        k = int(flagged.argmax())
-        raise faults[int(masks[:, k].argmax())][1](k)
-
-
-def _check_ends(s0s, value, err, rel_tol, ends, profile) -> np.ndarray | None:
-    """`_end_resistances`' checks on its values so far; the capacities, given `ends`."""
-    C = value.tolist()
-    faults = [
-        (np.isnan(value), lambda k: InconsistencyError(f"end resistance from s0={s0s[k]!r} is NaN")),
-        (value == 0.0, lambda k: DomainError(
-            f"end resistance from s0={s0s[k]!r} underflows to 0: capacity past the float range")),
-        (~(err <= rel_tol * value) & (value != INF), lambda k: InconsistencyError(
-            f"end resistance {C[k]!r} has error estimate {err[k]:.3e}, above rel_tol={rel_tol:g}")),
-    ]
-    cap = None
-    if ends is not None:
-        with np.errstate(divide="ignore", over="ignore"):  # a zero resistance is refused first
-            cap = profile.dim.omega / (profile.dim.gamma * value)
-        if ends == "two_symmetric":
-            cap = 2.0 * cap
-        faults.append((cap == INF, lambda k: DomainError(
-            f"capacity of {{s <= {s0s[k]!r}}} exceeds the float range (end resistance {C[k]!r})")))
-    _raise_first(*faults)
-    return cap
+    omega, gamma = profile.dim.omega, profile.dim.gamma  # each read recomputes the sphere area
+    per_end = 2.0 if ends == "two_symmetric" else 1.0
+    rows = []
+    for s0 in s0s:
+        C, err = map(float, profile.resistance_between(s0, INF))  # floats: messages print them plainly
+        if math.isnan(C):
+            raise InconsistencyError(f"end resistance from s0={s0!r} is NaN")
+        if C == 0.0:
+            raise DomainError(f"end resistance from s0={s0!r} underflows to 0: capacity past the float range")
+        if not err <= rel_tol * C and C != INF:
+            raise InconsistencyError(f"end resistance {C!r} has error estimate {err:.3e}, above rel_tol={rel_tol:g}")
+        cap = None
+        if ends is not None:
+            # gamma * C underflows to 0 only for a capacity past the float range
+            cap = omega / (gamma * C) * per_end if gamma * C else INF
+            if cap == INF:
+                raise DomainError(f"capacity of {{s <= {s0!r}}} exceeds the float range (end resistance {C!r})")
+        rows.append((C, err, cap))
+    return rows
 
 
 def end_resistance_estimate(condenser: RadialCondenser, rel_tol: float = 1e-12) -> TailQuadrature:
     """Resistance of one end and its error estimate, in one call: the one-radius
     case of `_end_resistances`."""
-    value, err, _ = _end_resistances(condenser.profile, [condenser.s0], rel_tol)
-    return TailQuadrature(float(value[0]), float(err[0]), 0, bool(value[0] == INF))
+    [(C, err, _)] = _end_resistances(condenser.profile, [condenser.s0], rel_tol)
+    return TailQuadrature(C, err, 0, C == INF)
 
 
 def end_resistance(condenser: RadialCondenser, rel_tol: float = 1e-12) -> float:
@@ -138,12 +119,14 @@ def radial_capacities(
     with `DomainError`.
     """
     _check_inner_radii(profile, s0s)
-    return _end_resistances(profile, s0s, rel_tol, ends)[2]
+    return np.array([cap for _, _, cap in _end_resistances(profile, s0s, rel_tol, ends)])
 
 
 def radial_capacity(condenser: RadialCondenser, rel_tol: float = 1e-12) -> float:
-    """Capacity of {s <= s0}: the one-radius case of `radial_capacities`."""
-    return float(radial_capacities(condenser.profile, [condenser.s0], condenser.ends, rel_tol)[0])
+    """Capacity of {s <= s0}: the one-radius case of `radial_capacities`
+    (`RadialCondenser` has checked s0)."""
+    [(_, _, cap)] = _end_resistances(condenser.profile, [condenser.s0], rel_tol, condenser.ends)
+    return cap
 
 
 @dataclass(frozen=True)
@@ -172,31 +155,29 @@ def truncated_ramp_energy(profile: WarpProfile, L: float) -> RampEnergy:
 
 def volumes_and_boundaries(profile: WarpProfile, radii: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """(V, A) of each region {s <= R}, R in `radii`: V = integral of omega f^2 q,
-    A = omega f(R)^2, f evaluated once for all of them.
+    A = omega f(R)^2, f evaluated in one call at every radius before the first
+    outside the profile domain.
 
     The mass functionals downstream are three-dimensional, so this is
-    restricted to m = 3.  As a loop over the radii would, the first faulty
-    radius raises: `DomainError` for one outside the profile domain or a volume
-    past the float range, `DegenerateProblemError` for a boundary area that
-    is not positive.
+    restricted to m = 3.  The radii are then taken in turn, and the first
+    faulty one raises: `DomainError` for one outside the profile domain or a
+    volume past the float range, `DegenerateProblemError` for a boundary area
+    that is not positive.
     """
     if profile.m != 3:
         raise UnsupportedDimensionError(f"volume_and_boundary requires m=3, got m={profile.m}")
-    R = np.asarray(radii, dtype=float)
-    outside = ~((profile.s_min <= R) & (R <= profile.s_max))
-    inside = int(outside.argmax()) if outside.any() else len(radii)  # the radii before the first outside
-    omega = profile.dim.omega
-    with np.errstate(over="ignore"):  # as in floats, an f or A past the float range is inf, refused downstream
-        f = profile.f(R[:inside])
-        A = omega * f * f
-    vanishes = A <= 0.0
-    flat = int(vanishes.argmax()) if vanishes.any() else inside
-    V = np.array([omega * profile.volume_between(profile.s_min, r)[0] for r in radii[:min(flat + 1, inside)]])
-    if flat < inside:
-        raise DegenerateProblemError(f"boundary area vanishes at R={radii[flat]}")
-    if inside < len(radii):
-        raise DomainError(f"R={radii[inside]} outside profile domain")
-    return V, A
+    inside = list(itertools.takewhile(lambda R: profile.s_min <= R <= profile.s_max, radii))
+    with np.errstate(over="ignore"):  # as in floats, an f past the float range is inf, refused downstream
+        f = profile.f(np.array(inside, dtype=float)).tolist()
+    omega, V, A = profile.dim.omega, [], []
+    for k, R in enumerate(radii):
+        if k == len(inside):  # the first radius outside the domain
+            raise DomainError(f"R={R} outside profile domain")
+        V.append(omega * profile.volume_between(profile.s_min, R)[0])
+        A.append(omega * f[k] * f[k])
+        if A[-1] <= 0.0:
+            raise DegenerateProblemError(f"boundary area vanishes at R={R}")
+    return np.array(V), np.array(A)
 
 
 def volume_and_boundary(profile: WarpProfile, R: float) -> tuple[float, float]:

@@ -18,7 +18,7 @@ from test_mms import UNKNOWN_LABEL, space_docs, with_one_fault
 from varcap.cli import COMMANDS, RunConfig, main, parse_config
 from varcap.errors import ConfigError
 from varcap.mms import build_planar_sheet
-from varcap.profiles import cylinder_transition_profile, euclidean_profile, schwarzschild_profile
+from varcap.profiles import cylinder_transition_profile, euclidean_profile, hyperboloid_profile, schwarzschild_profile
 from varcap.radial_fem import RadialGrid
 from varcap import sequences
 from varcap.sequences import experiment_csv_from_payload
@@ -587,6 +587,9 @@ def test_experiments_and_mass_on_generated_documents(case, data):
      _radial_doc(profile={**_power_piece(range=[1.0, None], params={"a": 1.0, "p": -1.0}), "pole_at_origin": False},
                  s0=1e100),
      "chain resistance or energy over [1e+100, 1e+103] exceeds the float range"),
+    (["capacity-radial"],
+     _radial_doc(profile=hyperboloid_profile().to_doc(), s0=0.0, ends="two_symmetric", L_values=[1e300, 1e301, 1e302]),
+     "element weight exceeds the float range at the element midpoint"),
     (["capacity-graph"],
      {"space": {"points": [{"label": lab, "xyz": [x, 0.0, 0.0]} for lab, x in zip("abc", (0.0, 1.0, 2.0))],
                 "edges": [["a", "b", 1e308], ["a", "c", 1e308]]},
@@ -599,7 +602,7 @@ def test_experiments_and_mass_on_generated_documents(case, data):
       "inner": ["k"], "outer": ["b"]},
      "computation error: conductance 1e-30 at a free node is more than 2^1022 times below the largest, 1e+300"),
 ], ids=["schwarzschild volume overflow", "power volume overflow", "mass overflow",
-        "dimension overflow", "radial chain overflow", "graph energy overflow", "graph conductance underflow"])
+        "dimension overflow", "radial chain overflow", "radial warp factor overflow", "graph energy overflow", "graph conductance underflow"])
 def test_library_domain_rule_exits_one(tmp_path, capsys, command, doc, message):
     inp, out = tmp_path / "input.json", tmp_path / "report.csv"
     inp.write_text(json.dumps(doc))

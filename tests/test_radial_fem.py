@@ -212,8 +212,8 @@ def test_singular_weight_detection():
     )
     cond = SimpleNamespace(profile=fake_profile, s0=0.0)
     grid = RadialGrid(np.array([0.0, 1.0, 2.0, 3.0]))
-    [error] = _element_conductances(cond, [grid])
-    assert isinstance(error, SingularWeightError)
+    with pytest.raises(SingularWeightError):
+        list(_element_conductances(cond, [grid]))
 
 
 # a fault in (k, k + 1) reaches every grid [0, L] with L > k: f vanishing at the node k + 1/2, the weight
@@ -266,6 +266,14 @@ def test_chain_past_the_float_range_raises():
     profile = WarpProfile(Dimension(3), [PowerSegment(1.0, INF, 1.0, -1.0)], pole_at_origin=False)
     with pytest.raises(DomainError, match="exceeds the float range"):
         solve_radial(RadialCondenser(profile, 1e100), RadialGrid(np.linspace(1e100, 1e103, 17)))
+
+
+def test_warp_factor_past_the_float_range_is_an_infinite_weight_not_a_warning():
+    # f = sqrt(1 + s^2) overflows past s = 1.3e154; f = inf passes the vanishing-factor check, and the
+    # infinite weight beside it is refused by name instead of an overflow warning
+    cond = RadialCondenser(hyperboloid_profile(), 0.0, ends="two_symmetric")
+    with pytest.raises(DomainError, match="element weight exceeds the float range at the element midpoint"):
+        capacity_estimate(cond, L_values=[1e300, 1e301, 1e302])
 
 
 def test_element_weight_past_the_float_range_is_named():

@@ -24,6 +24,7 @@ from varcap.profiles import (
 )
 from varcap.warped import (
     RadialCondenser,
+    TailQuadrature,
     end_resistance,
     end_resistance_estimate,
     radial_capacities,
@@ -149,6 +150,51 @@ def test_radial_capacities_raise_for_the_first_faulty_radius_as_a_loop_would(kin
     assert single == [_outcome(lambda: _looped_capacities(profile, [s0], table, 1e-12)) for s0 in s0s]
 
 
+# each `_END_OUTCOMES` kind's end resistance at one radius, as the loop checks it before any capacity:
+# (value, error estimate, diverged), or the error
+_ONE_END = {"ok": (2.0, 0.0, False), "diverged": (INF, 0.0, True), "capacity overflow": (1e-320, 0.0, False),
+            "nan": (InconsistencyError, "end resistance from s0=1.0 is NaN"),
+            "zero": (DomainError, "end resistance from s0=1.0 underflows to 0: capacity past the float range"),
+            "loose": (InconsistencyError, "end resistance 2.0 has error estimate 1.000e+00, above rel_tol=1e-12"),
+            "overflow": (DomainError, "resistance integral exceeds the float range")}
+
+
+@pytest.mark.parametrize("kind", sorted(_END_OUTCOMES))
+def test_one_radius_calls_check_as_the_loop_does_and_return_python_scalars(monkeypatch, kind):
+    # numpy scalars from the integral: the results and messages still hold plain floats
+    def resistance_between(self, a, b):
+        if _END_OUTCOMES[kind] is None:
+            raise DomainError("resistance integral exceeds the float range")
+        return tuple(map(np.float64, _END_OUTCOMES[kind]))
+
+    monkeypatch.setattr(WarpProfile, "resistance_between", resistance_between)
+    condenser = RadialCondenser(hyperboloid_profile(), 1.0)
+
+    def outcome(compute):
+        try:
+            return compute()
+        except VarcapError as exc:
+            return type(exc), str(exc)
+
+    est, value = outcome(lambda: end_resistance_estimate(condenser)), outcome(lambda: end_resistance(condenser))
+    if isinstance(est, TailQuadrature):
+        assert (est.value, est.error_estimate, est.diverged) == _ONE_END[kind] and est.windows_used == 0
+        assert [type(est.value), type(est.error_estimate), type(est.diverged), type(value)] == [float, float, bool, float]
+        assert value == est.value
+    else:
+        assert est == value == _ONE_END[kind]
+    cap = outcome(lambda: radial_capacity(condenser))
+    assert type(cap) is float or cap == outcome(lambda: radial_capacities(condenser.profile, [1.0]))
+
+
+def test_a_resistance_whose_product_with_gamma_underflows_is_a_capacity_past_the_float_range(monkeypatch):
+    # gamma is 1.1e-14 at m = 60, so gamma * C rounds to 0 for the least subnormal C
+    monkeypatch.setattr(WarpProfile, "resistance_between", lambda self, a, b: (5e-324, 0.0))
+    profile = WarpProfile(Dimension(60), [PowerSegment(0.0, INF, 1.0, 1.0)], pole_at_origin=True)
+    with pytest.raises(DomainError, match=re.escape("capacity of {s <= 1.0} exceeds the float range")):
+        radial_capacity(RadialCondenser(profile, 1.0))
+
+
 # per-radius (f(R), volume); None raises as a volume past the float range does, and a radius
 # below the profile's start stands for one outside its domain
 _GEOMETRY_OUTCOMES = {"ok": (2.0, 3.0), "zero area": (0.0, 0.0), "infinite area": (INF, 3.0),
@@ -188,6 +234,26 @@ def test_volumes_and_boundaries_raise_for_the_first_faulty_radius_as_a_loop_woul
         patch.setattr(WarpProfile, "volume_between", volume_between)
         got = _outcome(lambda: np.concatenate(volumes_and_boundaries(profile, radii)))
     assert got == _outcome(lambda: _looped_geometry(profile, radii, table))
+
+
+@pytest.mark.parametrize("kind", sorted(_GEOMETRY_OUTCOMES))
+def test_volume_and_boundary_is_the_one_radius_case_of_volumes_and_boundaries(monkeypatch, kind):
+    R = -1.0 if kind == "outside" else 1.0
+    table = {R: _GEOMETRY_OUTCOMES[kind]}
+
+    def volume_between(self, a, b):
+        if table[b][1] is None:
+            raise DomainError("volume integral exceeds the float range")
+        return table[b][1], 0.0
+
+    monkeypatch.setattr(WarpProfile, "f", lambda self, s: np.array([table[R][0] for R in np.asarray(s).tolist()]))
+    monkeypatch.setattr(WarpProfile, "volume_between", volume_between)
+    profile = hyperboloid_profile()
+    single = _outcome(lambda: volume_and_boundary(profile, R))
+    assert single == _outcome(lambda: np.concatenate(volumes_and_boundaries(profile, [R])))
+    assert single == _outcome(lambda: _looped_geometry(profile, [R], table))
+    if isinstance(single, list):
+        assert [type(x) for x in volume_and_boundary(profile, R)] == [float, float]
 
 
 def test_end_resistance_requires_unbounded_profile():
