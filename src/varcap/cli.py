@@ -155,16 +155,16 @@ def _capacity_graph(space, inner, outer, m=None, rim_radius=None) -> dict:
     }
 
 
-def _mass(profile, radii, tol, **extrapolation) -> dict:
-    af = AFProfile.check(profile)
-    curve = evaluate_mass_curve(af, radii, rel_tol=tol)
+def _mass(profile: AFProfile, radii, tol, **extrapolation) -> dict:
+    """The mass report; `profile` comes checked, as an `AFProfile`, from the command's rule."""
+    curve = evaluate_mass_curve(profile, radii, rel_tol=tol)
     extrap = extrapolate_mass(curve, **extrapolation)
     return {
         "rows": [list(row) for row in curve.rows()],
         "m_iso": extrap.m_iso,
         "m_cv": extrap.m_cv,
         "error_estimate": extrap.error_estimate,
-        "af_witness": {"s_af": af.s_af, "ratio_eps": af.ratio_eps, "deriv_eps": af.deriv_eps},
+        "af_witness": {"s_af": profile.s_af, "ratio_eps": profile.ratio_eps, "deriv_eps": profile.deriv_eps},
         "provenance": "closed-form",
     }
 
@@ -189,7 +189,8 @@ class Command:
     csv: Callable[[dict, dict], str]  # (payload, header) -> CSV report
     required: tuple = ()  # keys the input document must give
     # the library's own checks of keys tied together, each raising a VarcapError,
-    # with the keys it takes -> the library's default for each
+    # with the keys it takes -> the library's default for each; a check that
+    # returns a dict hands `run` those keys in the form it checked them
     rules: tuple[tuple[Callable, dict], ...] = ()
 
 
@@ -268,7 +269,8 @@ COMMANDS = {
         required=("profile", "radii"),
         tolerance="quadrature",
         run=_mass,
-        rules=((_check_exhaustion, dict.fromkeys(("profile", "radii", "tail_points"))),),
+        rules=((lambda **keys: {"profile": _check_exhaustion(**keys)},
+                dict.fromkeys(("profile", "radii", "tail_points"))),),
         csv=_table(
             lambda p: reports.csv_table(MASS_COLUMNS, p["rows"]), "provenance", "m_iso", "m_cv", "error_estimate"
         ),
@@ -378,11 +380,14 @@ def parse_config(
             for rule, defaults in spec.rules:
                 tied = {key: args.get(key, default) for key, default in defaults.items()}
                 try:
-                    rule(**tied)
+                    checked = rule(**tied)
                 except VarcapError as exc:
                     # a key left unset (None) takes no part in the rule, so it is not named
                     named = [key for key, value in tied.items() if value is not None]
                     problems.append(f"{where} keys {' and '.join(map(repr, named))}: {exc}")
+                else:
+                    if isinstance(checked, dict):
+                        args.update(checked)
         if tol_override is not None and spec.tolerance is None:
             problems.append(f"--tol: {name} has no tolerance to set")
         elif tol_override is not None:

@@ -90,13 +90,15 @@ def _check_tail(radii: Sequence[float], tail_points: int | None) -> None:
         raise PreconditionError(f"tail_points={tail_points} exceeds the number of radii, {len(radii)}")
 
 
-def _check_exhaustion(profile: WarpProfile, radii: Sequence[float], tail_points: int | None) -> None:
+def _check_exhaustion(profile: WarpProfile, radii: Sequence[float], tail_points: int | None) -> AFProfile:
     """Refuse a mass curve before any volume or capacity: a profile that
     `AFProfile.check` rejects, a radius that is no `RadialCondenser` of it
-    (outside its domain or on its pole), or radii that `_check_tail` rejects."""
-    AFProfile.check(profile)
+    (outside its domain or on its pole), or radii that `_check_tail` rejects.
+    Returns the profile's `AFProfile`."""
+    af = AFProfile.check(profile)
     _check_inner_radii(profile, radii)
     _check_tail(radii, tail_points)
+    return af
 
 
 def _iso_mass(V: np.ndarray, A: np.ndarray) -> np.ndarray:

@@ -396,6 +396,13 @@ class GraphPotential:
 # of mean degree 64 (a factor 76% dense) in 43 s and 750 MB resident, on a 2-vCPU, 8 GB machine.
 _DOCUMENT_FREE_BUDGET = 2**13
 
+# `splu`'s arguments for the free block (see `graph_capacity`).  The panel of 6 columns was chosen by
+# measurement on a 2-vCPU machine: the h = 0.025 plane quotient factored in 14.2 ms, not 17.0 at
+# SuperLU's default 20 (panel 2: 13.0), while random graphs of mean degree 4 up to this budget stayed
+# within the 4% noise of repeated runs (panel 4 took up to 8% longer).
+_SUPERLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0, "panel_size": 6,
+                    "options": {"SymmetricMode": True}}
+
 
 def _check_document_condenser(space: FiniteMetricMeasureSpace, inner, outer) -> None:
     """capacity-graph's rule: a `GraphCondenser` leaving at most
@@ -424,12 +431,16 @@ def graph_capacity(condenser: GraphCondenser) -> GraphPotential:
     Otherwise only the free block A of the Laplacian (rows and columns of the
     free nodes in components meeting both) and the right-hand side b that
     K's edges put on it are assembled, from the edges at free nodes, and A
-    is factored once by SuperLU: a minimum-degree ordering of A + A^T and
-    pivots taken from the diagonal, which A (symmetric positive definite)
-    allows.  The ordering keeps a planar lattice's factor small, but a
-    general graph's can fill toward dense, in time toward the cube of the
-    free nodes: the caller bounds the graph (`_PLANE_NODE_BUDGET` in
-    `sequences`, `_DOCUMENT_FREE_BUDGET` here for capacity-graph documents).
+    is factored once by SuperLU with `_SUPERLU_OPTIONS`: a minimum-degree
+    ordering of A + A^T; pivots taken from the diagonal, which A (symmetric
+    positive definite) allows; panels of 6 columns, since a lattice's factor
+    has small supernodes, which SuperLU's default panel of 20 columns (sized
+    for large ones) updates with wasted work; and SuperLU's own supernode
+    relaxation of 10, which no other value measurably bettered.  The
+    ordering keeps a planar lattice's factor small, but a general graph's
+    can fill toward dense, in time toward the cube of the free nodes: the
+    caller bounds the graph (`_PLANE_NODE_BUDGET` in `sequences`,
+    `_DOCUMENT_FREE_BUDGET` here for capacity-graph documents).
     The solve runs on the conductances scaled by the power of two that
     brings the largest into [1/2, 1), exactly, so the potential is bit for
     bit the unscaled one, and no pivot overflows; a conductance at a free
@@ -456,7 +467,7 @@ def graph_capacity(condenser: GraphCondenser) -> GraphPotential:
         from scipy.sparse.linalg import splu
 
         A, b_vec = _free_system(condenser, free)
-        lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        lu = splu(A.tocsc(), **_SUPERLU_OPTIONS)
         u[free] = lu.solve(b_vec)
 
     du = u[i] - u[j]

@@ -29,8 +29,8 @@ is 0 by structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -89,6 +89,21 @@ def check_semicontinuity(
     return Verdict(limsup, float(limit_cap), float(tol), cls)
 
 
+class SheetRegions(NamedTuple):
+    """ex3's regions as index arrays.  Every region holds K, the points `k_idx`
+    of `disk`, then the points `on_sheet[n]` of the holed `sheet` at family
+    index n; labels are formatted only for the JSON report."""
+
+    disk: FiniteMetricMeasureSpace
+    k_idx: np.ndarray
+    sheet: FiniteMetricMeasureSpace
+    on_sheet: tuple  # per family index, an index array into `sheet`
+
+    def labels(self) -> list[list[str]]:
+        k_labels = self.disk.labels_at(self.k_idx)
+        return [k_labels + self.sheet.labels_at(idx) for idx in self.on_sheet]
+
+
 @dataclass(frozen=True)
 class SequenceExperiment:
     """Capacities along a converging family, the limit value, and the verdict."""
@@ -100,7 +115,7 @@ class SequenceExperiment:
     verdict: Verdict
     measures: tuple | None = None
     limit_measure: float | None = None
-    regions: tuple | None = None  # per-index label lists, JSON report only
+    regions: SheetRegions | None = None
     metadata: dict = field(default_factory=dict)
 
     def to_payload(self) -> dict:
@@ -109,7 +124,7 @@ class SequenceExperiment:
             "i": list(self.i_list),
             "capacity": list(self.capacities),
             "region_measure": None if self.measures is None else list(self.measures),
-            "regions": None if self.regions is None else [list(r) for r in self.regions],
+            "regions": None if self.regions is None else self.regions.labels(),
             "limit_capacity": self.limit_capacity,
             "limit_measure": self.limit_measure,
             "limsup_estimate": self.verdict.limsup_estimate,
@@ -120,8 +135,8 @@ class SequenceExperiment:
 
 
 def experiment_csv(exp: SequenceExperiment) -> str:
-    """Per-index rows plus the limit/limsup/verdict footer block."""
-    return experiment_csv_from_payload(exp.to_payload())
+    """Per-index rows plus the limit/limsup/verdict footer block (the CSV has no region labels)."""
+    return experiment_csv_from_payload(replace(exp, regions=None).to_payload())
 
 
 def experiment_csv_from_payload(payload: dict, meta: dict | None = None) -> str:
@@ -413,7 +428,8 @@ def run_example3(
     about the unit disk gives K, the limit measure and the disk sheet: K
     itself, in every region since d(., K) = 0 there.  The holed sheet is
     built once, out to the largest threshold's reach, and lifted to each
-    height 1/i; a region is K's nodes, then the sheet's, as in their union.
+    height 1/i; a region is K's nodes, then the sheet's, as in their union,
+    kept as index arrays (`SheetRegions`) and labelled only by `to_payload`.
     """
     i_list = tuple(i_list)
     _check_disk_plane(h, rim_radius)
@@ -435,12 +451,12 @@ def run_example3(
     # K lies in the closed unit disk, so no sheet node past 1 + alpha on either axis is within alpha of it
     reach = min(1.0 + max(alphas, default=0.0), rim_radius)
     sheet = _plane_sheet(h, reach, "S", Disk(0.0, 0.0, 1.0))
-    measures, regions = [], []
-    k_labels, k_weight, lifted = disk.labels_at(k_idx), disk.weight[k_idx], sheet.coords.copy()
+    measures, on_sheets = [], []
+    k_weight, lifted = disk.weight[k_idx], sheet.coords.copy()
     for i, alpha in zip(i_list, alphas):
         lifted[:, 2] = 1.0 / i  # the sheet at its height in family space i
-        on_sheet = defining.extension_at(lifted, upto=alpha) <= alpha
-        regions.append((*k_labels, *sheet.labels_at(on_sheet)))
+        on_sheet = np.flatnonzero(defining.extension_at(lifted, upto=alpha) <= alpha)
+        on_sheets.append(on_sheet)
         measures.append(float(np.sum(np.concatenate([k_weight, sheet.weight[on_sheet]]))))
 
     verdict = check_semicontinuity(caps, limit_cap, tol)
@@ -456,7 +472,7 @@ def run_example3(
     }
     return SequenceExperiment(
         "ex3", i_list, caps, limit_cap, verdict, measures=tuple(measures), limit_measure=limit_measure,
-        regions=tuple(regions), metadata=meta,
+        regions=SheetRegions(disk, k_idx, sheet, tuple(on_sheets)), metadata=meta,
     )
 
 

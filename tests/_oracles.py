@@ -68,14 +68,15 @@ def laplacian_graph_capacity(condenser):
 
     It builds the n x n Laplacian of the scaled conductances from 4E
     entries, takes components from it, and slices the free block and the
-    right-hand side out of it before the same SuperLU solve; with no K-B
-    path it still assembles everything and returns an energy of exactly 0.
+    right-hand side out of it before the same SuperLU solve, with the
+    library's own `_SUPERLU_OPTIONS`; with no K-B path it still assembles
+    everything and returns an energy of exactly 0.
     """
     from scipy import sparse
     from scipy.sparse.csgraph import connected_components
     from scipy.sparse.linalg import splu
 
-    from varcap.mms import GraphPotential, _free_mask
+    from varcap.mms import _SUPERLU_OPTIONS, GraphPotential, _free_mask
 
     space = condenser.space
     k_idx, b_idx = condenser.k_idx, condenser.b_idx
@@ -95,7 +96,7 @@ def laplacian_graph_capacity(condenser):
         L_free = L[free]
         A = L_free[:, free]
         b_vec = -(L_free @ u - A @ u[free])
-        lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        lu = splu(A.tocsc(), **_SUPERLU_OPTIONS)  # the library's factorisation: the oracle checks assembly
         u[free] = lu.solve(b_vec)
 
     du = u[space.edges[:, 0]] - u[space.edges[:, 1]]

@@ -310,6 +310,21 @@ def test_rule_fault_exits_two_before_any_solve_or_quadrature(tmp_path, capsys, m
     assert not out.exists()
 
 
+def test_mass_call_checks_its_profile_once(tmp_path, monkeypatch):
+    # the parse-time rule's flat-tail witness is the one the report carries
+    from varcap.mass import AFProfile
+
+    calls, check = [], AFProfile.check
+    monkeypatch.setattr(AFProfile, "check", staticmethod(lambda *args: calls.append(args) or check(*args)))
+    inp, out = tmp_path / "input.json", tmp_path / "report.json"
+    inp.write_text(json.dumps(_mass_doc()))
+    assert main(["mass", "--input", str(inp), "--out", str(out), "--format", "json"]) == 0
+    assert len(calls) == 1
+    witness = check(schwarzschild_profile(1.0))
+    assert json.loads(out.read_text())["af_witness"] == {
+        "s_af": witness.s_af, "ratio_eps": witness.ratio_eps, "deriv_eps": witness.deriv_eps}
+
+
 def _path_doc(free):
     """A path of `free` + 2 points, K and B at its two ends."""
     labels = [f"v{k}" for k in range(free + 2)]

@@ -36,7 +36,7 @@ from varcap.mms import (
     harmonicity_residual,
     union_spaces,
 )
-from varcap.sequences import limit_plane_condenser
+from varcap.sequences import _plane_quotient, limit_plane_condenser
 
 
 def path_space():
@@ -149,8 +149,6 @@ def test_brute_force_equivalence_small_graphs():
 @example(n=2050, decades=6.0, seed=1)  # 1,996 free nodes: the top of the size range covered here
 @example(n=78, decades=5.976875984746526, seed=32363176)  # residual 6.1e-11 of b, backward error 1.5e-16
 def test_sparse_solve_matches_dense_oracle(n, decades, seed):
-    from scipy.sparse.csgraph import connected_components
-
     cond = random_sparse_condenser(n, np.random.default_rng(seed), decades)
     oracle, _ = dense_graph_energy(cond.space, cond.inner, cond.outer)
     pot = graph_capacity(cond)
@@ -158,6 +156,13 @@ def test_sparse_solve_matches_dense_oracle(n, decades, seed):
     # the true residual of the factored block, as a backward error: at most
     # 3.4e-16 over 20,000 draws of this range.  Relative to b it reached
     # 6.1e-11, where 6 decades of conductance leave b small beside A u.
+    _assert_backward_error_at_rounding(cond, pot)
+
+
+def _assert_backward_error_at_rounding(cond, pot):
+    """max|b - A u| <= 1e-15 (||A||_inf ||u||_inf + ||b||_inf) on the factored block."""
+    from scipy.sparse.csgraph import connected_components
+
     _, comp = connected_components(cond.space.adjacency(), directed=False)
     both = np.intersect1d(comp[cond.k_idx], comp[cond.b_idx])
     free = np.flatnonzero(_free_mask(cond) & np.isin(comp, both))
@@ -167,6 +172,28 @@ def test_sparse_solve_matches_dense_oracle(n, decades, seed):
     residual = b - A @ u
     scale = abs(A).sum(axis=1).max() * np.abs(u).max(initial=0.0) + np.abs(b).max(initial=0.0)
     assert np.abs(residual).max(initial=0.0) <= 1e-15 * scale
+
+
+def _disk_lattice_document(h=0.1, radius=2.5, seed=3):
+    """A capacity-graph document like the benchmark's: a disk lattice with
+    conductances drawn from [0.5, 2], K the disk of a quarter of the radius
+    and B the outer 1.5h rim (1,596 free nodes at the defaults)."""
+    sheet = build_planar_sheet((-radius, radius, -radius, radius), h, clip=Disk(0.0, 0.0, radius), offset=0.5)
+    doc = sheet.to_doc()
+    cond = np.random.default_rng(seed).uniform(0.5, 2.0, size=len(doc["edges"]))
+    doc["edges"] = [[a, b, float(c)] for (a, b, _), c in zip(doc["edges"], cond)]
+    space = FiniteMetricMeasureSpace.from_doc(json.loads(json.dumps(doc)))
+    r = np.hypot(space.coords[:, 0], space.coords[:, 1])
+    return GraphCondenser(space, r <= 0.25 * radius, r >= radius - 1.5 * h, Dimension(2))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _plane_quotient(0.1, 4.0), lambda: _plane_quotient(0.05, 4.0), _disk_lattice_document,
+], ids=["plane quotient h=0.1", "plane quotient h=0.05", "disk-lattice document"])
+def test_lattice_solves_have_a_backward_error_at_rounding(make):
+    # the systems whose small supernodes set the factorisation's panel size
+    cond = make()
+    _assert_backward_error_at_rounding(cond, graph_capacity(cond))
 
 
 @settings(max_examples=20, deadline=None)

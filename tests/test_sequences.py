@@ -500,12 +500,13 @@ def _assert_regions_cut_from_the_union_spaces(h, rim, i_list, alphas):
     limit = limit_plane_condenser(h, rim)
     defining = DefiningFunction.canonical_for(limit.space, limit.k_idx)
     assert exp.limit_measure == region_measure(limit.space, limit.k_idx)
-    for i, alpha, region, measure in zip(i_list, alphas, exp.regions, exp.measures):
+    regions = exp.regions.labels()
+    for i, alpha, region, measure in zip(i_list, alphas, regions, exp.measures):
         space = two_sheet_space(h, i, rim)
         mask = defining.extension_on(space, upto=alpha) <= alpha
-        assert region == tuple(space.labels_at(mask))
+        assert region == space.labels_at(mask)
         assert measure == region_measure(space, mask)
-    assert any(label.startswith("S:") for label in exp.regions[-1])
+    assert any(label.startswith("S:") for label in regions[-1])
 
 
 @settings(max_examples=8, deadline=None)
@@ -538,11 +539,31 @@ def test_ex3_builds_a_kd_tree_only_for_an_index_whose_threshold_reaches_the_shee
 
     monkeypatch.setattr(scipy.spatial, "cKDTree", CountedTree)
     exp = run_example3(**kwargs)
-    assert built == [sum(label.startswith("K:") for label in exp.regions[0])] * reaching
-    assert sum(any(label.startswith("S:") for label in region) for region in exp.regions) == reaching
+    regions = exp.regions.labels()
+    assert built == [sum(label.startswith("K:") for label in regions[0])] * reaching
+    assert sum(any(label.startswith("S:") for label in region) for region in regions) == reaching
     monkeypatch.setattr(DefiningFunction, "extension_at", fresh_tree_extension_at)
     oracle = run_example3(**kwargs)
-    assert (exp.regions, exp.measures, exp.limit_measure) == (oracle.regions, oracle.measures, oracle.limit_measure)
+    assert (regions, exp.measures, exp.limit_measure) == (oracle.regions.labels(), oracle.measures,
+                                                          oracle.limit_measure)
+
+
+def test_ex3_formats_region_labels_only_for_the_payload(monkeypatch):
+    # a library caller or a CSV report reads no label: the regions stay index arrays until `to_payload`
+    formatted, format_labels = [], mms._LatticeLabels.format
+
+    def counted(labels, idx=slice(None)):
+        formatted.append(labels.prefix[idx].size)
+        return format_labels(labels, idx)
+
+    monkeypatch.setattr(mms._LatticeLabels, "format", counted)
+    exp = run_example3(h=0.1, i_list=(2, 4, 8), alpha_rule_c=1.5)
+    experiment_csv(exp)
+    assert formatted == []
+    assert all(idx.dtype.kind == "i" for idx in exp.regions.on_sheet)
+    regions = exp.to_payload()["regions"]
+    assert sum(formatted) == exp.regions.k_idx.size + sum(idx.size for idx in exp.regions.on_sheet)
+    assert [len(region) for region in regions] == [exp.regions.k_idx.size + idx.size for idx in exp.regions.on_sheet]
 
 
 @pytest.mark.parametrize("alphas", [(0.0, 0.3, 1.5), (0.0, 1.5, 1.5 + 1e-9), (4.0, 0.0, 0.25)])
@@ -580,7 +601,7 @@ def test_ex3_alpha_rule_thresholds_by_family_index(ex3):
     by_list = run_example3(h=0.1, i_list=(2, 4, 8), alphas=[0.75, 0.375, 0.1875])
     assert by_rule.capacities == by_list.capacities
     assert by_rule.measures == by_list.measures
-    assert by_rule.regions == by_list.regions
+    assert by_rule.regions.labels() == by_list.regions.labels()
     assert all(mu > disk for mu, disk in zip(by_rule.measures, ex3.measures))
 
 
