@@ -192,6 +192,7 @@ class Command:
     # with the keys it takes -> the library's default for each; a check that
     # returns a dict hands `run` those keys in the form it checked them
     rules: tuple[tuple[Callable, dict], ...] = ()
+    labels: bool = False  # whether `run` takes `labels`, true for a JSON report: the CSV has no region labels
 
 
 def _tied(rule: Callable, source: Callable) -> tuple:
@@ -207,9 +208,10 @@ def _experiment(runner: str, *rules, **keys) -> Command:
     return Command(
         keys={"i_list": _list_of(_integer(1), least=3), **keys},
         tolerance="verdict",
-        run=lambda **args: getattr(sequences, runner)(**args).to_payload(),
+        run=lambda labels, **args: getattr(sequences, runner)(**args).to_payload(labels),
         csv=sequences.experiment_csv_from_payload,
         rules=tuple(_tied(rule, getattr(sequences, runner)) for rule in rules),
+        labels=True,
     )
 
 
@@ -419,6 +421,8 @@ def run(config: RunConfig) -> int:
     args = dict(config.args)
     if spec.tolerance is not None:
         args["tol"] = config.tolerances[spec.tolerance]
+    if spec.labels:
+        args["labels"] = config.format == "json"
     try:
         payload = spec.run(**args)
     except VarcapError as exc:

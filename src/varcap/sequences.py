@@ -29,7 +29,7 @@ is 0 by structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -118,13 +118,14 @@ class SequenceExperiment:
     regions: SheetRegions | None = None
     metadata: dict = field(default_factory=dict)
 
-    def to_payload(self) -> dict:
+    def to_payload(self, labels: bool = True) -> dict:
+        """The report fields; `labels=False` leaves out the region labels, which only JSON reports carry."""
         return {
             "experiment": self.name,
             "i": list(self.i_list),
             "capacity": list(self.capacities),
             "region_measure": None if self.measures is None else list(self.measures),
-            "regions": None if self.regions is None else self.regions.labels(),
+            "regions": None if self.regions is None or not labels else self.regions.labels(),
             "limit_capacity": self.limit_capacity,
             "limit_measure": self.limit_measure,
             "limsup_estimate": self.verdict.limsup_estimate,
@@ -136,7 +137,7 @@ class SequenceExperiment:
 
 def experiment_csv(exp: SequenceExperiment) -> str:
     """Per-index rows plus the limit/limsup/verdict footer block (the CSV has no region labels)."""
-    return experiment_csv_from_payload(replace(exp, regions=None).to_payload())
+    return experiment_csv_from_payload(exp.to_payload(labels=False))
 
 
 def experiment_csv_from_payload(payload: dict, meta: dict | None = None) -> str:

@@ -5,7 +5,8 @@ dense pseudo-inverse quadratic minimization instead of the sparse condenser
 solve, value-grid feasibility scans instead of the McShane formula, and
 random feasible extensions built greedily from interval bounds.  The
 radial capacity estimate is also kept in its former two-step form: a list of
-(grid, L) pairs built first, then solved and grouped by L in dicts.  The
+(grid, L) pairs built first, then solved and grouped by L in dicts, each grid
+by the former one-grid `solve_radial`, which evaluates the profile per grid.  The
 sparse graph solve is kept in its former form on the whole Laplacian,
 ex3's strip family in its former form: one solve of the joined two-sheet
 space per family index, and ex4's limit as the union of the disk and the
@@ -21,11 +22,11 @@ import numpy as np
 from scipy.linalg import lstsq
 from scipy.sparse.csgraph import shortest_path
 
-from varcap.errors import DomainError, InconsistencyError, PreconditionError, real
+from varcap.errors import DomainError, InconsistencyError, PreconditionError, SingularWeightError, real
 from varcap.geometry import Dimension
 from varcap.mass import MassCurve
 from varcap.mms import Disk, FiniteMetricMeasureSpace, GraphCondenser, _LatticeLabels, build_planar_sheet, union_spaces
-from varcap.radial_fem import CapacityEstimate, RadialGrid, solve_radial
+from varcap.radial_fem import CapacityEstimate, FemSolution, RadialGrid
 from varcap.sequences import LATTICE_OFFSET
 
 
@@ -537,6 +538,52 @@ def separate_mass_curve(af, radii, capacity_fn=None):
     return MassCurve(radii, *(tuple(c.tolist()) for c in columns))
 
 
+def _one_grid_conductances(condenser, grid):
+    """Per-element conductance w_k / h_k with midpoint-rule weights."""
+    profile = condenser.profile
+    nodes = grid.nodes
+    if nodes[0] < profile.s_min - 1e-12 or nodes[-1] > profile.s_max:
+        raise DomainError("grid exceeds the profile domain")
+    interior = nodes[1:-1]
+    f_int = np.atleast_1d(profile.f(interior))
+    if np.any(f_int <= 0.0):
+        bad = float(interior[np.argmin(f_int)])
+        raise SingularWeightError(f"warp factor vanishes at interior node s={bad}")
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    with np.errstate(over="ignore"):  # an overflow shows as an infinite weight or conductance, refused below
+        w = np.atleast_1d(profile.element_weight(mids))
+        cond = w / np.diff(nodes)
+    if np.any(w == np.inf):
+        bad = float(mids[np.argmax(w)])
+        raise DomainError(f"element weight exceeds the float range at the element midpoint s={bad!r}")
+    if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
+        raise SingularWeightError("nonpositive element weight at an element midpoint")
+    return cond
+
+
+def one_grid_solve_radial(condenser, grid):
+    """The library's former `solve_radial`, one grid and one profile evaluation
+    at a time: the exact minimizer of the discrete energy with u(s0)=1, u(L)=0.
+
+    For a two-sided symmetric condenser the energy is doubled (the even
+    reflection solves the second end).  A chain resistance, potential or
+    capacity past the float range raises `DomainError`.
+    """
+    if abs(grid.s0 - condenser.s0) > 1e-12 * max(1.0, abs(condenser.s0)):
+        raise DomainError(f"grid must start at s0={condenser.s0}, starts at {grid.s0}")
+    cond = _one_grid_conductances(condenser, grid)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below when not finite
+        crossed = np.cumsum(1.0 / cond)
+        u = np.concatenate([[1.0], 1.0 - crossed / crossed[-1]])
+        energy = condenser.profile.dim.omega * float(np.sum(cond * np.diff(u) ** 2))
+    if condenser.ends == "two_symmetric":
+        energy *= 2.0
+    cap_L = energy / condenser.profile.dim.gamma
+    if not (np.all(np.isfinite(u)) and np.isfinite(cap_L)):
+        raise DomainError(f"chain resistance or energy over [{grid.s0}, {grid.L}] exceeds the float range")
+    return FemSolution(grid, u, energy, cap_L)
+
+
 def two_step_schedule(condenser, L_values=None, levels=2, h0=None, ratio=1.05):
     """Geometrically graded grids on a ladder of truncation radii: the
     library's former two-step route, kept as it stood but for refining each
@@ -576,7 +623,7 @@ def two_step_capacity_estimate(condenser, schedule):
     for grid, L in schedule:
         if abs(grid.L - L) > 1e-9 * max(1.0, L):
             raise PreconditionError(f"grid ends at {grid.L}, schedule says L={L}")
-        sol = solve_radial(condenser, grid)
+        sol = one_grid_solve_radial(condenser, grid)
         by_L.setdefault(L, []).append(sol)
         rows.append((L, grid.h_max, sol.cap_L, sol.energy))
 

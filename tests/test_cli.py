@@ -297,8 +297,8 @@ def test_rule_fault_exits_two_before_any_solve_or_quadrature(tmp_path, capsys, m
     def refuse(*args, **kwargs):
         raise AssertionError("a solve or quadrature ran")
 
-    for target in ["varcap.radial_fem.solve_radial", "varcap.radial_fem._element_conductances",
-                   "varcap.radial_fem._solve_chain", "varcap.profiles.WarpProfile.element_weight",
+    for target in ["varcap.radial_fem._nested_solutions", "varcap.radial_fem.RadialGrid.geometric",
+                   "varcap.profiles.WarpProfile.element_weight",
                    "varcap.profiles.WarpProfile.resistance_between", "varcap.profiles.WarpProfile.volume_between",
                    "varcap.mass.volumes_and_boundaries", "varcap.mass.radial_capacities"]:
         monkeypatch.setattr(target, refuse)
@@ -732,6 +732,25 @@ def test_json_format(tmp_path):
     assert payload["verdict"] == "consistent-strict-jump"
     assert payload["limit_capacity"] == pytest.approx(4 / math.pi, abs=1e-3)
     assert "config_sha256" in payload
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_ex3_formats_region_labels_only_for_a_json_report(tmp_path, monkeypatch, fmt):
+    # the CSV report has no region labels; an ex3 CSV call used to format all
+    # of them (944 here, 5,024 at h = 0.025 and alpha_rule_c 0.5)
+    from varcap import mms
+
+    formatted, format_labels = [], mms._LatticeLabels.format
+
+    def counted(labels, idx=slice(None)):
+        formatted.append(labels.prefix[idx].size)
+        return format_labels(labels, idx)
+
+    monkeypatch.setattr(mms._LatticeLabels, "format", counted)
+    inp, out = tmp_path / "input.json", tmp_path / f"report.{fmt}"
+    inp.write_text(json.dumps({"i_list": [2, 4, 8], "h": 0.1, "alpha_rule_c": 1.5}))
+    assert main(["experiment", "ex3", "--input", str(inp), "--out", str(out), "--format", fmt]) == 0
+    assert (sum(formatted) > 0) == (fmt == "json")
 
 
 def test_json_report_regenerates_identical_csv(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from _oracles import (
     exact_minimize_chain,
+    one_grid_solve_radial,
     resumming_geometric_nodes,
     two_step_capacity_estimate,
     two_step_schedule,
@@ -202,57 +203,60 @@ def test_singular_weight_detection():
     # solver guard directly with a stub that slips one through
     from types import SimpleNamespace
 
-    from varcap.radial_fem import _element_conductances
-
     fake_profile = SimpleNamespace(
         s_min=0.0,
         s_max=10.0,
+        dim=Dimension(3),
         f=lambda s: np.maximum(np.asarray(s, dtype=float) - 1.0, 0.0),
         element_weight=lambda s: np.maximum(np.asarray(s, dtype=float) - 1.0, 0.0) ** 2,
     )
-    cond = SimpleNamespace(profile=fake_profile, s0=0.0)
+    cond = SimpleNamespace(profile=fake_profile, s0=0.0, ends="one")
     grid = RadialGrid(np.array([0.0, 1.0, 2.0, 3.0]))
-    with pytest.raises(SingularWeightError):
-        list(_element_conductances(cond, [grid]))
+    with pytest.raises(SingularWeightError, match="warp factor vanishes at interior node s=1.0"):
+        solve_radial(cond, grid)
 
 
-# a fault in (k, k + 1) reaches every grid [0, L] with L > k: f vanishing at the node k + 1/2, the weight
-# infinite, NaN, 0 or small enough to overflow the chain at the midpoint k + 1/4
-_GRID_FAULTS = {"f zero": (0.0, 1.0), "weight inf": (1.0, INF), "weight NaN": (1.0, math.nan),
-                "weight zero": (1.0, 0.0), "chain overflow": (1.0, 1e-320), "none": (1.0, 1.0)}
+# a fault in a cell [c / 16, (c + 1) / 16) of [0, 6): f vanishing at the nodes there, or the weight
+# infinite, NaN, 0 or small enough to overflow the chain at the midpoints there
+_CELL_FAULTS = {"f zero": (0.0, 1.0), "weight inf": (1.0, INF), "weight NaN": (1.0, math.nan),
+                "weight zero": (1.0, 0.0), "chain overflow": (1.0, 1e-320)}
 
 
-@settings(max_examples=120, deadline=None)
-@given(faults=st.lists(st.sampled_from(sorted(_GRID_FAULTS)), min_size=1, max_size=5),
-       order=st.permutations(range(5)), off_s0=st.none() | st.integers(0, 4), s_max=st.sampled_from([3.0, INF]),
-       batch=st.sampled_from([4, 20, 2**18]))
-@example(faults=["chain overflow", "weight inf"], order=[0, 1, 2, 3, 4], off_s0=None, s_max=INF, batch=2**18)
-def test_batched_solves_raise_as_one_grid_at_a_time(faults, order, off_s0, s_max, batch):
+@settings(max_examples=150, deadline=None)
+@given(faults=st.dictionaries(st.integers(0, 95), st.sampled_from(sorted(_CELL_FAULTS)), max_size=4),
+       L=st.integers(1, 6), elements=st.integers(2, 5), levels=st.integers(1, 5), off_s0=st.booleans(),
+       s_max=st.sampled_from([3.0, INF]))
+@example(faults={9: "f zero"}, L=1, elements=2, levels=4, off_s0=False, s_max=INF)  # levels 0-2 solve first
+@example(faults={9: "weight NaN", 4: "chain overflow"}, L=1, elements=2, levels=3, off_s0=False,
+         s_max=INF)  # level 0's chain overflows before level 2 reaches the NaN weight
+@example(faults={3: "weight inf", 5: "weight zero"}, L=2, elements=4, levels=3, off_s0=False,
+         s_max=INF)  # levels 0-1 solve; level 2 meets both, and the infinite weight is named first
+def test_nested_levels_raise_as_one_grid_at_a_time(faults, L, elements, levels, off_s0, s_max):
+    # a cell is first reached by a finer level the narrower the base elements are against it, so
+    # faults land on any level, and a level that solves comes before a finer one that raises
     from types import SimpleNamespace
 
     def table(s, column):
-        k = np.floor(np.asarray(s, dtype=float)).astype(int)
-        values = np.array([_GRID_FAULTS[faults[j]][column] if j < len(faults) else 1.0 for j in range(6)])
-        return values[np.clip(k, 0, 5)]
+        values = np.ones(96)
+        for cell, kind in faults.items():
+            values[cell] = _CELL_FAULTS[kind][column]
+        return values[np.clip(np.floor(16.0 * np.asarray(s, dtype=float)).astype(int), 0, 95)]
 
     profile = SimpleNamespace(s_min=0.0, s_max=s_max, dim=Dimension(3),
                               f=lambda s: table(s, 0), element_weight=lambda s: table(s, 1))
-    cond = SimpleNamespace(profile=profile, s0=0.0, ends="one")
-    # grids [0, L] in any order, perhaps one of them starting off s0
-    grids = [RadialGrid(np.linspace(0.0, k + 1, 4 * k + 5)) for k in order]
-    if off_s0 is not None:
-        grids[off_s0] = RadialGrid(np.linspace(0.5, 2.0, 4))
+    cond = SimpleNamespace(profile=profile, s0=0.5 if off_s0 else 0.0, ends="one")
+    grids = [RadialGrid(np.linspace(0.0, float(L), elements + 1))]
+    for _ in range(levels - 1):
+        grids.append(grids[-1].refined())
 
     def outcome(compute):
         try:
-            return [(sol.energy, sol.cap_L, sol.u.tobytes()) for sol in compute()]
+            return [(sol.energy, sol.cap_L, sol.u.tobytes(), sol.grid.nodes.tobytes()) for sol in compute()]
         except VarcapError as exc:
             return type(exc), str(exc)
 
-    one_at_a_time = outcome(lambda: [solve_radial(cond, grid) for grid in grids])
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(radial_fem, "_EVALUATION_BATCH", batch)
-        assert outcome(lambda: list(radial_fem._solutions(cond, grids))) == one_at_a_time
+    one_at_a_time = outcome(lambda: [one_grid_solve_radial(cond, grid) for grid in grids])
+    assert outcome(lambda: list(radial_fem._nested_solutions(cond, grids[0], levels))) == one_at_a_time
 
 
 def test_grid_must_start_at_s0():
@@ -310,14 +314,21 @@ def test_capacity_estimate_two_ended_neck():
     ({"L_values": [1e4, 100.0, 1e4]}, PreconditionError),
     ({"levels": 1}, PreconditionError),
     ({"L_values": [1.0, 1000.0, 1e4]}, DomainError),
-], ids=["two radii", "repeated radius", "repeated radius unsorted", "one level", "radius at s0"])
+    ({"L_values": [100.0, math.nan, 1e4]}, DomainError),
+    ({"h0": math.nan}, DomainError),
+    ({"h0": math.inf}, DomainError),
+    ({"levels": 2.5}, PreconditionError),
+], ids=["two radii", "repeated radius", "repeated radius unsorted", "one level", "radius at s0", "NaN radius",
+        "NaN h0", "infinite h0", "fractional levels"])
 def test_capacity_estimate_checks_its_inputs_before_any_solve(monkeypatch, options, error):
     # a repeated radius used to pass and switch off the extrapolation at that
-    # L; on a Euclidean ball it moved the cap from 0.99999994 to 1.0000771
+    # L; on a Euclidean ball it moved the cap from 0.99999994 to 1.0000771.  Only
+    # library callers reach the last four: a NaN radius raised IndexError, a NaN
+    # or infinite h0 built grids and then raised InconsistencyError, and 2.5
+    # levels raised TypeError
     calls = []
-    for name in ("solve_radial", "_element_conductances"):
-        original = getattr(radial_fem, name)
-        monkeypatch.setattr(radial_fem, name, lambda *args, original=original: calls.append(args) or original(*args))
+    monkeypatch.setattr(RadialGrid, "geometric", lambda *args: calls.append(args))
+    monkeypatch.setattr(radial_fem, "_nested_solutions", lambda *args: calls.append(args))
     cond = RadialCondenser(euclidean_profile(3), 1.0)
     with pytest.raises(error):
         capacity_estimate(cond, **options)
@@ -344,23 +355,24 @@ def test_check_schedule_fills_in_the_defaults_sorted():
 @pytest.mark.parametrize("levels", [2, 3, 5])
 @pytest.mark.parametrize("profile", [schwarzschild_profile(0.25), cylinder_transition_profile(3)],
                          ids=["one segment", "three segments"])
-def test_capacity_estimate_evaluates_each_profile_quantity_once(monkeypatch, profile, levels, L_values):
+def test_capacity_estimate_evaluates_each_profile_quantity_once_per_radius(monkeypatch, profile, levels, L_values):
     calls = []
     for name in ("f", "element_weight", "lapse"):
         original = getattr(WarpProfile, name)
         monkeypatch.setattr(WarpProfile, name,
                             lambda self, s, name=name, original=original: calls.append(name) or original(self, s))
     est = capacity_estimate(RadialCondenser(profile, 1.0), L_values=L_values, levels=levels)
-    assert sorted(calls) == ["element_weight", "f"]
-    assert len(est.rows) == levels * (3 if L_values is None else 5)
+    radii = 3 if L_values is None else 5
+    assert sorted(calls) == ["element_weight"] * radii + ["f"] * radii
+    assert len(est.rows) == levels * radii
 
 
 @pytest.mark.parametrize("levels", [2, 3])
-def test_capacity_estimate_refines_each_grid_levels_minus_one_times(monkeypatch, levels):
-    refined, refine = [], RadialGrid.refined
-    monkeypatch.setattr(RadialGrid, "refined", lambda grid: refined.append(grid) or refine(grid))
+def test_capacity_estimate_builds_one_geometric_grid_per_radius(monkeypatch, levels):
+    built, geometric = [], RadialGrid.geometric
+    monkeypatch.setattr(RadialGrid, "geometric", lambda *args: built.append(args) or geometric(*args))
     est = capacity_estimate(RadialCondenser(euclidean_profile(3), 1.0), levels=levels)
-    assert len(refined) == 3 * (levels - 1) and len(est.rows) == 3 * levels
+    assert [args[1] for args in built] == [100.0, 1000.0, 10000.0] and len(est.rows) == 3 * levels
 
 
 @pytest.mark.parametrize("cond, L_values, levels, options", [
