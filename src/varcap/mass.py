@@ -160,10 +160,12 @@ def evaluate_mass_curve(
 
 @dataclass(frozen=True)
 class MassExtrapolation:
+    """R -> inf limits of both mass curves; the error estimate is the larger of three times
+    the larger rms tail residual and a tenth of the larger gap from a limit to its curve's last value."""
+
     m_iso: float
     m_cv: float
     error_estimate: float
-    residuals: tuple
 
 
 def _fit_tail(radii: np.ndarray, values: np.ndarray) -> tuple[float, float, float]:
@@ -205,7 +207,7 @@ def extrapolate_mass(curve: MassCurve, tail_points: int | None = None) -> MassEx
         abs(results[1] - curve.m_cv[-1]),
     )
     err = max(max(resids) * 3.0, 0.1 * last_gap)
-    return MassExtrapolation(results[0], results[1], err, tuple(resids))
+    return MassExtrapolation(results[0], results[1], err)
 
 
 MASS_COLUMNS = ["R", "A", "V", "cap", "m_iso", "m_cv", "m_cv_alt"]

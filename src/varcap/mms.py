@@ -404,13 +404,16 @@ _SUPERLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0, "pa
                     "options": {"SymmetricMode": True}}
 
 
-def _check_document_condenser(space: FiniteMetricMeasureSpace, inner, outer) -> None:
+def _check_document_condenser(space: FiniteMetricMeasureSpace, inner, outer) -> dict:
     """capacity-graph's rule: a `GraphCondenser` leaving at most
-    `_DOCUMENT_FREE_BUDGET` nodes free."""
-    free = int(np.count_nonzero(_free_mask(GraphCondenser(space, inner, outer))))
+    `_DOCUMENT_FREE_BUDGET` nodes free; returns its K and B as the index
+    arrays `inner` and `outer`, so no label is looked up twice."""
+    condenser = GraphCondenser(space, inner, outer)
+    free = int(np.count_nonzero(_free_mask(condenser)))
     if free > _DOCUMENT_FREE_BUDGET:
         raise DomainError(f"the condenser leaves {free:,} nodes free, more than the {_DOCUMENT_FREE_BUDGET:,} "
                           "a graph document may have (a general graph's sparse factor can fill toward dense)")
+    return {"inner": condenser.k_idx, "outer": condenser.b_idx}
 
 
 def _free_mask(condenser: GraphCondenser) -> np.ndarray:

@@ -8,15 +8,15 @@ on an interval [s_min, s_max) times a round unit (m-1)-sphere.  Most segments
 are given in arclength (q = 1); the Schwarzschild segment uses the areal
 radius as coordinate, with q = (1 - 2M/R)^(-1/2).
 
-The three densities every segment exposes (all per unit sphere area):
-
-    resistance density   q * f^(1-m)    -- integrand of the end resistance
-    volume density       q * f^(m-1)    -- integrand of the volume
-    element weight       f^(m-1) / q    -- 1D Dirichlet-form coefficient
+Every segment integrates q * f^p over a range (per unit sphere area) and
+evaluates the element weight f^(m-1) / q, the 1D Dirichlet-form coefficient.
+Two exponents are used: p = 1 - m, whose integral is the end resistance, and
+p = m - 1, whose integral is the volume.
 
 Power and constant segments integrate in closed form, also out to infinity;
-so do sqrt_quadratic and Schwarzschild segments at m = 3.  Splines and the
-other cases fall back to adaptive quadrature, splines one cubic piece at a time.
+so do sqrt_quadratic and Schwarzschild segments at m = 3 (p = -2 and 2).
+Splines and the other cases fall back to adaptive quadrature, splines one
+cubic piece at a time.
 """
 
 from __future__ import annotations
@@ -73,22 +73,14 @@ class Segment:
         """d f / d(coordinate)."""
         raise NotImplementedError
 
-    def resistance_density(self, s, m: int):
-        return self.lapse(s) * self.f(s) ** (-(m - 1))
-
-    def volume_density(self, s, m: int):
-        return self.lapse(s) * self.f(s) ** (m - 1)
-
     def element_weight(self, s, m: int):
         return self.f(s) ** (m - 1) / self.lapse(s)
 
-    # -- integrals ----------------------------------------------------------
+    # -- integral -------------------------------------------------------------
 
-    def resistance_integral(self, a: float, b: float, m: int) -> tuple[float, float]:
-        return _quad(lambda s: float(self.resistance_density(s, m)), a, b)
-
-    def volume_integral(self, a: float, b: float, m: int) -> tuple[float, float]:
-        return _quad(lambda s: float(self.volume_density(s, m)), a, b)
+    def integral(self, a: float, b: float, power: int) -> tuple[float, float]:
+        """Integral of q * f^power over [a, b] and its error estimate (0 for a closed form)."""
+        raise NotImplementedError
 
     # -- serialization -------------------------------------------------------
 
@@ -124,25 +116,17 @@ class PowerSegment(Segment):
             return np.zeros_like(s)
         return self.a * self.p * s ** (self.p - 1.0)
 
-    def _monomial_integral(self, a: float, b: float, coef: float, expo: float) -> float:
-        # integral of coef * s**expo on [a, b]; b = inf gives 0 or inf for b**e1
-        if expo == -1.0:
-            if a <= 0.0:
-                return INF
-            return coef * math.log(b / a)
+    def integral(self, a, b, power):
+        # a**power * integral of s**expo on [a, b]; b = inf gives 0 or inf for b**e1, and an
+        # expo <= -1 diverges at s = 0, which a piece below 0 (an integer p) may end short of
+        coef, expo = self.a**power, self.p * power
         e1 = expo + 1.0
-        if a <= 0.0 and e1 <= 0.0:
-            return INF
+        if e1 <= 0.0 and a <= 0.0 <= b:
+            return INF, 0.0
+        if expo == -1.0:
+            return coef * math.log(b / a), 0.0
         ta = 0.0 if a == 0.0 else a**e1
-        return coef * (b**e1 - ta) / e1
-
-    def resistance_integral(self, a, b, m):
-        coef = self.a ** (-(m - 1))
-        return self._monomial_integral(a, b, coef, -self.p * (m - 1)), 0.0
-
-    def volume_integral(self, a, b, m):
-        coef = self.a ** (m - 1)
-        return self._monomial_integral(a, b, coef, self.p * (m - 1)), 0.0
+        return coef * (b**e1 - ta) / e1, 0.0
 
 
 class ConstantSegment(Segment):
@@ -163,11 +147,8 @@ class ConstantSegment(Segment):
     def f_coordinate_derivative(self, s):
         return np.zeros_like(np.asarray(s, dtype=float))
 
-    def resistance_integral(self, a, b, m):
-        return self.c ** (-(m - 1)) * (b - a), 0.0
-
-    def volume_integral(self, a, b, m):
-        return self.c ** (m - 1) * (b - a), 0.0
+    def integral(self, a, b, power):
+        return self.c**power * (b - a), 0.0
 
 
 def _pchip_slopes(h: np.ndarray, chord: np.ndarray) -> np.ndarray:
@@ -271,8 +252,8 @@ class SplineSegment(Segment):
     def f_coordinate_derivative(self, s):
         return self._evaluate(self._deriv_coef, s)
 
-    def _piecewise_integral(self, a: float, b: float, power: int) -> tuple[float, float]:
-        # integral of f^power on [a, b], one cubic piece at a time in its own offset z = s - x_k:
+    def integral(self, a, b, power):
+        # one cubic piece at a time (q = 1), each in its own offset z = s - x_k:
         # each piece's integrand is smooth (f'' jumps only at the knots), and z keeps the digits
         # that s - x_k, taken at a quadrature node s far from the origin, would lose
         total, err = 0.0, 0.0
@@ -285,12 +266,6 @@ class SplineSegment(Segment):
             total += v
             err += e
         return total, err
-
-    def resistance_integral(self, a, b, m):
-        return self._piecewise_integral(a, b, 1 - m)
-
-    def volume_integral(self, a, b, m):
-        return self._piecewise_integral(a, b, m - 1)
 
     def params(self):
         doc = {"x": self.x.tolist(), "y": self.y.tolist()}
@@ -325,38 +300,39 @@ class SqrtQuadraticSegment(Segment):
         s = np.asarray(s, dtype=float)
         return self.b * s / np.sqrt(self.a + self.b * s * s)
 
-    def resistance_integral(self, a, b, m):
-        if m == 3:
-            # integral of 1/(A + B s^2) = atan(k s) / sqrt(A B), k = sqrt(B/A); where A B or B/A leaves
-            # the normal range, the square roots are taken apart
+    def integral(self, a, b, power):
+        if power > 0:  # a volume
+            if b == INF:
+                return INF, 0.0
+            if power == 2:
+                return self.a * (b - a) + self.b * (b**3 - a**3) / 3.0, 0.0
+            return _quad(lambda s: float(self.lapse(s) * self.f(s) ** power), a, b)
+        if power == -2:
+            # the m = 3 resistance: integral of 1/(A + B s^2) = atan(k s) / sqrt(A B), k = sqrt(B/A);
+            # where A B or B/A leaves the normal range, the square roots are taken apart
             ab, k2 = self.a * self.b, self.b / self.a
             root = math.sqrt(ab) if _NORMAL <= ab < INF else math.sqrt(self.a) * math.sqrt(self.b)
             k = math.sqrt(k2) if _NORMAL <= k2 < INF else math.sqrt(self.b) / math.sqrt(self.a)
             return (_atan_ks(k, b) - _atan_ks(k, a)) / root, 0.0
-        if m == 2 and b == INF:  # the density tends to 1/(sqrt(B) s)
+        if power == -1 and b == INF:  # the density tends to 1/(sqrt(B) s)
             return INF, 0.0
         if b <= 0.0:  # the density is even
-            return self.resistance_integral(-b, -a, m)
+            return self.integral(-b, -a, power)
         w = math.sqrt(self.a / self.b)  # the neck's width
         for cut in (0.0, w):  # the density peaks at s = 0; past s = w the angle below changes form
             if a < cut < b:
-                left, right = self.resistance_integral(a, cut, m), self.resistance_integral(cut, b, m)
+                left, right = self.integral(a, cut, power), self.integral(cut, b, power)
                 return left[0] + right[0], left[1] + right[1]
-        # s = w tan(t) turns (A + B s^2)^((1-m)/2) ds into w A^((1-m)/2) cos(t)^(m-3) dt, smooth
+        # s = w tan(t) turns (A + B s^2)^(power/2) ds into w A^(power/2) cos(t)^(-power-2) dt, smooth
         # however narrow the neck; t = atan(s / w) keeps its digits up to s = w and
         # pi/2 - t = atan(w / s) past it
         if b <= w:
-            value, err = _quad(lambda t: math.cos(t) ** (m - 3), math.atan(a / w), math.atan(b / w))
+            value, err = _quad(lambda t: math.cos(t) ** (-power - 2), math.atan(a / w), math.atan(b / w))
         else:
-            value, err = _quad(lambda u: math.sin(u) ** (m - 3), math.atan(w / b), math.atan(w / a))
+            value, err = _quad(lambda u: math.sin(u) ** (-power - 2), math.atan(w / b), math.atan(w / a))
         with np.errstate(over="ignore"):  # a factor past the float range makes the end divergent in floats
-            scale = w * np.float64(self.a) ** ((1 - m) / 2)
+            scale = w * np.float64(self.a) ** (power / 2)
         return float(scale * value), float(scale * err)
-
-    def volume_integral(self, a, b, m):
-        if m == 3:
-            return self.a * (b - a) + self.b * (b**3 - a**3) / 3.0, 0.0
-        return super().volume_integral(a, b, m)
 
 
 class SchwarzschildSegment(Segment):
@@ -405,24 +381,21 @@ class SchwarzschildSegment(Segment):
         xb = math.sqrt(b - 2.0 * M)
         return _quad(lambda x: 2.0 * (x * x + 2.0 * M) ** (p + 0.5), xa, xb, max(xa, math.sqrt(2.0 * M)))
 
-    def resistance_integral(self, a, b, m):
-        if m == 3:
-            # exact: d/dR [ (1/M) sqrt(1 - 2M/R) ] = R^-2 (1 - 2M/R)^(-1/2); the difference
-            # of the two roots, over their sum, is taken without cancellation
+    def integral(self, a, b, power):
+        if power > 0:  # a volume
+            if b == INF:
+                return INF, 0.0
+            return (self._volume3(a, b), 0.0) if power == 2 else self._subst_quad(a, b, power)
+        if power == -2:
+            # the m = 3 resistance, exact: d/dR [ (1/M) sqrt(1 - 2M/R) ] = R^-2 (1 - 2M/R)^(-1/2);
+            # the difference of the two roots, over their sum, is taken without cancellation
             M = self.mass
             fb = math.sqrt(1.0 - 2.0 * M / b)
             fa = math.sqrt(max(1.0 - 2.0 * M / a, 0.0))
             return (2.0 / a - 2.0 / b) / (fb + fa), 0.0
-        if m == 2 and b == INF:  # the density tends to 1/R
+        if power == -1 and b == INF:  # the density tends to 1/R
             return INF, 0.0
-        return self._subst_quad(a, b, -(m - 1.0))
-
-    def volume_integral(self, a, b, m):
-        if b == INF:
-            return INF, 0.0
-        if m == 3:
-            return self._volume3(a, b), 0.0
-        return self._subst_quad(a, b, m - 1.0)
+        return self._subst_quad(a, b, power)
 
     def _volume3(self, a: float, b: float) -> float:
         # exact: with c = 2M, x = sqrt(R - c) and u = sqrt(R), 2 * integral of (x^2 + c)^(5/2) dx
@@ -571,9 +544,9 @@ class WarpProfile:
         else:
             out = np.empty_like(s)
             idx = self._segment_index(s)
-            for k in np.unique(idx):
+            for k, seg in enumerate(self.segments):  # a segment that no point lands in gets an empty array
                 mask = idx == k
-                out[mask] = per_segment(self.segments[k], s[mask])
+                out[mask] = per_segment(seg, s[mask])
         return float(out[0]) if scalar else out
 
     def f(self, s):
@@ -593,7 +566,7 @@ class WarpProfile:
 
     # -- piecewise integrals ---------------------------------------------------
 
-    def _integrate(self, a: float, b: float, which: str) -> tuple[float, float]:
+    def _integrate(self, a: float, b: float, power: int) -> tuple[float, float]:
         if not (self.s_min - 1e-12 <= a <= b <= self.s_max):
             raise DomainError(f"integration range [{a}, {b}] outside domain")
         a = max(a, self.s_min)
@@ -602,10 +575,10 @@ class WarpProfile:
             lo, hi = max(a, seg.lo), min(b, seg.hi)
             if hi <= lo:
                 continue
-            fn = seg.resistance_integral if which == "resistance" else seg.volume_integral
             try:
-                v, e = fn(lo, hi, self.m)
+                v, e = seg.integral(lo, hi, power)
             except OverflowError:  # a power of the coordinate past the float range
+                which = "resistance" if power < 0 else "volume"
                 raise DomainError(f"{which} integral over [{a}, {b}] exceeds the float range") from None
             if v == INF:
                 return INF, 0.0
@@ -618,11 +591,11 @@ class WarpProfile:
 
     def resistance_between(self, a: float, b: float) -> tuple[float, float]:
         """Integral of q * f^(1-m) over [a, b] with an error estimate."""
-        return self._integrate(a, b, "resistance")
+        return self._integrate(a, b, 1 - self.m)
 
     def volume_between(self, a: float, b: float) -> tuple[float, float]:
         """Integral of q * f^(m-1) over [a, b] (per unit sphere area)."""
-        return self._integrate(a, b, "volume")
+        return self._integrate(a, b, self.m - 1)
 
     # -- serialization -----------------------------------------------------------
 

@@ -108,23 +108,21 @@ def end_resistance(condenser: RadialCondenser, rel_tol: float = 1e-12) -> float:
     return end_resistance_estimate(condenser, rel_tol).value
 
 
-def radial_capacities(
-    profile: WarpProfile, s0s: Sequence[float], ends: str = "one", rel_tol: float = 1e-12
-) -> np.ndarray:
+def radial_capacities(profile: WarpProfile, s0s: Sequence[float], rel_tol: float = 1e-12) -> np.ndarray:
     """Capacity of {s <= s0} at each inner radius of `s0s`, in one pass: omega/(gamma*C)
-    per end, doubled for the even double, 0 where the end resistance diverges.
+    of the profile's one end, 0 where the end resistance diverges.
 
     Every radius first passes `RadialCondenser`'s rule; then the first faulty
     radius raises as `_end_resistances` says, a capacity past the float range
     with `DomainError`.
     """
     _check_inner_radii(profile, s0s)
-    return np.array([cap for _, _, cap in _end_resistances(profile, s0s, rel_tol, ends)])
+    return np.array([cap for _, _, cap in _end_resistances(profile, s0s, rel_tol, "one")])
 
 
 def radial_capacity(condenser: RadialCondenser, rel_tol: float = 1e-12) -> float:
-    """Capacity of {s <= s0}: the one-radius case of `radial_capacities`
-    (`RadialCondenser` has checked s0)."""
+    """Capacity of {s <= s0}, doubled for the even double: `radial_capacities`
+    for one radius, with the condenser's `ends` (`RadialCondenser` has checked s0)."""
     [(_, _, cap)] = _end_resistances(condenser.profile, [condenser.s0], rel_tol, condenser.ends)
     return cap
 

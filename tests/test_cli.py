@@ -17,7 +17,7 @@ from test_golden import _command_doc
 from test_mms import UNKNOWN_LABEL, space_docs, with_one_fault
 from varcap.cli import COMMANDS, RunConfig, main, parse_config
 from varcap.errors import ConfigError
-from varcap.mms import build_planar_sheet
+from varcap.mms import FiniteMetricMeasureSpace, build_planar_sheet
 from varcap.profiles import cylinder_transition_profile, euclidean_profile, hyperboloid_profile, schwarzschild_profile
 from varcap.radial_fem import RadialGrid
 from varcap import sequences
@@ -487,6 +487,21 @@ def test_capacity_graph_on_generated_documents(case):
             assert abs(raw_energy - dense) <= 1e-10 * max(1.0, dense)
         else:
             assert not out.exists()
+
+
+def test_capacity_graph_looks_up_each_label_once(tmp_path, monkeypatch):
+    # the rule resolves K and B and hands the index arrays on: one lookup per label, not two
+    sheet = build_planar_sheet((-2.0, 2.0, -2.0, 2.0), 0.125, offset=0.5)
+    r = np.hypot(sheet.coords[:, 0], sheet.coords[:, 1])
+    doc = {"space": sheet.to_doc(), "inner": sheet.labels_at(r <= 0.5), "outer": sheet.labels_at(r >= 1.75), "m": 2}
+    (tmp_path / "input.json").write_text(json.dumps(doc))
+    lookups = []
+    index = FiniteMetricMeasureSpace.index
+    monkeypatch.setattr(FiniteMetricMeasureSpace, "index", lambda self, label: lookups.append(label) or index(self, label))
+    out = tmp_path / "report.json"
+    assert main(["capacity-graph", "--input", str(tmp_path / "input.json"), "--format", "json", "--out", str(out)]) == 0
+    assert sorted(lookups) == sorted(doc["inner"] + doc["outer"])
+    assert json.loads(out.read_text())["rows"][0][2] > 0.0
 
 
 @st.composite

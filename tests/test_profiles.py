@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -116,7 +117,7 @@ def test_schwarzschild_volume_closed_form_matches_the_quadrature(M, a_excess, ga
     a = 2.0 * M * (1.0 + a_excess)
     b = min(a * (1.0 + gap), 1e90)
     assume(b > a)
-    value, err = seg.volume_integral(a, b, 3)
+    value, err = seg.integral(a, b, 2)
     quad, _ = seg._subst_quad(a, b, 2.0)
     assert err == 0.0 and value == pytest.approx(quad, rel=1e-13)
 
@@ -130,7 +131,7 @@ def test_schwarzschild_volume_leaves_the_float_range_where_the_quadrature_did(M)
     assert _LAST_CUBABLE**3 < INF
     past = math.nextafter(_LAST_CUBABLE, INF)
     seg = SchwarzschildSegment(2.0 * M, INF, M)
-    assert seg.volume_integral(2.0 * M, _LAST_CUBABLE, 3)[0] == pytest.approx(
+    assert seg.integral(2.0 * M, _LAST_CUBABLE, 2)[0] == pytest.approx(
         seg._subst_quad(2.0 * M, _LAST_CUBABLE, 2.0)[0], rel=1e-13)
     with pytest.raises(OverflowError):
         seg._subst_quad(2.0 * M, past, 2.0)
@@ -148,10 +149,61 @@ def test_spline_integrals_far_from_the_origin_match_the_bridge_moved_to_2_16(i):
     bridge = profile.segments[1]
     moved = SplineSegment(bridge.x - i + 2**16, bridge.y)
     resistance, err = profile.resistance_between(i, i + 1)
-    assert resistance == pytest.approx(moved.resistance_integral(2**16, 2**16 + 1, 3)[0], rel=1e-12)
+    assert resistance == pytest.approx(moved.integral(2**16, 2**16 + 1, -2)[0], rel=1e-12)
     assert err <= 1e-12 * resistance
     volume, _ = profile.volume_between(i + 0.25, i + 1)
-    assert volume == pytest.approx(moved.volume_integral(2**16 + 0.25, 2**16 + 1, 3)[0], rel=1e-12)
+    assert volume == pytest.approx(moved.integral(2**16 + 0.25, 2**16 + 1, 2)[0], rel=1e-12)
+
+
+_PARAM = st.floats(0.2, 5.0)
+
+
+@st.composite
+def segment_ranges(draw):
+    """A segment of some kind and a range [a, b] inside it; b may be inf where the segment reaches it."""
+    kind = draw(st.sampled_from(["power", "power below 0", "constant", "spline", "sqrt_quadratic",
+                                 "schwarzschild"]))
+    gap = draw(st.floats(0.05, 5.0))
+    b_inf = draw(st.booleans())
+    if kind == "power":
+        segment = PowerSegment(0.0, INF, draw(_PARAM), draw(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0])))
+        a = draw(st.just(0.0) | st.floats(0.05, 5.0))
+    elif kind == "power below 0":  # an integer p lets a piece reach below 0; an even one keeps f > 0
+        segment = PowerSegment(-6.0, -0.5, draw(_PARAM), draw(st.sampled_from([0.0, 2.0, 4.0])))
+        a, gap, b_inf = draw(st.floats(-6.0, -1.0)), draw(st.floats(0.05, 0.5)), False
+    elif kind == "constant":
+        segment = ConstantSegment(0.0, INF, draw(_PARAM))
+        a = draw(st.floats(0.0, 5.0))
+    elif kind == "spline":
+        x = np.cumsum([draw(st.floats(-5.0, 5.0)), *draw(st.lists(st.floats(0.1, 2.0), min_size=1, max_size=8))])
+        segment = SplineSegment(x, draw(st.lists(_PARAM, min_size=x.size, max_size=x.size)), dydx=[0.0] * x.size)
+        a, b_inf = draw(st.floats(x[0], x[-1])), False
+        gap = min(gap, x[-1] - a)
+    elif kind == "sqrt_quadratic":
+        segment = SqrtQuadraticSegment(-INF, INF, draw(_PARAM), draw(_PARAM))
+        a = draw(st.floats(-5.0, 5.0))
+    else:
+        M = draw(st.floats(0.2, 3.0))
+        segment = SchwarzschildSegment(2.0 * M, INF, M)
+        a = 2.0 * M * (1.0 + draw(st.just(0.0) | st.floats(0.01, 5.0)))
+    return segment, a, INF if b_inf else a + gap
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=segment_ranges(), m=st.sampled_from([2, 3, 4]), volume=st.booleans())
+def test_integral_of_q_f_to_the_power_matches_quadpack(case, m, volume):
+    # the resistance (power 1 - m) and the volume (power m - 1) of every kind against scipy's own
+    # QUADPACK integral of lapse * f**power, taken over the range in one go (a spline's knots as breakpoints)
+    segment, a, b = case
+    assume(b > a)
+    power = m - 1 if volume else 1 - m
+    value, err = segment.integral(a, b, power)
+    assume(value < INF)
+    knots = [] if b == INF else [k for k in getattr(segment, "x", []) if a < k < b]
+    oracle, _ = integrate.quad(lambda s: float(segment.lapse(s) * segment.f(s) ** power), a, b,
+                               epsabs=0.0, epsrel=1e-10, limit=200, **({"points": knots} if knots else {}))
+    assert value == pytest.approx(oracle, rel=1e-9)
+    assert 0.0 <= err <= 1e-9 * value
 
 
 @pytest.mark.parametrize("profile, split", [
@@ -171,6 +223,38 @@ def test_one_segment_profile_evaluates_as_its_two_segment_twin(profile, split):
         assert values is not s and np.array_equal(values, two(s)), name
         assert np.array_equal(one(s.reshape(8, 8)), values.reshape(8, 8)), name
         assert type(one(float(s[3]))) is float and one(float(s[3])) == two(float(s[3])), name
+
+
+_PER_SEGMENT = {
+    "f": lambda seg, x, m: seg.f(x),
+    "lapse": lambda seg, x, m: seg.lapse(x),
+    "element_weight": lambda seg, x, m: seg.element_weight(x, m),
+    "arclength_derivative": lambda seg, x, m: seg.f_coordinate_derivative(x) / seg.lapse(x),
+}
+
+
+@pytest.mark.parametrize("profile", [cylinder_transition_profile(4.0), capped_even_profile(2.0)],
+                         ids=["cylinder", "capped_neck"])
+def test_evaluation_matches_each_segment_alone_whichever_segments_the_points_miss(profile):
+    # points in every subset of the segments, the empty one included, shuffled together; a segment's
+    # own lower end belongs to it
+    rng = np.random.default_rng(11)
+    n = len(profile.segments)
+    for chosen in itertools.chain.from_iterable(itertools.combinations(range(n), r) for r in range(n + 1)):
+        parts = []
+        for k in chosen:
+            seg = profile.segments[k]
+            x = np.sort(rng.uniform(seg.lo, min(seg.hi, seg.lo + 10.0), 6))
+            if k:
+                x[0] = seg.lo
+            parts.append(x)
+        s = np.concatenate(parts) if parts else np.empty(0)
+        order = rng.permutation(s.size)
+        for name, per_segment in _PER_SEGMENT.items():
+            values = np.empty_like(s)
+            values[order] = getattr(profile, name)(s[order])
+            expected = [per_segment(profile.segments[k], x, profile.m) for k, x in zip(chosen, parts)]
+            assert np.array_equal(values, np.concatenate(expected) if expected else s), (name, chosen)
 
 
 def test_schwarzschild_resistance_closed_form():

@@ -22,6 +22,7 @@ from varcap.profiles import (
     hyperboloid_profile,
     schwarzschild_profile,
 )
+from varcap.radial_fem import capacity_estimate
 from varcap.warped import (
     RadialCondenser,
     TailQuadrature,
@@ -75,17 +76,36 @@ def test_m3_neck_keeps_every_arctan_result_inside_the_normal_range(a, b, s0, s1)
     with localcontext() as ctx:
         ctx.prec = 40
         exact = float(Decimal(math.pi / 2) / (Decimal(a) * Decimal(b)).sqrt())
-    assert neck.resistance_integral(0.0, INF, 3)[0] == pytest.approx(exact, rel=1e-15)
+    assert neck.integral(0.0, INF, -2)[0] == pytest.approx(exact, rel=1e-15)
     s0, s1 = min(s0, s1), max(s0, s1)
     if sys.float_info.min <= a * b < INF and sys.float_info.min <= b / a < INF:
         k = math.sqrt(b / a)
         formula = (math.atan(k * s1) - math.atan(k * s0)) / math.sqrt(a * b)
-        assert neck.resistance_integral(s0, s1, 3)[0] == formula
+        assert neck.integral(s0, s1, -2)[0] == formula
+
+
+def test_power_piece_below_zero_is_no_divergent_end():
+    # f = 2 s^2 on [-3, -1] never reaches s = 0, so its resistance from -2 is finite:
+    # (1/4) * integral of s^-4 over [-2, -1] = 7/96
+    profile = WarpProfile.from_doc({"dimension": 3, "pieces": [
+        {"kind": "power", "range": [-3.0, -1.0], "params": {"a": 2.0, "p": 2.0}},
+        {"kind": "sqrt_quadratic", "range": [-1.0, None], "params": {"a": 3.0, "b": 1.0}}]})
+    piece = profile.segments[0]
+    quadpack, _ = integrate.quad(lambda s: float(piece.lapse(s) * piece.f(s) ** -2), -2.0, -1.0,
+                                 epsabs=0.0, epsrel=1e-13)
+    value, err = profile.resistance_between(-2.0, -1.0)
+    assert err == 0.0 and value == pytest.approx(7 / 96, rel=1e-15)
+    assert value == pytest.approx(quadpack, rel=1e-13)
+    condenser = RadialCondenser(profile, -2.0)
+    cap = radial_capacity(condenser)
+    assert cap == pytest.approx(1.0 / profile.resistance_between(-2.0, INF)[0], rel=1e-15)
+    est = capacity_estimate(condenser)
+    assert abs(est.cap - cap) <= est.error_estimate
 
 
 def test_m3_neck_with_a_subnormal_width_ratio_keeps_its_digits():
     # b/a = 1e-320 is subnormal, and its square root read the integral 5.6e-6 low; atan(x) = x - x^3/3 + ...
-    value, _ = SqrtQuadraticSegment(-INF, INF, 1e300, 1e-20).resistance_integral(0.0, 1e150, 3)
+    value, _ = SqrtQuadraticSegment(-INF, INF, 1e300, 1e-20).integral(0.0, 1e150, -2)
     assert value == pytest.approx(1e-150, rel=1e-15)
 
 
